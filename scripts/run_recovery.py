@@ -30,7 +30,6 @@ def parse_args():
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--max-iterations", type=int, default=1000)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--w-sq", type=float, default=None,
                         help="override the drift variance per week")
     parser.add_argument("--sigma-r-sq", type=float, default=None,
@@ -56,7 +55,7 @@ def main():
           f"({len(dataset.climbers)} climbers, {len(dataset.routes)} routes)")
 
     start = time.perf_counter()
-    state, report = fit(dataset, hyper, args.max_iterations, threads=args.threads)
+    state, report = fit(dataset, hyper, args.max_iterations)
     elapsed = time.perf_counter() - start
     print(f"fit: iterations={report.iterations} converged={report.converged} "
           f"log_likelihood={report.final_bt_log_likelihood:.9g} "
@@ -69,8 +68,7 @@ def main():
 
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
     held_out = cross_validate(dataset, hyper, plan,
-                              max_iterations=args.max_iterations,
-                              threads=args.threads)
+                              max_iterations=args.max_iterations)
     print(f"held-out: accuracy={held_out.accuracy:.9g} "
           f"log_loss={held_out.log_loss:.9g} "
           f"balanced_accuracy={held_out.balanced_accuracy:.9g}")

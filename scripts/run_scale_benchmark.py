@@ -13,44 +13,8 @@ import argparse
 import time
 import tracemalloc
 
-import numpy as np
-
-from cragrank.ingest import assemble_clean_dataset
-from cragrank.model import Hyperparameters
 from cragrank.solver import fit
-from cragrank.synthetic import generate_world
-
-
-def level_matched_dataset(n_climbers, n_routes, n_periods, per_period, *,
-                          spread, route_variance, world_seed, log_seed):
-    """Simulated log where attempt difficulty tracks climber ability."""
-    gen_hyper = Hyperparameters(sigma_r_sq=route_variance)
-    world = generate_world(n_climbers, n_routes, n_periods, (18, 28),
-                           hyper=gen_hyper, seed=world_seed)
-    rng = np.random.default_rng(log_seed)
-    order = np.argsort(world.route_ratings)
-    sorted_ratings = world.route_ratings[order]
-
-    total = n_climbers * n_periods * per_period
-    climber_idx = np.repeat(np.arange(n_climbers), n_periods * per_period)
-    period_idx = np.tile(np.repeat(np.arange(n_periods), per_period), n_climbers)
-    ability = world.climber_ratings[climber_idx, period_idx]
-    target = ability + rng.normal(0.0, spread, size=total)
-    pos = np.clip(np.searchsorted(sorted_ratings, target), 0, n_routes - 1)
-    left = np.maximum(pos - 1, 0)
-    nearer_left = np.abs(sorted_ratings[left] - target) <= np.abs(
-        sorted_ratings[pos] - target
-    )
-    route_idx = order[np.where(nearer_left, left, pos)]
-    margin = ability - world.route_ratings[route_idx]
-    success = rng.random(total) < 1.0 / (1.0 + np.exp(-margin))
-
-    records = [
-        (world.climber_ids[c], world.route_ids[r], int(world.weeks[k]), bool(s))
-        for c, k, r, s in zip(climber_idx, period_idx, route_idx, success)
-    ]
-    grades = {rid: int(g) for rid, g in zip(world.route_ids, world.route_grades)}
-    return assemble_clean_dataset(records, grades)
+from cragrank.synthetic import level_matched_dataset
 
 
 def parse_args():
@@ -67,7 +31,6 @@ def parse_args():
     parser.add_argument("--seed", type=int, default=0,
                         help="world seed; the ascent draw uses seed+1")
     parser.add_argument("--max-iterations", type=int, default=1000)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--memory", action="store_true",
                         help="also measure peak memory at two smaller sizes")
     return parser.parse_args()
@@ -91,7 +54,7 @@ def main():
           f"in {built:.1f}s")
 
     start = time.perf_counter()
-    _, report = fit(dataset, None, args.max_iterations, threads=args.threads)
+    _, report = fit(dataset, None, args.max_iterations)
     elapsed = time.perf_counter() - start
     per_iteration = elapsed / max(report.iterations, 1)
     print(f"fit: iterations={report.iterations} converged={report.converged} "

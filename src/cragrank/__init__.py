@@ -45,21 +45,20 @@ from .model import (
     win_probabilities,
 )
 from .solver import (
-    ClimberHistory,
     FitReport,
     ModelState,
-    RouteNode,
     bt_marginal_log_likelihood,
+    climber_pass,
     fit,
     initialize_state,
+    route_pass,
     solve_tridiagonal,
-    update_climber,
-    update_route,
 )
 from .synthetic import (
     RecoveryReport,
     SyntheticWorld,
     generate_world,
+    level_matched_dataset,
     recovery_report,
     simulate_ascents,
     simulate_trials,

@@ -2,8 +2,8 @@
 
 Subcommands: preprocess, fit, predict, evaluate, crossval, synth.  All float
 output is serialized with 9 significant digits, and every command is
-deterministic given its inputs and seeds (including across --threads
-settings).  Exit codes: 0 success, 1 bad input, 2 empty result.
+deterministic given its inputs and seeds.  Exit codes: 0 success, 1 bad
+input, 2 empty result.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .ingest import (
     write_clean_dataset,
     write_raw_ascent_log,
 )
-from .model import AscentOutcome, Hyperparameters, bt_probability
-from .solver import FitReport, ModelState, bt_marginal_log_likelihood, fit, initialize_state
+from .model import Hyperparameters, bt_probability
+from .solver import FitReport, ModelState, fit
 from .synthetic import generate_world, simulate_trials, trials_to_raw_rows, write_truth_csv
 
 _HYPER_KEYS = ("sigma_c_sq", "sigma_r_sq", "w_sq", "g0", "b")
@@ -68,7 +68,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-iterations", type=int, default=1000,
                         help="outer iteration budget (default 1000)")
     parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads; output is identical for any value")
+                        help="accepted for compatibility; has no effect")
 
 
 def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
@@ -98,14 +98,17 @@ def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     with open(out_dir / "route_ratings.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["route_idx", "route_id", "grade", "rating"])
-        for idx, route in enumerate(state.routes):
-            writer.writerow([idx, route.route_id, route.grade, _fmt(route.rating)])
+        for idx, (route_id, grade, rating) in enumerate(
+            zip(state.route_ids, state.route_grades, state.route_ratings)
+        ):
+            writer.writerow([idx, route_id, int(grade), _fmt(rating)])
     with open(out_dir / "climber_ratings.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["climber_idx", "climber_id", "week", "rating"])
-        for idx, climber in enumerate(state.climbers):
-            for week, rating in zip(climber.weeks, climber.ratings):
-                writer.writerow([idx, climber.climber_id, int(week), _fmt(rating)])
+        for idx, week, rating in zip(
+            state.period_climbers(), state.period_weeks, state.climber_ratings
+        ):
+            writer.writerow([idx, state.climber_ids[idx], int(week), _fmt(rating)])
     with open(out_dir / "fit_report.txt", "w", encoding="utf-8") as fh:
         fh.write(f"iterations={report.iterations}\n")
         fh.write(f"converged={'true' if report.converged else 'false'}\n")
@@ -159,8 +162,10 @@ def _write_ratings_vs_grades(state: ModelState, out_dir: Path) -> None:
     with open(out_dir / "ratings_vs_grades.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["grade", "prior_mean", "rating"])
-        for route in state.routes:
-            writer.writerow([route.grade, _fmt(route.prior_mean), _fmt(route.rating)])
+        for grade, prior_mean, rating in zip(
+            state.route_grades, state.route_prior_means, state.route_ratings
+        ):
+            writer.writerow([int(grade), _fmt(prior_mean), _fmt(rating)])
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +187,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 def _cmd_fit(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
     hyper = _resolve_hyper(args)
-    state, report = fit(dataset, hyper, args.max_iterations, threads=args.threads)
+    state, report = fit(dataset, hyper, args.max_iterations)
     if not report.converged:
         print(f"warning: not converged after {report.iterations} iterations", file=sys.stderr)
     _write_ratings(state, report, Path(args.out))
@@ -242,7 +247,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
     hyper = _resolve_hyper(args)
-    state, fit_rep = fit(dataset, hyper, args.max_iterations, threads=args.threads)
+    state, fit_rep = fit(dataset, hyper, args.max_iterations)
     if not fit_rep.converged:
         print(f"warning: not converged after {fit_rep.iterations} iterations", file=sys.stderr)
     predictions = predict_probabilities(state, dataset.ascents)
@@ -250,9 +255,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     report = compute_metrics(predictions, actuals)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    r_squared = linear_fit_r_squared(
-        [r.grade for r in state.routes], [r.rating for r in state.routes]
-    )
+    r_squared = linear_fit_r_squared(state.route_grades, state.route_ratings)
     _write_report_files(report, r_squared, out_dir)
     _write_pr_curve(precision_recall_curve(predictions, actuals), out_dir)
     _write_ratings_vs_grades(state, out_dir)
@@ -265,19 +268,21 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
     hyper = _resolve_hyper(args)
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
-    pooled_p, pooled_y = cross_validate_predictions(
-        dataset, hyper, plan, max_iterations=args.max_iterations, threads=args.threads
+    pooled_p, pooled_y, fold_reports = cross_validate_predictions(
+        dataset, hyper, plan, max_iterations=args.max_iterations
     )
+    unconverged = sum(not r.converged for r in fold_reports)
+    if unconverged:
+        print(f"warning: {unconverged} of {len(fold_reports)} fold fits not converged",
+              file=sys.stderr)
     report = compute_metrics(pooled_p, pooled_y)
-    state, fit_rep = fit(dataset, hyper, args.max_iterations, threads=args.threads)
+    state, fit_rep = fit(dataset, hyper, args.max_iterations)
     if not fit_rep.converged:
         print(f"warning: full fit not converged after {fit_rep.iterations} iterations",
               file=sys.stderr)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    r_squared = linear_fit_r_squared(
-        [r.grade for r in state.routes], [r.rating for r in state.routes]
-    )
+    r_squared = linear_fit_r_squared(state.route_grades, state.route_ratings)
     _write_report_files(report, r_squared, out_dir)
     _write_pr_curve(precision_recall_curve(pooled_p, pooled_y), out_dir)
     _write_ratings_vs_grades(state, out_dir)

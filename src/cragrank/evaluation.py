@@ -10,7 +10,7 @@ import numpy as np
 
 from .ingest import AscentRecord, CleanDataset
 from .model import AscentOutcome, Hyperparameters, bt_probability
-from .solver import ModelState, fit
+from .solver import FitReport, ModelState, fit
 
 
 @dataclass(frozen=True)
@@ -212,15 +212,17 @@ def predict_probabilities(state: ModelState, ascents: Sequence[AscentRecord]) ->
     the queried week.  Climbers with no fitted periods fall back to the prior
     mean of 0; routes always carry a rating (the prior mean if never updated).
     """
-    route_arr = state.route_rating_array()
+    offsets = state.period_offsets.tolist()
     out = np.empty(len(ascents))
     for i, ascent in enumerate(ascents):
-        climber = state.climbers[ascent.climber]
-        if climber.weeks.shape[0] == 0:
+        lo, hi = offsets[ascent.climber], offsets[ascent.climber + 1]
+        if lo == hi:
             climber_rating = 0.0
         else:
-            climber_rating = rating_at_nearest_week(climber.weeks, climber.ratings, ascent.week)
-        out[i] = bt_probability(climber_rating, float(route_arr[ascent.route]))
+            climber_rating = rating_at_nearest_week(
+                state.period_weeks[lo:hi], state.climber_ratings[lo:hi], ascent.week
+            )
+        out[i] = bt_probability(climber_rating, float(state.route_ratings[ascent.route]))
     return out
 
 
@@ -230,21 +232,21 @@ def cross_validate_predictions(
     plan: FoldPlan,
     *,
     max_iterations: int = 1000,
-    threads: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, list[FitReport]]:
     """Held-out predictions for every (repeat, ascent) pair of a fold plan.
 
     For each fold, the model is fitted on the other folds' ascents (entity
     tables unchanged; entities left without training ascents stay at their
     prior means) and the held-out ascents are predicted from that fit.
     Returns pooled predictions and actuals, ordered by repeat then ascent
-    index.
+    index, and the fit report of every fold, ordered by repeat then fold.
     """
     n = len(dataset.ascents)
     if plan.assignments.shape != (plan.repeats, n):
         raise ValueError("fold plan does not match the dataset")
     actuals = _as_success_mask(a.outcome for a in dataset.ascents)
     predictions = np.empty((plan.repeats, n))
+    fold_reports = []
     for rep in range(plan.repeats):
         fold_of = plan.assignments[rep]
         for fold in range(plan.k):
@@ -256,12 +258,13 @@ def cross_validate_predictions(
                 climbers=dataset.climbers,
                 provenance={"rows_read": len(training), "rows_kept": len(training)},
             )
-            state, _ = fit(train_ds, hyper, max_iterations, threads=threads)
+            state, report = fit(train_ds, hyper, max_iterations)
+            fold_reports.append(report)
             held_ascents = [dataset.ascents[i] for i in np.flatnonzero(holdout)]
             predictions[rep, holdout] = predict_probabilities(state, held_ascents)
     pooled_p = predictions.reshape(-1)
     pooled_y = np.tile(actuals, plan.repeats)
-    return pooled_p, pooled_y
+    return pooled_p, pooled_y, fold_reports
 
 
 def cross_validate(
@@ -270,11 +273,10 @@ def cross_validate(
     plan: FoldPlan,
     *,
     max_iterations: int = 1000,
-    threads: int = 1,
 ) -> EvaluationReport:
     """Micro-averaged metrics over all held-out predictions of a fold plan."""
-    pooled_p, pooled_y = cross_validate_predictions(
-        dataset, hyper, plan, max_iterations=max_iterations, threads=threads
+    pooled_p, pooled_y, _ = cross_validate_predictions(
+        dataset, hyper, plan, max_iterations=max_iterations
     )
     return compute_metrics(pooled_p, pooled_y)
 

@@ -1,12 +1,12 @@
 """Coordinate Newton optimizer for the dynamic paired-comparison model.
 
-Each outer iteration updates every climber (one block Newton step over the
+Each outer iteration takes one Newton step for every climber (over the
 climber's whole rating history, using the tridiagonal Hessian induced by the
-random-walk coupling between consecutive periods) and then every route (a
-scalar Newton step).  Within a pass the updates are independent of each
-other — climber blocks never read other climbers, route updates never read
-other routes — so update order cannot change the result and passes can be
-chunked across threads without affecting output.
+random-walk coupling between consecutive periods) and then one scalar Newton
+step for every route.  Climber blocks never read other climbers and route
+updates never read other routes, so each pass is computed at once over flat
+arrays: the climber Hessians form one block-tridiagonal system, solved in a
+single sweep, and the route steps are elementwise.
 
 The Bradley-Terry marginal log-likelihood is recorded after every outer
 iteration; the fit stops once the last nine recorded values span at most one
@@ -15,9 +15,7 @@ unit (or at ``max_iterations``).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -41,46 +39,6 @@ MAX_NEWTON_STEP = 10.0
 # coupling then pins the climber's periods to a common value.
 MIN_WIENER_VARIANCE = 1e-12
 
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-@dataclass
-class ClimberHistory:
-    """One climber's periods, ratings, and ascent references.
-
-    ``weeks`` is strictly increasing and every period contains at least one
-    ascent.  The ascent arrays are parallel: ``ascent_period[k]`` is the local
-    period index of ascent ``k``, ``ascent_route[k]`` the route index, and
-    ``ascent_success[k]`` its outcome.
-    """
-
-    climber_id: str
-    weeks: np.ndarray
-    ratings: np.ndarray
-    ascent_period: np.ndarray
-    ascent_route: np.ndarray
-    ascent_success: np.ndarray
-
-
-@dataclass
-class RouteNode:
-    """One route's static rating plus its ascent references.
-
-    ``ascent_flat_period[k]`` indexes the concatenation of all climbers'
-    period arrays (see ``ModelState.period_offsets``), giving O(1) lookup of
-    the opposing climber's rating at the right period.
-    """
-
-    route_id: str
-    grade: int
-    prior_mean: float
-    rating: float
-    ascent_climber: np.ndarray
-    ascent_period: np.ndarray
-    ascent_success: np.ndarray
-    ascent_flat_period: np.ndarray
-
 
 @dataclass(frozen=True)
 class FitReport:
@@ -91,50 +49,36 @@ class FitReport:
 
 @dataclass
 class ModelState:
-    """All ratings plus both per-climber and per-route views of the ascents.
+    """All ratings and ascents as flat arrays.
 
-    The flat ascent arrays (``asc_*``) hold every ascent once, in a canonical
-    order, for vectorized likelihood evaluation.
+    Climber ``c`` owns the rating periods ``period_offsets[c]`` up to
+    ``period_offsets[c + 1]`` of ``period_weeks`` and ``climber_ratings``;
+    its weeks are strictly increasing and each of its periods holds at least
+    one ascent.  A climber without ascents owns no periods.  Route ``i`` has
+    ``route_ids[i]``, ``route_grades[i]``, ``route_prior_means[i]`` and
+    ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every ascent
+    once, in canonical (climber, week, route, outcome) order:
+    ``asc_flat_period`` indexes the climber's period, ``asc_route`` the
+    route.
     """
 
     hyper: Hyperparameters
-    climbers: list[ClimberHistory]
-    routes: list[RouteNode]
+    climber_ids: list[str]
     period_offsets: np.ndarray
+    period_weeks: np.ndarray
+    climber_ratings: np.ndarray
+    route_ids: list[str]
+    route_grades: np.ndarray
+    route_prior_means: np.ndarray
+    route_ratings: np.ndarray
     asc_flat_period: np.ndarray
     asc_route: np.ndarray
     asc_success: np.ndarray
     bt_log_likelihood_history: list[float] = field(default_factory=list)
 
-    def flat_climber_ratings(self) -> np.ndarray:
-        """Concatenation of every climber's rating array, in climber order."""
-        if not self.climbers:
-            return np.empty(0)
-        return np.concatenate([c.ratings for c in self.climbers])
-
-    def route_rating_array(self) -> np.ndarray:
-        return np.array([r.rating for r in self.routes], dtype=float)
-
-    def check_consistency(self) -> None:
-        """Verify the climber and route views describe the same ascents."""
-        from_climbers = []
-        for ci, climber in enumerate(self.climbers):
-            flat = self.period_offsets[ci] + climber.ascent_period
-            for k in range(len(climber.ascent_route)):
-                from_climbers.append(
-                    (ci, int(flat[k]), int(climber.ascent_route[k]), bool(climber.ascent_success[k]))
-                )
-        from_routes = []
-        for ri, route in enumerate(self.routes):
-            for k in range(len(route.ascent_climber)):
-                from_routes.append(
-                    (int(route.ascent_climber[k]), int(route.ascent_flat_period[k]), ri,
-                     bool(route.ascent_success[k]))
-                )
-        if sorted(from_climbers) != sorted(from_routes):
-            raise ValueError("climber and route ascent views disagree")
-        if len(from_climbers) != len(self.asc_route):
-            raise ValueError("flat ascent arrays disagree with the views")
+    def period_climbers(self) -> np.ndarray:
+        """Climber index of every flat rating period."""
+        return np.repeat(np.arange(len(self.climber_ids)), np.diff(self.period_offsets))
 
 
 def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
@@ -144,6 +88,11 @@ def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
     super/sub diagonal (length n-1).  Linear time, no pivoting: intended for
     the definite systems produced by the climber updates, where elimination
     without pivoting is stable.
+
+    A zero off-diagonal entry splits the system into independent blocks.
+    All blocks are eliminated together, longest first: step ``k`` of the
+    sweep is one vectorized update of row ``k`` of every block longer than
+    ``k``, with the same arithmetic as eliminating each block on its own.
     """
     d = np.array(diag, dtype=float)
     off = np.asarray(off_diag, dtype=float)
@@ -153,17 +102,28 @@ def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
         raise ValueError("empty system")
     if off.shape[0] != n - 1 or b.shape[0] != n:
         raise ValueError("inconsistent system dimensions")
-    for i in range(1, n):
-        if d[i - 1] == 0.0:
+    starts = np.flatnonzero(np.concatenate(([True], off == 0.0)))
+    lengths = np.diff(np.append(starts, n))
+    order = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[order], lengths[order]
+    # longer[k] = number of blocks with more than k rows
+    longer = np.searchsorted(-lengths, -np.arange(lengths[0]))
+
+    for k in range(1, lengths[0]):
+        i = starts[:longer[k]] + k
+        pivot = d[i - 1]
+        if not pivot.all():
             raise np.linalg.LinAlgError("singular tridiagonal system")
-        m = off[i - 1] / d[i - 1]
+        m = off[i - 1] / pivot
         d[i] -= m * off[i - 1]
         b[i] -= m * b[i - 1]
-    if d[n - 1] == 0.0:
+    last = starts + lengths - 1
+    if not d[last].all():
         raise np.linalg.LinAlgError("singular tridiagonal system")
     x = np.empty(n)
-    x[n - 1] = b[n - 1] / d[n - 1]
-    for i in range(n - 2, -1, -1):
+    x[last] = b[last] / d[last]
+    for k in range(lengths[0] - 2, -1, -1):
+        i = starts[:longer[k + 1]] + k
         x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
     return x
 
@@ -193,128 +153,97 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
 
     n_climbers = len(dataset.climbers)
     n_routes = len(dataset.routes)
-    if n_asc and (climber_idx.max() >= n_climbers or route_idx.max() >= n_routes):
+    if climber_idx.max() >= n_climbers or route_idx.max() >= n_routes:
         raise ValueError("ascent indexes out of range of the entity tables")
 
-    bounds = np.searchsorted(climber_idx, np.arange(n_climbers + 1))
-    climbers: list[ClimberHistory] = []
-    period_offsets = np.zeros(n_climbers + 1, dtype=np.int64)
-    local_period = np.empty(n_asc, dtype=np.int64)
-    for c in range(n_climbers):
-        lo, hi = bounds[c], bounds[c + 1]
-        weeks_c, inverse = np.unique(week[lo:hi], return_inverse=True)
-        local_period[lo:hi] = inverse
-        climbers.append(
-            ClimberHistory(
-                climber_id=dataset.climbers[c],
-                weeks=weeks_c,
-                ratings=np.zeros(weeks_c.shape[0]),
-                ascent_period=inverse.astype(np.int64),
-                ascent_route=route_idx[lo:hi].copy(),
-                ascent_success=success[lo:hi].copy(),
-            )
-        )
-        period_offsets[c + 1] = period_offsets[c] + weeks_c.shape[0]
+    # A new rating period starts wherever the (climber, week) pair changes.
+    new_period = np.ones(n_asc, dtype=bool)
+    new_period[1:] = (np.diff(climber_idx) != 0) | (np.diff(week) != 0)
+    flat_period = np.cumsum(new_period) - 1
+    periods_per_climber = np.bincount(climber_idx[new_period], minlength=n_climbers)
+    period_offsets = np.concatenate(([0], np.cumsum(periods_per_climber)))
 
-    flat_period = period_offsets[climber_idx] + local_period
-
-    by_route = np.argsort(route_idx, kind="stable")
-    route_bounds = np.searchsorted(route_idx[by_route], np.arange(n_routes + 1))
-    routes: list[RouteNode] = []
-    for ri in range(n_routes):
-        sel = by_route[route_bounds[ri]:route_bounds[ri + 1]]
-        info = dataset.routes[ri]
-        mean = route_prior_mean(info.grade, hyper)
-        routes.append(
-            RouteNode(
-                route_id=info.route_id,
-                grade=info.grade,
-                prior_mean=mean,
-                rating=mean,
-                ascent_climber=climber_idx[sel].copy(),
-                ascent_period=local_period[sel].copy(),
-                ascent_success=success[sel].copy(),
-                ascent_flat_period=flat_period[sel].copy(),
-            )
-        )
-
+    grades = np.fromiter((r.grade for r in dataset.routes), np.int64, n_routes)
+    prior_means = route_prior_mean(grades, hyper)
     return ModelState(
         hyper=hyper,
-        climbers=climbers,
-        routes=routes,
+        climber_ids=list(dataset.climbers),
         period_offsets=period_offsets,
+        period_weeks=week[new_period],
+        climber_ratings=np.zeros(int(period_offsets[-1])),
+        route_ids=[r.route_id for r in dataset.routes],
+        route_grades=grades,
+        route_prior_means=prior_means,
+        route_ratings=prior_means.copy(),
         asc_flat_period=flat_period,
         asc_route=route_idx,
         asc_success=success,
     )
 
 
-def _climber_newton_step(
-    climber: ClimberHistory, route_ratings: np.ndarray, hyper: Hyperparameters
-) -> np.ndarray:
-    """One whole-history Newton step for a climber; returns the new ratings."""
-    r = climber.ratings
+def climber_pass(state: ModelState) -> np.ndarray:
+    """One whole-history Newton step for every climber; returns the new ratings.
+
+    Reads the current climber and route ratings without mutating the state.
+    The gradient and the tridiagonal Hessian of every climber's history are
+    assembled in flat arrays, and all climbers' systems are solved in one
+    call of :func:`solve_tridiagonal`, whose off-diagonal is 0 between
+    climbers.
+    """
+    hyper = state.hyper
+    r = state.climber_ratings
     n = r.shape[0]
-    p = win_probabilities(r[climber.ascent_period], route_ratings[climber.ascent_route])
-    wins = np.bincount(
-        climber.ascent_period, weights=climber.ascent_success.astype(float), minlength=n
-    )
-    grad = wins - np.bincount(climber.ascent_period, weights=p, minlength=n)
-    hess_diag = -np.bincount(climber.ascent_period, weights=p * (1.0 - p), minlength=n)
+    idx = state.asc_flat_period
+    p = win_probabilities(r[idx], state.route_ratings[state.asc_route])
+    wins = np.bincount(idx, weights=state.asc_success.astype(float), minlength=n)
+    grad = wins - np.bincount(idx, weights=p, minlength=n)
+    hess = -np.bincount(idx, weights=p * (1.0 - p), minlength=n)
 
-    # Initial-rating prior applies to the first period only.
-    grad[0] -= r[0] / hyper.sigma_c_sq
-    hess_diag[0] -= 1.0 / hyper.sigma_c_sq
+    # Initial-rating prior applies to each climber's first period only.
+    offsets = state.period_offsets
+    first = offsets[:-1][np.diff(offsets) > 0]
+    grad[first] -= r[first] / hyper.sigma_c_sq
+    hess[first] -= 1.0 / hyper.sigma_c_sq
 
-    if n > 1:
-        var = np.maximum(np.diff(climber.weeks) * hyper.w_sq, MIN_WIENER_VARIANCE)
-        inv_var = 1.0 / var
-        dr = np.diff(r)
-        grad[:-1] += dr * inv_var
-        grad[1:] -= dr * inv_var
-        hess_diag[:-1] -= inv_var
-        hess_diag[1:] -= inv_var
-        hess_off = inv_var
-    else:
-        hess_off = np.empty(0)
+    # Random-walk coupling between consecutive periods of the same climber.
+    linked = np.ones(n - 1, dtype=bool)
+    linked[first[1:] - 1] = False
+    j = np.flatnonzero(linked)
+    weeks = state.period_weeks
+    precision = 1.0 / np.maximum((weeks[j + 1] - weeks[j]) * hyper.w_sq, MIN_WIENER_VARIANCE)
+    pull = (r[j + 1] - r[j]) * precision
+    grad[j] += pull
+    grad[j + 1] -= pull
+    hess[j] -= precision
+    hess[j + 1] -= precision
+    off = np.zeros(n - 1)
+    off[j] = precision
 
-    delta = solve_tridiagonal(hess_diag, hess_off, grad)
+    delta = solve_tridiagonal(hess, off, grad)
     return r + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
 
 
-def _route_newton_step(
-    route: RouteNode, climber_ratings_flat: np.ndarray, hyper: Hyperparameters
-) -> float:
-    """One scalar Newton step for a route; returns the new rating."""
-    opponents = climber_ratings_flat[route.ascent_flat_period]
-    p = win_probabilities(route.rating, opponents)  # route "wins" a failed ascent
-    wins = float(np.count_nonzero(~route.ascent_success))
-    d1 = wins - float(p.sum()) - (route.rating - route.prior_mean) / hyper.sigma_r_sq
-    d2 = -float((p * (1.0 - p)).sum()) - 1.0 / hyper.sigma_r_sq
-    step = -d1 / d2
-    if step > MAX_NEWTON_STEP:
-        step = MAX_NEWTON_STEP
-    elif step < -MAX_NEWTON_STEP:
-        step = -MAX_NEWTON_STEP
-    return route.rating + step
+def route_pass(state: ModelState) -> np.ndarray:
+    """One scalar Newton step for every route; returns the new ratings.
 
-
-def update_climber(climber: ClimberHistory, state: ModelState) -> np.ndarray:
-    """Newton-update one climber's whole history; returns the new ratings.
-
-    Pure: reads the current state, returns the stepped ratings without
-    mutating anything.
+    Reads the current climber and route ratings without mutating the state.
+    A route "wins" each ascent its climber fails.  Only the prior acts on a
+    route with no ascents, so its step leads to its prior mean.
     """
-    if climber.weeks.shape[0] == 0:
-        raise ValueError(f"climber {climber.climber_id!r} has no periods")
-    return _climber_newton_step(climber, state.route_rating_array(), state.hyper)
-
-
-def update_route(route: RouteNode, state: ModelState) -> float:
-    """Newton-update one route; returns the new rating without mutating."""
-    if route.ascent_success.shape[0] == 0:
-        raise ValueError(f"route {route.route_id!r} has no ascents")
-    return _route_newton_step(route, state.flat_climber_ratings(), state.hyper)
+    hyper = state.hyper
+    route = state.asc_route
+    ratings = state.route_ratings
+    n = ratings.shape[0]
+    q = win_probabilities(ratings[route], state.climber_ratings[state.asc_flat_period])
+    wins = np.bincount(route, weights=(~state.asc_success).astype(float), minlength=n)
+    d1 = (
+        wins
+        - np.bincount(route, weights=q, minlength=n)
+        - (ratings - state.route_prior_means) / hyper.sigma_r_sq
+    )
+    d2 = -np.bincount(route, weights=q * (1.0 - q), minlength=n)
+    d2 -= 1.0 / hyper.sigma_r_sq
+    return ratings + np.clip(-d1 / d2, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
 
 
 def bt_marginal_log_likelihood(state: ModelState) -> float:
@@ -325,31 +254,11 @@ def bt_marginal_log_likelihood(state: ModelState) -> float:
     """
     if state.asc_route.shape[0] == 0:
         return 0.0
-    climber_r = state.flat_climber_ratings()[state.asc_flat_period]
-    route_r = state.route_rating_array()[state.asc_route]
+    climber_r = state.climber_ratings[state.asc_flat_period]
+    route_r = state.route_ratings[state.asc_route]
     z = np.clip(climber_r - route_r, -RATING_DIFF_CLAMP, RATING_DIFF_CLAMP)
     z = np.where(state.asc_success, z, -z)
     return float(-np.logaddexp(0.0, -z).sum())
-
-
-def _map_in_chunks(
-    pool: ThreadPoolExecutor | None,
-    threads: int,
-    items: Sequence[_T],
-    fn: Callable[[_T], _R],
-) -> list[_R]:
-    """Apply ``fn`` to every item, optionally fanning out over a thread pool.
-
-    ``fn`` must be pure, so the result is identical for any thread count.
-    """
-    if pool is None or len(items) < 2 * threads:
-        return [fn(item) for item in items]
-    chunks = np.array_split(np.arange(len(items)), threads)
-    futures = [pool.submit(lambda idx=idx: [fn(items[i]) for i in idx]) for idx in chunks]
-    results: list[_R] = []
-    for future in futures:
-        results.extend(future.result())
-    return results
 
 
 def fit(
@@ -357,132 +266,39 @@ def fit(
     hyper: Hyperparameters | None = None,
     max_iterations: int = 1000,
     *,
-    threads: int = 1,
     convergence_window: int = 8,
     convergence_span: float = 1.0,
 ) -> tuple[ModelState, FitReport]:
     """Fit climber and route ratings by coordinate Newton ascent.
 
-    Every outer iteration updates all climbers (one whole-history step each,
-    against the route ratings from the previous iteration), then all routes
-    (against the just-updated climber ratings), then records the
-    Bradley-Terry marginal log-likelihood.  The fit is converged once the
-    likelihood has not moved by more than ``convergence_span`` over the last
+    Every outer iteration runs :func:`climber_pass` (against the route
+    ratings from the previous iteration), then :func:`route_pass` (against
+    the just-updated climber ratings), then records the Bradley-Terry
+    marginal log-likelihood.  The fit is converged once the likelihood has
+    not moved by more than ``convergence_span`` over the last
     ``convergence_window`` iterations, i.e. the last
     ``convergence_window + 1`` recorded values span at most
-    ``convergence_span``.
-
-    The derivative sums shared by every entity in a pass are reduced in one
-    ``bincount`` over the flat ascent arrays instead of once per entity; the
-    steps taken are the same as ``update_climber``/``update_route`` would
-    produce.  Entities that have no ascents (possible in cross-validation
-    subsets) are left at their prior means.  ``threads`` only chunks the
-    per-climber solves; any thread count produces bit-identical ratings.
+    ``convergence_span``.  Entities that have no ascents (possible in
+    cross-validation subsets) are left at their prior means.
 
     Returns the final state and a report (iterations run, convergence flag,
     final likelihood).
     """
     if max_iterations < 8:
         raise ValueError(f"max_iterations must be at least 8, got {max_iterations}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if convergence_window < 1:
         raise ValueError("convergence_window must be at least 1")
 
     state = initialize_state(dataset, hyper)
-    hyp = state.hyper
-    offsets = state.period_offsets
-    flat_idx = state.asc_flat_period
-    route_idx = state.asc_route
-    success = state.asc_success
-    n_flat = int(offsets[-1])
-    n_routes = len(state.routes)
     history = state.bt_log_likelihood_history
-
-    # Win counts never change across iterations: successes per climber-period,
-    # failures per route.  The route-side view is sorted by route so each
-    # route's ascents accumulate in the same order as its RouteNode arrays.
-    wins_flat = np.bincount(flat_idx, weights=success.astype(float), minlength=n_flat)
-    by_route = np.argsort(route_idx, kind="stable")
-    rs_route = route_idx[by_route]
-    rs_flat = flat_idx[by_route]
-    route_wins = np.bincount(
-        rs_route, weights=(~success[by_route]).astype(float), minlength=n_routes
-    )
-    route_prior = np.array([r.prior_mean for r in state.routes], dtype=float)
-
-    active = [ci for ci, c in enumerate(state.climbers) if c.weeks.shape[0] > 0]
-    empty = np.empty(0)
-    drift_precision: list[np.ndarray | None] = [None] * len(state.climbers)
-    for ci in active:
-        weeks = state.climbers[ci].weeks
-        if weeks.shape[0] > 1:
-            drift_precision[ci] = 1.0 / np.maximum(
-                np.diff(weeks) * hyp.w_sq, MIN_WIENER_VARIANCE
-            )
-
-    flat = state.flat_climber_ratings()
-    route_arr = state.route_rating_array()
-
-    def climber_solve(ci: int, grad_flat: np.ndarray, hess_flat: np.ndarray) -> None:
-        lo, hi = int(offsets[ci]), int(offsets[ci + 1])
-        r = flat[lo:hi]
-        grad = grad_flat[lo:hi]
-        hess = hess_flat[lo:hi]
-        grad[0] -= r[0] / hyp.sigma_c_sq
-        hess[0] -= 1.0 / hyp.sigma_c_sq
-        precision = drift_precision[ci]
-        if precision is not None:
-            dr = np.diff(r)
-            grad[:-1] += dr * precision
-            grad[1:] -= dr * precision
-            hess[:-1] -= precision
-            hess[1:] -= precision
-            off = precision
-        else:
-            off = empty
-        delta = solve_tridiagonal(hess, off, grad)
-        flat[lo:hi] = r + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     converged = False
-    iterations = 0
-    try:
-        for iterations in range(1, max_iterations + 1):
-            p = win_probabilities(flat[flat_idx], route_arr[route_idx])
-            grad_flat = wins_flat - np.bincount(flat_idx, weights=p, minlength=n_flat)
-            hess_flat = -np.bincount(flat_idx, weights=p * (1.0 - p), minlength=n_flat)
-            _map_in_chunks(
-                pool, threads, active,
-                lambda ci: climber_solve(ci, grad_flat, hess_flat),
-            )
-
-            q = win_probabilities(route_arr[rs_route], flat[rs_flat])
-            d1 = (
-                route_wins
-                - np.bincount(rs_route, weights=q, minlength=n_routes)
-                - (route_arr - route_prior) / hyp.sigma_r_sq
-            )
-            d2 = -np.bincount(rs_route, weights=q * (1.0 - q), minlength=n_routes)
-            d2 -= 1.0 / hyp.sigma_r_sq
-            route_arr = route_arr + np.clip(-d1 / d2, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
-
-            z = np.clip(flat[flat_idx] - route_arr[route_idx],
-                        -RATING_DIFF_CLAMP, RATING_DIFF_CLAMP)
-            z = np.where(success, z, -z)
-            history.append(float(-np.logaddexp(0.0, -z).sum()))
-            if len(history) > convergence_window:
-                recent = history[-(convergence_window + 1):]
-                if max(recent) - min(recent) <= convergence_span:
-                    converged = True
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
-
-    for ci, climber in enumerate(state.climbers):
-        climber.ratings = flat[int(offsets[ci]):int(offsets[ci + 1])].copy()
-    for ri, route in enumerate(state.routes):
-        route.rating = float(route_arr[ri])
-
+    for iterations in range(1, max_iterations + 1):
+        state.climber_ratings = climber_pass(state)
+        state.route_ratings = route_pass(state)
+        history.append(bt_marginal_log_likelihood(state))
+        if len(history) > convergence_window:
+            recent = history[-(convergence_window + 1):]
+            if max(recent) - min(recent) <= convergence_span:
+                converged = True
+                break
     return state, FitReport(iterations, converged, history[-1])

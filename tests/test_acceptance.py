@@ -29,7 +29,6 @@ from cragrank.ingest import (
     CleanDataset,
     RawAscentRow,
     RouteInfo,
-    assemble_clean_dataset,
     dataset_to_raw_rows,
     preprocess,
 )
@@ -40,7 +39,12 @@ from cragrank.model import (
     normal_prior_derivatives,
 )
 from cragrank.solver import fit, solve_tridiagonal
-from cragrank.synthetic import generate_world, recovery_report, simulate_ascents
+from cragrank.synthetic import (
+    generate_world,
+    level_matched_dataset,
+    recovery_report,
+    simulate_ascents,
+)
 
 S = AscentOutcome.SUCCESS
 F = AscentOutcome.FAILURE
@@ -309,11 +313,13 @@ def _random_small_instance(seed):
 def _max_fit_vs_oracle_gap(dataset, oracle, coord_of, route_base):
     state, _ = fit(dataset, None, 3000, convergence_span=1e-10)
     gap = 0.0
-    for ci, climber in enumerate(state.climbers):
-        for week, rating in zip(climber.weeks, climber.ratings):
-            gap = max(gap, abs(float(rating) - oracle[coord_of[(ci, int(week))]]))
-    for ri, route in enumerate(state.routes):
-        gap = max(gap, abs(route.rating - oracle[route_base + ri]))
+    offsets = state.period_offsets
+    for ci in range(len(state.climber_ids)):
+        for k in range(offsets[ci], offsets[ci + 1]):
+            coord = coord_of[(ci, int(state.period_weeks[k]))]
+            gap = max(gap, abs(float(state.climber_ratings[k]) - oracle[coord]))
+    for ri, rating in enumerate(state.route_ratings):
+        gap = max(gap, abs(float(rating) - oracle[route_base + ri]))
     return gap
 
 
@@ -343,8 +349,8 @@ def test_criterion_04_map_matches_grid_search():
     )
     state, _ = fit(fixture, None, 3000, convergence_span=1e-10)
     fixture_gap = max(
-        abs(float(state.climbers[0].ratings[0]) - best_climber),
-        abs(state.routes[0].rating - best_route),
+        abs(float(state.climber_ratings[0]) - best_climber),
+        abs(float(state.route_ratings[0]) - best_route),
     )
 
     # Part 2: five randomized small instances vs per-coordinate grid search.
@@ -544,47 +550,8 @@ def test_criterion_09_pipeline_invariants():
 # Criterion 10 — fit at full logbook scale, with linear memory
 
 
-def _level_matched_dataset(n_climbers, n_routes, n_periods, per_period,
-                           *, world_seed, log_seed):
-    """A large simulated log where climbers pick routes near their level.
-
-    Route ratings are drawn with unit variance and attempts target routes
-    within ±2 rating units of the climber's current ability, mirroring how
-    real logbooks cluster around each climber's working grade.  Matched
-    difficulty keeps outcomes informative for every entity, which is what
-    lets a log of this size fit to convergence.
-    """
-    gen_hyper = Hyperparameters(sigma_r_sq=1.0)
-    world = generate_world(n_climbers, n_routes, n_periods, (18, 28),
-                           hyper=gen_hyper, seed=world_seed)
-    rng = np.random.default_rng(log_seed)
-    order = np.argsort(world.route_ratings)
-    sorted_ratings = world.route_ratings[order]
-
-    total = n_climbers * n_periods * per_period
-    climber_idx = np.repeat(np.arange(n_climbers), n_periods * per_period)
-    period_idx = np.tile(np.repeat(np.arange(n_periods), per_period), n_climbers)
-    ability = world.climber_ratings[climber_idx, period_idx]
-    target = ability + rng.normal(0.0, 2.0, size=total)
-    pos = np.clip(np.searchsorted(sorted_ratings, target), 0, n_routes - 1)
-    left = np.maximum(pos - 1, 0)
-    nearer_left = np.abs(sorted_ratings[left] - target) <= np.abs(
-        sorted_ratings[pos] - target
-    )
-    route_idx = order[np.where(nearer_left, left, pos)]
-    margin = ability - world.route_ratings[route_idx]
-    success = rng.random(total) < 1.0 / (1.0 + np.exp(-margin))
-
-    records = [
-        (world.climber_ids[c], world.route_ids[r], int(world.weeks[k]), bool(s))
-        for c, k, r, s in zip(climber_idx, period_idx, route_idx, success)
-    ]
-    grades = {rid: int(g) for rid, g in zip(world.route_ids, world.route_grades)}
-    return assemble_clean_dataset(records, grades)
-
-
 def test_criterion_10_scale_and_memory():
-    dataset = _level_matched_dataset(3000, 8900, 20, 4, world_seed=0, log_seed=1)
+    dataset = level_matched_dataset(3000, 8900, 20, 4, world_seed=0, log_seed=1)
     n_ascents = len(dataset.ascents)
 
     start = time.perf_counter()
@@ -593,7 +560,7 @@ def test_criterion_10_scale_and_memory():
 
     peaks = []
     for n_climbers, n_routes in ((750, 2225), (1500, 4450)):
-        small = _level_matched_dataset(n_climbers, n_routes, 20, 4,
+        small = level_matched_dataset(n_climbers, n_routes, 20, 4,
                                        world_seed=0, log_seed=1)
         tracemalloc.start()
         fit(small, None, 12, convergence_span=0.0)

@@ -360,6 +360,17 @@ class TestEvaluateAndCrossval:
         counts = [payload[key] for key in ("tp", "fp", "fn", "tn")]
         assert sum(counts) == 480
 
+    def test_crossval_warns_about_unconverged_folds(self, tmp_path, capsys):
+        dataset_dir = self.synthetic_dataset(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "cv"
+        args = ["crossval", dataset_dir, "-k", "3", "--repeats", "2", "--seed", "7"]
+        assert run([*args, "--out", out, "--max-iterations", "8"]) == 0
+        captured = capsys.readouterr()
+        assert "warning: 6 of 6 fold fits not converged" in captured.err
+        assert "full fit not converged" in captured.err
+        assert captured.out.startswith("held-out accuracy=")
+
     def test_crossval_oversized_k_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)
         code = run(["crossval", dataset_dir, "-k", "10", "--repeats", "1",

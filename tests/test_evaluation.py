@@ -222,8 +222,8 @@ class TestPredictProbabilities:
             n_climbers=1,
         )
         state = initialize_state(dataset, Hyperparameters())
-        state.climbers[0].ratings[:] = [1.0, 2.5]
-        state.routes[0].rating = 0.5
+        state.climber_ratings[:] = [1.0, 2.5]
+        state.route_ratings[0] = 0.5
         queries = [AscentRecord(0, 0, 10, S), AscentRecord(0, 0, 29, S)]
         p = predict_probabilities(state, queries)
         assert p[0] == pytest.approx(bt_probability(1.0, 0.5), rel=1e-15)
@@ -237,7 +237,7 @@ class TestPredictProbabilities:
             provenance={"rows_read": 2, "rows_kept": 2},
         )
         state = initialize_state(dataset, Hyperparameters())
-        state.routes[0].rating = -0.75
+        state.route_ratings[0] = -0.75
         p = predict_probabilities(state, [AscentRecord(1, 0, 5, S)])
         assert p[0] == pytest.approx(bt_probability(0.0, -0.75), rel=1e-15)
 
@@ -315,9 +315,10 @@ class TestCrossValidate:
     def test_pooled_predictions_cover_every_repeat(self):
         dataset = symmetric_fixture()
         plan = make_fold_plan(dataset, k=2, repeats=3, seed=1)
-        pooled_p, pooled_y = cross_validate_predictions(
+        pooled_p, pooled_y, fold_reports = cross_validate_predictions(
             dataset, Hyperparameters(), plan
         )
+        assert len(fold_reports) == 6
         assert pooled_p.shape == (12,)
         assert pooled_y.shape == (12,)
         assert np.all((pooled_p > 0.0) & (pooled_p < 1.0))

@@ -208,13 +208,13 @@ class TestRecoveryReport:
     def fitted_state_with_true_ratings(self, world, dataset):
         state = initialize_state(dataset, world.hyper)
         true_route = dict(zip(world.route_ids, world.route_ratings))
-        for node in state.routes:
-            node.rating = true_route[node.route_id]
+        state.route_ratings = np.array([true_route[rid] for rid in state.route_ids])
         row_of = {cid: i for i, cid in enumerate(world.climber_ids)}
-        for climber in state.climbers:
-            row = row_of[climber.climber_id]
-            positions = np.searchsorted(world.weeks, climber.weeks)
-            climber.ratings[:] = world.climber_ratings[row, positions]
+        offsets = state.period_offsets
+        for c, climber_id in enumerate(state.climber_ids):
+            lo, hi = offsets[c], offsets[c + 1]
+            positions = np.searchsorted(world.weeks, state.period_weeks[lo:hi])
+            state.climber_ratings[lo:hi] = world.climber_ratings[row_of[climber_id], positions]
         return state
 
     def test_injected_truth_scores_perfectly(self):
@@ -230,8 +230,7 @@ class TestRecoveryReport:
         world = generate_world(6, 10, 3, (18, 26), seed=1)
         dataset = simulate_ascents(world, 8, seed=2)
         state = self.fitted_state_with_true_ratings(world, dataset)
-        for node in state.routes:
-            node.rating += 3.0
+        state.route_ratings += 3.0
         report = recovery_report(world, state)
         assert report.route_correlation == pytest.approx(1.0, abs=1e-12)
         assert report.route_rmse == pytest.approx(3.0, abs=1e-12)
