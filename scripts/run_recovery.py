@@ -51,7 +51,7 @@ def main():
         (args.grade_min, args.grade_max), hyper=hyper, seed=args.seed,
     )
     dataset = simulate_ascents(world, args.ascents_per_period, seed=args.seed + 1)
-    print(f"simulated {len(dataset.ascents)} ascents "
+    print(f"simulated {len(dataset)} ascents "
           f"({len(dataset.climbers)} climbers, {len(dataset.routes)} routes)")
 
     start = time.perf_counter()

@@ -19,9 +19,8 @@ from .evaluation import (
 )
 from .ingest import (
     DEFAULT_TICK_MAPPING,
-    AscentRecord,
     CleanDataset,
-    RawAscentRow,
+    RawAscentLog,
     RouteInfo,
     TickClass,
     classify_tick,

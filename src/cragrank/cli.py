@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -27,16 +28,18 @@ from .evaluation import (
     rating_at_nearest_week,
 )
 from .ingest import (
+    CsvTable,
     load_tick_mapping,
     parse_ascent_log,
     preprocess,
     read_clean_dataset,
+    unique_strings,
     write_clean_dataset,
     write_raw_ascent_log,
 )
 from .model import Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
-from .synthetic import generate_world, simulate_trials, trials_to_raw_rows, write_truth_csv
+from .synthetic import generate_world, simulate_trials, trials_to_raw_log, write_truth_csv
 
 _HYPER_KEYS = ("sigma_c_sq", "sigma_r_sq", "w_sq", "g0", "b")
 
@@ -98,74 +101,66 @@ def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     with open(out_dir / "route_ratings.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["route_idx", "route_id", "grade", "rating"])
-        for idx, (route_id, grade, rating) in enumerate(
-            zip(state.route_ids, state.route_grades, state.route_ratings)
-        ):
-            writer.writerow([idx, route_id, int(grade), _fmt(rating)])
+        writer.writerows(zip(range(len(state.route_ids)), state.route_ids,
+                             state.route_grades.tolist(), map(_fmt, state.route_ratings)))
     with open(out_dir / "climber_ratings.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["climber_idx", "climber_id", "week", "rating"])
-        for idx, week, rating in zip(
-            state.period_climbers(), state.period_weeks, state.climber_ratings
-        ):
-            writer.writerow([idx, state.climber_ids[idx], int(week), _fmt(rating)])
+        climber = state.period_climbers()
+        writer.writerows(zip(climber.tolist(), np.array(state.climber_ids, dtype=object)[climber],
+                             state.period_weeks.tolist(), map(_fmt, state.climber_ratings)))
     with open(out_dir / "fit_report.txt", "w", encoding="utf-8") as fh:
         fh.write(f"iterations={report.iterations}\n")
         fh.write(f"converged={'true' if report.converged else 'false'}\n")
         fh.write(f"final_bt_log_likelihood={_fmt(report.final_bt_log_likelihood)}\n")
 
 
+def _index_of(ids: np.ndarray, table: list[str]) -> np.ndarray:
+    """The index in ``table`` of each id (the last, if repeated), or ``len(table)``."""
+    index = dict(zip(table, range(len(table))))
+    return np.fromiter(map(index.get, ids, repeat(len(table))), dtype=np.int64,
+                       count=ids.shape[0])
+
+
 def _read_ratings(ratings_dir: Path):
-    routes: dict[str, float] = {}
-    with open(ratings_dir / "route_ratings.csv", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            routes[rec["route_id"]] = float(rec["rating"])
-    climbers: dict[str, list[tuple[int, float]]] = {}
-    with open(ratings_dir / "climber_ratings.csv", encoding="utf-8", newline="") as fh:
-        for rec in csv.DictReader(fh):
-            climbers.setdefault(rec["climber_id"], []).append(
-                (int(rec["week"]), float(rec["rating"]))
-            )
-    packed = {
-        cid: (
-            np.array([w for w, _ in sorted(points)], dtype=np.int64),
-            np.array([r for _, r in sorted(points)]),
-        )
-        for cid, points in climbers.items()
-    }
-    return routes, packed
+    """Route ids and ratings, and every climber's periods as flat arrays sorted by week."""
+    routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating")).text
+    route_ratings = np.fromiter(map(float, routes["rating"]), dtype=float,
+                                count=routes["rating"].shape[0])
+    periods = CsvTable.read(ratings_dir / "climber_ratings.csv",
+                            ("climber_id", "week", "rating")).text
+    ids, owner = unique_strings(periods["climber_id"])
+    weeks = np.fromiter(map(int, periods["week"]), dtype=np.int64, count=owner.shape[0])
+    ratings = np.fromiter(map(float, periods["rating"]), dtype=float, count=owner.shape[0])
+    order = np.lexsort((ratings, weeks, owner))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=ids.shape[0]))))
+    return (routes["route_id"].tolist(), route_ratings, ids.tolist(), offsets, weeks[order],
+            ratings[order])
 
 
-def _write_report_files(report, r_squared: float, out_dir: Path) -> None:
+def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: Path) -> None:
+    """The metric reports, the PR curve, and the fitted route ratings against grades."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = report.as_dict()
-    payload["ratings_grades_r_squared"] = r_squared
+    payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
+                                                               state.route_ratings)
     with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
         for key, value in payload.items():
             fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _write_pr_curve(points, out_dir: Path) -> None:
     with open(out_dir / "pr_curve.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["threshold", "precision", "recall", "classifier_point"])
-        for pt in points:
-            writer.writerow(
-                [_fmt(pt.threshold), _fmt(pt.precision), _fmt(pt.recall),
-                 "1" if pt.classifier_point else "0"]
-            )
-
-
-def _write_ratings_vs_grades(state: ModelState, out_dir: Path) -> None:
+        writer.writerows([_fmt(pt.threshold), _fmt(pt.precision), _fmt(pt.recall),
+                          "1" if pt.classifier_point else "0"]
+                         for pt in precision_recall_curve(predictions, actuals))
     with open(out_dir / "ratings_vs_grades.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["grade", "prior_mean", "rating"])
-        for grade, prior_mean, rating in zip(
-            state.route_grades, state.route_prior_means, state.route_ratings
-        ):
-            writer.writerow([int(grade), _fmt(prior_mean), _fmt(rating)])
+        writer.writerows(zip(state.route_grades.tolist(), map(_fmt, state.route_prior_means),
+                             map(_fmt, state.route_ratings)))
 
 
 # ---------------------------------------------------------------------------
@@ -197,50 +192,33 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    routes, climbers = _read_ratings(Path(args.ratings_dir))
-    queries = []
-    problems = []
+    route_ids, routes, climber_ids, offsets, weeks, ratings = _read_ratings(
+        Path(args.ratings_dir))
     with open(args.query_csv, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = ("climber_id", "route_id", "week")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in required):
-            raise ParseError("query CSV must have columns climber_id,route_id,week")
-        for rec in reader:
-            if any(rec.get(c) is None for c in required):
-                problems.append(f"line {reader.line_num}: too few fields")
-                continue
-            try:
-                week = int(rec["week"].strip())
-            except ValueError:
-                problems.append(f"line {reader.line_num}: week must be an integer, "
-                                f"got {rec['week']!r}")
-                continue
-            queries.append((rec["climber_id"], rec["route_id"], week))
+        queries = CsvTable(fh, ("climber_id", "route_id", "week"))
+    week = queries.integers("week")
+    problems = queries.problems()
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
     if problems:
-        for problem in problems:
-            print(f"error: {problem}", file=sys.stderr)
         return 1
 
+    # An unknown climber gets an owner without periods, so the prior mean of
+    # 0, and an unknown route the rating 0 appended to the route ratings.
+    owner = _index_of(queries.text["climber_id"], climber_ids)
+    climber_rating = rating_at_nearest_week(np.append(offsets, offsets[-1]), weeks, ratings,
+                                            owner, week)
+    route = _index_of(queries.text["route_id"], route_ids)
+    route_rating = np.append(routes, 0.0)[route]
+    p = bt_probability(climber_rating, route_rating)
+    labels = np.array(["none", "climber", "route", "climber+route"], dtype=object)
+    fallback = labels[(owner == len(climber_ids)) + 2 * (route == len(route_ids))]
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["climber_id", "route_id", "week", "probability", "fallback"])
-        for climber_id, route_id, week in queries:
-            fallback = []
-            if climber_id in climbers:
-                weeks, ratings = climbers[climber_id]
-                climber_rating = rating_at_nearest_week(weeks, ratings, week)
-            else:
-                climber_rating = 0.0
-                fallback.append("climber")
-            if route_id in routes:
-                route_rating = routes[route_id]
-            else:
-                route_rating = 0.0
-                fallback.append("route")
-            p = bt_probability(climber_rating, route_rating)
-            writer.writerow(
-                [climber_id, route_id, week, _fmt(p), "+".join(fallback) or "none"]
-            )
+        writer.writerows(zip(queries.text["climber_id"].tolist(),
+                             queries.text["route_id"].tolist(), week.tolist(),
+                             map("{:.9g}".format, p.tolist()), fallback.tolist()))
     return 0
 
 
@@ -250,15 +228,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     state, fit_rep = fit(dataset, hyper, args.max_iterations)
     if not fit_rep.converged:
         print(f"warning: not converged after {fit_rep.iterations} iterations", file=sys.stderr)
-    predictions = predict_probabilities(state, dataset.ascents)
-    actuals = [a.outcome for a in dataset.ascents]
-    report = compute_metrics(predictions, actuals)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    r_squared = linear_fit_r_squared(state.route_grades, state.route_ratings)
-    _write_report_files(report, r_squared, out_dir)
-    _write_pr_curve(precision_recall_curve(predictions, actuals), out_dir)
-    _write_ratings_vs_grades(state, out_dir)
+    predictions = predict_probabilities(state, dataset.climber, dataset.route, dataset.week)
+    report = compute_metrics(predictions, dataset.success)
+    _write_evaluation(report, predictions, dataset.success, state, Path(args.out))
     print(f"accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_log_loss={_fmt(report.baseline_log_loss)}")
     return 0
@@ -280,12 +252,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     if not fit_rep.converged:
         print(f"warning: full fit not converged after {fit_rep.iterations} iterations",
               file=sys.stderr)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    r_squared = linear_fit_r_squared(state.route_grades, state.route_ratings)
-    _write_report_files(report, r_squared, out_dir)
-    _write_pr_curve(precision_recall_curve(pooled_p, pooled_y), out_dir)
-    _write_ratings_vs_grades(state, out_dir)
+    _write_evaluation(report, pooled_p, pooled_y, state, Path(args.out))
     print(f"held-out accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_accuracy={_fmt(report.baseline_accuracy)}")
     return 0
@@ -304,7 +271,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     trials = simulate_trials(world, args.ascents_per_period, seed=args.seed + 1)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_raw_ascent_log(trials_to_raw_rows(world, trials), out_dir / "raw_ascents.csv")
+    write_raw_ascent_log(trials_to_raw_log(world, trials), out_dir / "raw_ascents.csv")
     write_truth_csv(world, out_dir / "truth.csv")
     print(f"wrote {trials[0].shape[0]} raw ascents for {args.climbers} climbers "
           f"on {args.routes} routes")

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .ingest import AscentRecord, CleanDataset
+from .ingest import CleanDataset
 from .model import AscentOutcome, Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
 
@@ -58,15 +57,6 @@ class EvaluationReport:
             "baseline_accuracy": self.baseline_accuracy,
         }
 
-    def as_text(self) -> str:
-        lines = []
-        for key, value in self.as_dict().items():
-            if isinstance(value, float):
-                lines.append(f"{key}={value:.9g}")
-            else:
-                lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class FoldPlan:
@@ -111,17 +101,6 @@ def baseline_log_loss(success_rate: float) -> float:
     return loss
 
 
-def _as_success_mask(actuals) -> np.ndarray:
-    if isinstance(actuals, np.ndarray) and actuals.dtype == np.bool_:
-        return actuals
-    items = actuals if hasattr(actuals, "__len__") else list(actuals)
-    return np.fromiter(
-        (a is AscentOutcome.SUCCESS if isinstance(a, AscentOutcome) else bool(a) for a in items),
-        dtype=bool,
-        count=len(items),
-    )
-
-
 def _safe_ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
@@ -134,7 +113,7 @@ def compute_metrics(predictions, actuals) -> EvaluationReport:
     happened.
     """
     p = np.asarray(predictions, dtype=float)
-    y = _as_success_mask(actuals)
+    y = np.asarray(actuals, dtype=bool)
     if p.ndim != 1 or p.shape[0] != y.shape[0]:
         raise ValueError("predictions and actuals must be 1-D and equally long")
     if p.shape[0] == 0:
@@ -174,9 +153,8 @@ def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> Fo
         raise ValueError(f"k must be at least 2, got {k}")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    mask = _as_success_mask(a.outcome for a in dataset.ascents)
-    n = mask.shape[0]
-    strata = (np.flatnonzero(mask), np.flatnonzero(~mask))
+    n = len(dataset)
+    strata = (np.flatnonzero(dataset.success), np.flatnonzero(~dataset.success))
     for stratum in strata:
         if stratum.shape[0] < k:
             raise ValueError(
@@ -191,39 +169,48 @@ def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> Fo
     return FoldPlan(k=k, repeats=repeats, seed=seed, assignments=assignments)
 
 
-def rating_at_nearest_week(weeks: np.ndarray, ratings: np.ndarray, week: int) -> float:
-    """Rating at the period whose week is nearest; ties pick the earlier one."""
-    if weeks.shape[0] == 0:
-        raise ValueError("no periods to look up")
-    pos = int(np.searchsorted(weeks, week))
-    if pos == 0:
-        return float(ratings[0])
-    if pos == weeks.shape[0]:
-        return float(ratings[-1])
-    before = week - int(weeks[pos - 1])
-    after = int(weeks[pos]) - week
-    return float(ratings[pos - 1]) if before <= after else float(ratings[pos])
+def rating_at_nearest_week(period_offsets, period_weeks, period_ratings, owner, week) -> np.ndarray:
+    """Each query's rating at its owner's period nearest in week.
+
+    Owner ``o`` holds the periods ``period_offsets[o]`` up to
+    ``period_offsets[o + 1]`` of ``period_weeks`` (strictly increasing within
+    an owner) and ``period_ratings``.  Query ``i`` asks for owner
+    ``owner[i]`` at week ``week[i]``.  A tie between two periods picks the
+    earlier one; an owner without periods gets the prior mean of 0.
+    """
+    offsets = np.asarray(period_offsets)
+    owner = np.asarray(owner, dtype=np.int64)
+    week = np.asarray(week, dtype=np.int64)
+    n_periods = period_weeks.shape[0]
+    if n_periods == 0:
+        return np.zeros(owner.shape[0])
+    # Number the distinct weeks in order, so that (owner, week) pairs become
+    # increasing keys: a query's insertion point among the period keys is
+    # then its insertion point into its owner's weeks, as a flat index.
+    period_owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    _, rank = np.unique(np.concatenate((period_weeks, week)), return_inverse=True)
+    keys = np.concatenate((period_owner, owner)) * rank.shape[0] + rank
+    insert_at = np.searchsorted(keys[:n_periods], keys[n_periods:])
+
+    lo, hi = offsets[owner], offsets[owner + 1]
+    has_periods = hi > lo
+    before = np.where(has_periods, np.maximum(insert_at - 1, lo), 0)
+    after = np.where(has_periods, np.minimum(insert_at, hi - 1), 0)
+    earlier = week - period_weeks[before] <= period_weeks[after] - week
+    return np.where(has_periods, period_ratings[np.where(earlier, before, after)], 0.0)
 
 
-def predict_probabilities(state: ModelState, ascents: Sequence[AscentRecord]) -> np.ndarray:
-    """Success probabilities for ascents under a fitted state.
+def predict_probabilities(state: ModelState, climber, route, week) -> np.ndarray:
+    """Success probabilities of climbers on routes in weeks, under a fitted state.
 
     A climber's rating is taken from their fitted period nearest in time to
     the queried week.  Climbers with no fitted periods fall back to the prior
     mean of 0; routes always carry a rating (the prior mean if never updated).
     """
-    offsets = state.period_offsets.tolist()
-    out = np.empty(len(ascents))
-    for i, ascent in enumerate(ascents):
-        lo, hi = offsets[ascent.climber], offsets[ascent.climber + 1]
-        if lo == hi:
-            climber_rating = 0.0
-        else:
-            climber_rating = rating_at_nearest_week(
-                state.period_weeks[lo:hi], state.climber_ratings[lo:hi], ascent.week
-            )
-        out[i] = bt_probability(climber_rating, float(state.route_ratings[ascent.route]))
-    return out
+    climber_rating = rating_at_nearest_week(
+        state.period_offsets, state.period_weeks, state.climber_ratings, climber, week
+    )
+    return bt_probability(climber_rating, state.route_ratings[route])
 
 
 def cross_validate_predictions(
@@ -241,29 +228,22 @@ def cross_validate_predictions(
     Returns pooled predictions and actuals, ordered by repeat then ascent
     index, and the fit report of every fold, ordered by repeat then fold.
     """
-    n = len(dataset.ascents)
+    n = len(dataset)
     if plan.assignments.shape != (plan.repeats, n):
         raise ValueError("fold plan does not match the dataset")
-    actuals = _as_success_mask(a.outcome for a in dataset.ascents)
     predictions = np.empty((plan.repeats, n))
     fold_reports = []
     for rep in range(plan.repeats):
         fold_of = plan.assignments[rep]
         for fold in range(plan.k):
-            holdout = fold_of == fold
-            training = [a for a, held in zip(dataset.ascents, holdout) if not held]
-            train_ds = CleanDataset(
-                ascents=training,
-                routes=dataset.routes,
-                climbers=dataset.climbers,
-                provenance={"rows_read": len(training), "rows_kept": len(training)},
-            )
-            state, report = fit(train_ds, hyper, max_iterations)
+            held = fold_of == fold
+            state, report = fit(dataset.subset(~held), hyper, max_iterations)
             fold_reports.append(report)
-            held_ascents = [dataset.ascents[i] for i in np.flatnonzero(holdout)]
-            predictions[rep, holdout] = predict_probabilities(state, held_ascents)
+            predictions[rep, held] = predict_probabilities(
+                state, dataset.climber[held], dataset.route[held], dataset.week[held]
+            )
     pooled_p = predictions.reshape(-1)
-    pooled_y = np.tile(actuals, plan.repeats)
+    pooled_y = np.tile(dataset.success, plan.repeats)
     return pooled_p, pooled_y, fold_reports
 
 
@@ -290,7 +270,7 @@ def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
     classifier of :func:`classify`.  Empty-denominator ratios are 0.
     """
     p = np.asarray(predictions, dtype=float)
-    y = _as_success_mask(actuals)
+    y = np.asarray(actuals, dtype=bool)
     if p.ndim != 1 or p.shape[0] != y.shape[0]:
         raise ValueError("predictions and actuals must be 1-D and equally long")
     if p.shape[0] == 0:
@@ -304,17 +284,10 @@ def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
     last_of_group = np.flatnonzero(np.diff(p_sorted) != 0.0)
     group_ends = np.concatenate([last_of_group, [p.shape[0] - 1]])
 
-    points = []
-    for end in group_ends:
-        tp = int(cum_tp[end])
-        predicted = int(end) + 1
-        points.append(
-            PRPoint(
-                threshold=float(p_sorted[end]),
-                precision=_safe_ratio(tp, predicted),
-                recall=_safe_ratio(tp, total_success),
-            )
-        )
+    tp = cum_tp[group_ends]
+    thresholds = p_sorted[group_ends]
+    points = list(map(PRPoint, thresholds.tolist(), (tp / (group_ends + 1)).tolist(),
+                      (tp / max(total_success, 1)).tolist()))
 
     strict = p > 0.5
     tp_c = int(np.count_nonzero(strict & y))
@@ -324,8 +297,7 @@ def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
         recall=_safe_ratio(tp_c, total_success),
         classifier_point=True,
     )
-    insert_at = sum(1 for pt in points if pt.threshold > 0.5)
-    points.insert(insert_at, classifier)
+    points.insert(int(np.count_nonzero(thresholds > 0.5)), classifier)
     return points
 
 

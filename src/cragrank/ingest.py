@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Mapping, Sequence
+
+import numpy as np
 
 from .errors import EmptyDatasetError, ParseError
-from .model import AscentOutcome
 
-WEEK_EPOCH = date(1970, 1, 1)
+WEEK_EPOCH = np.datetime64("1970-01-01", "D")
 
 RAW_COLUMNS = ("climber_id", "route_id", "tick_type", "date", "grade_label", "grade_system")
 
@@ -63,26 +64,23 @@ DEFAULT_TICK_MAPPING: dict[str, TickClass] = {
 }
 
 
-@dataclass(frozen=True)
-class RawAscentRow:
-    """One data line of a raw ascent log, fields verbatim (date parsed)."""
+@dataclass
+class RawAscentLog:
+    """A raw ascent log as parallel columns, one entry per data row.
 
-    climber_id: str
-    route_id: str
-    tick_type: str
-    date: date
-    grade_label: str
-    grade_system: str
+    The string columns are object arrays holding each field verbatim;
+    ``day`` holds the parsed dates as ``datetime64[D]``.
+    """
 
+    climber_id: np.ndarray
+    route_id: np.ndarray
+    tick_type: np.ndarray
+    day: np.ndarray
+    grade_label: np.ndarray
+    grade_system: np.ndarray
 
-@dataclass(frozen=True)
-class AscentRecord:
-    """One cleaned ascent: indexed climber and route, week, binary outcome."""
-
-    climber: int
-    route: int
-    week: int
-    outcome: AscentOutcome
+    def __len__(self) -> int:
+        return self.day.shape[0]
 
 
 @dataclass(frozen=True)
@@ -93,38 +91,46 @@ class RouteInfo:
 
 @dataclass
 class CleanDataset:
-    """Preprocessed ascents plus the entity tables they index into.
+    """Preprocessed ascents as four parallel arrays, plus the entity tables.
 
-    ``routes[i].route_id`` / ``climbers[j]`` give the external ids for route
-    index ``i`` and climber index ``j``; both tables are sorted by id.
-    ``provenance`` counts rows read, kept, and dropped per filter rule.
+    Ascent ``i`` is climber ``climber[i]`` on route ``route[i]`` in week
+    ``week[i]``, successful iff ``success[i]``.  ``routes[r].route_id`` and
+    ``climbers[c]`` give the external ids of route index ``r`` and climber
+    index ``c``; both tables are sorted by id.  ``provenance`` counts rows
+    read, kept, and dropped per filter rule.
     """
 
-    ascents: list[AscentRecord]
+    climber: np.ndarray
+    route: np.ndarray
+    week: np.ndarray
+    success: np.ndarray
     routes: list[RouteInfo]
     climbers: list[str]
     provenance: dict[str, int]
 
+    def __len__(self) -> int:
+        return self.climber.shape[0]
+
+    def subset(self, keep: np.ndarray) -> CleanDataset:
+        """The ascents selected by a boolean mask, over the same entity tables."""
+        n = int(np.count_nonzero(keep))
+        return CleanDataset(
+            self.climber[keep], self.route[keep], self.week[keep], self.success[keep],
+            self.routes, self.climbers, {"rows_read": n, "rows_kept": n},
+        )
+
     def check_invariants(self) -> None:
         """Raise ValueError if the cleaned-data guarantees do not hold."""
-        route_counts = Counter(a.route for a in self.ascents)
-        climber_failures = {
-            a.climber for a in self.ascents if a.outcome is AscentOutcome.FAILURE
-        }
-        climbers_seen = {a.climber for a in self.ascents}
-        for a in self.ascents:
-            if not (0 <= a.route < len(self.routes)):
-                raise ValueError(f"route index {a.route} out of range")
-            if not (0 <= a.climber < len(self.climbers)):
-                raise ValueError(f"climber index {a.climber} out of range")
-        for idx in range(len(self.routes)):
-            if route_counts.get(idx, 0) < 2:
-                raise ValueError(f"route {idx} has fewer than 2 ascents")
-        for idx in range(len(self.climbers)):
-            if idx not in climbers_seen:
-                raise ValueError(f"climber {idx} has no ascents")
-            if idx not in climber_failures:
-                raise ValueError(f"climber {idx} has no failed ascent")
+        n_routes, n_climbers = len(self.routes), len(self.climbers)
+        if not (np.all((self.route >= 0) & (self.route < n_routes))
+                and np.all((self.climber >= 0) & (self.climber < n_climbers))):
+            raise ValueError("ascent index out of range")
+        sparse = np.flatnonzero(np.bincount(self.route, minlength=n_routes) < 2)
+        if sparse.size:
+            raise ValueError(f"route {sparse[0]} has fewer than 2 ascents")
+        failures = np.bincount(self.climber[~self.success], minlength=n_climbers)
+        if not failures.all():
+            raise ValueError(f"climber {np.argmin(failures)} has no failed ascent")
 
 
 def classify_tick(tick_type: str, mapping: Mapping[str, TickClass] | None = None) -> TickClass:
@@ -152,14 +158,20 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
     return mapping
 
 
-def quantize_week(day: date) -> int:
-    """Week index of a date: floor of days since 1970-01-01 divided by 7."""
-    return (day.toordinal() - WEEK_EPOCH.toordinal()) // 7
+def quantize_week(day):
+    """Week index of a date or of each of an array of dates.
+
+    The index is the floor of the days since 1970-01-01, divided by 7.
+    """
+    return (np.asarray(day, dtype="datetime64[D]") - WEEK_EPOCH).astype(np.int64) // 7
 
 
-def week_start_date(week: int) -> date:
-    """First day of a week index (inverse of :func:`quantize_week`)."""
-    return WEEK_EPOCH + timedelta(weeks=week)
+def week_start_date(week):
+    """First day of a week index or of each of an array of them.
+
+    The inverse of :func:`quantize_week`.
+    """
+    return WEEK_EPOCH + 7 * np.asarray(week, dtype=np.int64)
 
 
 def median_grade(grades: Sequence[int]) -> int:
@@ -169,8 +181,115 @@ def median_grade(grades: Sequence[int]) -> int:
     return sorted(grades)[(len(grades) - 1) // 2]
 
 
-def parse_ascent_log(source: str | Path | IO) -> list[RawAscentRow]:
-    """Parse a raw ascent-log CSV into rows, reporting bad lines by number."""
+def unique_strings(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What ``np.unique(column, return_inverse=True)`` returns for a column of strings.
+
+    The column is hashed rather than sorted: only its distinct strings are
+    sorted, which is much faster for an object array with few of them.
+    """
+    values = column.tolist()
+    distinct = sorted(dict.fromkeys(values))
+    code = dict(zip(distinct, range(len(distinct))))
+    inverse = np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
+    return np.array(distinct, dtype=object), inverse
+
+
+def convert_distinct(column: np.ndarray, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Apply ``convert`` once to each distinct string of ``column``, spread over its rows.
+
+    Returns the results as an array of ``dtype``, and a mask of the rows
+    whose string ``convert`` rejects with ValueError, or whose result
+    ``dtype`` cannot hold (they hold zero).
+    """
+    distinct, inverse = unique_strings(column)
+    values = np.zeros(distinct.shape[0], dtype=dtype)
+    rejected = np.zeros(distinct.shape[0], dtype=bool)
+    for i, text in enumerate(distinct.tolist()):
+        try:
+            values[i] = convert(text)
+        except (ValueError, OverflowError):
+            rejected[i] = True
+    return values[inverse], rejected[inverse]
+
+
+def _parse_int(text: str) -> int:
+    return int(text.strip())
+
+
+class CsvTable:
+    """The named columns of a CSV file with a header line, and checks on its rows.
+
+    ``text[c]`` holds column ``c`` as an object array of the fields verbatim.
+    A repeated column name refers to its last occurrence, as in
+    ``csv.DictReader``, and blank lines are skipped.  Checks are recorded in
+    the order a row is checked, starting with a row too short to hold every
+    named field (its fields read as empty strings).  ``name`` prefixes the
+    error messages.
+    """
+
+    def __init__(self, stream: IO[str], columns: Sequence[str], name: str = ""):
+        reader = csv.reader(stream)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(f"{name}: empty file" if name else "empty input: no header line")
+        self.prefix = f"{name} " if name else ""
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise ParseError(f"{name + ': ' if name else ''}missing required columns: "
+                             f"{', '.join(missing)}")
+        index = [len(header) - 1 - header[::-1].index(c) for c in columns]
+        need = max(index) + 1
+        rows, self.lines, short = [], [], []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < need:
+                short.append(len(rows))
+                row = [""] * need
+            rows.append(row)
+            self.lines.append(reader.line_num)
+        self.rows = len(rows)
+        self.text = {c: np.fromiter(map(itemgetter(i), rows), dtype=object, count=self.rows)
+                     for c, i in zip(columns, index)}
+        self.checks = []
+        self.check(np.isin(np.arange(self.rows), short), "too few fields")
+
+    @classmethod
+    def read(cls, path: Path, columns: Sequence[str]) -> CsvTable:
+        """The table of a file, whose name then prefixes the error messages."""
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return cls(fh, columns, path.name)
+
+    def check(self, failed: np.ndarray, problem: str, text: np.ndarray | None = None) -> None:
+        """Record that the rows in ``failed`` have ``problem``, formatted with their ``text``."""
+        self.checks.append((failed, problem, text))
+
+    def convert(self, column: str, convert, dtype, problem: str) -> np.ndarray:
+        """Column ``column`` converted by :func:`convert_distinct`, checking for rejects."""
+        values, rejected = convert_distinct(self.text[column], convert, dtype)
+        self.check(rejected, problem, self.text[column])
+        return values
+
+    def integers(self, column: str) -> np.ndarray:
+        return self.convert(column, _parse_int, np.int64, column + " must be an integer, got {!r}")
+
+    def problems(self) -> list[str]:
+        """For each failing row in order, the first check it fails, with its line number."""
+        messages = []
+        for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in self.checks])):
+            problem, text = next((p, t) for mask, p, t in self.checks if mask[i])
+            messages.append(f"{self.prefix}line {self.lines[i]}: "
+                            f"{problem.format(None if text is None else text[i])}")
+        return messages
+
+    def raise_first(self) -> None:
+        problems = self.problems()
+        if problems:
+            raise ParseError(problems[0])
+
+
+def parse_ascent_log(source: str | Path | IO) -> RawAscentLog:
+    """Parse a raw ascent-log CSV into columns, reporting bad lines by number."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
             return _parse_stream(fh)
@@ -179,130 +298,118 @@ def parse_ascent_log(source: str | Path | IO) -> list[RawAscentRow]:
     return _parse_stream(io.TextIOWrapper(source, encoding="utf-8", newline=""))
 
 
-def _parse_stream(stream: IO[str]) -> list[RawAscentRow]:
-    reader = csv.DictReader(stream)
-    header = reader.fieldnames
-    if header is None:
-        raise ParseError("empty input: no header line")
-    missing = [c for c in RAW_COLUMNS if c not in header]
-    if missing:
-        raise ParseError(f"missing required columns: {', '.join(missing)}")
-    rows: list[RawAscentRow] = []
-    for rec in reader:
-        lineno = reader.line_num
-        if any(rec.get(c) is None for c in RAW_COLUMNS):
-            raise ParseError(f"line {lineno}: too few fields")
-        try:
-            day = date.fromisoformat(rec["date"].strip())
-        except ValueError:
-            raise ParseError(f"line {lineno}: invalid date {rec['date']!r}") from None
-        rows.append(
-            RawAscentRow(
-                climber_id=rec["climber_id"],
-                route_id=rec["route_id"],
-                tick_type=rec["tick_type"],
-                date=day,
-                grade_label=rec["grade_label"],
-                grade_system=rec["grade_system"],
-            )
-        )
-    return rows
+def _parse_stream(stream: IO[str]) -> RawAscentLog:
+    table = CsvTable(stream, RAW_COLUMNS)
+    day = table.convert("date", lambda text: date.fromisoformat(text.strip()), "datetime64[D]",
+                        "invalid date {!r}")
+    table.raise_first()
+    text = table.text
+    return RawAscentLog(text["climber_id"], text["route_id"], text["tick_type"], day,
+                        text["grade_label"], text["grade_system"])
 
 
 def assemble_clean_dataset(
-    records: Iterable[tuple[str, str, int, bool]],
-    route_grades: Mapping[str, int],
+    climber_ids: Sequence[str],
+    route_ids: Sequence[str],
+    route_grades,
+    climber: np.ndarray,
+    route: np.ndarray,
+    week: np.ndarray,
+    success: np.ndarray,
     provenance: dict[str, int] | None = None,
 ) -> CleanDataset:
     """Run the minimum-activity filters and index the survivors.
 
-    ``records`` are ``(climber_id, route_id, week, success)`` tuples.  Routes
-    with fewer than two ascents and climbers with no failed ascent are dropped
+    Row ``i`` is an ascent of climber ``climber_ids[climber[i]]`` on route
+    ``route_ids[route[i]]`` in week ``week[i]``; both id tables are sorted
+    and ``route_grades`` is parallel to ``route_ids``.  Routes with fewer
+    than two ascents and climbers with no failed ascent are dropped
     alternately until neither rule removes anything; dropping a route can
     strip a climber's last failure and vice versa, hence the fixpoint loop.
-    Entity indices are assigned in sorted-id order.
+    Surviving entities are indexed in sorted-id order, and the surviving
+    rows keep their order.
     """
-    rows = list(records)
-    prov = provenance if provenance is not None else {"rows_read": len(rows)}
+    n = climber.shape[0]
+    prov = provenance if provenance is not None else {"rows_read": n}
     for key in _DROP_KEYS:
         prov.setdefault(key, 0)
 
+    keep = np.ones(n, dtype=bool)
+    kept = n
     while True:
-        before = len(rows)
-        route_counts = Counter(r[1] for r in rows)
-        rows = [r for r in rows if route_counts[r[1]] >= 2]
-        prov["dropped_route_few_ascents"] += before - len(rows)
+        before = kept
+        keep &= np.bincount(route[keep], minlength=len(route_ids))[route] >= 2
+        after_routes = int(np.count_nonzero(keep))
+        prov["dropped_route_few_ascents"] += before - after_routes
 
-        after_routes = len(rows)
-        climbers_with_failure = {r[0] for r in rows if not r[3]}
-        rows = [r for r in rows if r[0] in climbers_with_failure]
-        prov["dropped_climber_no_failure"] += after_routes - len(rows)
-        if len(rows) == before:  # a full round removed nothing: fixpoint
+        failures = np.bincount(climber[keep & ~success], minlength=len(climber_ids))
+        keep &= failures[climber] > 0
+        kept = int(np.count_nonzero(keep))
+        prov["dropped_climber_no_failure"] += after_routes - kept
+        if kept == before:  # a full round removed nothing: fixpoint
             break
 
-    prov["rows_kept"] = len(rows)
-    if not rows:
+    prov["rows_kept"] = kept
+    if not kept:
         raise EmptyDatasetError("no ascents survived preprocessing", prov)
 
-    climbers = sorted({r[0] for r in rows})
-    route_ids = sorted({r[1] for r in rows})
-    climber_index = {cid: i for i, cid in enumerate(climbers)}
-    route_index = {rid: i for i, rid in enumerate(route_ids)}
-    ascents = [
-        AscentRecord(
-            climber=climber_index[cid],
-            route=route_index[rid],
-            week=week,
-            outcome=AscentOutcome.SUCCESS if success else AscentOutcome.FAILURE,
-        )
-        for cid, rid, week, success in rows
-    ]
-    routes = [RouteInfo(rid, route_grades[rid]) for rid in route_ids]
-    return CleanDataset(ascents=ascents, routes=routes, climbers=climbers, provenance=prov)
+    climbers_used, climber_index = np.unique(climber[keep], return_inverse=True)
+    routes_used, route_index = np.unique(route[keep], return_inverse=True)
+    route_id_of = np.asarray(route_ids, dtype=object)[routes_used].tolist()
+    grade_of = np.asarray(route_grades)[routes_used].tolist()
+    return CleanDataset(
+        climber=climber_index,
+        route=route_index,
+        week=week[keep],
+        success=success[keep],
+        routes=[RouteInfo(rid, grade) for rid, grade in zip(route_id_of, grade_of)],
+        climbers=np.asarray(climber_ids, dtype=object)[climbers_used].tolist(),
+        provenance=prov,
+    )
 
 
 def preprocess(
-    rows: Sequence[RawAscentRow],
+    log: RawAscentLog,
     mapping: Mapping[str, TickClass] | None = None,
 ) -> CleanDataset:
-    """Clean raw ascent rows into a CleanDataset.
+    """Clean a raw ascent log into a CleanDataset.
 
     Stages: classify ticks and drop ambiguous ones; keep only Ewbank-graded
-    rows with an integer grade label; compute each route's median grade;
-    quantize dates to weeks; then apply the minimum-activity fixpoint
-    filters.  Raises EmptyDatasetError if nothing survives.
+    rows with a positive integer grade label; compute each route's median
+    grade; quantize dates to weeks; then apply the minimum-activity fixpoint
+    filters.  Every distinct tick, grade system and grade label string is
+    classified or converted once.  Raises EmptyDatasetError if nothing
+    survives.
     """
-    prov = {"rows_read": len(rows)}
-    for key in _DROP_KEYS:
-        prov[key] = 0
+    tick, _ = convert_distinct(log.tick_type, lambda text: classify_tick(text, mapping), object)
+    ewbank, _ = convert_distinct(
+        log.grade_system, lambda text: text.strip().lower() == "ewbank", bool
+    )
+    # A label int() rejects counts as grade 0, so as invalid.  Grades stay
+    # Python ints, of any size, as int() returns them.
+    grade, _ = convert_distinct(log.grade_label, _parse_int, object)
 
-    graded: list[tuple[str, str, int, bool, int]] = []
-    for row in rows:
-        cls = classify_tick(row.tick_type, mapping)
-        if cls is TickClass.AMBIGUOUS:
-            prov["dropped_ambiguous_tick"] += 1
-            continue
-        if row.grade_system.strip().lower() != "ewbank":
-            prov["dropped_non_ewbank"] += 1
-            continue
-        try:
-            grade = int(row.grade_label.strip())
-        except ValueError:
-            grade = -1
-        if grade <= 0:
-            prov["dropped_invalid_grade"] += 1
-            continue
-        graded.append(
-            (row.climber_id, row.route_id, quantize_week(row.date), cls is TickClass.SUCCESSFUL, grade)
-        )
+    ambiguous = tick == TickClass.AMBIGUOUS
+    foreign = ~ambiguous & ~ewbank
+    invalid = ~ambiguous & ewbank & (grade <= 0)
+    prov = {"rows_read": len(log),
+            "dropped_ambiguous_tick": int(np.count_nonzero(ambiguous)),
+            "dropped_non_ewbank": int(np.count_nonzero(foreign)),
+            "dropped_invalid_grade": int(np.count_nonzero(invalid))}
+    graded = ~(ambiguous | foreign | invalid)
 
-    grades_by_route: dict[str, list[int]] = {}
-    for _, rid, _, _, grade in graded:
-        grades_by_route.setdefault(rid, []).append(grade)
-    route_grades = {rid: median_grade(gs) for rid, gs in grades_by_route.items()}
-
-    records = [(cid, rid, week, success) for cid, rid, week, success, _ in graded]
-    return assemble_clean_dataset(records, route_grades, prov)
+    climber_ids, climber = unique_strings(log.climber_id[graded])
+    route_ids, route = unique_strings(log.route_id[graded])
+    # Each route's median grade (the lower middle for even counts), as
+    # median_grade computes it: sort by (route, grade), index each group.
+    grade = grade[graded]
+    counts = np.bincount(route, minlength=route_ids.shape[0])
+    lower_middle = np.cumsum(counts) - counts + (counts - 1) // 2
+    route_grades = grade[np.lexsort((grade, route))][lower_middle]
+    return assemble_clean_dataset(
+        climber_ids, route_ids, route_grades, climber, route,
+        quantize_week(log.day[graded]), tick[graded] == TickClass.SUCCESSFUL, prov,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,51 +423,49 @@ def write_clean_dataset(dataset: CleanDataset, out_dir: str | Path) -> None:
     with open(out / "ascents.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["climber_idx", "route_idx", "week", "outcome"])
-        for a in dataset.ascents:
-            writer.writerow([a.climber, a.route, a.week, a.outcome.value])
+        writer.writerows(zip(dataset.climber.tolist(), dataset.route.tolist(),
+                             dataset.week.tolist(), dataset.success.astype(int).tolist()))
     with open(out / "routes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["route_idx", "route_id", "grade"])
-        for idx, info in enumerate(dataset.routes):
-            writer.writerow([idx, info.route_id, info.grade])
+        writer.writerows((i, route.route_id, route.grade) for i, route in enumerate(dataset.routes))
     with open(out / "climbers.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["climber_idx", "climber_id"])
-        for idx, cid in enumerate(dataset.climbers):
-            writer.writerow([idx, cid])
+        writer.writerows(enumerate(dataset.climbers))
     with open(out / "provenance.txt", "w", encoding="utf-8") as fh:
         for key in ("rows_read", *_DROP_KEYS, "rows_kept"):
             fh.write(f"{key}={dataset.provenance.get(key, 0)}\n")
 
 
 def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
-    """Read a dataset directory written by :func:`write_clean_dataset`."""
+    """Read a dataset directory written by :func:`write_clean_dataset`.
+
+    Raises ParseError naming the file and line of the first malformed row,
+    including an ascent whose climber or route index is outside its table.
+    """
     src = Path(in_dir)
-    routes: list[RouteInfo] = []
-    for rec, lineno in _read_csv(src / "routes.csv", ("route_idx", "route_id", "grade")):
-        idx = _parse_int(rec["route_idx"], "route_idx", lineno)
-        if idx != len(routes):
-            raise ParseError(f"routes.csv line {lineno}: route_idx out of order")
-        routes.append(RouteInfo(rec["route_id"], _parse_int(rec["grade"], "grade", lineno)))
-    climbers: list[str] = []
-    for rec, lineno in _read_csv(src / "climbers.csv", ("climber_idx", "climber_id")):
-        idx = _parse_int(rec["climber_idx"], "climber_idx", lineno)
-        if idx != len(climbers):
-            raise ParseError(f"climbers.csv line {lineno}: climber_idx out of order")
-        climbers.append(rec["climber_id"])
-    ascents: list[AscentRecord] = []
-    for rec, lineno in _read_csv(src / "ascents.csv", ("climber_idx", "route_idx", "week", "outcome")):
-        outcome = rec["outcome"].strip()
-        if outcome not in ("0", "1"):
-            raise ParseError(f"ascents.csv line {lineno}: outcome must be 0 or 1")
-        ascents.append(
-            AscentRecord(
-                climber=_parse_int(rec["climber_idx"], "climber_idx", lineno),
-                route=_parse_int(rec["route_idx"], "route_idx", lineno),
-                week=_parse_int(rec["week"], "week", lineno),
-                outcome=AscentOutcome(int(outcome)),
-            )
-        )
+    routes = CsvTable.read(src / "routes.csv", ("route_idx", "route_id", "grade"))
+    routes.check(routes.integers("route_idx") != np.arange(routes.rows), "route_idx out of order")
+    grades = routes.integers("grade").tolist()
+    routes.raise_first()
+    climbers = CsvTable.read(src / "climbers.csv", ("climber_idx", "climber_id"))
+    climbers.check(climbers.integers("climber_idx") != np.arange(climbers.rows),
+                   "climber_idx out of order")
+    climbers.raise_first()
+
+    ascents = CsvTable.read(src / "ascents.csv", ("climber_idx", "route_idx", "week", "outcome"))
+    # the index of "1" in ("0", "1") is True; any other outcome raises ValueError
+    success = ascents.convert("outcome", lambda text: ("0", "1").index(text.strip()), bool,
+                              "outcome must be 0 or 1")
+    climber, route, week = (ascents.integers(c) for c in ("climber_idx", "route_idx", "week"))
+    ascents.raise_first()
+    ascents.check((climber < 0) | (climber >= climbers.rows),
+                  f"climber_idx out of range for {climbers.rows} climbers")
+    ascents.check((route < 0) | (route >= routes.rows),
+                  f"route_idx out of range for {routes.rows} routes")
+    ascents.raise_first()
+
     prov_path = src / "provenance.txt"
     if prov_path.exists():
         provenance = {}
@@ -369,55 +474,22 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
                 key, _, value = line.partition("=")
                 provenance[key.strip()] = int(value)
     else:
-        provenance = {"rows_read": len(ascents), "rows_kept": len(ascents)}
-    return CleanDataset(ascents=ascents, routes=routes, climbers=climbers, provenance=provenance)
+        provenance = {"rows_read": ascents.rows, "rows_kept": ascents.rows}
+    return CleanDataset(
+        climber=climber, route=route, week=week, success=success,
+        routes=[RouteInfo(rid, g) for rid, g in zip(routes.text["route_id"].tolist(), grades)],
+        climbers=climbers.text["climber_id"].tolist(),
+        provenance=provenance,
+    )
 
 
-def _read_csv(path: Path, columns: tuple[str, ...]):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(f"{path.name}: empty file")
-        missing = [c for c in columns if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(f"{path.name}: missing required columns: {', '.join(missing)}")
-        for rec in reader:
-            if any(rec.get(c) is None for c in columns):
-                raise ParseError(f"{path.name} line {reader.line_num}: too few fields")
-            yield rec, reader.line_num
-
-
-def _parse_int(text: str, field: str, lineno: int) -> int:
-    try:
-        return int(text.strip())
-    except ValueError:
-        raise ParseError(f"line {lineno}: {field} must be an integer, got {text!r}") from None
-
-
-def dataset_to_raw_rows(dataset: CleanDataset) -> list[RawAscentRow]:
-    """Express a cleaned dataset back in raw-log form (for round-tripping)."""
-    rows = []
-    for a in dataset.ascents:
-        rows.append(
-            RawAscentRow(
-                climber_id=dataset.climbers[a.climber],
-                route_id=dataset.routes[a.route].route_id,
-                tick_type="redpoint" if a.outcome is AscentOutcome.SUCCESS else "attempt",
-                date=week_start_date(a.week),
-                grade_label=str(dataset.routes[a.route].grade),
-                grade_system="ewbank",
-            )
-        )
-    return rows
-
-
-def write_raw_ascent_log(rows: Iterable[RawAscentRow], path: str | Path) -> None:
-    """Write raw ascent rows as an ingest-compatible CSV."""
+def write_raw_ascent_log(log: RawAscentLog, path: str | Path) -> None:
+    """Write a raw ascent log as an ingest-compatible CSV."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(RAW_COLUMNS)
-        for row in rows:
-            writer.writerow(
-                [row.climber_id, row.route_id, row.tick_type, row.date.isoformat(),
-                 row.grade_label, row.grade_system]
-            )
+        writer.writerows(zip(
+            log.climber_id.tolist(), log.route_id.tolist(), log.tick_type.tolist(),
+            np.datetime_as_string(log.day).tolist(), log.grade_label.tolist(),
+            log.grade_system.tolist(),
+        ))

@@ -14,9 +14,8 @@ optimization loop lives in :mod:`cragrank.solver`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Literal, Sequence
 
 import numpy as np
@@ -27,8 +26,8 @@ import numpy as np
 RATING_DIFF_CLAMP = 36.0
 
 
-class AscentOutcome(Enum):
-    """Outcome of a single ascent."""
+class AscentOutcome(IntEnum):
+    """Outcome of a single ascent; as a number, whether the climber succeeded."""
 
     FAILURE = 0
     SUCCESS = 1
@@ -77,34 +76,25 @@ class DerivativePair:
     d2: float
 
 
-def bt_probability(climber_rating: float, route_rating: float) -> float:
-    """Probability that the climber succeeds on the route.
+def bt_probability(climber_rating, route_rating):
+    """Probability that the climber succeeds on the route, elementwise.
 
-    The rating difference is clamped to ``+/-RATING_DIFF_CLAMP`` and the
-    logistic is evaluated from exp of a non-positive argument, so the result
-    is always strictly inside (0, 1) and ``bt_probability(a, b) +
-    bt_probability(b, a)`` rounds to exactly 1.0.
+    Takes arrays or plain floats (a float result is a numpy float).  The
+    rating difference is clamped to ``+/-RATING_DIFF_CLAMP`` and the logistic
+    is evaluated from exp of a non-positive argument, so the result is always
+    strictly inside (0, 1) and ``bt_probability(a, b) + bt_probability(b, a)``
+    rounds to exactly 1.0.
     """
-    diff = climber_rating - route_rating
-    if diff > RATING_DIFF_CLAMP:
-        diff = RATING_DIFF_CLAMP
-    elif diff < -RATING_DIFF_CLAMP:
-        diff = -RATING_DIFF_CLAMP
-    t = math.exp(-abs(diff))
-    losing = t / (1.0 + t)  # probability of the lower-rated side, in (0, 0.5]
-    return 1.0 - losing if diff >= 0 else losing
-
-
-def win_probabilities(own_ratings, opponent_ratings) -> np.ndarray:
-    """Vectorized win probability of ``own`` against ``opponent``, elementwise.
-
-    Same clamped, numerically stable evaluation as :func:`bt_probability`.
-    """
-    diff = np.asarray(own_ratings, dtype=float) - np.asarray(opponent_ratings, dtype=float)
+    diff = np.asarray(climber_rating, dtype=float) - np.asarray(route_rating, dtype=float)
     diff = np.clip(diff, -RATING_DIFF_CLAMP, RATING_DIFF_CLAMP)
     t = np.exp(-np.abs(diff))
-    losing = t / (1.0 + t)
-    return np.where(diff >= 0, 1.0 - losing, losing)
+    losing = t / (1.0 + t)  # probability of the lower-rated side, in (0, 0.5]
+    return np.where(diff >= 0, 1.0 - losing, losing)[()]
+
+
+#: The same function, under the name the solver calls it by: the win
+#: probability of ``own`` ratings against ``opponent`` ratings.
+win_probabilities = bt_probability
 
 
 def route_prior_mean(grade: int, hyper: Hyperparameters) -> float:

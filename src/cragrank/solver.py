@@ -23,7 +23,6 @@ from .errors import EmptyDatasetError
 from .ingest import CleanDataset
 from .model import (
     RATING_DIFF_CLAMP,
-    AscentOutcome,
     Hyperparameters,
     route_prior_mean,
     win_probabilities,
@@ -136,19 +135,13 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     """
     if hyper is None:
         hyper = Hyperparameters()
-    n_asc = len(dataset.ascents)
+    n_asc = len(dataset)
     if n_asc == 0:
         raise EmptyDatasetError("dataset contains no ascents")
 
-    climber_idx = np.fromiter((a.climber for a in dataset.ascents), np.int64, n_asc)
-    route_idx = np.fromiter((a.route for a in dataset.ascents), np.int64, n_asc)
-    week = np.fromiter((a.week for a in dataset.ascents), np.int64, n_asc)
-    success = np.fromiter(
-        (a.outcome is AscentOutcome.SUCCESS for a in dataset.ascents), bool, n_asc
-    )
-    order = np.lexsort((success, route_idx, week, climber_idx))
+    order = np.lexsort((dataset.success, dataset.route, dataset.week, dataset.climber))
     climber_idx, route_idx, week, success = (
-        climber_idx[order], route_idx[order], week[order], success[order]
+        dataset.climber[order], dataset.route[order], dataset.week[order], dataset.success[order]
     )
 
     n_climbers = len(dataset.climbers)

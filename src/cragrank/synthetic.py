@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CleanDataset, RawAscentRow, assemble_clean_dataset, week_start_date
+from .ingest import CleanDataset, RawAscentLog, assemble_clean_dataset, week_start_date
 from .model import Hyperparameters, win_probabilities
 from .solver import ModelState
 
@@ -143,17 +143,8 @@ def simulate_ascents(
     climber_idx, period_idx, route_idx, success = simulate_trials(
         world, ascents_per_climber_period, seed
     )
-    records = [
-        (
-            world.climber_ids[c],
-            world.route_ids[r],
-            int(world.weeks[k]),
-            bool(s),
-        )
-        for c, k, r, s in zip(climber_idx, period_idx, route_idx, success)
-    ]
-    grades = {rid: int(g) for rid, g in zip(world.route_ids, world.route_grades)}
-    return assemble_clean_dataset(records, grades)
+    return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
+                                  climber_idx, route_idx, world.weeks[period_idx], success)
 
 
 def level_matched_dataset(
@@ -199,33 +190,25 @@ def level_matched_dataset(
     margin = ability - world.route_ratings[route_idx]
     success = rng.random(total) < 1.0 / (1.0 + np.exp(-margin))
 
-    records = [
-        (world.climber_ids[c], world.route_ids[r], int(world.weeks[k]), bool(s))
-        for c, k, r, s in zip(climber_idx, period_idx, route_idx, success)
-    ]
-    grades = {rid: int(g) for rid, g in zip(world.route_ids, world.route_grades)}
-    return assemble_clean_dataset(records, grades)
+    return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
+                                  climber_idx, route_idx, world.weeks[period_idx], success)
 
 
-def trials_to_raw_rows(
+def trials_to_raw_log(
     world: SyntheticWorld,
     trials: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> list[RawAscentRow]:
-    """Express simulated trials as raw ascent-log rows (no filtering)."""
+) -> RawAscentLog:
+    """Express simulated trials as a raw ascent log (no filtering)."""
     climber_idx, period_idx, route_idx, success = trials
-    rows = []
-    for c, k, r, s in zip(climber_idx, period_idx, route_idx, success):
-        rows.append(
-            RawAscentRow(
-                climber_id=world.climber_ids[c],
-                route_id=world.route_ids[r],
-                tick_type="redpoint" if s else "attempt",
-                date=week_start_date(int(world.weeks[k])),
-                grade_label=str(int(world.route_grades[r])),
-                grade_system="ewbank",
-            )
-        )
-    return rows
+    grade_labels = np.array([str(int(g)) for g in world.route_grades], dtype=object)
+    return RawAscentLog(
+        climber_id=np.array(world.climber_ids, dtype=object)[climber_idx],
+        route_id=np.array(world.route_ids, dtype=object)[route_idx],
+        tick_type=np.where(success, "redpoint", "attempt").astype(object),
+        day=week_start_date(world.weeks[period_idx]),
+        grade_label=grade_labels[route_idx],
+        grade_system=np.full(success.shape[0], "ewbank", dtype=object),
+    )
 
 
 def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport:

@@ -8,6 +8,8 @@ for the tridiagonal solver, and a generative world with known ratings for
 recovery.
 """
 
+import csv
+import io
 import math
 import time
 import tracemalloc
@@ -25,12 +27,13 @@ from cragrank.evaluation import (
     make_fold_plan,
 )
 from cragrank.ingest import (
-    AscentRecord,
+    RAW_COLUMNS,
     CleanDataset,
-    RawAscentRow,
+    RawAscentLog,
     RouteInfo,
-    dataset_to_raw_rows,
+    parse_ascent_log,
     preprocess,
+    week_start_date,
 )
 from cragrank.model import (
     AscentOutcome,
@@ -84,10 +87,13 @@ def relative_error(got, want, floor=0.05):
 
 
 def make_dataset(ascents, n_routes, n_climbers, grades=None):
+    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
     if grades is None:
         grades = [22] * n_routes
+    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
+    table = table.reshape(-1, 4)
     return CleanDataset(
-        ascents=ascents,
+        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
         routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
         climbers=[f"c{i}" for i in range(n_climbers)],
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
@@ -217,9 +223,10 @@ def _log_density_machine(dataset, hyper):
     followed by all route ratings.  Written directly from the model formulas
     with numpy/math primitives only.
     """
+    ascent_climbers, ascent_weeks = dataset.climber.tolist(), dataset.week.tolist()
     weeks_of = {}
-    for ascent in dataset.ascents:
-        weeks_of.setdefault(ascent.climber, set()).add(ascent.week)
+    for climber, week in zip(ascent_climbers, ascent_weeks):
+        weeks_of.setdefault(climber, set()).add(week)
     weeks_of = {c: sorted(ws) for c, ws in sorted(weeks_of.items())}
     coord_of = {}
     for c, weeks in weeks_of.items():
@@ -229,10 +236,10 @@ def _log_density_machine(dataset, hyper):
     n_coords = route_base + len(dataset.routes)
 
     climber_coord = np.array(
-        [coord_of[(a.climber, a.week)] for a in dataset.ascents]
+        [coord_of[(c, w)] for c, w in zip(ascent_climbers, ascent_weeks)]
     )
-    route_coord = np.array([route_base + a.route for a in dataset.ascents])
-    sign = np.where([a.outcome is S for a in dataset.ascents], 1.0, -1.0)
+    route_coord = route_base + dataset.route
+    sign = np.where(dataset.success, 1.0, -1.0)
     route_prior = np.array(
         [hyper.b * (r.grade - hyper.g0) for r in dataset.routes]
     )
@@ -300,12 +307,12 @@ def _random_small_instance(seed):
         for w in weeks:
             for _ in range(int(rng.integers(1, 4))):
                 ascents.append(
-                    AscentRecord(c, int(rng.integers(0, n_routes)), int(w),
+                    (c, int(rng.integers(0, n_routes)), int(w),
                                  S if rng.random() < 0.55 else F)
                 )
     for r in range(n_routes):
-        if not any(a.route == r for a in ascents):
-            ascents.append(AscentRecord(0, r, int(ascents[0].week), F))
+        if not any(a[1] == r for a in ascents):
+            ascents.append((0, r, int(ascents[0][2]), F))
     grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
     return make_dataset(ascents, n_routes, n_climbers, grades)
 
@@ -343,7 +350,7 @@ def test_criterion_04_map_matches_grid_search():
             best_value, best_climber, best_route = float(values[i]), float(c), float(grid[i])
 
     fixture = make_dataset(
-        [AscentRecord(0, 0, 0, S)] * 3 + [AscentRecord(0, 0, 0, F)] * 2,
+        [(0, 0, 0, S)] * 3 + [(0, 0, 0, F)] * 2,
         n_routes=1,
         n_climbers=1,
     )
@@ -496,19 +503,34 @@ def _random_raw_log(rng):
              "pinkpoint", "mystery-tick", "", "top rope"]
     grade_labels = ["18", "20", "21", "22", "24", "27", "5.11a", "x"]
     systems = ["ewbank", "ewbank", "ewbank", "yds"]
-    rows = []
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(RAW_COLUMNS)
     for _ in range(int(rng.integers(1, 60))):
-        rows.append(
-            RawAscentRow(
-                climber_id=f"c{rng.integers(0, 8)}",
-                route_id=f"r{rng.integers(0, 10)}",
-                tick_type=ticks[int(rng.integers(0, len(ticks)))],
-                date=date(2015, 1, 5) + timedelta(days=int(rng.integers(0, 2200))),
-                grade_label=grade_labels[int(rng.integers(0, len(grade_labels)))],
-                grade_system=systems[int(rng.integers(0, len(systems)))],
-            )
-        )
-    return rows
+        writer.writerow([
+            f"c{rng.integers(0, 8)}",
+            f"r{rng.integers(0, 10)}",
+            ticks[int(rng.integers(0, len(ticks)))],
+            (date(2015, 1, 5) + timedelta(days=int(rng.integers(0, 2200)))).isoformat(),
+            grade_labels[int(rng.integers(0, len(grade_labels)))],
+            systems[int(rng.integers(0, len(systems)))],
+        ])
+    text.seek(0)
+    return parse_ascent_log(text)
+
+
+def _dataset_to_raw_log(dataset):
+    """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
+    route_ids = np.array([r.route_id for r in dataset.routes], dtype=object)
+    labels = np.array([str(r.grade) for r in dataset.routes], dtype=object)
+    return RawAscentLog(
+        climber_id=np.array(dataset.climbers, dtype=object)[dataset.climber],
+        route_id=route_ids[dataset.route],
+        tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
+        day=week_start_date(dataset.week),
+        grade_label=labels[dataset.route],
+        grade_system=np.full(len(dataset), "ewbank", dtype=object),
+    )
 
 
 def test_criterion_09_pipeline_invariants():
@@ -516,25 +538,26 @@ def test_criterion_09_pipeline_invariants():
     start = time.perf_counter()
     survived = 0
     for _ in range(500):
-        rows = _random_raw_log(rng)
+        log = _random_raw_log(rng)
         try:
-            dataset = preprocess(rows)
+            dataset = preprocess(log)
         except EmptyDatasetError:
             continue
         survived += 1
 
         route_counts = np.zeros(len(dataset.routes), dtype=int)
         climbers_with_failure = set()
-        for ascent in dataset.ascents:
-            assert ascent.outcome in (S, F)
-            route_counts[ascent.route] += 1
-            if ascent.outcome is F:
-                climbers_with_failure.add(ascent.climber)
+        for climber, route, success in zip(dataset.climber.tolist(), dataset.route.tolist(),
+                                           dataset.success.tolist()):
+            route_counts[route] += 1
+            if not success:
+                climbers_with_failure.add(climber)
         assert route_counts.min() >= 2, "route with fewer than two ascents survived"
         assert climbers_with_failure == set(range(len(dataset.climbers)))
 
-        again = preprocess(dataset_to_raw_rows(dataset))
-        assert again.ascents == dataset.ascents
+        again = preprocess(_dataset_to_raw_log(dataset))
+        for column in ("climber", "route", "week", "success"):
+            assert np.array_equal(getattr(again, column), getattr(dataset, column))
         assert again.routes == dataset.routes
         assert again.climbers == dataset.climbers
         assert again.provenance["rows_kept"] == again.provenance["rows_read"]
@@ -552,7 +575,7 @@ def test_criterion_09_pipeline_invariants():
 
 def test_criterion_10_scale_and_memory():
     dataset = level_matched_dataset(3000, 8900, 20, 4, world_seed=0, log_seed=1)
-    n_ascents = len(dataset.ascents)
+    n_ascents = len(dataset)
 
     start = time.perf_counter()
     _, report = fit(dataset, None, 1000)
@@ -566,7 +589,7 @@ def test_criterion_10_scale_and_memory():
         fit(small, None, 12, convergence_span=0.0)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        peaks.append((len(small.ascents), peak))
+        peaks.append((len(small), peak))
     (n_small, peak_small), (n_large, peak_large) = peaks
     memory_ratio = peak_large / peak_small
 

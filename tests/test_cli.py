@@ -214,6 +214,28 @@ class TestFit:
                     "--hyper-config", config]) == 1
         assert "unknown hyperparameter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column", ["climber_idx", "route_idx"])
+    def test_negative_index_exits_one_with_line(self, tmp_path, capsys, column):
+        self.assert_index_rejected(tmp_path, capsys, column, "-1")
+
+    @pytest.mark.parametrize("column", ["climber_idx", "route_idx"])
+    def test_index_past_table_exits_one_with_line(self, tmp_path, capsys, column):
+        self.assert_index_rejected(tmp_path, capsys, column, "2")
+
+    def assert_index_rejected(self, tmp_path, capsys, column, value):
+        # BASIC_LOG has two climbers and two routes, so indexes run 0..1
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = dataset_dir / "ascents.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        fields = lines[2].split(",")
+        fields[0 if column == "climber_idx" else 1] = value
+        lines[2] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 1
+        err = capsys.readouterr().err
+        assert f"ascents.csv line 3: {column} out of range" in err
+
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run(["fit", tmp_path / "nowhere", "--out", tmp_path / "f"]) == 1
 

@@ -24,7 +24,7 @@ from cragrank.evaluation import (
     predict_probabilities,
     rating_at_nearest_week,
 )
-from cragrank.ingest import AscentRecord, CleanDataset, RouteInfo
+from cragrank.ingest import CleanDataset, RouteInfo
 from cragrank.model import AscentOutcome, Hyperparameters, bt_probability
 from cragrank.solver import fit, initialize_state
 
@@ -33,10 +33,13 @@ F = AscentOutcome.FAILURE
 
 
 def make_dataset(ascents, n_routes, n_climbers, grades=None):
+    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
     if grades is None:
         grades = [22] * n_routes
+    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
+    table = table.reshape(-1, 4)
     return CleanDataset(
-        ascents=ascents,
+        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
         routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
         climbers=[f"c{i}" for i in range(n_climbers)],
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
@@ -51,10 +54,10 @@ def symmetric_fixture():
     outcomes, so cross-validation on this fixture is perfectly predictable.
     """
     ascents = [
-        AscentRecord(0, 0, 0, S),
-        AscentRecord(0, 1, 0, F),
-        AscentRecord(1, 0, 0, S),
-        AscentRecord(1, 1, 0, F),
+        (0, 0, 0, S),
+        (0, 1, 0, F),
+        (1, 0, 0, S),
+        (1, 1, 0, F),
     ]
     return make_dataset(ascents, n_routes=2, n_climbers=2)
 
@@ -192,66 +195,91 @@ class TestRatingAtNearestWeek:
     WEEKS = np.array([10, 20, 40], dtype=np.int64)
     RATINGS = np.array([1.0, 2.0, 3.0])
 
+    def lookup(self, *weeks):
+        owner = np.zeros(len(weeks), dtype=np.int64)
+        return rating_at_nearest_week([0, 3], self.WEEKS, self.RATINGS, owner, weeks).tolist()
+
     def test_exact_week(self):
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 20) == 2.0
+        assert self.lookup(20) == [2.0]
 
     def test_nearest_below_and_above(self):
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 12) == 1.0
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 18) == 2.0
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 33) == 3.0
+        assert self.lookup(12, 18, 33) == [1.0, 2.0, 3.0]
 
     def test_tie_prefers_earlier_period(self):
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 15) == 1.0
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 30) == 2.0
+        assert self.lookup(15, 30) == [1.0, 2.0]
 
     def test_clamps_to_first_and_last(self):
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 0) == 1.0
-        assert rating_at_nearest_week(self.WEEKS, self.RATINGS, 99) == 3.0
+        assert self.lookup(0, 99) == [1.0, 3.0]
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            rating_at_nearest_week(np.array([], dtype=np.int64), np.array([]), 5)
+    def test_owner_without_periods_gets_prior_mean(self):
+        offsets = [0, 0, 3, 3]
+        got = rating_at_nearest_week(offsets, self.WEEKS, self.RATINGS, [0, 1, 2, 1], [5, 5, 5, 41])
+        assert got.tolist() == [0.0, 1.0, 0.0, 3.0]
+        none = rating_at_nearest_week([0, 0], np.array([], dtype=np.int64), np.array([]), [0], [5])
+        assert none.tolist() == [0.0]
+
+
+    def test_matches_per_query_search(self):
+        # reference: a binary search of each query's own owner's weeks
+        def nearest(weeks, ratings, week):
+            if weeks.shape[0] == 0:
+                return 0.0
+            pos = int(np.searchsorted(weeks, week))
+            if pos in (0, weeks.shape[0]):
+                return ratings[min(pos, weeks.shape[0] - 1)]
+            before, after = week - weeks[pos - 1], weeks[pos] - week
+            return ratings[pos - 1] if before <= after else ratings[pos]
+
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            counts = rng.integers(0, 4, size=int(rng.integers(1, 6)))
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            weeks = np.concatenate(
+                [np.sort(rng.choice(30, size=c, replace=False)) for c in counts]
+            ).astype(np.int64)
+            ratings = rng.normal(size=weeks.shape[0])
+            owner = rng.integers(0, counts.shape[0], size=int(rng.integers(0, 10)))
+            week = rng.integers(-3, 33, size=owner.shape[0])
+            got = rating_at_nearest_week(offsets, weeks, ratings, owner, week)
+            expected = [nearest(weeks[offsets[o]:offsets[o + 1]],
+                                ratings[offsets[o]:offsets[o + 1]], w)
+                        for o, w in zip(owner, week)]
+            assert got.tolist() == expected
 
 
 class TestPredictProbabilities:
     def test_uses_nearest_period_rating(self):
         dataset = make_dataset(
-            [AscentRecord(0, 0, 0, S), AscentRecord(0, 0, 30, S),
-             AscentRecord(0, 0, 30, F)],
+            [(0, 0, 0, S), (0, 0, 30, S),
+             (0, 0, 30, F)],
             n_routes=1,
             n_climbers=1,
         )
         state = initialize_state(dataset, Hyperparameters())
         state.climber_ratings[:] = [1.0, 2.5]
         state.route_ratings[0] = 0.5
-        queries = [AscentRecord(0, 0, 10, S), AscentRecord(0, 0, 29, S)]
-        p = predict_probabilities(state, queries)
+        p = predict_probabilities(state, [0, 0], [0, 0], [10, 29])
         assert p[0] == pytest.approx(bt_probability(1.0, 0.5), rel=1e-15)
         assert p[1] == pytest.approx(bt_probability(2.5, 0.5), rel=1e-15)
 
     def test_climber_without_periods_uses_prior_mean(self):
-        dataset = CleanDataset(
-            ascents=[AscentRecord(0, 0, 0, S), AscentRecord(0, 0, 0, F)],
-            routes=[RouteInfo("r0", 22)],
-            climbers=["c0", "ghost"],
-            provenance={"rows_read": 2, "rows_kept": 2},
-        )
+        dataset = make_dataset([(0, 0, 0, S), (0, 0, 0, F)], n_routes=1, n_climbers=2)
         state = initialize_state(dataset, Hyperparameters())
         state.route_ratings[0] = -0.75
-        p = predict_probabilities(state, [AscentRecord(1, 0, 5, S)])
+        p = predict_probabilities(state, [1], [0], [5])
         assert p[0] == pytest.approx(bt_probability(0.0, -0.75), rel=1e-15)
 
 
 class TestMakeFoldPlan:
     def balanced_dataset(self, n_success=10, n_failure=10):
-        ascents = [AscentRecord(0, 0, 0, S)] * n_success
-        ascents += [AscentRecord(0, 0, 0, F)] * n_failure
+        ascents = [(0, 0, 0, S)] * n_success
+        ascents += [(0, 0, 0, F)] * n_failure
         return make_dataset(ascents, n_routes=1, n_climbers=1)
 
     def test_perfect_stratification(self):
         dataset = self.balanced_dataset()
         plan = make_fold_plan(dataset, k=2, repeats=1, seed=0)
-        outcomes = np.array([a.outcome is S for a in dataset.ascents])
+        outcomes = dataset.success
         for fold in range(2):
             held = plan.assignments[0] == fold
             assert int(np.count_nonzero(held & outcomes)) == 5
@@ -260,7 +288,7 @@ class TestMakeFoldPlan:
     def test_stratum_fold_sizes_differ_by_at_most_one(self):
         dataset = self.balanced_dataset(n_success=17, n_failure=8)
         plan = make_fold_plan(dataset, k=3, repeats=2, seed=4)
-        outcomes = np.array([a.outcome is S for a in dataset.ascents])
+        outcomes = dataset.success
         for rep in range(2):
             for stratum in (outcomes, ~outcomes):
                 sizes = [
@@ -330,7 +358,7 @@ class TestCrossValidate:
             for w in (0, 9):
                 for _ in range(4):
                     ascents.append(
-                        AscentRecord(c, int(rng.integers(0, 5)), w,
+                        (c, int(rng.integers(0, 5)), w,
                                      S if rng.random() < 0.6 else F)
                     )
         dataset = make_dataset(ascents, n_routes=5, n_climbers=6)
@@ -351,7 +379,7 @@ class TestCrossValidate:
                     route = int(rng.integers(0, 3)) if strong else int(rng.integers(3, 6))
                     noise = rng.random()
                     won = (strong and noise < 0.9) or (not strong and noise < 0.1)
-                    ascents.append(AscentRecord(c, route, w, S if won else F))
+                    ascents.append((c, route, w, S if won else F))
         dataset = make_dataset(ascents, n_routes=6, n_climbers=8)
         plan = make_fold_plan(dataset, k=4, repeats=1, seed=2)
         report = cross_validate(dataset, Hyperparameters(), plan)
@@ -361,7 +389,7 @@ class TestCrossValidate:
     def test_mismatched_plan_rejected(self):
         dataset = symmetric_fixture()
         plan = make_fold_plan(dataset, k=2, repeats=1, seed=0)
-        smaller = make_dataset(dataset.ascents[:3], n_routes=2, n_climbers=2)
+        smaller = dataset.subset(np.arange(len(dataset)) < 3)
         with pytest.raises(ValueError):
             cross_validate_predictions(smaller, Hyperparameters(), plan)
 

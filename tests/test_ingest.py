@@ -1,8 +1,10 @@
 """Raw-log parsing and the preprocessing pipeline."""
 
+import csv
 import io
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,10 @@ from hypothesis import strategies as st
 from cragrank.errors import EmptyDatasetError, ParseError
 from cragrank.ingest import (
     DEFAULT_TICK_MAPPING,
-    RawAscentRow,
+    RAW_COLUMNS,
+    RawAscentLog,
     TickClass,
     classify_tick,
-    dataset_to_raw_rows,
     load_tick_mapping,
     median_grade,
     parse_ascent_log,
@@ -24,15 +26,43 @@ from cragrank.ingest import (
     write_clean_dataset,
     write_raw_ascent_log,
 )
-from cragrank.model import AscentOutcome
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
 
 def row(climber="alice", route="route-1", tick="redpoint", day="2020-03-14",
         grade="21", system="ewbank"):
-    y, m, d = (int(x) for x in day.split("-"))
-    return RawAscentRow(climber, route, tick, date(y, m, d), grade, system)
+    return (climber, route, tick, day, grade, system)
+
+
+def raw_log(rows):
+    """Parse rows of raw fields (dates as ISO text) as a raw ascent log."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(RAW_COLUMNS)
+    writer.writerows(rows)
+    text.seek(0)
+    return parse_ascent_log(text)
+
+
+def dataset_to_raw_log(dataset):
+    """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
+    route_ids = np.array([r.route_id for r in dataset.routes], dtype=object)
+    labels = np.array([str(r.grade) for r in dataset.routes], dtype=object)
+    return RawAscentLog(
+        climber_id=np.array(dataset.climbers, dtype=object)[dataset.climber],
+        route_id=route_ids[dataset.route],
+        tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
+        day=week_start_date(dataset.week),
+        grade_label=labels[dataset.route],
+        grade_system=np.full(len(dataset), "ewbank", dtype=object),
+    )
+
+
+def ascents(dataset):
+    """The dataset's ascents as (climber, route, week, success) tuples."""
+    return list(zip(dataset.climber.tolist(), dataset.route.tolist(),
+                    dataset.week.tolist(), dataset.success.tolist()))
 
 
 class TestClassifyTick:
@@ -125,15 +155,15 @@ class TestMedianGrade:
 
 class TestParseAscentLog:
     def test_header_only(self):
-        assert parse_ascent_log(io.StringIO(HEADER + "\n")) == []
+        assert len(parse_ascent_log(io.StringIO(HEADER + "\n"))) == 0
 
     def test_single_row_verbatim(self):
         text = HEADER + "\nalice,cave-route,redpoint,2020-03-14,21,ewbank\n"
-        rows = parse_ascent_log(io.StringIO(text))
-        assert rows == [
-            RawAscentRow("alice", "cave-route", "redpoint", date(2020, 3, 14),
-                         "21", "ewbank")
-        ]
+        log = parse_ascent_log(io.StringIO(text))
+        assert len(log) == 1
+        assert [log.climber_id[0], log.route_id[0], log.tick_type[0], log.grade_label[0],
+                log.grade_system[0]] == ["alice", "cave-route", "redpoint", "21", "ewbank"]
+        assert log.day[0] == np.datetime64(date(2020, 3, 14))
 
     def test_invalid_date_names_line(self):
         text = (HEADER + "\n"
@@ -153,8 +183,8 @@ class TestParseAscentLog:
 
     def test_quoted_fields(self):
         text = HEADER + '\n"alice, a",r1,redpoint,2020-03-14,21,ewbank\n'
-        rows = parse_ascent_log(io.StringIO(text))
-        assert rows[0].climber_id == "alice, a"
+        log = parse_ascent_log(io.StringIO(text))
+        assert log.climber_id[0] == "alice, a"
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -170,12 +200,12 @@ class TestPreprocess:
             row(climber="b", route="r1", tick="dog", day="2020-01-06", grade="21"),
             row(climber="b", route="r1", tick="flash", day="2020-01-06", grade="23"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         ds.check_invariants()
         assert ds.climbers == ["a", "b"]
         assert [r.route_id for r in ds.routes] == ["r1"]
         assert ds.routes[0].grade == median_grade([20, 22, 21, 23])
-        weeks = {a.week for a in ds.ascents}
+        weeks = set(ds.week.tolist())
         assert weeks == {quantize_week(date(2020, 1, 6)), quantize_week(date(2020, 1, 13))}
         assert ds.provenance["rows_read"] == 4
         assert ds.provenance["rows_kept"] == 4
@@ -186,7 +216,7 @@ class TestPreprocess:
             row(climber="a", route="pop", tick="attempt", day="2020-01-06"),
             row(climber="b", route="pop", tick="dog", day="2020-01-06"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         assert [r.route_id for r in ds.routes] == ["pop"]
         assert ds.provenance["dropped_route_few_ascents"] == 1
 
@@ -198,7 +228,7 @@ class TestPreprocess:
             row(climber="mortal", route="r1", tick="dog"),
             row(climber="mortal", route="r2", tick="attempt"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         assert ds.climbers == ["mortal"]
         assert ds.provenance["dropped_climber_no_failure"] == 2
 
@@ -211,11 +241,11 @@ class TestPreprocess:
             row(climber="b", route="r2", tick="onsight"),
             row(climber="c", route="r1", tick="dog"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         ds.check_invariants()
         assert ds.climbers == ["a", "c"]
         assert [r.route_id for r in ds.routes] == ["r1"]
-        assert len(ds.ascents) == 2
+        assert len(ds) == 2
         assert ds.provenance["dropped_climber_no_failure"] == 1
         assert ds.provenance["dropped_route_few_ascents"] == 1
 
@@ -228,16 +258,16 @@ class TestPreprocess:
             row(climber="a", route="r1", tick="dog", grade="0"),
             row(climber="b", route="r1", tick="working"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         assert ds.provenance["dropped_ambiguous_tick"] == 1
         assert ds.provenance["dropped_non_ewbank"] == 1
         assert ds.provenance["dropped_invalid_grade"] == 2
-        assert len(ds.ascents) == 2
+        assert len(ds) == 2
 
     def test_everything_filtered_raises_with_provenance(self):
         rows = [row(climber="a", route="r1", tick="onsight")]
         with pytest.raises(EmptyDatasetError) as exc:
-            preprocess(rows)
+            preprocess(raw_log(rows))
         assert exc.value.provenance is not None
         assert exc.value.provenance["rows_read"] == 1
 
@@ -248,7 +278,7 @@ class TestPreprocess:
             row(climber="b", route="r1", tick="dog"),
             row(climber="c", route="solo", tick="dog"),
         ]
-        ds = preprocess(rows)
+        ds = preprocess(raw_log(rows))
         dropped = sum(v for k, v in ds.provenance.items()
                       if k.startswith("dropped_"))
         assert ds.provenance["rows_read"] == ds.provenance["rows_kept"] + dropped
@@ -260,21 +290,48 @@ class TestPreprocess:
             row(climber="b", route="r1", tick="tick"),
             row(climber="b", route="r1", tick="whipper"),
         ]
-        ds = preprocess(rows, mapping)
-        assert len(ds.ascents) == 3
+        ds = preprocess(raw_log(rows), mapping)
+        assert len(ds) == 3
+
+
+class TestParsingSemantics:
+    """Field spellings whose handling each distinct string's conversion must keep."""
+
+    LOG = HEADER + (
+        "\na,r1, REDPOINT ,2020-01-06, 12,EWBANK \n"
+        "a,r1,Hang Dog,2020-01-06,+12,ewbank\n"
+        "b,r1,attempt,2020-01-13,1_2,ewbank\n"
+        "b,r2,redpoint,2020-01-13,\uff11\uff12,ewbank\n"
+        "b,r2,dog,2020-01-13,12.0,ewbank\n"
+        "c,r2,dog,2020-01-13,0,ewbank\n"
+        '"d\nd",r2,dog,2020-01-20,13,ewbank\n'
+    )
+
+    def test_spellings_and_line_numbers(self):
+        ds = preprocess(parse_ascent_log(io.StringIO(self.LOG)))
+        assert ds.climbers == ["a", "b", "d\nd"]
+        assert [(r.route_id, r.grade) for r in ds.routes] == [("r1", 12), ("r2", 12)]
+        assert ascents(ds) == [(0, 0, 2609, True), (0, 0, 2609, False), (1, 0, 2610, False),
+                               (1, 1, 2610, True), (2, 1, 2611, False)]
+        assert ds.provenance == {
+            "rows_read": 7, "dropped_ambiguous_tick": 0, "dropped_non_ewbank": 0,
+            "dropped_invalid_grade": 2, "dropped_route_few_ascents": 0,
+            "dropped_climber_no_failure": 0, "rows_kept": 5,
+        }
+        # the quoted id spans lines 8-9, so the next row is line 10
+        bad = self.LOG + "e,r1,dog,2020-02-30,12,ewbank\n"
+        with pytest.raises(ParseError, match="^line 10: invalid date '2020-02-30'$"):
+            parse_ascent_log(io.StringIO(bad))
 
 
 raw_rows = st.lists(
-    st.builds(
-        RawAscentRow,
-        climber_id=st.sampled_from(["a", "b", "c", "d"]),
-        route_id=st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
-        tick_type=st.sampled_from(
-            ["onsight", "redpoint", "dog", "attempt", "weird", "flash", ""]
-        ),
-        date=st.dates(min_value=date(2015, 1, 1), max_value=date(2021, 1, 1)),
-        grade_label=st.sampled_from(["18", "21", "24", "5.11a", "x"]),
-        grade_system=st.sampled_from(["ewbank", "ewbank", "yds"]),
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d"]),
+        st.sampled_from(["r1", "r2", "r3", "r4", "r5"]),
+        st.sampled_from(["onsight", "redpoint", "dog", "attempt", "weird", "flash", ""]),
+        st.dates(min_value=date(2015, 1, 1), max_value=date(2021, 1, 1)).map(date.isoformat),
+        st.sampled_from(["18", "21", "24", "5.11a", "x"]),
+        st.sampled_from(["ewbank", "ewbank", "yds"]),
     ),
     max_size=60,
 )
@@ -285,17 +342,17 @@ class TestPipelineProperties:
     @settings(max_examples=150)
     def test_output_invariants_always_hold(self, rows):
         try:
-            ds = preprocess(rows)
+            ds = preprocess(raw_log(rows))
         except EmptyDatasetError as exc:
             assert exc.provenance["rows_read"] == len(rows)
             return
         ds.check_invariants()
         route_counts = {}
         failures = set()
-        for ascent in ds.ascents:
-            route_counts[ascent.route] = route_counts.get(ascent.route, 0) + 1
-            if ascent.outcome is AscentOutcome.FAILURE:
-                failures.add(ascent.climber)
+        for climber, route, _, success in ascents(ds):
+            route_counts[route] = route_counts.get(route, 0) + 1
+            if not success:
+                failures.add(climber)
         assert all(n >= 2 for n in route_counts.values())
         assert set(route_counts) == set(range(len(ds.routes)))
         assert failures == set(range(len(ds.climbers)))
@@ -306,14 +363,14 @@ class TestPipelineProperties:
     @settings(max_examples=60)
     def test_idempotent(self, rows):
         try:
-            first = preprocess(rows)
+            first = preprocess(raw_log(rows))
         except EmptyDatasetError:
             return
-        second = preprocess(dataset_to_raw_rows(first))
-        assert second.ascents == first.ascents
+        second = preprocess(dataset_to_raw_log(first))
+        assert ascents(second) == ascents(first)
         assert second.routes == first.routes
         assert second.climbers == first.climbers
-        assert second.provenance["rows_kept"] == len(first.ascents)
+        assert second.provenance["rows_kept"] == len(first)
         assert all(v == 0 for k, v in second.provenance.items()
                    if k.startswith("dropped_"))
 
@@ -326,13 +383,13 @@ class TestSerialization:
             row(climber="b", route="r1", tick="flash", day="2020-01-07", grade="20"),
             row(climber="b", route="r2", tick="dog", day="2020-03-01", grade="24"),
         ]
-        return preprocess(rows)
+        return preprocess(raw_log(rows))
 
     def test_round_trip(self, tmp_path):
         ds = self._dataset()
         write_clean_dataset(ds, tmp_path)
         back = read_clean_dataset(tmp_path)
-        assert back.ascents == ds.ascents
+        assert ascents(back) == ascents(ds)
         assert back.routes == ds.routes
         assert back.climbers == ds.climbers
         assert back.provenance == ds.provenance
@@ -342,7 +399,7 @@ class TestSerialization:
         write_clean_dataset(ds, tmp_path)
         (tmp_path / "provenance.txt").unlink()
         back = read_clean_dataset(tmp_path)
-        assert back.ascents == ds.ascents
+        assert ascents(back) == ascents(ds)
 
     def test_bad_outcome_rejected(self, tmp_path):
         ds = self._dataset()
@@ -356,7 +413,7 @@ class TestSerialization:
     def test_raw_log_round_trip(self, tmp_path):
         ds = self._dataset()
         path = tmp_path / "raw.csv"
-        write_raw_ascent_log(dataset_to_raw_rows(ds), path)
+        write_raw_ascent_log(dataset_to_raw_log(ds), path)
         again = preprocess(parse_ascent_log(path))
-        assert again.ascents == ds.ascents
+        assert ascents(again) == ascents(ds)
         assert again.routes == ds.routes

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cragrank.errors import EmptyDatasetError
-from cragrank.ingest import AscentRecord, CleanDataset, RouteInfo
+from cragrank.ingest import CleanDataset, RouteInfo
 from cragrank.model import AscentOutcome, Hyperparameters
 from cragrank.solver import (
     MAX_NEWTON_STEP,
@@ -34,10 +34,13 @@ F = AscentOutcome.FAILURE
 
 
 def make_dataset(ascents, n_routes, n_climbers, grades=None):
+    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
     if grades is None:
         grades = [22] * n_routes
+    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
+    table = table.reshape(-1, 4)
     return CleanDataset(
-        ascents=ascents,
+        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
         routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
         climbers=[f"c{i}" for i in range(n_climbers)],
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
@@ -46,7 +49,7 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
 
 def one_one_fixture():
     """One climber, one route, one period: 3 successes, 2 failures."""
-    ascents = [AscentRecord(0, 0, 0, S)] * 3 + [AscentRecord(0, 0, 0, F)] * 2
+    ascents = [(0, 0, 0, S)] * 3 + [(0, 0, 0, F)] * 2
     return make_dataset(ascents, n_routes=1, n_climbers=1)
 
 
@@ -58,14 +61,14 @@ def random_dataset(rng, n_climbers=4, n_routes=4, max_periods=3):
         for w in weeks:
             for _ in range(int(rng.integers(1, 4))):
                 ascents.append(
-                    AscentRecord(
+                    (
                         c, int(rng.integers(0, n_routes)), int(w),
                         S if rng.random() < 0.55 else F,
                     )
                 )
     for r in range(n_routes):  # every route climbed at least once
-        if not any(a.route == r for a in ascents):
-            ascents.append(AscentRecord(0, r, int(ascents[0].week), F))
+        if not any(a[1] == r for a in ascents):
+            ascents.append((0, r, int(ascents[0][2]), F))
     grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
     return make_dataset(ascents, n_routes, n_climbers, grades)
 
@@ -193,7 +196,7 @@ class TestSolveTridiagonal:
 class TestInitializeState:
     def test_prior_means(self):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, F), AscentRecord(0, 1, 0, S)],
+            [(0, 0, 0, F), (0, 1, 0, S)],
             n_routes=2, n_climbers=1, grades=[22, 25],
         )
         state = initialize_state(ds)
@@ -210,7 +213,8 @@ class TestInitializeState:
         climber = np.searchsorted(state.period_offsets, flat, side="right") - 1
         got = sorted(zip(climber.tolist(), state.period_weeks[flat].tolist(),
                          state.asc_route.tolist(), state.asc_success.tolist()))
-        expected = sorted((a.climber, a.week, a.route, a.outcome is S) for a in ds.ascents)
+        expected = sorted(zip(ds.climber.tolist(), ds.week.tolist(), ds.route.tolist(),
+                              ds.success.tolist()))
         assert got == expected
 
     def test_climber_history_invariants(self):
@@ -228,10 +232,9 @@ class TestInitializeState:
     def test_canonical_order(self):
         rng = np.random.default_rng(2)
         ds = random_dataset(rng)
-        shuffled = make_dataset(
-            [ds.ascents[i] for i in rng.permutation(len(ds.ascents))],
-            len(ds.routes), len(ds.climbers), [r.grade for r in ds.routes],
-        )
+        order = rng.permutation(len(ds))
+        shuffled = CleanDataset(ds.climber[order], ds.route[order], ds.week[order],
+                                ds.success[order], ds.routes, ds.climbers, ds.provenance)
         a = initialize_state(ds)
         b = initialize_state(shuffled)
         assert (a.asc_flat_period == b.asc_flat_period).all()
@@ -244,13 +247,13 @@ class TestInitializeState:
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
-            initialize_state(make_dataset([AscentRecord(0, 5, 0, F)], 1, 1))
+            initialize_state(make_dataset([(0, 5, 0, F)], 1, 1))
 
 
 class TestUpdateRoute:
     def test_balanced_record_stays_at_prior(self):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, S), AscentRecord(1, 0, 0, F)],
+            [(0, 0, 0, S), (1, 0, 0, F)],
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
@@ -258,7 +261,7 @@ class TestUpdateRoute:
 
     def test_one_failure_matches_grid_search(self):
         # climber pinned at 0; iterate the route to its fixed point
-        ds = make_dataset([AscentRecord(0, 0, 0, F)], n_routes=1, n_climbers=1)
+        ds = make_dataset([(0, 0, 0, F)], n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         for _ in range(200):
             new = route_pass(state)
@@ -276,7 +279,7 @@ class TestUpdateRoute:
 
     def test_all_success_moves_down(self):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, S), AscentRecord(1, 0, 0, S)],
+            [(0, 0, 0, S), (1, 0, 0, S)],
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
@@ -285,7 +288,7 @@ class TestUpdateRoute:
     def test_step_clamped(self):
         # 50 failures by a far-stronger climber: the optimum is far above the
         # starting point and the flat curvature would demand a huge jump
-        ds = make_dataset([AscentRecord(0, 0, 0, F)] * 50, n_routes=1, n_climbers=1)
+        ds = make_dataset([(0, 0, 0, F)] * 50, n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         state.climber_ratings[:] = 30.0
         new = route_pass(state)
@@ -294,7 +297,7 @@ class TestUpdateRoute:
     def test_route_without_ascents_stays_at_prior(self):
         # route 1 has no ascents, as in a cross-validation training subset
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, F), AscentRecord(0, 0, 3, S)],
+            [(0, 0, 0, F), (0, 0, 3, S)],
             n_routes=2, n_climbers=1, grades=[22, 25],
         )
         state = initialize_state(ds)
@@ -307,7 +310,7 @@ class TestUpdateRoute:
 class TestUpdateClimber:
     def test_single_period_equals_scalar_newton(self):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, S)] * 2 + [AscentRecord(0, 0, 0, F)],
+            [(0, 0, 0, S)] * 2 + [(0, 0, 0, F)],
             n_routes=1, n_climbers=1,
         )
         state = initialize_state(ds)
@@ -322,7 +325,7 @@ class TestUpdateClimber:
 
     def _two_period_state(self, w_sq):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, S), AscentRecord(0, 0, 10, F)],
+            [(0, 0, 0, S), (0, 0, 10, F)],
             n_routes=1, n_climbers=1,
         )
         return initialize_state(ds, Hyperparameters(w_sq=w_sq))
@@ -362,7 +365,7 @@ class TestUpdateClimber:
         for climber, weeks in weeks_of.items():
             for week in weeks:
                 for _ in range(int(rng.integers(1, 4))):
-                    ascents.append(AscentRecord(climber, int(rng.integers(0, 3)), week,
+                    ascents.append((climber, int(rng.integers(0, 3)), week,
                                                 S if rng.random() < 0.5 else F))
         state = initialize_state(make_dataset(ascents, n_routes=3, n_climbers=4))
         assert np.diff(state.period_offsets).tolist() == [1, 2, 0, 6]
@@ -378,7 +381,7 @@ class TestBtMarginalLogLikelihood:
         assert bt_marginal_log_likelihood(state) == pytest.approx(-5.0 * math.log(2.0))
 
     def test_single_success_with_advantage(self):
-        ds = make_dataset([AscentRecord(0, 0, 0, S)], n_routes=1, n_climbers=1)
+        ds = make_dataset([(0, 0, 0, S)], n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         state.climber_ratings[:] = 1.0
         assert bt_marginal_log_likelihood(state) == pytest.approx(-0.313262, abs=1e-6)
@@ -414,8 +417,8 @@ class TestFit:
         ascents = []
         for c in (0, 1):
             for r in (0, 1):
-                ascents.append(AscentRecord(c, r, 0, S))
-                ascents.append(AscentRecord(c, r, 0, F))
+                ascents.append((c, r, 0, S))
+                ascents.append((c, r, 0, F))
         state, report = fit(make_dataset(ascents, n_routes=2, n_climbers=2))
         assert state.climber_ratings.shape == (2,)
         assert state.climber_ratings[0] == state.climber_ratings[1]
@@ -446,10 +449,9 @@ class TestFit:
     def test_input_order_independence(self):
         rng = np.random.default_rng(6)
         ds = random_dataset(rng)
-        shuffled = make_dataset(
-            [ds.ascents[i] for i in rng.permutation(len(ds.ascents))],
-            len(ds.routes), len(ds.climbers), [r.grade for r in ds.routes],
-        )
+        order = rng.permutation(len(ds))
+        shuffled = CleanDataset(ds.climber[order], ds.route[order], ds.week[order],
+                                ds.success[order], ds.routes, ds.climbers, ds.provenance)
         s1, _ = fit(ds)
         s2, _ = fit(shuffled)
         assert (s1.climber_ratings == s2.climber_ratings).all()
@@ -487,8 +489,8 @@ class TestFit:
 
     def test_zero_drift_pins_ratings_flat(self):
         ds = make_dataset(
-            [AscentRecord(0, 0, 0, S), AscentRecord(0, 0, 7, F),
-             AscentRecord(0, 0, 30, S), AscentRecord(1, 0, 0, F)],
+            [(0, 0, 0, S), (0, 0, 7, F),
+             (0, 0, 30, S), (1, 0, 0, F)],
             n_routes=1, n_climbers=2,
         )
         state, _ = fit(ds, Hyperparameters(w_sq=0.0),
@@ -520,7 +522,7 @@ class TestFit:
                 for w in range(5):
                     for _ in range(8):
                         ascents.append(
-                            AscentRecord(c, int(rng.integers(0, 50)), w * 4,
+                            (c, int(rng.integers(0, 50)), w * 4,
                                          S if rng.random() < 0.6 else F)
                         )
             return make_dataset(ascents, n_routes=50, n_climbers=n_climbers)

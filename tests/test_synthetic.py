@@ -12,7 +12,7 @@ import pytest
 
 from cragrank.errors import EmptyDatasetError
 from cragrank.ingest import preprocess, quantize_week
-from cragrank.model import AscentOutcome, Hyperparameters
+from cragrank.model import Hyperparameters
 from cragrank.solver import initialize_state
 from cragrank.synthetic import (
     SyntheticWorld,
@@ -20,7 +20,7 @@ from cragrank.synthetic import (
     recovery_report,
     simulate_ascents,
     simulate_trials,
-    trials_to_raw_rows,
+    trials_to_raw_log,
     write_truth_csv,
 )
 
@@ -157,7 +157,8 @@ class TestSimulateAscents:
         world = generate_world(10, 20, 3, (18, 26), seed=0)
         a = simulate_ascents(world, 6, seed=1)
         b = simulate_ascents(world, 6, seed=1)
-        assert a.ascents == b.ascents
+        for column in ("climber", "route", "week", "success"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
         assert a.routes == b.routes
         assert a.climbers == b.climbers
 
@@ -166,10 +167,11 @@ class TestSimulateAscents:
         dataset = simulate_ascents(world, 6, seed=1)
         route_counts = np.zeros(len(dataset.routes), dtype=int)
         climber_failures = set()
-        for a in dataset.ascents:
-            route_counts[a.route] += 1
-            if a.outcome is AscentOutcome.FAILURE:
-                climber_failures.add(a.climber)
+        for climber, route, success in zip(dataset.climber.tolist(), dataset.route.tolist(),
+                                           dataset.success.tolist()):
+            route_counts[route] += 1
+            if not success:
+                climber_failures.add(climber)
         assert route_counts.min() >= 2
         assert climber_failures == set(range(len(dataset.climbers)))
 
@@ -182,8 +184,9 @@ class TestSimulateAscents:
         world = generate_world(8, 15, 3, (18, 26), seed=2)
         trials = simulate_trials(world, 5, seed=4)
         direct = simulate_ascents(world, 5, seed=4)
-        via_rows = preprocess(trials_to_raw_rows(world, trials))
-        assert via_rows.ascents == direct.ascents
+        via_rows = preprocess(trials_to_raw_log(world, trials))
+        for column in ("climber", "route", "week", "success"):
+            assert np.array_equal(getattr(via_rows, column), getattr(direct, column))
         assert via_rows.routes == direct.routes
         assert via_rows.climbers == direct.climbers
 
@@ -192,16 +195,16 @@ class TestTrialsToRawRows:
     def test_rows_mirror_trials(self):
         world = generate_world(3, 4, 2, (20, 24), seed=0)
         trials = simulate_trials(world, 2, seed=1)
-        rows = trials_to_raw_rows(world, trials)
+        log = trials_to_raw_log(world, trials)
         climber_idx, period_idx, route_idx, success = trials
-        assert len(rows) == climber_idx.shape[0]
-        for row, c, k, r, s in zip(rows, climber_idx, period_idx, route_idx, success):
-            assert row.climber_id == world.climber_ids[c]
-            assert row.route_id == world.route_ids[r]
-            assert row.tick_type == ("redpoint" if s else "attempt")
-            assert quantize_week(row.date) == int(world.weeks[k])
-            assert row.grade_label == str(int(world.route_grades[r]))
-            assert row.grade_system == "ewbank"
+        assert len(log) == climber_idx.shape[0]
+        for i, (c, k, r, s) in enumerate(zip(climber_idx, period_idx, route_idx, success)):
+            assert log.climber_id[i] == world.climber_ids[c]
+            assert log.route_id[i] == world.route_ids[r]
+            assert log.tick_type[i] == ("redpoint" if s else "attempt")
+            assert quantize_week(log.day[i]) == int(world.weeks[k])
+            assert log.grade_label[i] == str(int(world.route_grades[r]))
+            assert log.grade_system[i] == "ewbank"
 
 
 class TestRecoveryReport:
