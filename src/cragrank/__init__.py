@@ -7,7 +7,6 @@ from .evaluation import (
     FoldPlan,
     PRPoint,
     baseline_log_loss,
-    classify,
     compute_metrics,
     cross_validate,
     cross_validate_predictions,
@@ -25,7 +24,6 @@ from .ingest import (
     TickClass,
     classify_tick,
     load_tick_mapping,
-    median_grade,
     parse_ascent_log,
     preprocess,
     quantize_week,
@@ -34,22 +32,20 @@ from .ingest import (
 )
 from .model import (
     AscentOutcome,
-    DerivativePair,
     Hyperparameters,
-    bt_derivatives,
     bt_probability,
-    normal_prior_derivatives,
     route_prior_mean,
-    wiener_variance,
     win_probabilities,
 )
 from .solver import (
     FitReport,
     ModelState,
     bt_marginal_log_likelihood,
+    climber_derivatives,
     climber_pass,
     fit,
     initialize_state,
+    route_derivatives,
     route_pass,
     solve_tridiagonal,
 )

@@ -218,7 +218,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         writer.writerow(["climber_id", "route_id", "week", "probability", "fallback"])
         writer.writerows(zip(queries.text["climber_id"].tolist(),
                              queries.text["route_id"].tolist(), week.tolist(),
-                             map("{:.9g}".format, p.tolist()), fallback.tolist()))
+                             map(_fmt, p.tolist()), fallback.tolist()))
     return 0
 
 

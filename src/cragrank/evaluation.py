@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import CleanDataset
-from .model import AscentOutcome, Hyperparameters, bt_probability
+from .model import Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
 
 
@@ -80,11 +80,6 @@ class PRPoint:
     classifier_point: bool = False
 
 
-def classify(probability: float) -> AscentOutcome:
-    """Hard-classify a success probability: success iff strictly above 0.5."""
-    return AscentOutcome.SUCCESS if probability > 0.5 else AscentOutcome.FAILURE
-
-
 def baseline_log_loss(success_rate: float) -> float:
     """Log loss of always predicting the mean success rate.
 
@@ -108,9 +103,9 @@ def _safe_ratio(numerator: float, denominator: float) -> float:
 def compute_metrics(predictions, actuals) -> EvaluationReport:
     """Score predicted success probabilities against observed outcomes.
 
-    Classification uses the strict 0.5 threshold of :func:`classify`.  The
-    log loss is the mean negative log probability assigned to what actually
-    happened.
+    An ascent is classified a success iff its probability is strictly above
+    0.5.  The log loss is the mean negative log probability assigned to what
+    actually happened.
     """
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(actuals, dtype=bool)
@@ -266,8 +261,9 @@ def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
 
     Each curve point uses the inclusive rule "predict success iff p >=
     threshold", one point per distinct probability, thresholds descending.
-    One extra point (``classifier_point=True``) records the strict-0.5
-    classifier of :func:`classify`.  Empty-denominator ratios are 0.
+    One extra point (``classifier_point=True``) records the classifier of
+    :func:`compute_metrics`, success iff ``p > 0.5``.  Empty-denominator
+    ratios are 0.
     """
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(actuals, dtype=bool)

@@ -174,13 +174,6 @@ def week_start_date(week):
     return WEEK_EPOCH + 7 * np.asarray(week, dtype=np.int64)
 
 
-def median_grade(grades: Sequence[int]) -> int:
-    """Median of a non-empty grade list; even lengths take the lower middle."""
-    if len(grades) == 0:
-        raise ValueError("median_grade of an empty sequence")
-    return sorted(grades)[(len(grades) - 1) // 2]
-
-
 def unique_strings(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """What ``np.unique(column, return_inverse=True)`` returns for a column of strings.
 
@@ -374,20 +367,20 @@ def preprocess(
 ) -> CleanDataset:
     """Clean a raw ascent log into a CleanDataset.
 
-    Stages: classify ticks and drop ambiguous ones; keep only Ewbank-graded
-    rows with a positive integer grade label; compute each route's median
-    grade; quantize dates to weeks; then apply the minimum-activity fixpoint
-    filters.  Every distinct tick, grade system and grade label string is
-    classified or converted once.  Raises EmptyDatasetError if nothing
-    survives.
+    Stages: map each tick to its class and drop ambiguous ones; keep only
+    Ewbank-graded rows with a positive grade label that fits a 64-bit
+    integer; compute each route's median grade; quantize dates to weeks;
+    then apply the minimum-activity fixpoint filters.  Every distinct tick,
+    grade system and grade label string is classified or converted once.
+    Raises EmptyDatasetError if nothing survives.
     """
     tick, _ = convert_distinct(log.tick_type, lambda text: classify_tick(text, mapping), object)
     ewbank, _ = convert_distinct(
         log.grade_system, lambda text: text.strip().lower() == "ewbank", bool
     )
-    # A label int() rejects counts as grade 0, so as invalid.  Grades stay
-    # Python ints, of any size, as int() returns them.
-    grade, _ = convert_distinct(log.grade_label, _parse_int, object)
+    # A label int() rejects, or one outside the 64-bit range, counts as
+    # grade 0, so as invalid.
+    grade, _ = convert_distinct(log.grade_label, _parse_int, np.int64)
 
     ambiguous = tick == TickClass.AMBIGUOUS
     foreign = ~ambiguous & ~ewbank
@@ -400,8 +393,9 @@ def preprocess(
 
     climber_ids, climber = unique_strings(log.climber_id[graded])
     route_ids, route = unique_strings(log.route_id[graded])
-    # Each route's median grade (the lower middle for even counts), as
-    # median_grade computes it: sort by (route, grade), index each group.
+    # Each route's median grade: the middle of its sorted grades, or the
+    # lower of the two middle ones for an even count.  Sort by (route,
+    # grade) and index each group at (count - 1) // 2.
     grade = grade[graded]
     counts = np.bincount(route, minlength=route_ids.shape[0])
     lower_middle = np.cumsum(counts) - counts + (counts - 1) // 2

@@ -1,5 +1,5 @@
-"""Core paired-comparison model: win probabilities, priors, and the first and
-second derivatives that drive the Newton updates.
+"""Core paired-comparison model: hyperparameters, win probabilities and the
+route prior mean.
 
 Climbers and routes live on a shared log-odds rating scale.  An ascent is a
 contest between a climber and a route; the climber succeeds with probability
@@ -8,15 +8,15 @@ normal prior whose mean is linear in the route's grade, climber ratings by a
 normal prior at their first active period plus a random-walk coupling between
 consecutive periods.
 
-Everything in this module is a pure function of its inputs; the coordinate
-optimization loop lives in :mod:`cragrank.solver`.
+Everything in this module is a pure function of its inputs.  The gradient
+and Hessian of the log posterior, and the optimization loop, live in
+:mod:`cragrank.solver`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Literal, Sequence
 
 import numpy as np
 
@@ -68,14 +68,6 @@ class Hyperparameters:
             raise ValueError(f"w_sq must be non-negative, got {self.w_sq}")
 
 
-@dataclass(frozen=True)
-class DerivativePair:
-    """First and second derivative of a log-density term wrt one rating."""
-
-    d1: float
-    d2: float
-
-
 def bt_probability(climber_rating, route_rating):
     """Probability that the climber succeeds on the route, elementwise.
 
@@ -100,48 +92,3 @@ win_probabilities = bt_probability
 def route_prior_mean(grade: int, hyper: Hyperparameters) -> float:
     """Prior mean rating of a route: ``b * (grade - g0)``."""
     return hyper.b * (grade - hyper.g0)
-
-
-def normal_prior_derivatives(rating: float, mean: float, variance: float) -> DerivativePair:
-    """Derivatives of ``log N(rating; mean, variance)`` wrt the rating."""
-    if not variance > 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
-    return DerivativePair(-(rating - mean) / variance, -1.0 / variance)
-
-
-def wiener_variance(week_a: int, week_b: int, hyper: Hyperparameters) -> float:
-    """Variance of the rating drift between two weeks: ``|week_b - week_a| * w_sq``."""
-    return abs(week_b - week_a) * hyper.w_sq
-
-
-def bt_derivatives(
-    own_rating: float,
-    opponent_ratings: Sequence[float],
-    outcomes: Sequence[AscentOutcome],
-    side: Literal["climber", "route"] = "climber",
-) -> DerivativePair:
-    """Derivatives of the ascent log-likelihood wrt one entity's rating.
-
-    ``side`` picks whose rating ``own_rating`` is.  A climber "wins" an ascent
-    it succeeds on; a route "wins" an ascent the climber fails.  Writing
-    ``p_k`` for the win probability of the owning side against opponent ``k``:
-
-        d1 = wins - sum(p_k)          d2 = -sum(p_k * (1 - p_k))
-
-    Returns (0, 0) for an empty ascent list.
-    """
-    if side not in ("climber", "route"):
-        raise ValueError(f"side must be 'climber' or 'route', got {side!r}")
-    opponents = np.asarray(opponent_ratings, dtype=float)
-    if opponents.ndim != 1:
-        raise ValueError("opponent_ratings must be one-dimensional")
-    if opponents.shape[0] != len(outcomes):
-        raise ValueError(
-            f"{opponents.shape[0]} opponent ratings but {len(outcomes)} outcomes"
-        )
-    if opponents.shape[0] == 0:
-        return DerivativePair(0.0, 0.0)
-    winning_outcome = AscentOutcome.SUCCESS if side == "climber" else AscentOutcome.FAILURE
-    wins = sum(1 for o in outcomes if o is winning_outcome)
-    p = win_probabilities(own_rating, opponents)
-    return DerivativePair(float(wins - p.sum()), float(-(p * (1.0 - p)).sum()))

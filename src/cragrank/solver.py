@@ -6,7 +6,9 @@ random-walk coupling between consecutive periods) and then one scalar Newton
 step for every route.  Climber blocks never read other climbers and route
 updates never read other routes, so each pass is computed at once over flat
 arrays: the climber Hessians form one block-tridiagonal system, solved in a
-single sweep, and the route steps are elementwise.
+single sweep, and the route steps are elementwise.  The gradient and Hessian
+of the log posterior come from :func:`climber_derivatives` and
+:func:`route_derivatives`; each pass is a clamped Newton step on them.
 
 The Bradley-Terry marginal log-likelihood is recorded after every outer
 iteration; the fit stops once the last nine recorded values span at most one
@@ -37,6 +39,10 @@ MAX_NEWTON_STEP = 10.0
 # w_sq == 0 (weeks within a climber are strictly increasing); the near-rigid
 # coupling then pins the climber's periods to a common value.
 MIN_WIENER_VARIANCE = 1e-12
+
+# Iterations over which the BT log-likelihood must stay within the
+# convergence span (see :func:`fit`).
+CONVERGENCE_WINDOW = 8
 
 
 @dataclass(frozen=True)
@@ -174,14 +180,14 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     )
 
 
-def climber_pass(state: ModelState) -> np.ndarray:
-    """One whole-history Newton step for every climber; returns the new ratings.
+def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient and tridiagonal Hessian of the log posterior in every climber rating.
 
-    Reads the current climber and route ratings without mutating the state.
-    The gradient and the tridiagonal Hessian of every climber's history are
-    assembled in flat arrays, and all climbers' systems are solved in one
-    call of :func:`solve_tridiagonal`, whose off-diagonal is 0 between
-    climbers.
+    Returns ``(grad, hess_diag, hess_off)`` over the flat rating periods:
+    ``hess_off[k]`` couples periods ``k`` and ``k + 1``, and is 0 where they
+    belong to different climbers.  Each period holds its ascents'
+    Bradley-Terry terms, each climber's first period the initial-rating
+    prior, and consecutive periods of one climber the random-walk coupling.
     """
     hyper = state.hyper
     r = state.climber_ratings
@@ -211,17 +217,14 @@ def climber_pass(state: ModelState) -> np.ndarray:
     hess[j + 1] -= precision
     off = np.zeros(n - 1)
     off[j] = precision
-
-    delta = solve_tridiagonal(hess, off, grad)
-    return r + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+    return grad, hess, off
 
 
-def route_pass(state: ModelState) -> np.ndarray:
-    """One scalar Newton step for every route; returns the new ratings.
+def route_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and (diagonal) Hessian of the log posterior in every route rating.
 
-    Reads the current climber and route ratings without mutating the state.
     A route "wins" each ascent its climber fails.  Only the prior acts on a
-    route with no ascents, so its step leads to its prior mean.
+    route with no ascents.
     """
     hyper = state.hyper
     route = state.asc_route
@@ -236,7 +239,29 @@ def route_pass(state: ModelState) -> np.ndarray:
     )
     d2 = -np.bincount(route, weights=q * (1.0 - q), minlength=n)
     d2 -= 1.0 / hyper.sigma_r_sq
-    return ratings + np.clip(-d1 / d2, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+    return d1, d2
+
+
+def climber_pass(state: ModelState) -> np.ndarray:
+    """One whole-history Newton step for every climber; returns the new ratings.
+
+    Reads the current climber and route ratings without mutating the state.
+    All climbers' tridiagonal systems from :func:`climber_derivatives` are
+    solved in one call of :func:`solve_tridiagonal`.
+    """
+    grad, hess, off = climber_derivatives(state)
+    delta = solve_tridiagonal(hess, off, grad)
+    return state.climber_ratings + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+
+
+def route_pass(state: ModelState) -> np.ndarray:
+    """One scalar Newton step for every route; returns the new ratings.
+
+    Reads the current climber and route ratings without mutating the state.
+    A route with no ascents steps to its prior mean.
+    """
+    d1, d2 = route_derivatives(state)
+    return state.route_ratings + np.clip(-d1 / d2, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
 
 
 def bt_marginal_log_likelihood(state: ModelState) -> float:
@@ -259,7 +284,6 @@ def fit(
     hyper: Hyperparameters | None = None,
     max_iterations: int = 1000,
     *,
-    convergence_window: int = 8,
     convergence_span: float = 1.0,
 ) -> tuple[ModelState, FitReport]:
     """Fit climber and route ratings by coordinate Newton ascent.
@@ -269,8 +293,8 @@ def fit(
     the just-updated climber ratings), then records the Bradley-Terry
     marginal log-likelihood.  The fit is converged once the likelihood has
     not moved by more than ``convergence_span`` over the last
-    ``convergence_window`` iterations, i.e. the last
-    ``convergence_window + 1`` recorded values span at most
+    ``CONVERGENCE_WINDOW`` iterations, i.e. the last
+    ``CONVERGENCE_WINDOW + 1`` recorded values span at most
     ``convergence_span``.  Entities that have no ascents (possible in
     cross-validation subsets) are left at their prior means.
 
@@ -279,8 +303,6 @@ def fit(
     """
     if max_iterations < 8:
         raise ValueError(f"max_iterations must be at least 8, got {max_iterations}")
-    if convergence_window < 1:
-        raise ValueError("convergence_window must be at least 1")
 
     state = initialize_state(dataset, hyper)
     history = state.bt_log_likelihood_history
@@ -289,8 +311,8 @@ def fit(
         state.climber_ratings = climber_pass(state)
         state.route_ratings = route_pass(state)
         history.append(bt_marginal_log_likelihood(state))
-        if len(history) > convergence_window:
-            recent = history[-(convergence_window + 1):]
+        if len(history) > CONVERGENCE_WINDOW:
+            recent = history[-(CONVERGENCE_WINDOW + 1):]
             if max(recent) - min(recent) <= convergence_span:
                 converged = True
                 break

@@ -8,6 +8,7 @@ per-period rating increments.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,8 +250,6 @@ def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport
 
 def write_truth_csv(world: SyntheticWorld, path) -> None:
     """Write true ratings: route rows have an empty week column."""
-    import csv
-
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["entity_type", "entity_idx", "week", "true_rating"])

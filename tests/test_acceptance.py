@@ -35,13 +35,14 @@ from cragrank.ingest import (
     preprocess,
     week_start_date,
 )
-from cragrank.model import (
-    AscentOutcome,
-    Hyperparameters,
-    bt_derivatives,
-    normal_prior_derivatives,
+from cragrank.model import AscentOutcome, Hyperparameters
+from cragrank.solver import (
+    climber_derivatives,
+    fit,
+    initialize_state,
+    route_derivatives,
+    solve_tridiagonal,
 )
-from cragrank.solver import fit, solve_tridiagonal
 from cragrank.synthetic import (
     generate_world,
     level_matched_dataset,
@@ -62,20 +63,6 @@ def announce(number, ok, detail):
 
 # ---------------------------------------------------------------------------
 # Independent numerical helpers (no shared code with the implementation)
-
-
-def logistic(z):
-    if z >= 0.0:
-        return 1.0 / (1.0 + math.exp(-z))
-    e = math.exp(z)
-    return e / (1.0 + e)
-
-
-def log_sigmoid(z):
-    # log(logistic(z)) without cancellation on either tail.
-    if z >= 0.0:
-        return -math.log1p(math.exp(-z))
-    return z - math.log1p(math.exp(z))
 
 
 def central_difference(f, x, h=FD_STEP):
@@ -137,83 +124,8 @@ def test_criterion_02_baseline_log_loss():
 
 
 # ---------------------------------------------------------------------------
-# Criterion 3 — derivatives vs central finite differences
-
-
-def _check_bt_config(rng):
-    n = int(rng.integers(1, 9))
-    own = float(rng.uniform(-6, 6))
-    opponents = rng.uniform(-6, 6, size=n)
-    outcomes = [S if rng.random() < 0.5 else F for _ in range(n)]
-    side = "climber" if rng.random() < 0.5 else "route"
-    got = bt_derivatives(own, opponents, outcomes, side)
-
-    def ll(x):
-        total = 0.0
-        for opp, outcome in zip(opponents, outcomes):
-            z = x - opp if side == "climber" else opp - x
-            total += log_sigmoid(z) if outcome is S else log_sigmoid(-z)
-        return total
-
-    def gradient(x):
-        total = 0.0
-        for opp, outcome in zip(opponents, outcomes):
-            if side == "climber":
-                total += (1.0 if outcome is S else 0.0) - logistic(x - opp)
-            else:
-                total += (1.0 if outcome is F else 0.0) - logistic(x - opp)
-        return total
-
-    return max(
-        relative_error(got.d1, central_difference(ll, own)),
-        relative_error(got.d2, central_difference(gradient, own)),
-    )
-
-
-def _check_normal_config(rng, *, as_drift):
-    if as_drift:
-        # Rating-drift term: a normal density over the increment to the next
-        # period, with variance (weeks apart) * w_sq.
-        mean = float(rng.uniform(-6, 6))
-        variance = int(rng.integers(1, 101)) * float(rng.uniform(0.001, 0.5))
-    else:
-        mean = float(rng.uniform(-8, 8))
-        variance = float(rng.uniform(0.05, 10.0))
-    x0 = float(rng.uniform(-8, 8))
-    got = normal_prior_derivatives(x0, mean, variance)
-
-    def ll(x):
-        return -((x - mean) ** 2) / (2.0 * variance)
-
-    def gradient(x):
-        return -(x - mean) / variance
-
-    return max(
-        relative_error(got.d1, central_difference(ll, x0)),
-        relative_error(got.d2, central_difference(gradient, x0)),
-    )
-
-
-def test_criterion_03_derivatives_match_finite_differences():
-    rng = np.random.default_rng(0)
-    start = time.perf_counter()
-    worst = 0.0
-    for i in range(1000):
-        if i % 5 < 3:
-            err = _check_bt_config(rng)
-        else:
-            err = _check_normal_config(rng, as_drift=bool(i % 2))
-        worst = max(worst, err)
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-5 and elapsed < 5.0
-    detail = (f"1000 configs, worst relative error {worst:.3g} (limit 1e-5), "
-              f"{elapsed:.2f}s (limit 5s)")
-    announce(3, ok, detail)
-    assert ok, detail
-
-
 # ---------------------------------------------------------------------------
-# Criterion 4 — fitted ratings vs grid-search MAP
+# Criteria 3 & 4 — hand-written log posterior on random small instances
 
 
 def _log_density_machine(dataset, hyper):
@@ -261,6 +173,135 @@ def _log_density_machine(dataset, hyper):
     return log_f, coord_of, route_base, n_coords
 
 
+def _random_small_instance(seed):
+    rng = np.random.default_rng(seed)
+    n_climbers = int(rng.integers(1, 4))
+    n_routes = int(rng.integers(1, 4))
+    ascents = []
+    for c in range(n_climbers):
+        n_periods = int(rng.integers(1, 4))
+        weeks = np.sort(rng.choice(np.arange(0, 40, 3), size=n_periods, replace=False))
+        for w in weeks:
+            for _ in range(int(rng.integers(1, 4))):
+                ascents.append(
+                    (c, int(rng.integers(0, n_routes)), int(w),
+                                 S if rng.random() < 0.55 else F)
+                )
+    for r in range(n_routes):
+        if not any(a[1] == r for a in ascents):
+            ascents.append((0, r, int(ascents[0][2]), F))
+    grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
+    return make_dataset(ascents, n_routes, n_climbers, grades)
+
+
+# ---------------------------------------------------------------------------
+# Criterion 3 — the solver's derivatives vs central finite differences
+
+
+def _log_gradient_machine(dataset, hyper, coord_of, route_base, n_coords):
+    """Hand-written gradient of :func:`_log_density_machine`'s log posterior.
+
+    Same coordinates; written directly from the model formulas with numpy
+    primitives only.
+    """
+    climber_coord = np.array(
+        [coord_of[(c, w)] for c, w in zip(dataset.climber.tolist(), dataset.week.tolist())]
+    )
+    route_coord = route_base + dataset.route
+    won = dataset.success.astype(float)
+    route_prior = np.array(
+        [hyper.b * (r.grade - hyper.g0) for r in dataset.routes]
+    )
+
+    def gradient(x):
+        p = 1.0 / (1.0 + np.exp(x[route_coord] - x[climber_coord]))
+        g = np.zeros(n_coords)
+        np.add.at(g, climber_coord, won - p)
+        np.add.at(g, route_coord, p - won)
+        previous = None
+        for (c, week), i in coord_of.items():
+            if previous is None or previous[0] != c:
+                g[i] -= x[i] / hyper.sigma_c_sq
+            else:
+                _, previous_week, h = previous
+                pull = (x[i] - x[h]) / ((week - previous_week) * hyper.w_sq)
+                g[h] += pull
+                g[i] -= pull
+            previous = (c, week, i)
+        g[route_base:] -= (x[route_base:] - route_prior) / hyper.sigma_r_sq
+        return g
+
+    return gradient
+
+
+def _check_derivatives_config(seed, rng):
+    """Worst relative error of the solver's derivatives at one random coordinate each.
+
+    Gradients are checked against central differences of the log posterior,
+    Hessian entries against central differences of its hand-written
+    gradient: a second difference of the log posterior itself loses too many
+    digits at step 1e-6 to support a 1e-5 tolerance.
+    """
+    hyper = Hyperparameters(
+        sigma_c_sq=float(rng.uniform(0.2, 5.0)),
+        sigma_r_sq=float(rng.uniform(0.5, 10.0)),
+        w_sq=float(rng.uniform(0.001, 0.5)),
+        g0=int(rng.integers(16, 29)),
+        b=float(rng.uniform(0.1, 0.8)),
+    )
+    dataset = _random_small_instance(seed)
+    log_f, coord_of, route_base, n_coords = _log_density_machine(dataset, hyper)
+    gradient = _log_gradient_machine(dataset, hyper, coord_of, route_base, n_coords)
+    state = initialize_state(dataset, hyper)
+    state.climber_ratings = rng.uniform(-6.0, 6.0, size=state.climber_ratings.shape[0])
+    state.route_ratings = rng.uniform(-6.0, 6.0, size=state.route_ratings.shape[0])
+    period_coord = [coord_of[(int(c), int(w))]
+                    for c, w in zip(state.period_climbers(), state.period_weeks)]
+    x = np.zeros(n_coords)
+    x[period_coord] = state.climber_ratings
+    x[route_base:] = state.route_ratings
+
+    def partial(f, i):
+        """Central difference of ``f`` in coordinate ``i`` at ``x``."""
+        unit = np.arange(n_coords) == i
+        return central_difference(lambda t: f(np.where(unit, t, x)), x[i])
+
+    errors = []
+    grad, hess_diag, hess_off = climber_derivatives(state)
+    k = int(rng.integers(0, len(period_coord)))
+    i = period_coord[k]
+    column = partial(gradient, i)
+    errors.append(relative_error(grad[k], partial(log_f, i)))
+    errors.append(relative_error(hess_diag[k], column[i]))
+    if k > 0:
+        errors.append(relative_error(hess_off[k - 1], column[period_coord[k - 1]]))
+    if k + 1 < len(period_coord):
+        errors.append(relative_error(hess_off[k], column[period_coord[k + 1]]))
+
+    grad, hess = route_derivatives(state)
+    j = int(rng.integers(0, len(dataset.routes)))
+    errors.append(relative_error(grad[j], partial(log_f, route_base + j)))
+    column = partial(gradient, route_base + j)
+    errors.append(relative_error(hess[j], column[route_base + j]))
+    return max(errors)
+
+
+def test_criterion_03_derivatives_match_finite_differences():
+    rng = np.random.default_rng(0)
+    start = time.perf_counter()
+    worst = max(_check_derivatives_config(seed, rng) for seed in range(1000))
+    elapsed = time.perf_counter() - start
+    ok = worst <= 1e-5 and elapsed < 5.0
+    detail = (f"1000 configs, worst relative error {worst:.3g} (limit 1e-5), "
+              f"{elapsed:.2f}s (limit 5s)")
+    announce(3, ok, detail)
+    assert ok, detail
+
+
+# ---------------------------------------------------------------------------
+# Criterion 4 — fitted ratings vs grid-search MAP
+
+
 def _scan_coordinate(log_f, x, i, lo, hi, step):
     best_value = -math.inf
     best_candidate = x[i]
@@ -294,27 +335,6 @@ def _coordinate_grid_map(log_f, n_coords):
         if biggest_move < 1e-7:
             break
     return x
-
-
-def _random_small_instance(seed):
-    rng = np.random.default_rng(seed)
-    n_climbers = int(rng.integers(1, 4))
-    n_routes = int(rng.integers(1, 4))
-    ascents = []
-    for c in range(n_climbers):
-        n_periods = int(rng.integers(1, 4))
-        weeks = np.sort(rng.choice(np.arange(0, 40, 3), size=n_periods, replace=False))
-        for w in weeks:
-            for _ in range(int(rng.integers(1, 4))):
-                ascents.append(
-                    (c, int(rng.integers(0, n_routes)), int(w),
-                                 S if rng.random() < 0.55 else F)
-                )
-    for r in range(n_routes):
-        if not any(a[1] == r for a in ascents):
-            ascents.append((0, r, int(ascents[0][2]), F))
-    grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
-    return make_dataset(ascents, n_routes, n_climbers, grades)
 
 
 def _max_fit_vs_oracle_gap(dataset, oracle, coord_of, route_base):

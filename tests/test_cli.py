@@ -126,6 +126,15 @@ bob,r1,punted,2020-01-13,21,ewbank
         assert code == 0
         assert "kept 4 of 4" in capsys.readouterr().out
 
+    def test_grade_label_beyond_64_bits_dropped_and_fit_runs(self, tmp_path):
+        log = BASIC_LOG + ("alice,r3,attempt,2020-01-06,99999999999999999999,ewbank\n"
+                           "bob,r3,attempt,2020-01-13,99999999999999999999,ewbank\n")
+        dataset_dir = preprocess_fixture(tmp_path, log)
+        provenance = (dataset_dir / "provenance.txt").read_text()
+        assert "dropped_invalid_grade=2" in provenance
+        assert "99999999999999999999" not in (dataset_dir / "routes.csv").read_text()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 0
+
     def test_idempotent_outputs(self, tmp_path):
         raw = write_log(tmp_path, BASIC_LOG)
         assert run(["preprocess", raw, "--out", tmp_path / "a"]) == 0

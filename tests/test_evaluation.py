@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cragrank.evaluation import (
+    ContingencyTable,
     baseline_log_loss,
-    classify,
     compute_metrics,
     cross_validate,
     cross_validate_predictions,
@@ -71,19 +71,17 @@ def contingency_fixture(tp, fp, fn, tn):
     return predictions, actuals
 
 
-class TestClassify:
+class TestComputeMetrics:
+    # An ascent is classified a success iff its probability is strictly above
+    # 0.5.  Probabilities stay inside (0, 1), where the log loss is finite.
     def test_above_half_is_success(self):
-        assert classify(0.500001) is S
-        assert classify(0.9) is S
-        assert classify(1.0) is S
+        report = compute_metrics([0.500001, 0.9, 0.999999], [F, S, S])
+        assert report.contingency == ContingencyTable(tp=2, fp=1, fn=0, tn=0)
 
     def test_half_and_below_is_failure(self):
-        assert classify(0.5) is F
-        assert classify(0.499999) is F
-        assert classify(0.0) is F
+        report = compute_metrics([0.5, 0.499999, 0.000001], [S, S, F])
+        assert report.contingency == ContingencyTable(tp=0, fp=0, fn=2, tn=1)
 
-
-class TestComputeMetrics:
     def test_reference_contingency_counts(self):
         predictions, actuals = contingency_fixture(161253, 16968, 10755, 47119)
         report = compute_metrics(predictions, actuals)

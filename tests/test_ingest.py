@@ -17,7 +17,6 @@ from cragrank.ingest import (
     TickClass,
     classify_tick,
     load_tick_mapping,
-    median_grade,
     parse_ascent_log,
     preprocess,
     quantize_week,
@@ -134,23 +133,51 @@ class TestQuantizeWeek:
         assert quantize_week(week_start_date(week)) == week
 
 
+def route_grades(grades_by_route):
+    """Each route's grade in the preprocessed table, for routes with the given grade labels.
+
+    One climber logs every ascent as a failure, so every route with two or
+    more graded ascents survives cleaning.
+    """
+    rows = [row(route=route, tick="attempt", grade=grade)
+            for route, grades in grades_by_route.items() for grade in grades]
+    return {r.route_id: r.grade for r in preprocess(raw_log(rows)).routes}
+
+
 class TestMedianGrade:
+    def test_label_beyond_64_bits_is_invalid(self):
+        big = str(2**63)
+        assert route_grades({"r": [big, "21", "22"]}) == {"r": 21}
+        rows = [row(route="r", tick="attempt", grade=g) for g in (big, "21", "22")]
+        ds = preprocess(raw_log(rows))
+        assert ds.provenance["dropped_invalid_grade"] == 1
+
     def test_singleton(self):
-        assert median_grade([21]) == 21
+        assert route_grades({"r": ["21", "21"]}) == {"r": 21}
 
     def test_odd(self):
-        assert median_grade([22, 20, 21]) == 21
+        assert route_grades({"r": ["22", "20", "21"]}) == {"r": 21}
 
     def test_even_takes_lower_middle(self):
-        assert median_grade([23, 21, 20, 22]) == 21
+        assert route_grades({"r": ["23", "21", "20", "22"]}) == {"r": 21}
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            median_grade([])
+        # a route without a valid grade label has no median and leaves the table
+        rows = [row(route="r", tick="attempt", grade="x"),
+                row(route="r", tick="attempt", grade="0"),
+                row(route="s", tick="attempt"), row(route="s", tick="attempt")]
+        ds = preprocess(raw_log(rows))
+        assert [r.route_id for r in ds.routes] == ["s"]
+        assert ds.provenance["dropped_invalid_grade"] == 2
 
-    @given(st.lists(st.integers(1, 40), min_size=1, max_size=25))
-    def test_result_is_an_observed_grade(self, grades):
-        assert median_grade(grades) in grades
+    @given(st.lists(st.lists(st.integers(1, 40), min_size=2, max_size=25),
+                    min_size=1, max_size=4))
+    def test_result_is_an_observed_grade(self, grade_lists):
+        got = route_grades({f"r{i}": [str(g) for g in grades]
+                            for i, grades in enumerate(grade_lists)})
+        for i, grades in enumerate(grade_lists):
+            assert got[f"r{i}"] in grades
+            assert got[f"r{i}"] == sorted(grades)[(len(grades) - 1) // 2]
 
 
 class TestParseAscentLog:
@@ -204,7 +231,7 @@ class TestPreprocess:
         ds.check_invariants()
         assert ds.climbers == ["a", "b"]
         assert [r.route_id for r in ds.routes] == ["r1"]
-        assert ds.routes[0].grade == median_grade([20, 22, 21, 23])
+        assert ds.routes[0].grade == 21  # lower middle of 20, 21, 22, 23
         weeks = set(ds.week.tolist())
         assert weeks == {quantize_week(date(2020, 1, 6)), quantize_week(date(2020, 1, 13))}
         assert ds.provenance["rows_read"] == 4

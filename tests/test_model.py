@@ -1,10 +1,14 @@
 """Probability and derivative building blocks.
 
-Derivative checks use an independent finite-difference oracle: the log-density
+Each term of the log posterior (Bradley-Terry ascents, normal priors, the
+random-walk drift) is checked in the derivatives the solver computes,
+``climber_derivatives`` and ``route_derivatives``, on small states built
+here.  Finite-difference checks use an independent oracle: the log-density
 terms are written out directly here (plain math, no package code) and
-differentiated numerically.  d2 is checked against a central difference of the
-oracle's own analytic gradient, because a second difference of the log-density
-itself loses too many digits at step 1e-6 to support a 1e-5 tolerance.
+differentiated numerically.  Second derivatives are checked against a central
+difference of the oracle's own analytic gradient, because a second difference
+of the log-density itself loses too many digits at step 1e-6 to support a
+1e-5 tolerance.
 """
 
 import math
@@ -17,14 +21,16 @@ from hypothesis import strategies as st
 from cragrank.model import (
     RATING_DIFF_CLAMP,
     AscentOutcome,
-    DerivativePair,
     Hyperparameters,
-    bt_derivatives,
     bt_probability,
-    normal_prior_derivatives,
     route_prior_mean,
-    wiener_variance,
     win_probabilities,
+)
+from cragrank.solver import (
+    MIN_WIENER_VARIANCE,
+    ModelState,
+    climber_derivatives,
+    route_derivatives,
 )
 
 FD_STEP = 1e-6
@@ -68,6 +74,70 @@ def central_difference(f, x, h=FD_STEP):
 
 def relative_error(got, want, floor=0.05):
     return abs(got - want) / max(abs(want), floor)
+
+
+def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_means=None):
+    """A state of one climber with a period at each of ``weeks``.
+
+    ``ascents`` are (period, route, outcome) triples, at least one.  Route
+    prior means default to 0.
+    """
+    hyper = hyper or Hyperparameters()
+    n_routes = len(route_ratings)
+    period, route, outcome = zip(*ascents)
+    return ModelState(
+        hyper=hyper,
+        climber_ids=["c0"],
+        period_offsets=np.array([0, len(weeks)]),
+        period_weeks=np.array(weeks, dtype=np.int64),
+        climber_ratings=np.array(ratings, dtype=float),
+        route_ids=[f"r{i}" for i in range(n_routes)],
+        route_grades=np.full(n_routes, hyper.g0),
+        route_prior_means=(np.zeros(n_routes) if prior_means is None
+                           else np.array(prior_means, dtype=float)),
+        route_ratings=np.array(route_ratings, dtype=float),
+        asc_flat_period=np.array(period),
+        asc_route=np.array(route),
+        asc_success=np.array([o is AscentOutcome.SUCCESS for o in outcome], dtype=bool),
+    )
+
+
+def lone_route_state(rating, mean=0.0, hyper=None):
+    """Route 0 at ``rating`` without ascents, and one success on route 1."""
+    return one_climber_state([0], [0.0], [rating, 0.0], [(0, 1, AscentOutcome.SUCCESS)],
+                             hyper=hyper, prior_means=[mean, 0.0])
+
+
+def coupled_state(weeks, ratings, hyper=None):
+    """One climber whose periods are linked only by the random walk and the first prior.
+
+    Each period holds one success and one failure against a route of the
+    period's own rating: their Bradley-Terry terms are exactly 0 in the
+    gradient and -0.5 in the Hessian diagonal.
+    """
+    ascents = [(k, k, o) for k in range(len(weeks))
+               for o in (AscentOutcome.SUCCESS, AscentOutcome.FAILURE)]
+    return one_climber_state(weeks, ratings, ratings, ascents, hyper=hyper)
+
+
+def bt_terms(own, opponents, outcomes, side):
+    """The solver's Bradley-Terry derivatives of ``own`` against ``opponents``.
+
+    The climber side is one period against a route per opponent; the route
+    side is one route against a period per opponent.  The prior term, written
+    out here, is taken off, so only the ascent terms are left.
+    """
+    hyper = Hyperparameters()
+    n = len(opponents)
+    if side == "climber":
+        state = one_climber_state([0], [own], opponents,
+                                  [(0, k, o) for k, o in enumerate(outcomes)])
+        grad, hess, _ = climber_derivatives(state)
+        return grad[0] + own / hyper.sigma_c_sq, hess[0] + 1.0 / hyper.sigma_c_sq
+    state = one_climber_state(list(range(n)), opponents, [own],
+                              [(k, 0, o) for k, o in enumerate(outcomes)], prior_means=[own])
+    grad, hess = route_derivatives(state)
+    return grad[0], hess[0] + 1.0 / hyper.sigma_r_sq
 
 
 class TestHyperparameters:
@@ -155,81 +225,101 @@ class TestRoutePriorMean:
 
 
 class TestNormalPriorDerivatives:
+    # A route without ascents carries only its prior term.
     def test_at_mean_wide(self):
-        assert normal_prior_derivatives(0.0, 0.0, 4.0) == DerivativePair(0.0, -0.25)
+        grad, hess = route_derivatives(lone_route_state(0.0))
+        assert (grad[0], hess[0]) == (0.0, -0.25)
 
     def test_off_mean_unit(self):
-        assert normal_prior_derivatives(2.0, 0.0, 1.0) == DerivativePair(-2.0, -1.0)
+        hyper = Hyperparameters(sigma_r_sq=1.0)
+        grad, hess = route_derivatives(lone_route_state(2.0, hyper=hyper))
+        assert (grad[0], hess[0]) == (-2.0, -1.0)
 
     def test_at_negative_mean(self):
-        assert normal_prior_derivatives(-4.8, -4.8, 4.0) == DerivativePair(0.0, -0.25)
+        mean = route_prior_mean(10, Hyperparameters())
+        grad, hess = route_derivatives(lone_route_state(mean, mean))
+        assert (grad[0], hess[0]) == (0.0, -0.25)
 
     @pytest.mark.parametrize("variance", [0.0, -1.0])
     def test_rejects_bad_variance(self, variance):
+        # the derivatives divide by the prior variances; only positive ones exist
         with pytest.raises(ValueError):
-            normal_prior_derivatives(0.0, 0.0, variance)
+            Hyperparameters(sigma_c_sq=variance)
+        with pytest.raises(ValueError):
+            Hyperparameters(sigma_r_sq=variance)
 
     @given(r=ratings, mean=ratings, variance=st.floats(0.01, 50))
     def test_matches_finite_difference(self, r, mean, variance):
         def log_density(x):
             return -((x - mean) ** 2) / (2.0 * variance)
 
-        pair = normal_prior_derivatives(r, mean, variance)
-        assert relative_error(pair.d1, central_difference(log_density, r)) < 1e-5
+        grad, hess = route_derivatives(
+            lone_route_state(r, mean, hyper=Hyperparameters(sigma_r_sq=variance))
+        )
+        assert relative_error(grad[0], central_difference(log_density, r)) < 1e-5
         # analytic gradient of the same density, differentiated once more
         d2_fd = central_difference(lambda x: -(x - mean) / variance, r)
-        assert relative_error(pair.d2, d2_fd) < 1e-5
+        assert relative_error(hess[0], d2_fd) < 1e-5
 
 
 class TestWienerVariance:
-    def test_zero_elapsed(self):
-        assert wiener_variance(10, 10, Hyperparameters()) == 0.0
-
+    # The random-walk coupling of consecutive periods has precision
+    # 1 / (weeks apart * w_sq).
     def test_one_year(self):
-        assert wiener_variance(0, 52, Hyperparameters()) == 1.0
+        _, _, off = climber_derivatives(coupled_state([0, 52], [0.0, 0.0]))
+        assert off[0] == 1.0
 
     def test_absolute_difference(self):
         hyper = Hyperparameters()
-        assert wiener_variance(5, 3, hyper) == 2.0 * hyper.w_sq
+        _, _, off = climber_derivatives(coupled_state([3, 5], [0.0, 0.0]))
+        assert off[0] == 1.0 / (2.0 * hyper.w_sq)
 
-    @given(a=st.integers(-3000, 3000), b=st.integers(-3000, 3000))
-    def test_symmetric_and_nonnegative(self, a, b):
+    def test_zero_drift_is_floored(self):
+        grad, _, off = climber_derivatives(
+            coupled_state([3, 5], [0.0, 1.0], hyper=Hyperparameters(w_sq=0.0))
+        )
+        assert off[0] == 1.0 / MIN_WIENER_VARIANCE
+        assert grad[1] == -1.0 / MIN_WIENER_VARIANCE
+
+    @given(a=st.integers(-3000, 3000), gap=st.integers(1, 3000), x0=ratings, x1=ratings)
+    def test_symmetric_and_nonnegative(self, a, gap, x0, x1):
         hyper = Hyperparameters()
-        assert wiener_variance(a, b, hyper) == wiener_variance(b, a, hyper) >= 0.0
+        grad, hess, off = climber_derivatives(coupled_state([a, a + gap], [x0, x1]))
+        precision = 1.0 / (gap * hyper.w_sq)
+        assert off[0] > 0.0
+        assert off[0] == pytest.approx(precision, rel=1e-12)
+        assert hess[0] + 0.5 + 1.0 / hyper.sigma_c_sq == pytest.approx(-off[0], rel=1e-12)
+        assert hess[1] + 0.5 == pytest.approx(-off[0], rel=1e-12)
+        pull = (x1 - x0) * precision
+        assert grad[0] + x0 / hyper.sigma_c_sq == pytest.approx(pull, rel=1e-9, abs=1e-9)
+        assert grad[1] == pytest.approx(-pull, rel=1e-9, abs=1e-9)
 
 
 class TestBtDerivatives:
     def test_single_success_even_odds(self):
-        pair = bt_derivatives(0.0, [0.0], [AscentOutcome.SUCCESS], side="climber")
-        assert pair.d1 == pytest.approx(0.5)
-        assert pair.d2 == pytest.approx(-0.25)
+        d1, d2 = bt_terms(0.0, [0.0], [AscentOutcome.SUCCESS], "climber")
+        assert d1 == pytest.approx(0.5)
+        assert d2 == pytest.approx(-0.25)
 
     def test_empty(self):
-        assert bt_derivatives(0.0, [], [], side="climber") == DerivativePair(0.0, 0.0)
+        # a route without ascents has no ascent terms, only its prior's
+        grad, hess = route_derivatives(lone_route_state(1.5, 1.5))
+        assert (grad[0], hess[0]) == (0.0, -1.0 / Hyperparameters().sigma_r_sq)
 
     def test_balanced_outcomes(self):
-        pair = bt_derivatives(
-            0.0, [0.0, 0.0], [AscentOutcome.SUCCESS, AscentOutcome.FAILURE], side="climber"
-        )
-        assert pair.d1 == pytest.approx(0.0)
-        assert pair.d2 == pytest.approx(-0.5)
+        d1, d2 = bt_terms(0.0, [0.0, 0.0], [AscentOutcome.SUCCESS, AscentOutcome.FAILURE],
+                          "climber")
+        assert d1 == pytest.approx(0.0)
+        assert d2 == pytest.approx(-0.5)
 
     def test_route_wins_failed_ascent(self):
-        pair = bt_derivatives(0.0, [0.0], [AscentOutcome.FAILURE], side="route")
-        assert pair.d1 == pytest.approx(0.5)
-        assert pair.d2 == pytest.approx(-0.25)
+        d1, d2 = bt_terms(0.0, [0.0], [AscentOutcome.FAILURE], "route")
+        assert d1 == pytest.approx(0.5)
+        assert d2 == pytest.approx(-0.25)
 
     def test_route_loses_successful_ascent(self):
-        pair = bt_derivatives(0.0, [0.0], [AscentOutcome.SUCCESS], side="route")
-        assert pair.d1 == pytest.approx(-0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            bt_derivatives(0.0, [0.0, 1.0], [AscentOutcome.SUCCESS], side="climber")
-
-    def test_unknown_side(self):
-        with pytest.raises(ValueError):
-            bt_derivatives(0.0, [0.0], [AscentOutcome.SUCCESS], side="referee")
+        d1, _ = bt_terms(0.0, [0.0], [AscentOutcome.SUCCESS], "route")
+        assert d1 == pytest.approx(-0.5)
 
     @given(
         own=ratings,
@@ -246,19 +336,19 @@ class TestBtDerivatives:
                 max_size=len(opponents),
             )
         )
-        pair = bt_derivatives(own, opponents, outcomes, side=side)
+        d1, d2 = bt_terms(own, opponents, outcomes, side)
 
         d1_fd = central_difference(
             lambda x: bt_log_density(x, opponents, outcomes, side), own
         )
-        assert relative_error(pair.d1, d1_fd) < 1e-5
+        assert relative_error(d1, d1_fd) < 1e-5
 
         d2_fd = central_difference(
             lambda x: bt_gradient(x, opponents, outcomes, side), own
         )
-        assert relative_error(pair.d2, d2_fd) < 1e-5
+        assert relative_error(d2, d2_fd) < 1e-5
 
     @given(own=ratings, opponents=st.lists(ratings, min_size=1, max_size=8))
     def test_d2_negative_with_data(self, own, opponents):
         outcomes = [AscentOutcome.SUCCESS] * len(opponents)
-        assert bt_derivatives(own, opponents, outcomes, side="climber").d2 < 0.0
+        assert bt_terms(own, opponents, outcomes, "climber")[1] < 0.0

@@ -503,8 +503,6 @@ class TestFit:
         ds = one_one_fixture()
         with pytest.raises(ValueError):
             fit(ds, max_iterations=7)
-        with pytest.raises(ValueError):
-            fit(ds, convergence_window=0)
         with pytest.raises(EmptyDatasetError):
             fit(make_dataset([], 1, 1))
 
@@ -528,14 +526,17 @@ class TestFit:
             return make_dataset(ascents, n_routes=50, n_climbers=n_climbers)
 
         def timed(ds):
-            best = math.inf
-            for _ in range(3):
-                t0 = time.perf_counter()
-                fit(ds, max_iterations=10, convergence_span=0.0)
-                best = min(best, time.perf_counter() - t0)
-            return best
+            t0 = time.perf_counter()
+            fit(ds, max_iterations=40, convergence_span=0.0)
+            return time.perf_counter() - t0
 
         small = build(250)   # 10,000 ascents
         large = build(500)   # 20,000 ascents
         timed(small)  # warm-up
-        assert timed(large) / timed(small) < 3.0
+        # Best of 5 alternated 40-iteration fits: long enough that a few
+        # milliseconds of host noise cannot move the ratio past the limit.
+        best_small = best_large = math.inf
+        for _ in range(5):
+            best_small = min(best_small, timed(small))
+            best_large = min(best_large, timed(large))
+        assert best_large / best_small < 3.0
