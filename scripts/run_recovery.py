@@ -52,7 +52,7 @@ def main():
     )
     dataset = simulate_ascents(world, args.ascents_per_period, seed=args.seed + 1)
     print(f"simulated {len(dataset)} ascents "
-          f"({len(dataset.climbers)} climbers, {len(dataset.routes)} routes)")
+          f"({len(dataset.climber_ids)} climbers, {len(dataset.route_ids)} routes)")
 
     start = time.perf_counter()
     state, report = fit(dataset, hyper, args.max_iterations)

@@ -5,7 +5,6 @@ from .evaluation import (
     ContingencyTable,
     EvaluationReport,
     FoldPlan,
-    PRPoint,
     baseline_log_loss,
     compute_metrics,
     cross_validate,
@@ -20,7 +19,6 @@ from .ingest import (
     DEFAULT_TICK_MAPPING,
     CleanDataset,
     RawAscentLog,
-    RouteInfo,
     TickClass,
     classify_tick,
     load_tick_mapping,

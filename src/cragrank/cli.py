@@ -9,8 +9,8 @@ input, 2 empty result.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -29,12 +29,14 @@ from .evaluation import (
 )
 from .ingest import (
     CsvTable,
+    format_float as _fmt,
     load_tick_mapping,
     parse_ascent_log,
     preprocess,
     read_clean_dataset,
     unique_strings,
     write_clean_dataset,
+    write_csv,
     write_raw_ascent_log,
 )
 from .model import Hyperparameters, bt_probability
@@ -42,10 +44,6 @@ from .solver import FitReport, ModelState, fit
 from .synthetic import generate_world, simulate_trials, trials_to_raw_log, write_truth_csv
 
 _HYPER_KEYS = ("sigma_c_sq", "sigma_r_sq", "w_sq", "g0", "b")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.9g}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,9 +77,18 @@ def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     if getattr(args, "hyper_config", None):
         with open(args.hyper_config, encoding="utf-8") as fh:
             loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError("hyperparameter config must be a JSON object")
         unknown = set(loaded) - set(_HYPER_KEYS)
         if unknown:
             raise ValueError(f"unknown hyperparameter keys in config: {sorted(unknown)}")
+        for key, value in loaded.items():
+            finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+            if isinstance(value, bool) or not finite:
+                raise ValueError(f"hyperparameter {key} must be a finite number, got {value!r}")
+        g0 = loaded.get("g0", 0)
+        if isinstance(g0, float) and not g0.is_integer():
+            raise ValueError(f"hyperparameter g0 must be an integer, got {g0!r}")
         values.update(loaded)
     for key in _HYPER_KEYS:
         flag = getattr(args, key, None)
@@ -98,17 +105,12 @@ def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
 
 def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "route_ratings.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["route_idx", "route_id", "grade", "rating"])
-        writer.writerows(zip(range(len(state.route_ids)), state.route_ids,
-                             state.route_grades.tolist(), map(_fmt, state.route_ratings)))
-    with open(out_dir / "climber_ratings.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["climber_idx", "climber_id", "week", "rating"])
-        climber = state.period_climbers()
-        writer.writerows(zip(climber.tolist(), np.array(state.climber_ids, dtype=object)[climber],
-                             state.period_weeks.tolist(), map(_fmt, state.climber_ratings)))
+    write_csv(out_dir / "route_ratings.csv", ("route_idx", "route_id", "grade", "rating"),
+              (np.arange(len(state.route_ids)), state.route_ids, state.route_grades,
+               state.route_ratings))
+    climber = state.period_climbers()
+    write_csv(out_dir / "climber_ratings.csv", ("climber_idx", "climber_id", "week", "rating"),
+              (climber, state.climber_ids[climber], state.period_weeks, state.climber_ratings))
     with open(out_dir / "fit_report.txt", "w", encoding="utf-8") as fh:
         fh.write(f"iterations={report.iterations}\n")
         fh.write(f"converged={'true' if report.converged else 'false'}\n")
@@ -150,17 +152,11 @@ def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: 
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(out_dir / "pr_curve.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "precision", "recall", "classifier_point"])
-        writer.writerows([_fmt(pt.threshold), _fmt(pt.precision), _fmt(pt.recall),
-                          "1" if pt.classifier_point else "0"]
-                         for pt in precision_recall_curve(predictions, actuals))
-    with open(out_dir / "ratings_vs_grades.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["grade", "prior_mean", "rating"])
-        writer.writerows(zip(state.route_grades.tolist(), map(_fmt, state.route_prior_means),
-                             map(_fmt, state.route_ratings)))
+    curve = precision_recall_curve(predictions, actuals)
+    write_csv(out_dir / "pr_curve.csv", curve.dtype.names,
+              [curve[name] for name in curve.dtype.names])
+    write_csv(out_dir / "ratings_vs_grades.csv", ("grade", "prior_mean", "rating"),
+              (state.route_grades, state.route_prior_means, state.route_ratings))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +171,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
     kept = dataset.provenance["rows_kept"]
     read = dataset.provenance["rows_read"]
     print(f"kept {kept} of {read} ascent rows "
-          f"({len(dataset.climbers)} climbers, {len(dataset.routes)} routes)")
+          f"({len(dataset.climber_ids)} climbers, {len(dataset.route_ids)} routes)")
     return 0
 
 
@@ -213,12 +209,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     p = bt_probability(climber_rating, route_rating)
     labels = np.array(["none", "climber", "route", "climber+route"], dtype=object)
     fallback = labels[(owner == len(climber_ids)) + 2 * (route == len(route_ids))]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["climber_id", "route_id", "week", "probability", "fallback"])
-        writer.writerows(zip(queries.text["climber_id"].tolist(),
-                             queries.text["route_id"].tolist(), week.tolist(),
-                             map(_fmt, p.tolist()), fallback.tolist()))
+    write_csv(args.out, ("climber_id", "route_id", "week", "probability", "fallback"),
+              (queries.text["climber_id"], queries.text["route_id"], week, p, fallback))
     return 0
 
 

@@ -72,14 +72,6 @@ class FoldPlan:
     assignments: np.ndarray
 
 
-@dataclass(frozen=True)
-class PRPoint:
-    threshold: float
-    precision: float
-    recall: float
-    classifier_point: bool = False
-
-
 def baseline_log_loss(success_rate: float) -> float:
     """Log loss of always predicting the mean success rate.
 
@@ -256,12 +248,14 @@ def cross_validate(
     return compute_metrics(pooled_p, pooled_y)
 
 
-def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
+def precision_recall_curve(predictions, actuals) -> np.recarray:
     """Precision/recall at every distinct predicted probability.
 
-    Each curve point uses the inclusive rule "predict success iff p >=
-    threshold", one point per distinct probability, thresholds descending.
-    One extra point (``classifier_point=True``) records the classifier of
+    Returns one record per point, with the fields ``threshold``,
+    ``precision``, ``recall`` and ``classifier_point``.  Each curve point
+    uses the inclusive rule "predict success iff p >= threshold", one point
+    per distinct probability, thresholds descending.  One extra point
+    (``classifier_point`` true) records the classifier of
     :func:`compute_metrics`, success iff ``p > 0.5``.  Empty-denominator
     ratios are 0.
     """
@@ -282,19 +276,17 @@ def precision_recall_curve(predictions, actuals) -> list[PRPoint]:
 
     tp = cum_tp[group_ends]
     thresholds = p_sorted[group_ends]
-    points = list(map(PRPoint, thresholds.tolist(), (tp / (group_ends + 1)).tolist(),
-                      (tp / max(total_success, 1)).tolist()))
 
     strict = p > 0.5
     tp_c = int(np.count_nonzero(strict & y))
-    classifier = PRPoint(
-        threshold=0.5,
-        precision=_safe_ratio(tp_c, int(np.count_nonzero(strict))),
-        recall=_safe_ratio(tp_c, total_success),
-        classifier_point=True,
+    at = int(np.count_nonzero(thresholds > 0.5))
+    return np.rec.fromarrays(
+        [np.insert(thresholds, at, 0.5),
+         np.insert(tp / (group_ends + 1), at, _safe_ratio(tp_c, int(np.count_nonzero(strict)))),
+         np.insert(tp / max(total_success, 1), at, _safe_ratio(tp_c, total_success)),
+         np.arange(thresholds.shape[0] + 1) == at],
+        names="threshold,precision,recall,classifier_point",
     )
-    points.insert(int(np.count_nonzero(thresholds > 0.5)), classifier)
-    return points
 
 
 def linear_fit_r_squared(x, y) -> float:

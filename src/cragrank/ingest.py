@@ -83,29 +83,25 @@ class RawAscentLog:
         return self.day.shape[0]
 
 
-@dataclass(frozen=True)
-class RouteInfo:
-    route_id: str
-    grade: int
-
-
 @dataclass
 class CleanDataset:
     """Preprocessed ascents as four parallel arrays, plus the entity tables.
 
     Ascent ``i`` is climber ``climber[i]`` on route ``route[i]`` in week
-    ``week[i]``, successful iff ``success[i]``.  ``routes[r].route_id`` and
-    ``climbers[c]`` give the external ids of route index ``r`` and climber
-    index ``c``; both tables are sorted by id.  ``provenance`` counts rows
-    read, kept, and dropped per filter rule.
+    ``week[i]``, successful iff ``success[i]``.  Climber index ``c`` has the
+    external id ``climber_ids[c]``, and route index ``r`` the id
+    ``route_ids[r]`` and the grade ``route_grades[r]``; both id arrays are
+    object arrays sorted by id.  ``provenance`` counts rows read, kept, and
+    dropped per filter rule.
     """
 
     climber: np.ndarray
     route: np.ndarray
     week: np.ndarray
     success: np.ndarray
-    routes: list[RouteInfo]
-    climbers: list[str]
+    climber_ids: np.ndarray
+    route_ids: np.ndarray
+    route_grades: np.ndarray
     provenance: dict[str, int]
 
     def __len__(self) -> int:
@@ -116,12 +112,13 @@ class CleanDataset:
         n = int(np.count_nonzero(keep))
         return CleanDataset(
             self.climber[keep], self.route[keep], self.week[keep], self.success[keep],
-            self.routes, self.climbers, {"rows_read": n, "rows_kept": n},
+            self.climber_ids, self.route_ids, self.route_grades,
+            {"rows_read": n, "rows_kept": n},
         )
 
     def check_invariants(self) -> None:
         """Raise ValueError if the cleaned-data guarantees do not hold."""
-        n_routes, n_climbers = len(self.routes), len(self.climbers)
+        n_routes, n_climbers = len(self.route_ids), len(self.climber_ids)
         if not (np.all((self.route >= 0) & (self.route < n_routes))
                 and np.all((self.climber >= 0) & (self.climber < n_climbers))):
             raise ValueError("ascent index out of range")
@@ -281,6 +278,33 @@ class CsvTable:
             raise ParseError(problems[0])
 
 
+def format_float(x: float) -> str:
+    """A float at the 9 significant digits of every number the package writes."""
+    return f"{x:.9g}"
+
+
+def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write parallel ``columns`` under a ``header`` line as a CSV file.
+
+    A column of float dtype is written by :func:`format_float`, one of bool
+    dtype as 0/1, and any other value as its ``str``, quoted where the CSV
+    dialect needs it, so that :class:`CsvTable` reads each field back
+    verbatim.
+    """
+    fields = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f":
+            fields.append(map(format_float, column.tolist()))
+        elif column.dtype.kind == "b":
+            fields.append(column.astype(np.int64).tolist())
+        else:
+            fields.append(column.tolist())
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*fields))
+
+
 def parse_ascent_log(source: str | Path | IO) -> RawAscentLog:
     """Parse a raw ascent-log CSV into columns, reporting bad lines by number."""
     if isinstance(source, (str, Path)):
@@ -348,15 +372,14 @@ def assemble_clean_dataset(
 
     climbers_used, climber_index = np.unique(climber[keep], return_inverse=True)
     routes_used, route_index = np.unique(route[keep], return_inverse=True)
-    route_id_of = np.asarray(route_ids, dtype=object)[routes_used].tolist()
-    grade_of = np.asarray(route_grades)[routes_used].tolist()
     return CleanDataset(
         climber=climber_index,
         route=route_index,
         week=week[keep],
         success=success[keep],
-        routes=[RouteInfo(rid, grade) for rid, grade in zip(route_id_of, grade_of)],
-        climbers=np.asarray(climber_ids, dtype=object)[climbers_used].tolist(),
+        climber_ids=np.asarray(climber_ids, dtype=object)[climbers_used],
+        route_ids=np.asarray(route_ids, dtype=object)[routes_used],
+        route_grades=np.asarray(route_grades, dtype=np.int64)[routes_used],
         provenance=prov,
     )
 
@@ -414,19 +437,12 @@ def write_clean_dataset(dataset: CleanDataset, out_dir: str | Path) -> None:
     """Write ascents.csv, routes.csv, climbers.csv and provenance.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "ascents.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["climber_idx", "route_idx", "week", "outcome"])
-        writer.writerows(zip(dataset.climber.tolist(), dataset.route.tolist(),
-                             dataset.week.tolist(), dataset.success.astype(int).tolist()))
-    with open(out / "routes.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["route_idx", "route_id", "grade"])
-        writer.writerows((i, route.route_id, route.grade) for i, route in enumerate(dataset.routes))
-    with open(out / "climbers.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["climber_idx", "climber_id"])
-        writer.writerows(enumerate(dataset.climbers))
+    write_csv(out / "ascents.csv", ("climber_idx", "route_idx", "week", "outcome"),
+              (dataset.climber, dataset.route, dataset.week, dataset.success))
+    write_csv(out / "routes.csv", ("route_idx", "route_id", "grade"),
+              (np.arange(len(dataset.route_ids)), dataset.route_ids, dataset.route_grades))
+    write_csv(out / "climbers.csv", ("climber_idx", "climber_id"),
+              (np.arange(len(dataset.climber_ids)), dataset.climber_ids))
     with open(out / "provenance.txt", "w", encoding="utf-8") as fh:
         for key in ("rows_read", *_DROP_KEYS, "rows_kept"):
             fh.write(f"{key}={dataset.provenance.get(key, 0)}\n")
@@ -441,7 +457,7 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     src = Path(in_dir)
     routes = CsvTable.read(src / "routes.csv", ("route_idx", "route_id", "grade"))
     routes.check(routes.integers("route_idx") != np.arange(routes.rows), "route_idx out of order")
-    grades = routes.integers("grade").tolist()
+    grades = routes.integers("grade")
     routes.raise_first()
     climbers = CsvTable.read(src / "climbers.csv", ("climber_idx", "climber_id"))
     climbers.check(climbers.integers("climber_idx") != np.arange(climbers.rows),
@@ -471,19 +487,13 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
         provenance = {"rows_read": ascents.rows, "rows_kept": ascents.rows}
     return CleanDataset(
         climber=climber, route=route, week=week, success=success,
-        routes=[RouteInfo(rid, g) for rid, g in zip(routes.text["route_id"].tolist(), grades)],
-        climbers=climbers.text["climber_id"].tolist(),
-        provenance=provenance,
+        climber_ids=climbers.text["climber_id"], route_ids=routes.text["route_id"],
+        route_grades=grades, provenance=provenance,
     )
 
 
 def write_raw_ascent_log(log: RawAscentLog, path: str | Path) -> None:
     """Write a raw ascent log as an ingest-compatible CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RAW_COLUMNS)
-        writer.writerows(zip(
-            log.climber_id.tolist(), log.route_id.tolist(), log.tick_type.tolist(),
-            np.datetime_as_string(log.day).tolist(), log.grade_label.tolist(),
-            log.grade_system.tolist(),
-        ))
+    write_csv(path, RAW_COLUMNS, (log.climber_id, log.route_id, log.tick_type,
+                                  np.datetime_as_string(log.day), log.grade_label,
+                                  log.grade_system))

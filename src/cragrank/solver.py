@@ -68,11 +68,11 @@ class ModelState:
     """
 
     hyper: Hyperparameters
-    climber_ids: list[str]
+    climber_ids: np.ndarray
     period_offsets: np.ndarray
     period_weeks: np.ndarray
     climber_ratings: np.ndarray
-    route_ids: list[str]
+    route_ids: np.ndarray
     route_grades: np.ndarray
     route_prior_means: np.ndarray
     route_ratings: np.ndarray
@@ -150,8 +150,8 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
         dataset.climber[order], dataset.route[order], dataset.week[order], dataset.success[order]
     )
 
-    n_climbers = len(dataset.climbers)
-    n_routes = len(dataset.routes)
+    n_climbers = len(dataset.climber_ids)
+    n_routes = len(dataset.route_ids)
     if climber_idx.max() >= n_climbers or route_idx.max() >= n_routes:
         raise ValueError("ascent indexes out of range of the entity tables")
 
@@ -162,22 +162,29 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     periods_per_climber = np.bincount(climber_idx[new_period], minlength=n_climbers)
     period_offsets = np.concatenate(([0], np.cumsum(periods_per_climber)))
 
-    grades = np.fromiter((r.grade for r in dataset.routes), np.int64, n_routes)
-    prior_means = route_prior_mean(grades, hyper)
+    prior_means = route_prior_mean(dataset.route_grades, hyper)
     return ModelState(
         hyper=hyper,
-        climber_ids=list(dataset.climbers),
+        climber_ids=dataset.climber_ids,
         period_offsets=period_offsets,
         period_weeks=week[new_period],
         climber_ratings=np.zeros(int(period_offsets[-1])),
-        route_ids=[r.route_id for r in dataset.routes],
-        route_grades=grades,
+        route_ids=dataset.route_ids,
+        route_grades=dataset.route_grades,
         route_prior_means=prior_means,
         route_ratings=prior_means.copy(),
         asc_flat_period=flat_period,
         asc_route=route_idx,
         asc_success=success,
     )
+
+
+def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """The sum of ``weights`` at each of the ``n`` values of ``index``, as floats.
+
+    (``np.bincount`` returns integers for an empty ``index``.)
+    """
+    return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
 def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,9 +201,8 @@ def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.n
     n = r.shape[0]
     idx = state.asc_flat_period
     p = win_probabilities(r[idx], state.route_ratings[state.asc_route])
-    wins = np.bincount(idx, weights=state.asc_success.astype(float), minlength=n)
-    grad = wins - np.bincount(idx, weights=p, minlength=n)
-    hess = -np.bincount(idx, weights=p * (1.0 - p), minlength=n)
+    grad = _sums(idx, state.asc_success.astype(float), n) - _sums(idx, p, n)
+    hess = -_sums(idx, p * (1.0 - p), n)
 
     # Initial-rating prior applies to each climber's first period only.
     offsets = state.period_offsets
@@ -205,7 +211,7 @@ def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.n
     hess[first] -= 1.0 / hyper.sigma_c_sq
 
     # Random-walk coupling between consecutive periods of the same climber.
-    linked = np.ones(n - 1, dtype=bool)
+    linked = np.ones(max(n - 1, 0), dtype=bool)
     linked[first[1:] - 1] = False
     j = np.flatnonzero(linked)
     weeks = state.period_weeks
@@ -215,7 +221,7 @@ def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.n
     grad[j + 1] -= pull
     hess[j] -= precision
     hess[j + 1] -= precision
-    off = np.zeros(n - 1)
+    off = np.zeros(linked.shape[0])
     off[j] = precision
     return grad, hess, off
 
@@ -231,14 +237,12 @@ def route_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     ratings = state.route_ratings
     n = ratings.shape[0]
     q = win_probabilities(ratings[route], state.climber_ratings[state.asc_flat_period])
-    wins = np.bincount(route, weights=(~state.asc_success).astype(float), minlength=n)
     d1 = (
-        wins
-        - np.bincount(route, weights=q, minlength=n)
+        _sums(route, (~state.asc_success).astype(float), n)
+        - _sums(route, q, n)
         - (ratings - state.route_prior_means) / hyper.sigma_r_sq
     )
-    d2 = -np.bincount(route, weights=q * (1.0 - q), minlength=n)
-    d2 -= 1.0 / hyper.sigma_r_sq
+    d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / hyper.sigma_r_sq
     return d1, d2
 
 
@@ -270,8 +274,6 @@ def bt_marginal_log_likelihood(state: ModelState) -> float:
     Uses the same clamped rating differences as the probability function, so
     the result is always finite.  Excludes all prior terms.
     """
-    if state.asc_route.shape[0] == 0:
-        return 0.0
     climber_r = state.climber_ratings[state.asc_flat_period]
     route_r = state.route_ratings[state.asc_route]
     z = np.clip(climber_r - route_r, -RATING_DIFF_CLAMP, RATING_DIFF_CLAMP)

@@ -8,12 +8,11 @@ per-period rating increments.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CleanDataset, RawAscentLog, assemble_clean_dataset, week_start_date
+from .ingest import CleanDataset, RawAscentLog, assemble_clean_dataset, week_start_date, write_csv
 from .model import Hyperparameters, win_probabilities
 from .solver import ModelState
 
@@ -250,13 +249,10 @@ def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport
 
 def write_truth_csv(world: SyntheticWorld, path) -> None:
     """Write true ratings: route rows have an empty week column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["entity_type", "entity_idx", "week", "true_rating"])
-        for i, rating in enumerate(world.route_ratings):
-            writer.writerow(["route", i, "", f"{rating:.9g}"])
-        for i in range(len(world.climber_ids)):
-            for k, week in enumerate(world.weeks):
-                writer.writerow(
-                    ["climber", i, int(week), f"{world.climber_ratings[i, k]:.9g}"]
-                )
+    n_routes, (n_climbers, n_weeks) = len(world.route_ids), world.climber_ratings.shape
+    write_csv(path, ("entity_type", "entity_idx", "week", "true_rating"), (
+        np.repeat(["route", "climber"], (n_routes, n_climbers * n_weeks)),
+        np.concatenate((np.arange(n_routes), np.repeat(np.arange(n_climbers), n_weeks))),
+        np.concatenate((np.full(n_routes, ""), np.tile(world.weeks, n_climbers).astype(str))),
+        np.concatenate((world.route_ratings, world.climber_ratings.reshape(-1))),
+    ))

@@ -30,7 +30,6 @@ from cragrank.ingest import (
     RAW_COLUMNS,
     CleanDataset,
     RawAscentLog,
-    RouteInfo,
     parse_ascent_log,
     preprocess,
     week_start_date,
@@ -81,8 +80,9 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
     table = table.reshape(-1, 4)
     return CleanDataset(
         climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
-        climbers=[f"c{i}" for i in range(n_climbers)],
+        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
+        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
+        route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
 
@@ -145,16 +145,14 @@ def _log_density_machine(dataset, hyper):
         for w in weeks:
             coord_of[(c, w)] = len(coord_of)
     route_base = len(coord_of)
-    n_coords = route_base + len(dataset.routes)
+    n_coords = route_base + len(dataset.route_ids)
 
     climber_coord = np.array(
         [coord_of[(c, w)] for c, w in zip(ascent_climbers, ascent_weeks)]
     )
     route_coord = route_base + dataset.route
     sign = np.where(dataset.success, 1.0, -1.0)
-    route_prior = np.array(
-        [hyper.b * (r.grade - hyper.g0) for r in dataset.routes]
-    )
+    route_prior = hyper.b * (dataset.route_grades - hyper.g0)
 
     def log_f(x):
         z = sign * (x[climber_coord] - x[route_coord])
@@ -209,9 +207,7 @@ def _log_gradient_machine(dataset, hyper, coord_of, route_base, n_coords):
     )
     route_coord = route_base + dataset.route
     won = dataset.success.astype(float)
-    route_prior = np.array(
-        [hyper.b * (r.grade - hyper.g0) for r in dataset.routes]
-    )
+    route_prior = hyper.b * (dataset.route_grades - hyper.g0)
 
     def gradient(x):
         p = 1.0 / (1.0 + np.exp(x[route_coord] - x[climber_coord]))
@@ -279,7 +275,7 @@ def _check_derivatives_config(seed, rng):
         errors.append(relative_error(hess_off[k], column[period_coord[k + 1]]))
 
     grad, hess = route_derivatives(state)
-    j = int(rng.integers(0, len(dataset.routes)))
+    j = int(rng.integers(0, len(dataset.route_ids)))
     errors.append(relative_error(grad[j], partial(log_f, route_base + j)))
     column = partial(gradient, route_base + j)
     errors.append(relative_error(hess[j], column[route_base + j]))
@@ -541,11 +537,10 @@ def _random_raw_log(rng):
 
 def _dataset_to_raw_log(dataset):
     """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
-    route_ids = np.array([r.route_id for r in dataset.routes], dtype=object)
-    labels = np.array([str(r.grade) for r in dataset.routes], dtype=object)
+    labels = dataset.route_grades.astype(str).astype(object)
     return RawAscentLog(
-        climber_id=np.array(dataset.climbers, dtype=object)[dataset.climber],
-        route_id=route_ids[dataset.route],
+        climber_id=dataset.climber_ids[dataset.climber],
+        route_id=dataset.route_ids[dataset.route],
         tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
         day=week_start_date(dataset.week),
         grade_label=labels[dataset.route],
@@ -565,7 +560,7 @@ def test_criterion_09_pipeline_invariants():
             continue
         survived += 1
 
-        route_counts = np.zeros(len(dataset.routes), dtype=int)
+        route_counts = np.zeros(len(dataset.route_ids), dtype=int)
         climbers_with_failure = set()
         for climber, route, success in zip(dataset.climber.tolist(), dataset.route.tolist(),
                                            dataset.success.tolist()):
@@ -573,13 +568,12 @@ def test_criterion_09_pipeline_invariants():
             if not success:
                 climbers_with_failure.add(climber)
         assert route_counts.min() >= 2, "route with fewer than two ascents survived"
-        assert climbers_with_failure == set(range(len(dataset.climbers)))
+        assert climbers_with_failure == set(range(len(dataset.climber_ids)))
 
         again = preprocess(_dataset_to_raw_log(dataset))
-        for column in ("climber", "route", "week", "success"):
+        for column in ("climber", "route", "week", "success", "climber_ids", "route_ids",
+                       "route_grades"):
             assert np.array_equal(getattr(again, column), getattr(dataset, column))
-        assert again.routes == dataset.routes
-        assert again.climbers == dataset.climbers
         assert again.provenance["rows_kept"] == again.provenance["rows_read"]
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0 and survived > 100

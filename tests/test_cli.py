@@ -11,6 +11,9 @@ import math
 import pytest
 
 from cragrank.cli import main
+from cragrank.evaluation import predict_probabilities
+from cragrank.ingest import quantize_week, read_clean_dataset
+from cragrank.solver import fit
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
@@ -215,6 +218,28 @@ class TestFit:
         assert read_tree(out_flag) == read_tree(baseline)
         assert read_tree(out_config) != read_tree(baseline)
 
+    @pytest.mark.parametrize("config", [
+        "5", "[0.4]", '{"sigma_c_sq": "x"}', '{"w_sq": null}', '{"b": "0.4"}', '{"b": true}',
+        '{"b": NaN}', '{"w_sq": 1e999}', '{"g0": 1.5}',
+    ])
+    def test_malformed_hyper_config_exits_one(self, tmp_path, capsys, config):
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = tmp_path / "hyper.json"
+        path.write_text(config, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "f", "--hyper-config", path]) == 1
+        assert capsys.readouterr().err.startswith("error: hyperparameter")
+        assert not (tmp_path / "f").exists()
+
+    def test_integral_g0_in_hyper_config_accepted(self, tmp_path):
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = tmp_path / "hyper.json"
+        path.write_text('{"g0": 21.0}', encoding="utf-8")
+        assert run(["fit", dataset_dir, "--out", tmp_path / "config",
+                    "--hyper-config", path]) == 0
+        assert run(["fit", dataset_dir, "--out", tmp_path / "flag", "--g0", "21"]) == 0
+        assert read_tree(tmp_path / "config") == read_tree(tmp_path / "flag")
+
     def test_unknown_hyper_config_key_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)
         config = tmp_path / "hyper.json"
@@ -325,6 +350,56 @@ class TestPredict:
         query.write_text("who,route_id,week\nalice,r1,0\n", encoding="utf-8")
         assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
         assert "climber_id" in capsys.readouterr().err
+
+
+class TestIdsThatNeedQuoting:
+    CLIMBERS = ["a,b", 'say "hi"', "line\nbreak", "  spaced  "]
+    ROUTES = ["r,1", '"r2"', "r\r\n3", " r4 "]
+    DAYS = ["2020-01-06", "2020-01-13"]
+
+    def write_csv(self, path, header, rows):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+
+    def read_csv(self, path):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def test_fit_and_predict_keep_the_ids(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        self.write_csv(raw, HEADER.split(","), [
+            (climber, route, ("redpoint", "attempt")[(i + j + k) % 3 == 0], day, 20 + j, "ewbank")
+            for i, climber in enumerate(self.CLIMBERS) for j, route in enumerate(self.ROUTES)
+            for k, day in enumerate(self.DAYS)
+        ])
+        dataset_dir, ratings = tmp_path / "dataset", tmp_path / "ratings"
+        assert run(["preprocess", raw, "--out", dataset_dir]) == 0
+        assert run(["fit", dataset_dir, "--out", ratings]) == 0
+        state, _ = fit(read_clean_dataset(dataset_dir))
+        assert sorted(state.climber_ids.tolist()) == sorted(self.CLIMBERS)
+        assert sorted(state.route_ids.tolist()) == sorted(self.ROUTES)
+        assert ([r["route_id"] for r in self.read_csv(ratings / "route_ratings.csv")]
+                == state.route_ids.tolist())
+        periods = self.read_csv(ratings / "climber_ratings.csv")
+        assert ([r["climber_id"] for r in periods]
+                == state.climber_ids[state.period_climbers()].tolist())
+
+        weeks = quantize_week(self.DAYS).tolist()
+        queries = [(c, r, w) for c in self.CLIMBERS for r in self.ROUTES for w in weeks]
+        query = tmp_path / "query.csv"
+        self.write_csv(query, ["climber_id", "route_id", "week"], queries)
+        assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 0
+        rows = self.read_csv(tmp_path / "p.csv")
+        assert [(r["climber_id"], r["route_id"], int(r["week"])) for r in rows] == queries
+        assert {r["fallback"] for r in rows} == {"none"}
+        climber_index = {c: i for i, c in enumerate(state.climber_ids.tolist())}
+        route_index = {r: i for i, r in enumerate(state.route_ids.tolist())}
+        expected = predict_probabilities(state, [climber_index[c] for c, _, _ in queries],
+                                         [route_index[r] for _, r, _ in queries],
+                                         [w for _, _, w in queries])
+        assert [float(r["probability"]) for r in rows] == pytest.approx(expected, abs=1e-8)
 
 
 class TestEvaluateAndCrossval:

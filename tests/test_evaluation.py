@@ -24,7 +24,7 @@ from cragrank.evaluation import (
     predict_probabilities,
     rating_at_nearest_week,
 )
-from cragrank.ingest import CleanDataset, RouteInfo
+from cragrank.ingest import CleanDataset
 from cragrank.model import AscentOutcome, Hyperparameters, bt_probability
 from cragrank.solver import fit, initialize_state
 
@@ -40,8 +40,9 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
     table = table.reshape(-1, 4)
     return CleanDataset(
         climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
-        climbers=[f"c{i}" for i in range(n_climbers)],
+        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
+        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
+        route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
 

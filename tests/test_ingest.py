@@ -46,11 +46,10 @@ def raw_log(rows):
 
 def dataset_to_raw_log(dataset):
     """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
-    route_ids = np.array([r.route_id for r in dataset.routes], dtype=object)
-    labels = np.array([str(r.grade) for r in dataset.routes], dtype=object)
+    labels = dataset.route_grades.astype(str).astype(object)
     return RawAscentLog(
-        climber_id=np.array(dataset.climbers, dtype=object)[dataset.climber],
-        route_id=route_ids[dataset.route],
+        climber_id=dataset.climber_ids[dataset.climber],
+        route_id=dataset.route_ids[dataset.route],
         tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
         day=week_start_date(dataset.week),
         grade_label=labels[dataset.route],
@@ -62,6 +61,12 @@ def ascents(dataset):
     """The dataset's ascents as (climber, route, week, success) tuples."""
     return list(zip(dataset.climber.tolist(), dataset.route.tolist(),
                     dataset.week.tolist(), dataset.success.tolist()))
+
+
+def tables(dataset):
+    """The dataset's entity tables: climber ids, route ids and route grades, as lists."""
+    return (dataset.climber_ids.tolist(), dataset.route_ids.tolist(),
+            dataset.route_grades.tolist())
 
 
 class TestClassifyTick:
@@ -141,7 +146,8 @@ def route_grades(grades_by_route):
     """
     rows = [row(route=route, tick="attempt", grade=grade)
             for route, grades in grades_by_route.items() for grade in grades]
-    return {r.route_id: r.grade for r in preprocess(raw_log(rows)).routes}
+    ds = preprocess(raw_log(rows))
+    return dict(zip(ds.route_ids.tolist(), ds.route_grades.tolist()))
 
 
 class TestMedianGrade:
@@ -167,7 +173,7 @@ class TestMedianGrade:
                 row(route="r", tick="attempt", grade="0"),
                 row(route="s", tick="attempt"), row(route="s", tick="attempt")]
         ds = preprocess(raw_log(rows))
-        assert [r.route_id for r in ds.routes] == ["s"]
+        assert ds.route_ids.tolist() == ["s"]
         assert ds.provenance["dropped_invalid_grade"] == 2
 
     @given(st.lists(st.lists(st.integers(1, 40), min_size=2, max_size=25),
@@ -229,9 +235,9 @@ class TestPreprocess:
         ]
         ds = preprocess(raw_log(rows))
         ds.check_invariants()
-        assert ds.climbers == ["a", "b"]
-        assert [r.route_id for r in ds.routes] == ["r1"]
-        assert ds.routes[0].grade == 21  # lower middle of 20, 21, 22, 23
+        assert ds.climber_ids.tolist() == ["a", "b"]
+        assert ds.route_ids.tolist() == ["r1"]
+        assert ds.route_grades[0] == 21  # lower middle of 20, 21, 22, 23
         weeks = set(ds.week.tolist())
         assert weeks == {quantize_week(date(2020, 1, 6)), quantize_week(date(2020, 1, 13))}
         assert ds.provenance["rows_read"] == 4
@@ -244,7 +250,7 @@ class TestPreprocess:
             row(climber="b", route="pop", tick="dog", day="2020-01-06"),
         ]
         ds = preprocess(raw_log(rows))
-        assert [r.route_id for r in ds.routes] == ["pop"]
+        assert ds.route_ids.tolist() == ["pop"]
         assert ds.provenance["dropped_route_few_ascents"] == 1
 
     def test_all_success_climber_dropped(self):
@@ -256,7 +262,7 @@ class TestPreprocess:
             row(climber="mortal", route="r2", tick="attempt"),
         ]
         ds = preprocess(raw_log(rows))
-        assert ds.climbers == ["mortal"]
+        assert ds.climber_ids.tolist() == ["mortal"]
         assert ds.provenance["dropped_climber_no_failure"] == 2
 
     def test_cascade_to_fixpoint(self):
@@ -270,8 +276,8 @@ class TestPreprocess:
         ]
         ds = preprocess(raw_log(rows))
         ds.check_invariants()
-        assert ds.climbers == ["a", "c"]
-        assert [r.route_id for r in ds.routes] == ["r1"]
+        assert ds.climber_ids.tolist() == ["a", "c"]
+        assert ds.route_ids.tolist() == ["r1"]
         assert len(ds) == 2
         assert ds.provenance["dropped_climber_no_failure"] == 1
         assert ds.provenance["dropped_route_few_ascents"] == 1
@@ -336,8 +342,9 @@ class TestParsingSemantics:
 
     def test_spellings_and_line_numbers(self):
         ds = preprocess(parse_ascent_log(io.StringIO(self.LOG)))
-        assert ds.climbers == ["a", "b", "d\nd"]
-        assert [(r.route_id, r.grade) for r in ds.routes] == [("r1", 12), ("r2", 12)]
+        assert ds.climber_ids.tolist() == ["a", "b", "d\nd"]
+        assert ds.route_ids.tolist() == ["r1", "r2"]
+        assert ds.route_grades.tolist() == [12, 12]
         assert ascents(ds) == [(0, 0, 2609, True), (0, 0, 2609, False), (1, 0, 2610, False),
                                (1, 1, 2610, True), (2, 1, 2611, False)]
         assert ds.provenance == {
@@ -381,8 +388,8 @@ class TestPipelineProperties:
             if not success:
                 failures.add(climber)
         assert all(n >= 2 for n in route_counts.values())
-        assert set(route_counts) == set(range(len(ds.routes)))
-        assert failures == set(range(len(ds.climbers)))
+        assert set(route_counts) == set(range(len(ds.route_ids)))
+        assert failures == set(range(len(ds.climber_ids)))
         dropped = sum(v for k, v in ds.provenance.items() if k.startswith("dropped_"))
         assert ds.provenance["rows_read"] == ds.provenance["rows_kept"] + dropped
 
@@ -395,8 +402,7 @@ class TestPipelineProperties:
             return
         second = preprocess(dataset_to_raw_log(first))
         assert ascents(second) == ascents(first)
-        assert second.routes == first.routes
-        assert second.climbers == first.climbers
+        assert tables(second) == tables(first)
         assert second.provenance["rows_kept"] == len(first)
         assert all(v == 0 for k, v in second.provenance.items()
                    if k.startswith("dropped_"))
@@ -417,8 +423,7 @@ class TestSerialization:
         write_clean_dataset(ds, tmp_path)
         back = read_clean_dataset(tmp_path)
         assert ascents(back) == ascents(ds)
-        assert back.routes == ds.routes
-        assert back.climbers == ds.climbers
+        assert tables(back) == tables(ds)
         assert back.provenance == ds.provenance
 
     def test_missing_provenance_tolerated(self, tmp_path):
@@ -443,4 +448,22 @@ class TestSerialization:
         write_raw_ascent_log(dataset_to_raw_log(ds), path)
         again = preprocess(parse_ascent_log(path))
         assert ascents(again) == ascents(ds)
-        assert again.routes == ds.routes
+        assert tables(again) == tables(ds)
+
+    def test_ids_that_need_quoting_round_trip(self, tmp_path):
+        climbers = ["a,b", 'say "hi"', "line\nbreak", "  spaced  "]
+        routes = ["r,1", '"r2"', "r\r\n3", " r4 "]
+        ds = preprocess(raw_log([
+            row(climber=c, route=r, tick=("redpoint", "attempt")[(i + j) % 2], grade=str(20 + j))
+            for i, c in enumerate(climbers) for j, r in enumerate(routes)
+        ]))
+        assert ds.climber_ids.tolist() == sorted(climbers)
+        assert ds.route_ids.tolist() == sorted(routes)
+        write_clean_dataset(ds, tmp_path / "dataset")
+        back = read_clean_dataset(tmp_path / "dataset")
+        assert ascents(back) == ascents(ds)
+        assert tables(back) == tables(ds)
+        write_raw_ascent_log(dataset_to_raw_log(ds), tmp_path / "raw.csv")
+        again = preprocess(parse_ascent_log(tmp_path / "raw.csv"))
+        assert ascents(again) == ascents(ds)
+        assert tables(again) == tables(ds)

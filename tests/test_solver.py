@@ -16,15 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cragrank.errors import EmptyDatasetError
-from cragrank.ingest import CleanDataset, RouteInfo
+from cragrank.ingest import CleanDataset
 from cragrank.model import AscentOutcome, Hyperparameters
 from cragrank.solver import (
     MAX_NEWTON_STEP,
     ModelState,
     bt_marginal_log_likelihood,
+    climber_derivatives,
     climber_pass,
     fit,
     initialize_state,
+    route_derivatives,
     route_pass,
     solve_tridiagonal,
 )
@@ -41,8 +43,9 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
     table = table.reshape(-1, 4)
     return CleanDataset(
         climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        routes=[RouteInfo(f"r{i}", g) for i, g in enumerate(grades)],
-        climbers=[f"c{i}" for i in range(n_climbers)],
+        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
+        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
+        route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
 
@@ -234,7 +237,8 @@ class TestInitializeState:
         ds = random_dataset(rng)
         order = rng.permutation(len(ds))
         shuffled = CleanDataset(ds.climber[order], ds.route[order], ds.week[order],
-                                ds.success[order], ds.routes, ds.climbers, ds.provenance)
+                                ds.success[order], ds.climber_ids, ds.route_ids,
+                                ds.route_grades, ds.provenance)
         a = initialize_state(ds)
         b = initialize_state(shuffled)
         assert (a.asc_flat_period == b.asc_flat_period).all()
@@ -403,6 +407,32 @@ class TestBtMarginalLogLikelihood:
         )
         assert bt_marginal_log_likelihood(state) == 0.0
 
+    def test_empty_state_with_one_route(self):
+        # no climber periods and no ascents: only the route prior acts
+        hyper = Hyperparameters()
+        state = ModelState(
+            hyper=hyper,
+            climber_ids=np.zeros(0, dtype=object),
+            period_offsets=np.zeros(1, dtype=np.int64),
+            period_weeks=np.zeros(0, dtype=np.int64),
+            climber_ratings=np.zeros(0),
+            route_ids=np.array(["r0"], dtype=object),
+            route_grades=np.array([25]),
+            route_prior_means=np.array([1.2]),
+            route_ratings=np.array([0.2]),
+            asc_flat_period=np.zeros(0, dtype=np.int64),
+            asc_route=np.zeros(0, dtype=np.int64),
+            asc_success=np.zeros(0, dtype=bool),
+        )
+        for array in climber_derivatives(state):
+            assert array.dtype == float and array.shape == (0,)
+        grad, hess = route_derivatives(state)
+        assert grad.dtype == hess.dtype == float
+        assert grad.tolist() == pytest.approx([(1.2 - 0.2) / hyper.sigma_r_sq])
+        assert hess.tolist() == [-1.0 / hyper.sigma_r_sq]
+        assert route_pass(state).tolist() == pytest.approx([1.2])
+        assert bt_marginal_log_likelihood(state) == 0.0
+
 
 class TestFit:
     def test_one_one_fixture_frozen_values(self):
@@ -451,7 +481,8 @@ class TestFit:
         ds = random_dataset(rng)
         order = rng.permutation(len(ds))
         shuffled = CleanDataset(ds.climber[order], ds.route[order], ds.week[order],
-                                ds.success[order], ds.routes, ds.climbers, ds.provenance)
+                                ds.success[order], ds.climber_ids, ds.route_ids,
+                                ds.route_grades, ds.provenance)
         s1, _ = fit(ds)
         s2, _ = fit(shuffled)
         assert (s1.climber_ratings == s2.climber_ratings).all()

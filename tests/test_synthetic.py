@@ -157,15 +157,14 @@ class TestSimulateAscents:
         world = generate_world(10, 20, 3, (18, 26), seed=0)
         a = simulate_ascents(world, 6, seed=1)
         b = simulate_ascents(world, 6, seed=1)
-        for column in ("climber", "route", "week", "success"):
+        for column in ("climber", "route", "week", "success", "climber_ids", "route_ids",
+                       "route_grades"):
             assert np.array_equal(getattr(a, column), getattr(b, column))
-        assert a.routes == b.routes
-        assert a.climbers == b.climbers
 
     def test_output_passes_activity_filters(self):
         world = generate_world(10, 20, 3, (18, 26), seed=0)
         dataset = simulate_ascents(world, 6, seed=1)
-        route_counts = np.zeros(len(dataset.routes), dtype=int)
+        route_counts = np.zeros(len(dataset.route_ids), dtype=int)
         climber_failures = set()
         for climber, route, success in zip(dataset.climber.tolist(), dataset.route.tolist(),
                                            dataset.success.tolist()):
@@ -173,7 +172,7 @@ class TestSimulateAscents:
             if not success:
                 climber_failures.add(climber)
         assert route_counts.min() >= 2
-        assert climber_failures == set(range(len(dataset.climbers)))
+        assert climber_failures == set(range(len(dataset.climber_ids)))
 
     def test_all_successes_leave_nothing(self):
         world = flat_world(4, 6, 2, climber_level=20.0, route_level=-20.0)
@@ -185,10 +184,9 @@ class TestSimulateAscents:
         trials = simulate_trials(world, 5, seed=4)
         direct = simulate_ascents(world, 5, seed=4)
         via_rows = preprocess(trials_to_raw_log(world, trials))
-        for column in ("climber", "route", "week", "success"):
+        for column in ("climber", "route", "week", "success", "climber_ids", "route_ids",
+                       "route_grades"):
             assert np.array_equal(getattr(via_rows, column), getattr(direct, column))
-        assert via_rows.routes == direct.routes
-        assert via_rows.climbers == direct.climbers
 
 
 class TestTrialsToRawRows:
