@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import fields
 from itertools import repeat
 from pathlib import Path
 
@@ -43,7 +43,7 @@ from .model import Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
 from .synthetic import generate_world, simulate_trials, trials_to_raw_log, write_truth_csv
 
-_HYPER_KEYS = ("sigma_c_sq", "sigma_r_sq", "w_sq", "g0", "b")
+_HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,29 +73,20 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
+    """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
     if getattr(args, "hyper_config", None):
         with open(args.hyper_config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
+            values = json.load(fh)
+        if not isinstance(values, dict):
             raise ValueError("hyperparameter config must be a JSON object")
-        unknown = set(loaded) - set(_HYPER_KEYS)
+        unknown = set(values) - set(_HYPER_KEYS)
         if unknown:
             raise ValueError(f"unknown hyperparameter keys in config: {sorted(unknown)}")
-        for key, value in loaded.items():
-            finite = isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
-            if isinstance(value, bool) or not finite:
-                raise ValueError(f"hyperparameter {key} must be a finite number, got {value!r}")
-        g0 = loaded.get("g0", 0)
-        if isinstance(g0, float) and not g0.is_integer():
-            raise ValueError(f"hyperparameter g0 must be an integer, got {g0!r}")
-        values.update(loaded)
     for key in _HYPER_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag
-    if "g0" in values:
-        values["g0"] = int(values["g0"])
     return Hyperparameters(**values)
 
 
@@ -126,17 +117,16 @@ def _index_of(ids: np.ndarray, table: list[str]) -> np.ndarray:
 
 def _read_ratings(ratings_dir: Path):
     """Route ids and ratings, and every climber's periods as flat arrays sorted by week."""
-    routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating")).text
-    route_ratings = np.fromiter(map(float, routes["rating"]), dtype=float,
-                                count=routes["rating"].shape[0])
-    periods = CsvTable.read(ratings_dir / "climber_ratings.csv",
-                            ("climber_id", "week", "rating")).text
-    ids, owner = unique_strings(periods["climber_id"])
-    weeks = np.fromiter(map(int, periods["week"]), dtype=np.int64, count=owner.shape[0])
-    ratings = np.fromiter(map(float, periods["rating"]), dtype=float, count=owner.shape[0])
+    routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
+    route_ratings = routes.floats("rating")
+    routes.raise_first()
+    periods = CsvTable.read(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
+    weeks, ratings = periods.integers("week"), periods.floats("rating")
+    periods.raise_first()
+    ids, owner = unique_strings(periods.text["climber_id"])
     order = np.lexsort((ratings, weeks, owner))
     offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=ids.shape[0]))))
-    return (routes["route_id"].tolist(), route_ratings, ids.tolist(), offsets, weeks[order],
+    return (routes.text["route_id"].tolist(), route_ratings, ids.tolist(), offsets, weeks[order],
             ratings[order])
 
 

@@ -263,6 +263,13 @@ class CsvTable:
     def integers(self, column: str) -> np.ndarray:
         return self.convert(column, _parse_int, np.int64, column + " must be an integer, got {!r}")
 
+    def floats(self, column: str) -> np.ndarray:
+        """Column ``column`` by ``float`` in one pass, and by :meth:`convert` if it rejects any."""
+        try:
+            return np.fromiter(map(float, self.text[column]), dtype=float, count=self.rows)
+        except ValueError:
+            return self.convert(column, float, float, column + " must be a number, got {!r}")
+
     def problems(self) -> list[str]:
         """For each failing row in order, the first check it fails, with its line number."""
         messages = []

@@ -15,6 +15,8 @@ and Hessian of the log posterior, and the optimization loop, live in
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -35,7 +37,7 @@ class AscentOutcome(IntEnum):
 
 @dataclass(frozen=True)
 class Hyperparameters:
-    """Model hyperparameters, with tuned defaults.
+    """Model hyperparameters, with tuned defaults; a bad value raises ValueError.
 
     Attributes
     ----------
@@ -48,7 +50,7 @@ class Hyperparameters:
         Variance added to a climber's rating per elapsed week (random-walk
         drift).  May be 0, which freezes climbers in time.
     g0:
-        Reference grade: a route at this grade has prior mean rating 0.
+        Reference grade, a 64-bit int: a route at this grade has prior mean 0.
     b:
         Prior-mean slope, in rating units per grade point.
     """
@@ -60,12 +62,24 @@ class Hyperparameters:
     b: float = 0.4
 
     def __post_init__(self) -> None:
-        if not self.sigma_c_sq > 0.0:
-            raise ValueError(f"sigma_c_sq must be positive, got {self.sigma_c_sq}")
-        if not self.sigma_r_sq > 0.0:
-            raise ValueError(f"sigma_r_sq must be positive, got {self.sigma_r_sq}")
-        if self.w_sq < 0.0:
-            raise ValueError(f"w_sq must be non-negative, got {self.w_sq}")
+        for name in ("sigma_c_sq", "sigma_r_sq", "w_sq", "g0", "b"):
+            value = getattr(self, name)
+            try:
+                valid = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                         and math.isfinite(value))
+            except OverflowError:  # an int beyond the float range
+                valid = False
+            if name == "g0":
+                valid = valid and value == int(value) and -2**63 <= value < 2**63
+            if not valid:
+                raise ValueError(f"hyperparameter {name} must be a finite "
+                                 f"{'64-bit integer' if name == 'g0' else 'number'}, got {value!r}")
+            object.__setattr__(self, name, int(value) if name == "g0" else float(value))
+        for name, rule, holds in (("sigma_c_sq", "positive", self.sigma_c_sq > 0.0),
+                                  ("sigma_r_sq", "positive", self.sigma_r_sq > 0.0),
+                                  ("w_sq", "non-negative", self.w_sq >= 0.0)):
+            if not holds:
+                raise ValueError(f"hyperparameter {name} must be {rule}, got {getattr(self, name)}")
 
 
 def bt_probability(climber_rating, route_rating):
@@ -89,6 +103,6 @@ def bt_probability(climber_rating, route_rating):
 win_probabilities = bt_probability
 
 
-def route_prior_mean(grade: int, hyper: Hyperparameters) -> float:
-    """Prior mean rating of a route: ``b * (grade - g0)``."""
-    return hyper.b * (grade - hyper.g0)
+def route_prior_mean(grade, hyper: Hyperparameters):
+    """Prior mean rating of a grade or of each of an array of grades: ``b * (grade - g0)``."""
+    return hyper.b * (grade - float(hyper.g0))  # in floats: an int64 difference can wrap

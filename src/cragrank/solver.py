@@ -23,12 +23,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError
 from .ingest import CleanDataset
-from .model import (
-    RATING_DIFF_CLAMP,
-    Hyperparameters,
-    route_prior_mean,
-    win_probabilities,
-)
+from .model import Hyperparameters, route_prior_mean, win_probabilities
 
 # A single Newton update may move a rating by at most this much; wildly
 # overshooting steps early in the fit would otherwise saturate the clamped
@@ -271,14 +266,15 @@ def route_pass(state: ModelState) -> np.ndarray:
 def bt_marginal_log_likelihood(state: ModelState) -> float:
     """Sum of log probabilities the model assigns to the observed outcomes.
 
-    Uses the same clamped rating differences as the probability function, so
-    the result is always finite.  Excludes all prior terms.
+    Each outcome's probability is the winner's :func:`win_probabilities`
+    against the loser, which is strictly inside (0, 1), so the result is
+    always finite.  Excludes all prior terms.
     """
     climber_r = state.climber_ratings[state.asc_flat_period]
     route_r = state.route_ratings[state.asc_route]
-    z = np.clip(climber_r - route_r, -RATING_DIFF_CLAMP, RATING_DIFF_CLAMP)
-    z = np.where(state.asc_success, z, -z)
-    return float(-np.logaddexp(0.0, -z).sum())
+    won = state.asc_success
+    return float(np.log(win_probabilities(np.where(won, climber_r, route_r),
+                                          np.where(won, route_r, climber_r))).sum())
 
 
 def fit(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import CleanDataset, RawAscentLog, assemble_clean_dataset, week_start_date, write_csv
-from .model import Hyperparameters, win_probabilities
+from .model import Hyperparameters, route_prior_mean, win_probabilities
 from .solver import ModelState
 
 
@@ -76,8 +76,7 @@ def generate_world(
 
     rng = np.random.default_rng(seed)
     grades = rng.integers(lo, hi + 1, size=n_routes)
-    prior_means = hyper.b * (grades - hyper.g0)
-    route_ratings = rng.normal(prior_means, np.sqrt(hyper.sigma_r_sq))
+    route_ratings = rng.normal(route_prior_mean(grades, hyper), np.sqrt(hyper.sigma_r_sq))
     initial = rng.normal(0.0, np.sqrt(hyper.sigma_c_sq), size=n_climbers)
     weeks = np.arange(n_periods, dtype=np.int64)
     trajectories = np.empty((n_climbers, n_periods))
@@ -187,8 +186,7 @@ def level_matched_dataset(
         sorted_ratings[pos] - target
     )
     route_idx = order[np.where(nearer_left, left, pos)]
-    margin = ability - world.route_ratings[route_idx]
-    success = rng.random(total) < 1.0 / (1.0 + np.exp(-margin))
+    success = rng.random(total) < win_probabilities(ability, world.route_ratings[route_idx])
 
     return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
                                   climber_idx, route_idx, world.weeks[period_idx], success)
@@ -218,14 +216,11 @@ def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport
     Requires at least two comparable routes and two comparable climber
     rating points.
     """
-    true_route = dict(zip(world.route_ids, world.route_ratings))
-    fitted_r = []
-    actual_r = []
-    for route_id, rating in zip(fitted.route_ids, fitted.route_ratings):
-        if route_id in true_route:
-            fitted_r.append(float(rating))
-            actual_r.append(true_route[route_id])
-    if len(fitted_r) < 2:
+    route_row = {rid: i for i, rid in enumerate(world.route_ids)}
+    route_rows = np.array([route_row.get(rid, -1) for rid in fitted.route_ids], dtype=np.int64)
+    fitted_r = fitted.route_ratings[route_rows >= 0]
+    actual_r = world.route_ratings[route_rows[route_rows >= 0]]
+    if fitted_r.shape[0] < 2:
         raise ValueError("fewer than two routes to compare")
 
     climber_row = {cid: i for i, cid in enumerate(world.climber_ids)}
@@ -238,8 +233,6 @@ def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport
     if fitted_c.shape[0] < 2:
         raise ValueError("fewer than two climber rating points to compare")
 
-    fitted_r = np.asarray(fitted_r)
-    actual_r = np.asarray(actual_r)
     return RecoveryReport(
         route_correlation=float(np.corrcoef(actual_r, fitted_r)[0, 1]),
         climber_correlation=float(np.corrcoef(actual_c, fitted_c)[0, 1]),

@@ -155,18 +155,22 @@ def _log_density_machine(dataset, hyper):
     route_prior = hyper.b * (dataset.route_grades - hyper.g0)
 
     def log_f(x):
-        z = sign * (x[climber_coord] - x[route_coord])
-        total = float(-np.logaddexp(0.0, -z).sum())
+        """The log posterior at a vector, or at each row of a matrix."""
+        rows = np.atleast_2d(x)
+        # take() keeps each row's terms contiguous, so that every row is summed
+        # exactly as a single vector is
+        z = sign * (rows.take(climber_coord, axis=1) - rows.take(route_coord, axis=1))
+        total = -np.logaddexp(0.0, -z).sum(axis=1)
         for c, weeks in weeks_of.items():
-            first = x[coord_of[(c, weeks[0])]]
+            first = rows[:, coord_of[(c, weeks[0])]]
             total -= first * first / (2.0 * hyper.sigma_c_sq)
             for k in range(1, len(weeks)):
                 variance = (weeks[k] - weeks[k - 1]) * hyper.w_sq
-                step = x[coord_of[(c, weeks[k])]] - x[coord_of[(c, weeks[k - 1])]]
+                step = rows[:, coord_of[(c, weeks[k])]] - rows[:, coord_of[(c, weeks[k - 1])]]
                 total -= step * step / (2.0 * variance)
-        deviations = x[route_base:] - route_prior
-        total -= float((deviations * deviations).sum()) / (2.0 * hyper.sigma_r_sq)
-        return total
+        deviations = rows[:, route_base:] - route_prior
+        total -= (deviations * deviations).sum(axis=1) / (2.0 * hyper.sigma_r_sq)
+        return total if np.ndim(x) == 2 else float(total[0])
 
     return log_f, coord_of, route_base, n_coords
 
@@ -299,15 +303,12 @@ def test_criterion_03_derivatives_match_finite_differences():
 
 
 def _scan_coordinate(log_f, x, i, lo, hi, step):
-    best_value = -math.inf
-    best_candidate = x[i]
-    for candidate in np.arange(lo, hi + step * 0.5, step):
-        x[i] = candidate
-        value = log_f(x)
-        if value > best_value:
-            best_value, best_candidate = value, candidate
-    x[i] = best_candidate
-    return best_candidate
+    """Set ``x[i]`` to the first grid candidate of highest ``log_f``, scored in one call."""
+    candidates = np.arange(lo, hi + step * 0.5, step)
+    rows = np.tile(x, (candidates.shape[0], 1))
+    rows[:, i] = candidates
+    x[i] = candidates[np.argmax(log_f(rows))]
+    return x[i]
 
 
 def _coordinate_grid_map(log_f, n_coords):

@@ -231,6 +231,26 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: hyperparameter")
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("flag", [
+        ["--w-sq", "nan"], ["--b", "nan"], ["--sigma-r-sq", "inf"],
+        ["--g0", "100000000000000000000000"],
+    ])
+    def test_bad_hyper_flag_exits_one(self, tmp_path, capsys, flag):
+        dataset_dir = preprocess_fixture(tmp_path)
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "f", *flag]) == 1
+        assert capsys.readouterr().err.startswith("error: hyperparameter")
+        assert not (tmp_path / "f").exists()
+
+    def test_large_integer_in_hyper_config_is_a_float(self, tmp_path):
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = tmp_path / "hyper.json"
+        path.write_text('{"b": 100000000000000000000000}', encoding="utf-8")
+        assert run(["fit", dataset_dir, "--out", tmp_path / "config",
+                    "--hyper-config", path]) == 0
+        assert run(["fit", dataset_dir, "--out", tmp_path / "flag", "--b", "1e23"]) == 0
+        assert read_tree(tmp_path / "config") == read_tree(tmp_path / "flag")
+
     def test_integral_g0_in_hyper_config_accepted(self, tmp_path):
         dataset_dir = preprocess_fixture(tmp_path)
         path = tmp_path / "hyper.json"
@@ -343,6 +363,22 @@ class TestPredict:
         assert code == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "week" in err
+
+    @pytest.mark.parametrize("name, line", [("route_ratings.csv", 3),
+                                            ("climber_ratings.csv", 4)])
+    def test_bad_rating_reports_file_and_line(self, tmp_path, capsys, name, line):
+        ratings = self.write_ratings(tmp_path)
+        path = ratings / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("climber_id,route_id,week\nalice,r1,0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {name} line {line}: rating must be a number, got 'abc'\n")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_missing_columns_exit_one(self, tmp_path, capsys):
         ratings = self.write_ratings(tmp_path)

@@ -1,9 +1,9 @@
-"""Source hygiene: every name a library module imports is used in it.
+"""Source hygiene, checked on the syntax tree of each module under ``src/cragrank``.
 
-No linter ships with the project, so this walks the syntax tree of each
-module under ``src/cragrank`` (except the package ``__init__``, whose imports
-are the public re-exports) and reports module-level imported names that the
-module never references.
+No linter ships with the project.  Every module-level name a library module
+imports is used in it (except in the package ``__init__``, whose imports are
+the public re-exports).  And only ``model.py`` evaluates the logistic or
+names its clamp, so that the model has one copy of its likelihood.
 """
 
 import ast
@@ -11,10 +11,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).resolve().parents[1] / "src" / "cragrank").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "cragrank").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +36,33 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def logistic_outside_model(source: str) -> list[str]:
+    """Each use of ``np.exp``, ``np.logaddexp`` or ``RATING_DIFF_CLAMP`` in a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("exp", "logaddexp"):
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(node.attr)
+        elif isinstance(node, ast.Attribute) and node.attr == "RATING_DIFF_CLAMP":
+            found.append(node.attr)
+        elif isinstance(node, ast.Name) and node.id == "RATING_DIFF_CLAMP":
+            found.append(node.id)
+        elif isinstance(node, ast.alias) and node.name == "RATING_DIFF_CLAMP":
+            found.append(node.name)
+    return found
+
+
+def test_finds_a_logistic():
+    source = ("import numpy as np\nfrom .model import RATING_DIFF_CLAMP\n"
+              "x = np.logaddexp(0.0, model.RATING_DIFF_CLAMP)\ny = np.exp(-x) + math.exp(1)\n")
+    assert sorted(logistic_outside_model(source)) == [
+        "RATING_DIFF_CLAMP", "RATING_DIFF_CLAMP", "exp", "logaddexp"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "model.py"],
+                         ids=lambda p: p.name)
+def test_only_model_evaluates_the_logistic(path):
+    assert logistic_outside_model(path.read_text(encoding="utf-8")) == []

@@ -151,11 +151,19 @@ class TestHyperparameters:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"sigma_c_sq": 0.0}, {"sigma_c_sq": -1.0}, {"sigma_r_sq": 0.0}, {"w_sq": -0.1}],
+        [{"sigma_c_sq": 0.0}, {"sigma_c_sq": -1.0}, {"sigma_r_sq": 0.0}, {"w_sq": -0.1},
+         {"w_sq": math.nan}, {"b": math.nan}, {"sigma_r_sq": math.inf}, {"b": True},
+         {"sigma_c_sq": "x"}, {"g0": 1.5}, {"g0": 2**63}],
     )
     def test_rejects_bad_variances(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^hyperparameter {next(iter(kwargs))} "):
             Hyperparameters(**kwargs)
+
+    def test_stores_floats_and_an_integral_g0(self):
+        hyper = Hyperparameters(sigma_c_sq=2, b=10**23, g0=21.0)
+        assert (hyper.sigma_c_sq, hyper.b, hyper.g0) == (2.0, 1e23, 21)
+        assert (type(hyper.sigma_c_sq), type(hyper.b), type(hyper.g0)) == (float, float, int)
+        assert Hyperparameters(g0=-2**63).g0 == -2**63
 
     def test_zero_drift_allowed(self):
         assert Hyperparameters(w_sq=0.0).w_sq == 0.0
@@ -215,6 +223,12 @@ class TestRoutePriorMean:
 
     def test_below_reference(self):
         assert route_prior_mean(10, Hyperparameters()) == pytest.approx(-4.8)
+
+    def test_extreme_g0_does_not_wrap_around(self):
+        hyper = Hyperparameters(g0=-2**63)
+        means = route_prior_mean(np.array([22, 18], dtype=np.int64), hyper)
+        assert (means > 3.6e18).all()
+        assert means[0] == route_prior_mean(22, hyper)
 
     @given(grade=st.integers(1, 40))
     def test_exactly_linear(self, grade):
