@@ -43,6 +43,7 @@ from .solver import (
     climber_pass,
     fit,
     initialize_state,
+    outcome_probabilities,
     route_derivatives,
     route_pass,
     solve_tridiagonal,

@@ -180,8 +180,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     route_ids, routes, climber_ids, offsets, weeks, ratings = _read_ratings(
         Path(args.ratings_dir))
-    with open(args.query_csv, encoding="utf-8", newline="") as fh:
-        queries = CsvTable(fh, ("climber_id", "route_id", "week"))
+    queries = CsvTable.read(Path(args.query_csv), ("climber_id", "route_id", "week"))
     week = queries.integers("week")
     problems = queries.problems()
     for problem in problems:

@@ -8,7 +8,8 @@ updates never read other routes, so each pass is computed at once over flat
 arrays: the climber Hessians form one block-tridiagonal system, solved in a
 single sweep, and the route steps are elementwise.  The gradient and Hessian
 of the log posterior come from :func:`climber_derivatives` and
-:func:`route_derivatives`; each pass is a clamped Newton step on them.
+:func:`route_derivatives`.  Each entity's Newton step is halved until that
+entity's own log posterior does not fall, so no pass lowers the posterior.
 
 The Bradley-Terry marginal log-likelihood is recorded after every outer
 iteration; the fit stops once the last nine recorded values span at most one
@@ -17,18 +18,13 @@ unit (or at ``max_iterations``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import EmptyDatasetError
 from .ingest import CleanDataset
 from .model import Hyperparameters, route_prior_mean, win_probabilities
-
-# A single Newton update may move a rating by at most this much; wildly
-# overshooting steps early in the fit would otherwise saturate the clamped
-# logistic and stall progress.
-MAX_NEWTON_STEP = 10.0
 
 # Floor on the drift variance between adjacent periods.  Only reachable with
 # w_sq == 0 (weeks within a climber are strictly increasing); the near-rigid
@@ -182,99 +178,135 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
-def climber_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def outcome_probabilities(state: ModelState) -> np.ndarray:
+    """Each ascent's winner's :func:`win_probabilities` against its loser: the
+    probability of the observed outcome, strictly inside (0, 1)."""
+    climber_r = state.climber_ratings[state.asc_flat_period]
+    route_r = state.route_ratings[state.asc_route]
+    won = state.asc_success
+    return win_probabilities(np.where(won, climber_r, route_r), np.where(won, route_r, climber_r))
+
+
+def _random_walk(state: ModelState) -> tuple[np.ndarray, ...]:
+    """The climber of each period, each climber's first period, and each pair
+    ``(j, j + 1)`` of one climber's periods with its random-walk precision."""
+    offsets = state.period_offsets
+    owner = state.period_climbers()
+    j = np.flatnonzero(owner[1:] == owner[:-1])
+    gap = np.diff(state.period_weeks)[j]
+    precision = 1.0 / np.maximum(gap * state.hyper.w_sq, MIN_WIENER_VARIANCE)
+    return owner, offsets[:-1][np.diff(offsets) > 0], j, precision
+
+
+def climber_derivatives(state: ModelState, outcome_p: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and tridiagonal Hessian of the log posterior in every climber rating.
 
-    Returns ``(grad, hess_diag, hess_off)`` over the flat rating periods:
+    ``outcome_p`` is :func:`outcome_probabilities` at the state.  Returns
+    ``(grad, hess_diag, hess_off)`` over the flat rating periods:
     ``hess_off[k]`` couples periods ``k`` and ``k + 1``, and is 0 where they
     belong to different climbers.  Each period holds its ascents'
     Bradley-Terry terms, each climber's first period the initial-rating
     prior, and consecutive periods of one climber the random-walk coupling.
     """
-    hyper = state.hyper
     r = state.climber_ratings
     n = r.shape[0]
     idx = state.asc_flat_period
-    p = win_probabilities(r[idx], state.route_ratings[state.asc_route])
-    grad = _sums(idx, state.asc_success.astype(float), n) - _sums(idx, p, n)
+    won = state.asc_success
+    p = np.where(won, outcome_p, 1.0 - outcome_p)
+    grad = _sums(idx, won.astype(float), n) - _sums(idx, p, n)
     hess = -_sums(idx, p * (1.0 - p), n)
 
-    # Initial-rating prior applies to each climber's first period only.
-    offsets = state.period_offsets
-    first = offsets[:-1][np.diff(offsets) > 0]
-    grad[first] -= r[first] / hyper.sigma_c_sq
-    hess[first] -= 1.0 / hyper.sigma_c_sq
-
-    # Random-walk coupling between consecutive periods of the same climber.
-    linked = np.ones(max(n - 1, 0), dtype=bool)
-    linked[first[1:] - 1] = False
-    j = np.flatnonzero(linked)
-    weeks = state.period_weeks
-    precision = 1.0 / np.maximum((weeks[j + 1] - weeks[j]) * hyper.w_sq, MIN_WIENER_VARIANCE)
+    _, first, j, precision = _random_walk(state)
+    grad[first] -= r[first] / state.hyper.sigma_c_sq
+    hess[first] -= 1.0 / state.hyper.sigma_c_sq
     pull = (r[j + 1] - r[j]) * precision
     grad[j] += pull
     grad[j + 1] -= pull
     hess[j] -= precision
     hess[j + 1] -= precision
-    off = np.zeros(linked.shape[0])
+    off = np.zeros(max(n - 1, 0))
     off[j] = precision
     return grad, hess, off
 
 
-def route_derivatives(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
+def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and (diagonal) Hessian of the log posterior in every route rating.
 
-    A route "wins" each ascent its climber fails.  Only the prior acts on a
-    route with no ascents.
+    ``outcome_p`` is :func:`outcome_probabilities` at the state.  A route
+    "wins" each ascent its climber fails.  Only the prior acts on a route
+    with no ascents.
     """
-    hyper = state.hyper
     route = state.asc_route
     ratings = state.route_ratings
     n = ratings.shape[0]
-    q = win_probabilities(ratings[route], state.climber_ratings[state.asc_flat_period])
-    d1 = (
-        _sums(route, (~state.asc_success).astype(float), n)
-        - _sums(route, q, n)
-        - (ratings - state.route_prior_means) / hyper.sigma_r_sq
-    )
-    d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / hyper.sigma_r_sq
+    won = state.asc_success
+    q = 1.0 - np.where(won, outcome_p, 1.0 - outcome_p)
+    d1 = (_sums(route, (~won).astype(float), n) - _sums(route, q, n)
+          - (ratings - state.route_prior_means) / state.hyper.sigma_r_sq)
+    d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / state.hyper.sigma_r_sq
     return d1, d2
 
 
-def climber_pass(state: ModelState) -> np.ndarray:
-    """One whole-history Newton step for every climber; returns the new ratings.
+def _climber_log_posteriors(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
+    """At each period, the log posterior terms of its climber: ascents, prior and random walk."""
+    r = state.climber_ratings
+    terms = _sums(state.asc_flat_period, np.log(outcome_p), r.shape[0])
+    owner, first, j, precision = _random_walk(state)
+    terms[first] -= r[first] ** 2 / (2.0 * state.hyper.sigma_c_sq)
+    terms[j] -= (r[j + 1] - r[j]) ** 2 * precision / 2.0
+    return _sums(owner, terms, len(state.climber_ids))[owner]
 
-    Reads the current climber and route ratings without mutating the state.
-    All climbers' tridiagonal systems from :func:`climber_derivatives` are
-    solved in one call of :func:`solve_tridiagonal`.
+
+def _route_log_posteriors(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
+    """At each route, its log posterior terms: ascents and prior."""
+    ratings = state.route_ratings
+    return (_sums(state.asc_route, np.log(outcome_p), ratings.shape[0])
+            - (ratings - state.route_prior_means) ** 2 / (2.0 * state.hyper.sigma_r_sq))
+
+
+def _ascend(state: ModelState, outcome_p: np.ndarray, name: str, step: np.ndarray,
+            log_posteriors) -> tuple[np.ndarray, np.ndarray]:
+    """The ratings ``name`` moved by ``step``, and :func:`outcome_probabilities` there.
+
+    Each entity's step is halved until its log posterior, which depends on its
+    own ratings only, does not fall; a step that rounds to nothing passes.
     """
-    grad, hess, off = climber_derivatives(state)
-    delta = solve_tridiagonal(hess, off, grad)
-    return state.climber_ratings + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+    before = log_posteriors(state, outcome_p)
+    while True:
+        trial = replace(state, **{name: getattr(state, name) + step})
+        trial_p = outcome_probabilities(trial)
+        fell = log_posteriors(trial, trial_p) < before
+        if not fell.any():
+            return getattr(trial, name), trial_p
+        step = np.where(fell, step / 2.0, step)
 
 
-def route_pass(state: ModelState) -> np.ndarray:
-    """One scalar Newton step for every route; returns the new ratings.
+def climber_pass(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One whole-history Newton step for every climber, from ``outcome_p`` at the state.
 
-    Reads the current climber and route ratings without mutating the state.
-    A route with no ascents steps to its prior mean.
+    All systems of :func:`climber_derivatives` are solved by one call of
+    :func:`solve_tridiagonal`.  Returns the ratings and probabilities that
+    :func:`_ascend` reaches along these steps; the state is not mutated.
     """
-    d1, d2 = route_derivatives(state)
-    return state.route_ratings + np.clip(-d1 / d2, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+    grad, hess, off = climber_derivatives(state, outcome_p)
+    return _ascend(state, outcome_p, "climber_ratings", -solve_tridiagonal(hess, off, grad),
+                   _climber_log_posteriors)
+
+
+def route_pass(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One scalar Newton step for every route, from ``outcome_p`` at the state.
+
+    Returns the ratings and probabilities that :func:`_ascend` reaches along
+    these steps; a route with no ascents steps to its prior mean.
+    """
+    d1, d2 = route_derivatives(state, outcome_p)
+    return _ascend(state, outcome_p, "route_ratings", -d1 / d2, _route_log_posteriors)
 
 
 def bt_marginal_log_likelihood(state: ModelState) -> float:
-    """Sum of log probabilities the model assigns to the observed outcomes.
-
-    Each outcome's probability is the winner's :func:`win_probabilities`
-    against the loser, which is strictly inside (0, 1), so the result is
-    always finite.  Excludes all prior terms.
-    """
-    climber_r = state.climber_ratings[state.asc_flat_period]
-    route_r = state.route_ratings[state.asc_route]
-    won = state.asc_success
-    return float(np.log(win_probabilities(np.where(won, climber_r, route_r),
-                                          np.where(won, route_r, climber_r))).sum())
+    """Sum of the log :func:`outcome_probabilities`; finite, and free of prior terms."""
+    return float(np.log(outcome_probabilities(state)).sum())
 
 
 def fit(
@@ -289,11 +321,12 @@ def fit(
     Every outer iteration runs :func:`climber_pass` (against the route
     ratings from the previous iteration), then :func:`route_pass` (against
     the just-updated climber ratings), then records the Bradley-Terry
-    marginal log-likelihood.  The fit is converged once the likelihood has
-    not moved by more than ``convergence_span`` over the last
-    ``CONVERGENCE_WINDOW`` iterations, i.e. the last
-    ``CONVERGENCE_WINDOW + 1`` recorded values span at most
-    ``convergence_span``.  Entities that have no ascents (possible in
+    marginal log-likelihood.  The model is evaluated once per point: the
+    :func:`outcome_probabilities` each pass returns are carried to the next
+    pass and give the recorded likelihood.  No pass lowers the log
+    posterior.  The fit is converged once the last ``CONVERGENCE_WINDOW + 1``
+    recorded likelihoods span at most ``convergence_span``; otherwise it
+    stops at ``max_iterations``.  Entities that have no ascents (possible in
     cross-validation subsets) are left at their prior means.
 
     Returns the final state and a report (iterations run, convergence flag,
@@ -303,12 +336,13 @@ def fit(
         raise ValueError(f"max_iterations must be at least 8, got {max_iterations}")
 
     state = initialize_state(dataset, hyper)
+    outcome_p = outcome_probabilities(state)
     history = state.bt_log_likelihood_history
     converged = False
     for iterations in range(1, max_iterations + 1):
-        state.climber_ratings = climber_pass(state)
-        state.route_ratings = route_pass(state)
-        history.append(bt_marginal_log_likelihood(state))
+        state.climber_ratings, outcome_p = climber_pass(state, outcome_p)
+        state.route_ratings, outcome_p = route_pass(state, outcome_p)
+        history.append(float(np.log(outcome_p).sum()))
         if len(history) > CONVERGENCE_WINDOW:
             recent = history[-(CONVERGENCE_WINDOW + 1):]
             if max(recent) - min(recent) <= convergence_span:

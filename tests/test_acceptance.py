@@ -39,6 +39,7 @@ from cragrank.solver import (
     climber_derivatives,
     fit,
     initialize_state,
+    outcome_probabilities,
     route_derivatives,
     solve_tridiagonal,
 )
@@ -267,7 +268,7 @@ def _check_derivatives_config(seed, rng):
         return central_difference(lambda t: f(np.where(unit, t, x)), x[i])
 
     errors = []
-    grad, hess_diag, hess_off = climber_derivatives(state)
+    grad, hess_diag, hess_off = climber_derivatives(state, outcome_probabilities(state))
     k = int(rng.integers(0, len(period_coord)))
     i = period_coord[k]
     column = partial(gradient, i)
@@ -278,7 +279,7 @@ def _check_derivatives_config(seed, rng):
     if k + 1 < len(period_coord):
         errors.append(relative_error(hess_off[k], column[period_coord[k + 1]]))
 
-    grad, hess = route_derivatives(state)
+    grad, hess = route_derivatives(state, outcome_probabilities(state))
     j = int(rng.integers(0, len(dataset.route_ids)))
     errors.append(relative_error(grad[j], partial(log_f, route_base + j)))
     column = partial(gradient, route_base + j)

@@ -8,12 +8,13 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cragrank.cli import main
 from cragrank.evaluation import predict_probabilities
 from cragrank.ingest import quantize_week, read_clean_dataset
-from cragrank.solver import fit
+from cragrank.solver import climber_derivatives, fit, outcome_probabilities, route_derivatives
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
@@ -387,6 +388,20 @@ class TestPredict:
         assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
         assert "climber_id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, problem", [
+        ("climber_id,route_id,week\nalice,r1,0\nalice,r1,soon\n",
+         "query.csv line 3: week must be an integer, got 'soon'"),
+        ("climber_id\nalice\n", "query.csv: missing required columns: route_id, week"),
+    ])
+    def test_bad_query_names_its_file(self, tmp_path, capsys, text, problem):
+        ratings = self.write_ratings(tmp_path)
+        query = tmp_path / "query.csv"
+        query.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "p.csv").exists()
+
 
 class TestIdsThatNeedQuoting:
     CLIMBERS = ["a,b", 'say "hi"', "line\nbreak", "  spaced  "]
@@ -561,3 +576,18 @@ class TestSynth:
         read = int(provenance["rows_read"])
         assert read == 100 * 10 * 20
         assert kept > 0.9 * read
+
+    def test_default_seed_one_fits_to_convergence(self, tmp_path):
+        # a Newton step clamped to +/-10 instead of halved cycles on this log
+        # for all 1000 iterations and ends with a largest gradient of 81
+        assert run(["synth", "--seed", "1", "--out", tmp_path / "synth"]) == 0
+        assert run(["preprocess", tmp_path / "synth" / "raw_ascents.csv",
+                    "--out", tmp_path / "dataset"]) == 0
+        assert run(["fit", tmp_path / "dataset", "--out", tmp_path / "ratings"]) == 0
+        report = (tmp_path / "ratings" / "fit_report.txt").read_text().splitlines()
+        assert "converged=true" in report
+        state, _ = fit(read_clean_dataset(tmp_path / "dataset"))
+        outcome_p = outcome_probabilities(state)
+        climber_grad = climber_derivatives(state, outcome_p)[0]
+        route_grad = route_derivatives(state, outcome_p)[0]
+        assert max(np.abs(climber_grad).max(), np.abs(route_grad).max()) <= 0.25

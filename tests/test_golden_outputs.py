@@ -34,7 +34,7 @@ PINNED = {
     "preprocess.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fit.stdout":
-        "a7b127aac91c99e32223f2856e204485f5eca9e06835c7d45febae861a27c1b2",
+        "749e0eabfecde70e8a02e5e44338ca5c5681cdad17cad86f1ee41e2068a169ef",
     "fit.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "predict.stdout":
@@ -42,21 +42,21 @@ PINNED = {
     "predict.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "evaluate.stdout":
-        "98d224c9ec05d6bcf3679a4a69f4b77e7a17763c77805cde4d04f7a8e53604b2",
+        "51c76d4b8bdc887e70d1b2d0ac9e26231e4dd742ebf91af642995ac101e5019e",
     "evaluate.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "crossval.stdout":
-        "f80b335c48b9c5de755e1bd3b480ca4d92ceee416562e5806152d3718f3badb7",
+        "a34812f32ddb27a7920c1bcabe81c7aa0e8df49973143d2aa33bec0d457c1613",
     "crossval.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cv/pr_curve.csv":
-        "d209570b292a261c97b82e54da7bfd80f381756b771f4daf406467be5bf8c0da",
+        "fa40c95ee2e5c36397f4ab17112aaa5b4663e3fb73d9a81c999274ef71eaec67",
     "cv/ratings_vs_grades.csv":
-        "08bad5e1a699c9bd778b5763acd603f5921a8f366e90de2585046cc3b34d7199",
+        "b705f9bd324e56a40f19e0e663b75dec8f752e2f6adac2d46ddc9eb394949a1f",
     "cv/report.json":
-        "2ded030d9c45bbca03a8617e21ffbfc52b3ef0d695aee3dd1e658f95a8c7152c",
+        "d2ff8528b7e89980432ad8e4c6884890e4b5bf31966b3d18748edd1c9cde407e",
     "cv/report.txt":
-        "ecaa666e19aff79e75db165296f56fe5aa964636e2ca34729e675a5d027a4ea2",
+        "a21e33e7ef2703785088c8c8825b78403ff1915b4f5da1890aa23d8a92d1370e",
     "dataset/ascents.csv":
         "71eef06503191d924f1732551bcdf18b01e7d0035b89b07519f06bffd62c9b6a",
     "dataset/climbers.csv":
@@ -66,21 +66,21 @@ PINNED = {
     "dataset/routes.csv":
         "37bfd7dd95c1372ec85d253e70220f5b8b9a2da887d60d977ded6876e5ca4ed5",
     "eval/pr_curve.csv":
-        "4d0a4003ecd1e085a203d528fee5e5e17c1be08c32bff42de92779246722b78c",
+        "a87e6c53bb14adad2ac23263c7aa1aaaad4242915ec8d0841a62c302dbff76a6",
     "eval/ratings_vs_grades.csv":
-        "08bad5e1a699c9bd778b5763acd603f5921a8f366e90de2585046cc3b34d7199",
+        "b705f9bd324e56a40f19e0e663b75dec8f752e2f6adac2d46ddc9eb394949a1f",
     "eval/report.json":
-        "6b2a5c4f1f034c8d706122d99a87189eb2d14f45b9b95c46b1d72534228df0e8",
+        "6858d52deee994970fbcb9cf78105fff544bd6671a043c7a48ae4dca6abf9a36",
     "eval/report.txt":
-        "966b1408041b1706496218dfeb4b4aad1378a5d9505dde843d9f5a1ab4da2296",
+        "ca18a9261d703152ed13cff7972bcb1147628e642ac48a19464be4e7adaf748e",
     "predictions.csv":
-        "8b82d2be88979d8ac7e96b253b9e68342505d66bcfd3ee1bc69e679603efaf75",
+        "44ca06aa7fa86736c20051d1d6ee0aa2dc37fe0d62e28a7a9f55f3b84ba7ec31",
     "ratings/climber_ratings.csv":
-        "5b8b25e6f8aab9533fd3c5ac9e5c3241786bec871e0599efa05539b983bbe591",
+        "c7509d884ac48ce1831bda04d4016732bb7581d80b6e6caeef84a54aba7caaea",
     "ratings/fit_report.txt":
-        "70148ab60e096d89e6ecf4bf877c8fd0aab5a65fd9dcb04ace2f22d42d3489aa",
+        "b9c4ee765e078f1e214771340251772e6faf0150cc67bbcb444a9c2a050606f3",
     "ratings/route_ratings.csv":
-        "09f95f174ea29712103413f37faf4d35960e9407636d6cb9fa5023b98c3ef448",
+        "d54b956338cf18b1df420cdb6ac41819f689a513a4b03d659b534b9051d9086f",
     "synth/raw_ascents.csv":
         "199997e271961ada14e9a143d490d2afb074f83c20cd0e3c55d73080224ce6c2",
     "synth/truth.csv":

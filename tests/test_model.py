@@ -30,6 +30,7 @@ from cragrank.solver import (
     MIN_WIENER_VARIANCE,
     ModelState,
     climber_derivatives,
+    outcome_probabilities,
     route_derivatives,
 )
 
@@ -132,11 +133,11 @@ def bt_terms(own, opponents, outcomes, side):
     if side == "climber":
         state = one_climber_state([0], [own], opponents,
                                   [(0, k, o) for k, o in enumerate(outcomes)])
-        grad, hess, _ = climber_derivatives(state)
+        grad, hess, _ = climber_derivatives(state, outcome_probabilities(state))
         return grad[0] + own / hyper.sigma_c_sq, hess[0] + 1.0 / hyper.sigma_c_sq
     state = one_climber_state(list(range(n)), opponents, [own],
                               [(k, 0, o) for k, o in enumerate(outcomes)], prior_means=[own])
-    grad, hess = route_derivatives(state)
+    grad, hess = route_derivatives(state, outcome_probabilities(state))
     return grad[0], hess[0] + 1.0 / hyper.sigma_r_sq
 
 
@@ -241,17 +242,20 @@ class TestRoutePriorMean:
 class TestNormalPriorDerivatives:
     # A route without ascents carries only its prior term.
     def test_at_mean_wide(self):
-        grad, hess = route_derivatives(lone_route_state(0.0))
+        state = lone_route_state(0.0)
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert (grad[0], hess[0]) == (0.0, -0.25)
 
     def test_off_mean_unit(self):
         hyper = Hyperparameters(sigma_r_sq=1.0)
-        grad, hess = route_derivatives(lone_route_state(2.0, hyper=hyper))
+        state = lone_route_state(2.0, hyper=hyper)
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert (grad[0], hess[0]) == (-2.0, -1.0)
 
     def test_at_negative_mean(self):
         mean = route_prior_mean(10, Hyperparameters())
-        grad, hess = route_derivatives(lone_route_state(mean, mean))
+        state = lone_route_state(mean, mean)
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert (grad[0], hess[0]) == (0.0, -0.25)
 
     @pytest.mark.parametrize("variance", [0.0, -1.0])
@@ -267,9 +271,8 @@ class TestNormalPriorDerivatives:
         def log_density(x):
             return -((x - mean) ** 2) / (2.0 * variance)
 
-        grad, hess = route_derivatives(
-            lone_route_state(r, mean, hyper=Hyperparameters(sigma_r_sq=variance))
-        )
+        state = lone_route_state(r, mean, hyper=Hyperparameters(sigma_r_sq=variance))
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert relative_error(grad[0], central_difference(log_density, r)) < 1e-5
         # analytic gradient of the same density, differentiated once more
         d2_fd = central_difference(lambda x: -(x - mean) / variance, r)
@@ -280,25 +283,27 @@ class TestWienerVariance:
     # The random-walk coupling of consecutive periods has precision
     # 1 / (weeks apart * w_sq).
     def test_one_year(self):
-        _, _, off = climber_derivatives(coupled_state([0, 52], [0.0, 0.0]))
+        state = coupled_state([0, 52], [0.0, 0.0])
+        _, _, off = climber_derivatives(state, outcome_probabilities(state))
         assert off[0] == 1.0
 
     def test_absolute_difference(self):
         hyper = Hyperparameters()
-        _, _, off = climber_derivatives(coupled_state([3, 5], [0.0, 0.0]))
+        state = coupled_state([3, 5], [0.0, 0.0])
+        _, _, off = climber_derivatives(state, outcome_probabilities(state))
         assert off[0] == 1.0 / (2.0 * hyper.w_sq)
 
     def test_zero_drift_is_floored(self):
-        grad, _, off = climber_derivatives(
-            coupled_state([3, 5], [0.0, 1.0], hyper=Hyperparameters(w_sq=0.0))
-        )
+        state = coupled_state([3, 5], [0.0, 1.0], hyper=Hyperparameters(w_sq=0.0))
+        grad, _, off = climber_derivatives(state, outcome_probabilities(state))
         assert off[0] == 1.0 / MIN_WIENER_VARIANCE
         assert grad[1] == -1.0 / MIN_WIENER_VARIANCE
 
     @given(a=st.integers(-3000, 3000), gap=st.integers(1, 3000), x0=ratings, x1=ratings)
     def test_symmetric_and_nonnegative(self, a, gap, x0, x1):
         hyper = Hyperparameters()
-        grad, hess, off = climber_derivatives(coupled_state([a, a + gap], [x0, x1]))
+        state = coupled_state([a, a + gap], [x0, x1])
+        grad, hess, off = climber_derivatives(state, outcome_probabilities(state))
         precision = 1.0 / (gap * hyper.w_sq)
         assert off[0] > 0.0
         assert off[0] == pytest.approx(precision, rel=1e-12)
@@ -317,7 +322,8 @@ class TestBtDerivatives:
 
     def test_empty(self):
         # a route without ascents has no ascent terms, only its prior's
-        grad, hess = route_derivatives(lone_route_state(1.5, 1.5))
+        state = lone_route_state(1.5, 1.5)
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert (grad[0], hess[0]) == (0.0, -1.0 / Hyperparameters().sigma_r_sq)
 
     def test_balanced_outcomes(self):

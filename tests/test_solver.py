@@ -16,16 +16,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cragrank.errors import EmptyDatasetError
-from cragrank.ingest import CleanDataset
+from cragrank.ingest import CleanDataset, assemble_clean_dataset
 from cragrank.model import AscentOutcome, Hyperparameters
 from cragrank.solver import (
-    MAX_NEWTON_STEP,
     ModelState,
     bt_marginal_log_likelihood,
     climber_derivatives,
     climber_pass,
     fit,
     initialize_state,
+    outcome_probabilities,
     route_derivatives,
     route_pass,
     solve_tridiagonal,
@@ -109,6 +109,48 @@ def log_posterior_gradient(state):
     return climber_grad, route_grad
 
 
+def log_posterior(state):
+    """The log posterior at the state's ratings, written out from the model formulas."""
+    hyper = state.hyper
+    r = state.climber_ratings
+    route_r = state.route_ratings
+    margin = r[state.asc_flat_period] - route_r[state.asc_route]
+    total = -np.logaddexp(0.0, np.where(state.asc_success, -margin, margin)).sum()
+    prior_means = hyper.b * (state.route_grades - hyper.g0)
+    total -= ((route_r - prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq)
+    weeks = state.period_weeks
+    for lo, hi in climber_blocks(state):
+        if lo == hi:
+            continue
+        total -= r[lo] ** 2 / (2.0 * hyper.sigma_c_sq)
+        for k in range(lo + 1, hi):
+            total -= (r[k] - r[k - 1]) ** 2 / (2.0 * (weeks[k] - weeks[k - 1]) * hyper.w_sq)
+    return total
+
+
+def random_clean_log(seed):
+    """A small cleaned log with random hyperparameters, through the cleaning filters."""
+    rng = np.random.default_rng(seed)
+    while True:
+        n_climbers, n_routes = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        n = int(rng.integers(4, 81))
+        hyper = Hyperparameters(
+            sigma_c_sq=float(rng.uniform(0.2, 5.0)), sigma_r_sq=float(rng.uniform(0.5, 10.0)),
+            w_sq=float(rng.uniform(0.001, 0.5)), g0=int(rng.integers(16, 29)),
+            b=float(rng.uniform(0.1, 0.8)),
+        )
+        try:
+            ds = assemble_clean_dataset(
+                [f"c{i}" for i in range(n_climbers)], [f"r{i}" for i in range(n_routes)],
+                rng.integers(10, 37, size=n_routes), rng.integers(0, n_climbers, size=n),
+                rng.integers(0, n_routes, size=n), rng.integers(0, 20, size=n),
+                rng.random(n) < rng.uniform(0.3, 0.97),
+            )
+        except EmptyDatasetError:
+            continue
+        return ds, hyper
+
+
 def dense_climber_step(state):
     """Newton step of every climber history from a dense Hessian.
 
@@ -142,7 +184,7 @@ def dense_climber_step(state):
             hess[k, k - 1] += 1.0 / v
             hess[k - 1, k] += 1.0 / v
     delta = np.linalg.solve(hess, grad)
-    return r + np.clip(-delta, -MAX_NEWTON_STEP, MAX_NEWTON_STEP)
+    return r - delta
 
 
 def randomize_ratings(state, rng):
@@ -261,14 +303,14 @@ class TestUpdateRoute:
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
-        assert route_pass(state)[0] == 0.0
+        assert route_pass(state, outcome_probabilities(state))[0][0] == 0.0
 
     def test_one_failure_matches_grid_search(self):
         # climber pinned at 0; iterate the route to its fixed point
         ds = make_dataset([(0, 0, 0, F)], n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         for _ in range(200):
-            new = route_pass(state)
+            new, _ = route_pass(state, outcome_probabilities(state))
             if abs(new[0] - state.route_ratings[0]) < 1e-12:
                 break
             state.route_ratings = new
@@ -287,16 +329,47 @@ class TestUpdateRoute:
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
-        assert route_pass(state)[0] < 0.0
+        assert route_pass(state, outcome_probabilities(state))[0][0] < 0.0
 
-    def test_step_clamped(self):
-        # 50 failures by a far-stronger climber: the optimum is far above the
-        # starting point and the flat curvature would demand a huge jump
+    def test_step_halved_until_the_posterior_does_not_fall(self):
+        # 50 failures by a far-stronger climber: the flat curvature asks for
+        # a jump of 200 that overshoots the optimum near 32 by far
         ds = make_dataset([(0, 0, 0, F)] * 50, n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         state.climber_ratings[:] = 30.0
-        new = route_pass(state)
-        assert new[0] == state.route_ratings[0] + MAX_NEWTON_STEP
+        outcome_p = outcome_probabilities(state)
+        d1, d2 = route_derivatives(state, outcome_p)
+        step = -d1[0] / d2[0]
+        assert step == pytest.approx(200.0)
+
+        def log_f(r):  # 50 route wins and the route prior at mean 0
+            return -50.0 * math.log1p(math.exp(30.0 - r)) - r * r / 8.0
+
+        halvings = next(k for k in range(60) if log_f(step / 2**k) >= log_f(0.0))
+        new, _ = route_pass(state, outcome_p)
+        assert new[0] == step / 2**halvings == pytest.approx(100.0)
+
+    def test_no_two_cycle_on_a_lopsided_route(self):
+        # 86 successes and 9 failures on a grade-28 route (prior mean 2.4),
+        # climber pinned at 0: a full Newton step clamped to +/-10 instead of
+        # halved would jump between 2.4 and -7.6 forever
+        ds = make_dataset([(0, 0, 0, S)] * 86 + [(0, 0, 0, F)] * 9,
+                          n_routes=1, n_climbers=1, grades=[28])
+        state = initialize_state(ds)
+        assert state.route_ratings[0] == pytest.approx(2.4)
+
+        def log_f(r):
+            return (-86.0 * np.log1p(np.exp(r)) - 9.0 * np.log1p(np.exp(-r))
+                    - (r - 2.4) ** 2 / 8.0)
+
+        for _ in range(50):
+            before = log_f(state.route_ratings[0])
+            state.route_ratings, _ = route_pass(state, outcome_probabilities(state))
+            assert log_f(state.route_ratings[0]) >= before - 1e-12
+        grid = np.arange(-5.0, 5.0, 1e-5)
+        best = grid[np.argmax(log_f(grid))]
+        assert best == pytest.approx(-2.12547, abs=1e-5)
+        assert state.route_ratings[0] == pytest.approx(best, abs=1e-3)
 
     def test_route_without_ascents_stays_at_prior(self):
         # route 1 has no ascents, as in a cross-validation training subset
@@ -306,7 +379,8 @@ class TestUpdateRoute:
         )
         state = initialize_state(ds)
         state.climber_ratings[:] = [1.5, -0.5]
-        assert route_pass(state)[1] == state.route_prior_means[1]
+        new, _ = route_pass(state, outcome_probabilities(state))
+        assert new[1] == state.route_prior_means[1]
         fitted, _ = fit(ds)
         assert fitted.route_ratings[1] == pytest.approx(1.2, abs=1e-15)
 
@@ -324,7 +398,7 @@ class TestUpdateClimber:
         d1 = 2.0 * (1.0 - p) + (0.0 - p) - 0.0 / hyper.sigma_c_sq
         d2 = -3.0 * p * (1.0 - p) - 1.0 / hyper.sigma_c_sq
         expected = 0.0 - d1 / d2
-        got = climber_pass(state)
+        got, _ = climber_pass(state, outcome_probabilities(state))
         assert got[0] == pytest.approx(expected, abs=1e-14)
 
     def _two_period_state(self, w_sq):
@@ -336,7 +410,7 @@ class TestUpdateClimber:
 
     def test_loose_coupling_updates_independently(self):
         state = self._two_period_state(w_sq=1e6)
-        got = climber_pass(state)
+        got, _ = climber_pass(state, outcome_probabilities(state))
         # oracle with the coupling dropped entirely: first period has the
         # success and the prior, second period has the failure and no prior
         p = 0.5
@@ -348,7 +422,7 @@ class TestUpdateClimber:
 
     def test_tight_coupling_updates_together(self):
         state = self._two_period_state(w_sq=1e-9)
-        got = climber_pass(state)
+        got, _ = climber_pass(state, outcome_probabilities(state))
         assert got[0] == pytest.approx(got[1], abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -358,7 +432,8 @@ class TestUpdateClimber:
         state = initialize_state(ds)
         randomize_ratings(state, rng)
         expected = dense_climber_step(state)
-        assert np.max(np.abs(climber_pass(state) - expected)) < 1e-10
+        got, _ = climber_pass(state, outcome_probabilities(state))
+        assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_unequal_histories_match_dense_oracle(self):
         # climbers with 1, 2 and 6 periods, and climber 2 with none, so the
@@ -375,7 +450,8 @@ class TestUpdateClimber:
         assert np.diff(state.period_offsets).tolist() == [1, 2, 0, 6]
         randomize_ratings(state, rng)
         expected = dense_climber_step(state)
-        assert np.max(np.abs(climber_pass(state) - expected)) < 1e-10
+        got, _ = climber_pass(state, outcome_probabilities(state))
+        assert np.max(np.abs(got - expected)) < 1e-10
 
 
 class TestBtMarginalLogLikelihood:
@@ -424,13 +500,13 @@ class TestBtMarginalLogLikelihood:
             asc_route=np.zeros(0, dtype=np.int64),
             asc_success=np.zeros(0, dtype=bool),
         )
-        for array in climber_derivatives(state):
+        for array in climber_derivatives(state, outcome_probabilities(state)):
             assert array.dtype == float and array.shape == (0,)
-        grad, hess = route_derivatives(state)
+        grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert grad.dtype == hess.dtype == float
         assert grad.tolist() == pytest.approx([(1.2 - 0.2) / hyper.sigma_r_sq])
         assert hess.tolist() == [-1.0 / hyper.sigma_r_sq]
-        assert route_pass(state).tolist() == pytest.approx([1.2])
+        assert route_pass(state, outcome_probabilities(state))[0].tolist() == pytest.approx([1.2])
         assert bt_marginal_log_likelihood(state) == 0.0
 
 
@@ -460,9 +536,10 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(3))
         fast, _ = fit(ds, max_iterations=8)
         state = initialize_state(ds)
+        outcome_p = outcome_probabilities(state)
         for _ in range(8):
-            state.climber_ratings = climber_pass(state)
-            state.route_ratings = route_pass(state)
+            state.climber_ratings, outcome_p = climber_pass(state, outcome_p)
+            state.route_ratings, outcome_p = route_pass(state, outcome_p)
         assert (fast.climber_ratings == state.climber_ratings).all()
         assert (fast.route_ratings == state.route_ratings).all()
         assert fast.bt_log_likelihood_history[-1] == bt_marginal_log_likelihood(state)
@@ -512,6 +589,24 @@ class TestFit:
         for end in range(9, len(h)):  # no earlier window qualified
             window = h[end - 9:end]
             assert max(window) - min(window) > 1.0
+
+    def test_no_pass_lowers_the_posterior_on_random_logs(self):
+        # a Newton step clamped to +/-10 instead of halved leaves 10 of these
+        # 200 logs unconverged after 300 iterations
+        for seed in range(200):
+            ds, hyper = random_clean_log(seed)
+            fitted, report = fit(ds, hyper, max_iterations=300)
+            assert report.converged, seed
+            state = initialize_state(ds, hyper)
+            outcome_p = outcome_probabilities(state)
+            for _ in range(report.iterations):
+                for name, step in (("climber_ratings", climber_pass),
+                                   ("route_ratings", route_pass)):
+                    before = log_posterior(state)
+                    ratings, outcome_p = step(state, outcome_p)
+                    setattr(state, name, ratings)
+                    assert log_posterior(state) >= before - 1e-9 * (1.0 + abs(before)), seed
+            assert (state.route_ratings == fitted.route_ratings).all()
 
     def test_non_convergence_reported(self):
         _, report = fit(one_one_fixture(), max_iterations=8)
