@@ -2,9 +2,7 @@
 
 from .errors import CragrankError, EmptyDatasetError, ParseError
 from .evaluation import (
-    ContingencyTable,
     EvaluationReport,
-    FoldPlan,
     baseline_log_loss,
     compute_metrics,
     cross_validate,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -37,6 +37,7 @@ from .ingest import (
     unique_strings,
     write_clean_dataset,
     write_csv,
+    write_keyvalues,
     write_raw_ascent_log,
 )
 from .model import Hyperparameters, bt_probability
@@ -102,10 +103,7 @@ def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     climber = state.period_climbers()
     write_csv(out_dir / "climber_ratings.csv", ("climber_idx", "climber_id", "week", "rating"),
               (climber, state.climber_ids[climber], state.period_weeks, state.climber_ratings))
-    with open(out_dir / "fit_report.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"iterations={report.iterations}\n")
-        fh.write(f"converged={'true' if report.converged else 'false'}\n")
-        fh.write(f"final_bt_log_likelihood={_fmt(report.final_bt_log_likelihood)}\n")
+    write_keyvalues(out_dir / "fit_report.txt", asdict(report))
 
 
 def _index_of(ids: np.ndarray, table: list[str]) -> np.ndarray:
@@ -133,12 +131,10 @@ def _read_ratings(ratings_dir: Path):
 def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: Path) -> None:
     """The metric reports, the PR curve, and the fitted route ratings against grades."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = report.as_dict()
+    payload = asdict(report)
     payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
                                                                state.route_ratings)
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        for key, value in payload.items():
-            fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
+    write_keyvalues(out_dir / "report.txt", payload)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -151,6 +147,15 @@ def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: 
 
 # ---------------------------------------------------------------------------
 # Subcommands
+
+
+def _fit(dataset, hyper: Hyperparameters, args: argparse.Namespace, what: str = ""):
+    """:func:`fit` within ``--max-iterations``, warning on stderr if ``what`` did not converge."""
+    state, report = fit(dataset, hyper, args.max_iterations)
+    if not report.converged:
+        print(f"warning: {what}not converged after {report.iterations} iterations",
+              file=sys.stderr)
+    return state, report
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
@@ -166,11 +171,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    dataset = read_clean_dataset(args.dataset_dir)
-    hyper = _resolve_hyper(args)
-    state, report = fit(dataset, hyper, args.max_iterations)
-    if not report.converged:
-        print(f"warning: not converged after {report.iterations} iterations", file=sys.stderr)
+    state, report = _fit(read_clean_dataset(args.dataset_dir), _resolve_hyper(args), args)
     _write_ratings(state, report, Path(args.out))
     print(f"fit finished: iterations={report.iterations} converged={report.converged} "
           f"log_likelihood={_fmt(report.final_bt_log_likelihood)}")
@@ -205,10 +206,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
-    hyper = _resolve_hyper(args)
-    state, fit_rep = fit(dataset, hyper, args.max_iterations)
-    if not fit_rep.converged:
-        print(f"warning: not converged after {fit_rep.iterations} iterations", file=sys.stderr)
+    state, _ = _fit(dataset, _resolve_hyper(args), args)
     predictions = predict_probabilities(state, dataset.climber, dataset.route, dataset.week)
     report = compute_metrics(predictions, dataset.success)
     _write_evaluation(report, predictions, dataset.success, state, Path(args.out))
@@ -229,10 +227,7 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
         print(f"warning: {unconverged} of {len(fold_reports)} fold fits not converged",
               file=sys.stderr)
     report = compute_metrics(pooled_p, pooled_y)
-    state, fit_rep = fit(dataset, hyper, args.max_iterations)
-    if not fit_rep.converged:
-        print(f"warning: full fit not converged after {fit_rep.iterations} iterations",
-              file=sys.stderr)
+    state, _ = _fit(dataset, hyper, args, "full fit ")
     _write_evaluation(report, pooled_p, pooled_y, state, Path(args.out))
     print(f"held-out accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_accuracy={_fmt(report.baseline_accuracy)}")

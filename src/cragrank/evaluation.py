@@ -13,24 +13,14 @@ from .solver import FitReport, ModelState, fit
 
 
 @dataclass(frozen=True)
-class ContingencyTable:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
-    """Flat bundle of prediction metrics.
+    """Flat record of prediction metrics, its fields in the order the reports list them.
 
-    Ratios with an empty denominator (e.g. precision when nothing was
-    predicted successful) are defined as 0.  ``baseline_*`` metrics describe
-    the constant predictor that always emits the mean success rate.
+    ``tp``, ``fp``, ``fn`` and ``tn`` count the contingency table of the
+    classifier "success iff p > 0.5".  Ratios with an empty denominator
+    (e.g. precision when nothing was predicted successful) are defined as 0.
+    ``baseline_*`` metrics describe the constant predictor that always emits
+    the mean success rate.
     """
 
     log_loss: float
@@ -38,38 +28,12 @@ class EvaluationReport:
     balanced_accuracy: float
     precision: float
     recall: float
-    contingency: ContingencyTable
+    tp: int
+    fp: int
+    fn: int
+    tn: int
     baseline_log_loss: float
     baseline_accuracy: float
-
-    def as_dict(self) -> dict:
-        return {
-            "log_loss": self.log_loss,
-            "accuracy": self.accuracy,
-            "balanced_accuracy": self.balanced_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "tp": self.contingency.tp,
-            "fp": self.contingency.fp,
-            "fn": self.contingency.fn,
-            "tn": self.contingency.tn,
-            "baseline_log_loss": self.baseline_log_loss,
-            "baseline_accuracy": self.baseline_accuracy,
-        }
-
-
-@dataclass(frozen=True)
-class FoldPlan:
-    """Fold assignment for repeated stratified k-fold cross-validation.
-
-    ``assignments[rep, i]`` is the fold that holds out ascent ``i`` in
-    repeat ``rep``.
-    """
-
-    k: int
-    repeats: int
-    seed: int
-    assignments: np.ndarray
 
 
 def baseline_log_loss(success_rate: float) -> float:
@@ -111,7 +75,6 @@ def compute_metrics(predictions, actuals) -> EvaluationReport:
     fp = int(np.count_nonzero(predicted_success & ~y))
     fn = int(np.count_nonzero(~predicted_success & y))
     tn = int(np.count_nonzero(~predicted_success & ~y))
-    table = ContingencyTable(tp=tp, fp=fp, fn=fn, tn=tn)
 
     log_loss = float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
     recall = _safe_ratio(tp, tp + fn)
@@ -119,19 +82,24 @@ def compute_metrics(predictions, actuals) -> EvaluationReport:
     a_bar = float(np.count_nonzero(y)) / y.shape[0]
     return EvaluationReport(
         log_loss=log_loss,
-        accuracy=(tp + tn) / table.total,
+        accuracy=(tp + tn) / y.shape[0],
         balanced_accuracy=(recall + specificity) / 2.0,
         precision=_safe_ratio(tp, tp + fp),
         recall=recall,
-        contingency=table,
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        tn=tn,
         baseline_log_loss=baseline_log_loss(a_bar),
         baseline_accuracy=a_bar if a_bar > 0.5 else 1.0 - a_bar,
     )
 
 
-def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> FoldPlan:
+def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> np.ndarray:
     """Plan repeated stratified k-fold assignments over a dataset's ascents.
 
+    Returns a ``(repeats, len(dataset))`` int array: ``plan[rep, i]`` is the
+    fold, from 0 to k - 1, that holds out ascent ``i`` in repeat ``rep``.
     Within each repeat, the successful and the failed ascents are each
     shuffled and dealt round-robin into the k folds, so fold sizes within a
     stratum differ by at most one.  Deterministic given the seed.
@@ -148,12 +116,12 @@ def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> Fo
                 f"outcome stratum has {stratum.shape[0]} ascents, fewer than k={k}"
             )
     rng = np.random.default_rng(seed)
-    assignments = np.empty((repeats, n), dtype=np.int64)
+    plan = np.empty((repeats, n), dtype=np.int64)
     for rep in range(repeats):
         for stratum in strata:
             shuffled = rng.permutation(stratum)
-            assignments[rep, shuffled] = np.arange(shuffled.shape[0]) % k
-    return FoldPlan(k=k, repeats=repeats, seed=seed, assignments=assignments)
+            plan[rep, shuffled] = np.arange(shuffled.shape[0]) % k
+    return plan
 
 
 def rating_at_nearest_week(period_offsets, period_weeks, period_ratings, owner, week) -> np.ndarray:
@@ -203,26 +171,26 @@ def predict_probabilities(state: ModelState, climber, route, week) -> np.ndarray
 def cross_validate_predictions(
     dataset: CleanDataset,
     hyper: Hyperparameters | None,
-    plan: FoldPlan,
+    plan: np.ndarray,
     *,
     max_iterations: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray, list[FitReport]]:
     """Held-out predictions for every (repeat, ascent) pair of a fold plan.
 
-    For each fold, the model is fitted on the other folds' ascents (entity
-    tables unchanged; entities left without training ascents stay at their
-    prior means) and the held-out ascents are predicted from that fit.
+    ``plan`` is a :func:`make_fold_plan` array, whose folds are 0 to
+    ``plan.max()``.  For each fold, the model is fitted on the other folds'
+    ascents (entity tables unchanged; entities left without training ascents
+    stay at their prior means) and the held-out ascents are predicted from
+    that fit.
     Returns pooled predictions and actuals, ordered by repeat then ascent
     index, and the fit report of every fold, ordered by repeat then fold.
     """
-    n = len(dataset)
-    if plan.assignments.shape != (plan.repeats, n):
+    if plan.ndim != 2 or plan.shape[1] != len(dataset):
         raise ValueError("fold plan does not match the dataset")
-    predictions = np.empty((plan.repeats, n))
+    predictions = np.empty(plan.shape)
     fold_reports = []
-    for rep in range(plan.repeats):
-        fold_of = plan.assignments[rep]
-        for fold in range(plan.k):
+    for rep, fold_of in enumerate(plan):
+        for fold in range(plan.max() + 1):
             held = fold_of == fold
             state, report = fit(dataset.subset(~held), hyper, max_iterations)
             fold_reports.append(report)
@@ -230,14 +198,14 @@ def cross_validate_predictions(
                 state, dataset.climber[held], dataset.route[held], dataset.week[held]
             )
     pooled_p = predictions.reshape(-1)
-    pooled_y = np.tile(dataset.success, plan.repeats)
+    pooled_y = np.tile(dataset.success, plan.shape[0])
     return pooled_p, pooled_y, fold_reports
 
 
 def cross_validate(
     dataset: CleanDataset,
     hyper: Hyperparameters | None,
-    plan: FoldPlan,
+    plan: np.ndarray,
     *,
     max_iterations: int = 1000,
 ) -> EvaluationReport:

@@ -137,9 +137,13 @@ def classify_tick(tick_type: str, mapping: Mapping[str, TickClass] | None = None
 
 
 def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
-    """Read a ``tick_string,class`` mapping file (class is a TickClass name)."""
+    """Read a ``tick_string,class`` mapping file (class is a TickClass name).
+
+    Errors name the file and line, as ``ticks.csv line 3: ...``.
+    """
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
+    name = Path(path).name
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -147,10 +151,11 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
                 continue
             tick, sep, cls = line.rpartition(",")
             if not sep:
-                raise ParseError(f"line {lineno}: expected 'tick_string,class', got {line!r}")
+                raise ParseError(f"{name} line {lineno}: expected 'tick_string,class', "
+                                 f"got {line!r}")
             cls = cls.strip().lower()
             if cls not in classes:
-                raise ParseError(f"line {lineno}: unknown tick class {cls!r}")
+                raise ParseError(f"{name} line {lineno}: unknown tick class {cls!r}")
             mapping[tick.strip().lower()] = classes[cls]
     return mapping
 
@@ -312,18 +317,32 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
         writer.writerows(zip(*fields))
 
 
+def write_keyvalues(path: str | Path, mapping: Mapping) -> None:
+    """Write one ``key=value`` line per item of ``mapping``, in its order.
+
+    A bool is written as true/false, a float by :func:`format_float`, and any
+    other value as its ``str``.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for key, value in mapping.items():
+            if isinstance(value, bool):
+                value = "true" if value else "false"
+            elif isinstance(value, float):
+                value = format_float(value)
+            fh.write(f"{key}={value}\n")
+
+
 def parse_ascent_log(source: str | Path | IO) -> RawAscentLog:
-    """Parse a raw ascent-log CSV into columns, reporting bad lines by number."""
+    """Parse a raw ascent-log CSV into columns, reporting bad lines by number.
+
+    A file's errors are prefixed with its name, a stream's are not.
+    """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _parse_stream(fh)
-    if isinstance(source, io.TextIOBase):
-        return _parse_stream(source)
-    return _parse_stream(io.TextIOWrapper(source, encoding="utf-8", newline=""))
-
-
-def _parse_stream(stream: IO[str]) -> RawAscentLog:
-    table = CsvTable(stream, RAW_COLUMNS)
+        table = CsvTable.read(Path(source), RAW_COLUMNS)
+    elif isinstance(source, io.TextIOBase):
+        table = CsvTable(source, RAW_COLUMNS)
+    else:
+        table = CsvTable(io.TextIOWrapper(source, encoding="utf-8", newline=""), RAW_COLUMNS)
     day = table.convert("date", lambda text: date.fromisoformat(text.strip()), "datetime64[D]",
                         "invalid date {!r}")
     table.raise_first()
@@ -450,9 +469,8 @@ def write_clean_dataset(dataset: CleanDataset, out_dir: str | Path) -> None:
               (np.arange(len(dataset.route_ids)), dataset.route_ids, dataset.route_grades))
     write_csv(out / "climbers.csv", ("climber_idx", "climber_id"),
               (np.arange(len(dataset.climber_ids)), dataset.climber_ids))
-    with open(out / "provenance.txt", "w", encoding="utf-8") as fh:
-        for key in ("rows_read", *_DROP_KEYS, "rows_kept"):
-            fh.write(f"{key}={dataset.provenance.get(key, 0)}\n")
+    write_keyvalues(out / "provenance.txt", {key: dataset.provenance.get(key, 0)
+                                             for key in ("rows_read", *_DROP_KEYS, "rows_kept")})
 
 
 def read_clean_dataset(in_dir: str | Path) -> CleanDataset:

@@ -104,5 +104,13 @@ win_probabilities = bt_probability
 
 
 def route_prior_mean(grade, hyper: Hyperparameters):
-    """Prior mean rating of a grade or of each of an array of grades: ``b * (grade - g0)``."""
-    return hyper.b * (grade - float(hyper.g0))  # in floats: an int64 difference can wrap
+    """Prior mean rating of a grade or of each of an array of grades: ``b * (grade - g0)``.
+
+    Raises ValueError if a mean is beyond the float range.
+    """
+    with np.errstate(over="ignore"):
+        mean = hyper.b * (grade - float(hyper.g0))  # in floats: an int64 difference can wrap
+    if not np.isfinite(mean).all():
+        raise ValueError(f"hyperparameter b={hyper.b} with g0={hyper.g0} gives a route prior "
+                         "mean beyond the float range")
+    return mean

@@ -179,12 +179,10 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def outcome_probabilities(state: ModelState) -> np.ndarray:
-    """Each ascent's winner's :func:`win_probabilities` against its loser: the
-    probability of the observed outcome, strictly inside (0, 1)."""
-    climber_r = state.climber_ratings[state.asc_flat_period]
-    route_r = state.route_ratings[state.asc_route]
-    won = state.asc_success
-    return win_probabilities(np.where(won, climber_r, route_r), np.where(won, route_r, climber_r))
+    """Each ascent's winner's :func:`win_probabilities`, by its rating margin over
+    its loser: the probability of the observed outcome, strictly inside (0, 1)."""
+    margin = state.climber_ratings[state.asc_flat_period] - state.route_ratings[state.asc_route]
+    return win_probabilities(np.where(state.asc_success, margin, -margin), 0.0)
 
 
 def _random_walk(state: ModelState) -> tuple[np.ndarray, ...]:

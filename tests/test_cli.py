@@ -116,6 +116,19 @@ class TestPreprocess:
     def test_missing_input_exits_one(self, tmp_path):
         assert run(["preprocess", tmp_path / "no-such.csv", "--out", tmp_path / "d"]) == 1
 
+    @pytest.mark.parametrize("log, ticks, problem", [
+        (HEADER + "\nalice,r1,redpoint,2020-13-01,21,ewbank\n", None,
+         "raw.csv line 2: invalid date '2020-13-01'"),
+        (BASIC_LOG, "onsight,triumphant\n", "ticks.csv line 1: unknown tick class 'triumphant'"),
+    ], ids=["raw-log", "tick-mapping"])
+    def test_errors_name_their_file(self, tmp_path, capsys, log, ticks, problem):
+        args = ["preprocess", write_log(tmp_path, log), "--out", tmp_path / "d"]
+        if ticks is not None:
+            args += ["--tick-mapping", write_log(tmp_path, ticks, "ticks.csv")]
+        assert run(args) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "d").exists()
+
     def test_custom_tick_mapping(self, tmp_path, capsys):
         log = HEADER + """
 alice,r1,sent,2020-01-06,21,ewbank
@@ -234,7 +247,7 @@ class TestFit:
 
     @pytest.mark.parametrize("flag", [
         ["--w-sq", "nan"], ["--b", "nan"], ["--sigma-r-sq", "inf"],
-        ["--g0", "100000000000000000000000"],
+        ["--g0", "100000000000000000000000"], ["--g0", "0", "--b", "1e308"],
     ])
     def test_bad_hyper_flag_exits_one(self, tmp_path, capsys, flag):
         dataset_dir = preprocess_fixture(tmp_path)
@@ -560,6 +573,13 @@ class TestSynth:
     def test_empty_grade_range_exits_one(self, tmp_path):
         assert run(["synth", "--grade-min", "25", "--grade-max", "20",
                     "--out", tmp_path / "s"]) == 1
+
+    def test_route_prior_mean_beyond_float_range_exits_one(self, tmp_path, capsys):
+        # grades 18-28 against g0=22 give prior means of up to 6e308
+        assert run(["synth", "--climbers", "5", "--routes", "5", "--periods", "2",
+                    "--b", "1e308", "--out", tmp_path / "s"]) == 1
+        assert capsys.readouterr().err.startswith("error: hyperparameter b=1e+308 with g0=22 ")
+        assert not (tmp_path / "s").exists()
 
     def test_default_sizes_survive_preprocessing(self, tmp_path, capsys):
         synth_dir = tmp_path / "synth"

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cragrank.evaluation import (
-    ContingencyTable,
     baseline_log_loss,
     compute_metrics,
     cross_validate,
@@ -77,11 +76,11 @@ class TestComputeMetrics:
     # 0.5.  Probabilities stay inside (0, 1), where the log loss is finite.
     def test_above_half_is_success(self):
         report = compute_metrics([0.500001, 0.9, 0.999999], [F, S, S])
-        assert report.contingency == ContingencyTable(tp=2, fp=1, fn=0, tn=0)
+        assert (report.tp, report.fp, report.fn, report.tn) == (2, 1, 0, 0)
 
     def test_half_and_below_is_failure(self):
         report = compute_metrics([0.5, 0.499999, 0.000001], [S, S, F])
-        assert report.contingency == ContingencyTable(tp=0, fp=0, fn=2, tn=1)
+        assert (report.tp, report.fp, report.fn, report.tn) == (0, 0, 2, 1)
 
     def test_reference_contingency_counts(self):
         predictions, actuals = contingency_fixture(161253, 16968, 10755, 47119)
@@ -94,11 +93,11 @@ class TestComputeMetrics:
     def test_contingency_counts_exact(self):
         predictions, actuals = contingency_fixture(161253, 16968, 10755, 47119)
         report = compute_metrics(predictions, actuals)
-        assert report.contingency.tp == 161253
-        assert report.contingency.fp == 16968
-        assert report.contingency.fn == 10755
-        assert report.contingency.tn == 47119
-        assert report.contingency.total == 236095
+        assert report.tp == 161253
+        assert report.fp == 16968
+        assert report.fn == 10755
+        assert report.tn == 47119
+        assert report.tp + report.fp + report.fn + report.tn == 236095
 
     def test_baseline_columns_match_mean_success_rate(self):
         predictions, actuals = contingency_fixture(6, 1, 2, 3)
@@ -280,7 +279,7 @@ class TestMakeFoldPlan:
         plan = make_fold_plan(dataset, k=2, repeats=1, seed=0)
         outcomes = dataset.success
         for fold in range(2):
-            held = plan.assignments[0] == fold
+            held = plan[0] == fold
             assert int(np.count_nonzero(held & outcomes)) == 5
             assert int(np.count_nonzero(held & ~outcomes)) == 5
 
@@ -291,7 +290,7 @@ class TestMakeFoldPlan:
         for rep in range(2):
             for stratum in (outcomes, ~outcomes):
                 sizes = [
-                    int(np.count_nonzero((plan.assignments[rep] == f) & stratum))
+                    int(np.count_nonzero((plan[rep] == f) & stratum))
                     for f in range(3)
                 ]
                 assert max(sizes) - min(sizes) <= 1
@@ -299,24 +298,24 @@ class TestMakeFoldPlan:
     def test_every_ascent_held_out_exactly_repeats_times(self):
         dataset = self.balanced_dataset(n_success=23, n_failure=14)
         plan = make_fold_plan(dataset, k=5, repeats=3, seed=9)
-        assert plan.assignments.shape == (3, 37)
+        assert plan.shape == (3, 37)
         held_counts = np.zeros(37, dtype=int)
         for rep in range(3):
             for fold in range(5):
-                held_counts += plan.assignments[rep] == fold
+                held_counts += plan[rep] == fold
         assert np.all(held_counts == 3)
 
     def test_deterministic_given_seed(self):
         dataset = self.balanced_dataset()
         a = make_fold_plan(dataset, k=2, repeats=3, seed=7)
         b = make_fold_plan(dataset, k=2, repeats=3, seed=7)
-        assert np.array_equal(a.assignments, b.assignments)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         dataset = self.balanced_dataset(n_success=40, n_failure=40)
         a = make_fold_plan(dataset, k=4, repeats=1, seed=0)
         b = make_fold_plan(dataset, k=4, repeats=1, seed=1)
-        assert not np.array_equal(a.assignments, b.assignments)
+        assert not np.array_equal(a, b)
 
     def test_small_stratum_rejected(self):
         dataset = self.balanced_dataset(n_success=10, n_failure=2)
