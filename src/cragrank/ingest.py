@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -290,9 +291,27 @@ class CsvTable:
             raise ParseError(problems[0])
 
 
+_FLOAT_FIELD = "%.9g"
+
+# A CSV field holding one of these is quoted, as the csv module's default
+# (excel) dialect quotes it.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
 def format_float(x: float) -> str:
     """A float at the 9 significant digits of every number the package writes."""
-    return f"{x:.9g}"
+    return _FLOAT_FIELD % x
+
+
+def _csv_texts(texts: list[str], alone: bool) -> list[str]:
+    """``texts`` as fields of the csv module's default dialect: quoted, with
+    quotes doubled, where a text holds a comma, a quote or a line break, or is
+    empty and ``alone`` in its row."""
+    if not _NEEDS_QUOTES.search("".join(texts)) and not (alone and "" in texts):
+        return texts
+    return ['"' + text.replace('"', '""') + '"'
+            if _NEEDS_QUOTES.search(text) or (alone and not text) else text
+            for text in texts]
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
@@ -301,20 +320,25 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     A column of float dtype is written by :func:`format_float`, one of bool
     dtype as 0/1, and any other value as its ``str``, quoted where the CSV
     dialect needs it, so that :class:`CsvTable` reads each field back
-    verbatim.
+    verbatim.  The bytes are those of :func:`csv.writer`; each row is
+    formatted by one ``%`` template.
     """
-    fields = []
+    alone = len(header) == 1
+    specs, fields = [], []
     for column in map(np.asarray, columns):
         if column.dtype.kind == "f":
-            fields.append(map(format_float, column.tolist()))
-        elif column.dtype.kind == "b":
-            fields.append(column.astype(np.int64).tolist())
-        else:
+            specs.append(_FLOAT_FIELD)
             fields.append(column.tolist())
+        elif column.dtype.kind in "biu":
+            specs.append("%d")
+            fields.append(column.tolist())
+        else:
+            specs.append("%s")
+            fields.append(_csv_texts(list(map(str, column.tolist())), alone))
+    row = ",".join(specs) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*fields))
+        fh.write(",".join(_csv_texts(list(header), alone)) + "\r\n")
+        fh.writelines(map(row.__mod__, zip(*fields)))
 
 
 def write_keyvalues(path: str | Path, mapping: Mapping) -> None:

@@ -11,6 +11,15 @@ of the log posterior come from :func:`climber_derivatives` and
 :func:`route_derivatives`.  Each entity's Newton step is halved until that
 entity's own log posterior does not fall, so no pass lowers the posterior.
 
+What does not change during a fit is built once per state, as its
+:class:`FitStructure`: the random-walk pairs with their precisions and the
+Hessian off-diagonal, each ascent's outcome sign, and each period's wins and
+each route's losses.  Each pass gathers the ratings of the side that stays
+fixed once, and carries each ascent's outcome probability ``p`` with its
+``log p``.  A trial point then costs one gather of the side that moved, one
+:func:`~cragrank.model.win_probabilities` call, one ``np.log`` and the
+per-entity sums of its log posterior.
+
 The Bradley-Terry marginal log-likelihood is recorded after every outer
 iteration; the fit stops once the last nine recorded values span at most one
 unit (or at ``max_iterations``).
@@ -18,7 +27,8 @@ unit (or at ``max_iterations``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +65,8 @@ class ModelState:
     ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every ascent
     once, in canonical (climber, week, route, outcome) order:
     ``asc_flat_period`` indexes the climber's period, ``asc_route`` the
-    route.
+    route.  A fit changes only the ratings and the history; every other
+    field must stay as it is once :attr:`structure` has been read.
     """
 
     hyper: Hyperparameters
@@ -75,6 +86,36 @@ class ModelState:
     def period_climbers(self) -> np.ndarray:
         """Climber index of every flat rating period."""
         return np.repeat(np.arange(len(self.climber_ids)), np.diff(self.period_offsets))
+
+    @cached_property
+    def structure(self) -> FitStructure:
+        """The state's :class:`FitStructure`, built by :func:`fit_structure` on first use."""
+        return fit_structure(self)
+
+
+@dataclass(frozen=True)
+class FitStructure:
+    """What every point of a fit shares; its arrays are read-only.
+
+    ``period_owner`` is the climber of each period and ``first_periods``
+    each climber's first period.  ``walk_pairs`` are the periods ``j`` whose
+    next period ``j + 1`` belongs to the same climber, ``walk_precision``
+    their random-walk precisions, and ``hess_off`` the climber Hessian's
+    off-diagonal: the precision at each pair, 0 elsewhere.  ``sign`` is 1.0
+    at each ascent the climber won and -1.0 at each it lost, ``lost`` 0.0 and
+    1.0; ``period_wins`` counts each period's successes and ``route_losses``
+    each route's failures.
+    """
+
+    period_owner: np.ndarray
+    first_periods: np.ndarray
+    walk_pairs: np.ndarray
+    walk_precision: np.ndarray
+    hess_off: np.ndarray
+    sign: np.ndarray
+    lost: np.ndarray
+    period_wins: np.ndarray
+    route_losses: np.ndarray
 
 
 def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
@@ -178,22 +219,54 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
-def outcome_probabilities(state: ModelState) -> np.ndarray:
-    """Each ascent's winner's :func:`win_probabilities`, by its rating margin over
-    its loser: the probability of the observed outcome, strictly inside (0, 1)."""
-    margin = state.climber_ratings[state.asc_flat_period] - state.route_ratings[state.asc_route]
-    return win_probabilities(np.where(state.asc_success, margin, -margin), 0.0)
-
-
-def _random_walk(state: ModelState) -> tuple[np.ndarray, ...]:
-    """The climber of each period, each climber's first period, and each pair
-    ``(j, j + 1)`` of one climber's periods with its random-walk precision."""
+def fit_structure(state: ModelState) -> FitStructure:
+    """Build the :class:`FitStructure` of ``state`` from its periods, ascents and
+    hyperparameters; the ratings play no part."""
     offsets = state.period_offsets
     owner = state.period_climbers()
     j = np.flatnonzero(owner[1:] == owner[:-1])
-    gap = np.diff(state.period_weeks)[j]
-    precision = 1.0 / np.maximum(gap * state.hyper.w_sq, MIN_WIENER_VARIANCE)
-    return owner, offsets[:-1][np.diff(offsets) > 0], j, precision
+    precision = 1.0 / np.maximum(np.diff(state.period_weeks)[j] * state.hyper.w_sq,
+                                 MIN_WIENER_VARIANCE)
+    hess_off = np.zeros(max(len(owner) - 1, 0))
+    hess_off[j] = precision
+    won = state.asc_success
+    lost = (~won).astype(float)
+    structure = FitStructure(
+        period_owner=owner,
+        first_periods=offsets[:-1][np.diff(offsets) > 0],
+        walk_pairs=j,
+        walk_precision=precision,
+        hess_off=hess_off,
+        sign=1.0 - 2.0 * lost,
+        lost=lost,
+        period_wins=_sums(state.asc_flat_period, won.astype(float), len(owner)),
+        route_losses=_sums(state.asc_route, lost, len(state.route_ratings)),
+    )
+    for array in vars(structure).values():
+        array.flags.writeable = False
+    return structure
+
+
+def _observed(state: ModelState, margin: np.ndarray) -> np.ndarray:
+    """Each ascent's winner's :func:`win_probabilities`, from the climber's
+    ``margin`` over the route.  Multiplying by the outcome sign is exact."""
+    return win_probabilities(margin * state.structure.sign, 0.0)
+
+
+def outcome_probabilities(state: ModelState) -> np.ndarray:
+    """Each ascent's winner's :func:`win_probabilities`, by its rating margin over
+    its loser: the probability of the observed outcome, strictly inside (0, 1)."""
+    return _observed(state, state.climber_ratings[state.asc_flat_period]
+                     - state.route_ratings[state.asc_route])
+
+
+def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
+    """Each ascent's climber's win probability, from :func:`outcome_probabilities`.
+
+    ``lost + sign * p`` is ``p`` or ``1.0 - p`` exactly, without a branch.
+    """
+    structure = state.structure
+    return structure.lost + structure.sign * outcome_p
 
 
 def climber_derivatives(state: ModelState, outcome_p: np.ndarray
@@ -206,16 +279,17 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     belong to different climbers.  Each period holds its ascents'
     Bradley-Terry terms, each climber's first period the initial-rating
     prior, and consecutive periods of one climber the random-walk coupling.
+    ``hess_off`` is the state's read-only :attr:`FitStructure.hess_off`.
     """
+    structure = state.structure
     r = state.climber_ratings
     n = r.shape[0]
     idx = state.asc_flat_period
-    won = state.asc_success
-    p = np.where(won, outcome_p, 1.0 - outcome_p)
-    grad = _sums(idx, won.astype(float), n) - _sums(idx, p, n)
+    p = _climber_win_probabilities(state, outcome_p)
+    grad = structure.period_wins - _sums(idx, p, n)
     hess = -_sums(idx, p * (1.0 - p), n)
 
-    _, first, j, precision = _random_walk(state)
+    first, j, precision = structure.first_periods, structure.walk_pairs, structure.walk_precision
     grad[first] -= r[first] / state.hyper.sigma_c_sq
     hess[first] -= 1.0 / state.hyper.sigma_c_sq
     pull = (r[j + 1] - r[j]) * precision
@@ -223,9 +297,7 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     grad[j + 1] -= pull
     hess[j] -= precision
     hess[j + 1] -= precision
-    off = np.zeros(max(n - 1, 0))
-    off[j] = precision
-    return grad, hess, off
+    return grad, hess, structure.hess_off
 
 
 def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,68 +310,85 @@ def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndar
     route = state.asc_route
     ratings = state.route_ratings
     n = ratings.shape[0]
-    won = state.asc_success
-    q = 1.0 - np.where(won, outcome_p, 1.0 - outcome_p)
-    d1 = (_sums(route, (~won).astype(float), n) - _sums(route, q, n)
+    q = 1.0 - _climber_win_probabilities(state, outcome_p)
+    d1 = (state.structure.route_losses - _sums(route, q, n)
           - (ratings - state.route_prior_means) / state.hyper.sigma_r_sq)
     d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / state.hyper.sigma_r_sq
     return d1, d2
 
 
-def _climber_log_posteriors(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
-    """At each period, the log posterior terms of its climber: ascents, prior and random walk."""
-    r = state.climber_ratings
-    terms = _sums(state.asc_flat_period, np.log(outcome_p), r.shape[0])
-    owner, first, j, precision = _random_walk(state)
+def _climber_log_posteriors(state: ModelState, r: np.ndarray, log_p: np.ndarray) -> np.ndarray:
+    """At each period, the log posterior terms of its climber at ratings ``r``:
+    ascents (from their ``log_p``), prior and random walk."""
+    structure = state.structure
+    first, j = structure.first_periods, structure.walk_pairs
+    terms = _sums(state.asc_flat_period, log_p, r.shape[0])
     terms[first] -= r[first] ** 2 / (2.0 * state.hyper.sigma_c_sq)
-    terms[j] -= (r[j + 1] - r[j]) ** 2 * precision / 2.0
+    terms[j] -= (r[j + 1] - r[j]) ** 2 * structure.walk_precision / 2.0
+    owner = structure.period_owner
     return _sums(owner, terms, len(state.climber_ids))[owner]
 
 
-def _route_log_posteriors(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
-    """At each route, its log posterior terms: ascents and prior."""
-    ratings = state.route_ratings
-    return (_sums(state.asc_route, np.log(outcome_p), ratings.shape[0])
+def _route_log_posteriors(state: ModelState, ratings: np.ndarray, log_p: np.ndarray
+                          ) -> np.ndarray:
+    """At each route, its log posterior terms at ``ratings``: ascents (from
+    their ``log_p``) and prior."""
+    return (_sums(state.asc_route, log_p, ratings.shape[0])
             - (ratings - state.route_prior_means) ** 2 / (2.0 * state.hyper.sigma_r_sq))
 
 
-def _ascend(state: ModelState, outcome_p: np.ndarray, name: str, step: np.ndarray,
-            log_posteriors) -> tuple[np.ndarray, np.ndarray]:
-    """The ratings ``name`` moved by ``step``, and :func:`outcome_probabilities` there.
+def _ascend(state: ModelState, ratings: np.ndarray, step: np.ndarray, log_p: np.ndarray,
+            observed, log_posteriors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``ratings`` moved by ``step``, with :func:`outcome_probabilities` there and their log.
 
-    Each entity's step is halved until its log posterior, which depends on its
-    own ratings only, does not fall; a step that rounds to nothing passes.
+    ``observed(trial)`` gives the outcome probabilities at trial ratings, and
+    ``log_posteriors(state, ratings, log_p)`` each entity's log posterior;
+    ``log_p`` is at ``ratings``.  Each entity's step is halved until its log
+    posterior, which depends on its own ratings only, does not fall; a step
+    that rounds to nothing passes.
     """
-    before = log_posteriors(state, outcome_p)
+    before = log_posteriors(state, ratings, log_p)
     while True:
-        trial = replace(state, **{name: getattr(state, name) + step})
-        trial_p = outcome_probabilities(trial)
-        fell = log_posteriors(trial, trial_p) < before
+        trial = ratings + step
+        trial_p = observed(trial)
+        trial_log_p = np.log(trial_p)
+        fell = log_posteriors(state, trial, trial_log_p) < before
         if not fell.any():
-            return getattr(trial, name), trial_p
+            return trial, trial_p, trial_log_p
         step = np.where(fell, step / 2.0, step)
 
 
-def climber_pass(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One whole-history Newton step for every climber, from ``outcome_p`` at the state.
+def climber_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One whole-history Newton step for every climber, from ``outcome_p`` at the
+    state and its ``log_p``.
 
     All systems of :func:`climber_derivatives` are solved by one call of
-    :func:`solve_tridiagonal`.  Returns the ratings and probabilities that
-    :func:`_ascend` reaches along these steps; the state is not mutated.
+    :func:`solve_tridiagonal`.  Returns the ratings that :func:`_ascend`
+    reaches along these steps, with the outcome probabilities there and
+    their log; the state is not mutated.
     """
     grad, hess, off = climber_derivatives(state, outcome_p)
-    return _ascend(state, outcome_p, "climber_ratings", -solve_tridiagonal(hess, off, grad),
+    opponents = state.route_ratings[state.asc_route]
+    return _ascend(state, state.climber_ratings, -solve_tridiagonal(hess, off, grad), log_p,
+                   lambda trial: _observed(state, trial[state.asc_flat_period] - opponents),
                    _climber_log_posteriors)
 
 
-def route_pass(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One scalar Newton step for every route, from ``outcome_p`` at the state.
+def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scalar Newton step for every route, from ``outcome_p`` at the state
+    and its ``log_p``.
 
-    Returns the ratings and probabilities that :func:`_ascend` reaches along
-    these steps; a route with no ascents steps to its prior mean.
+    Returns the ratings that :func:`_ascend` reaches along these steps, with
+    the outcome probabilities there and their log; a route with no ascents
+    steps to its prior mean.
     """
     d1, d2 = route_derivatives(state, outcome_p)
-    return _ascend(state, outcome_p, "route_ratings", -d1 / d2, _route_log_posteriors)
+    opponents = state.climber_ratings[state.asc_flat_period]
+    return _ascend(state, state.route_ratings, -d1 / d2, log_p,
+                   lambda trial: _observed(state, opponents - trial[state.asc_route]),
+                   _route_log_posteriors)
 
 
 def bt_marginal_log_likelihood(state: ModelState) -> float:
@@ -320,11 +409,16 @@ def fit(
     ratings from the previous iteration), then :func:`route_pass` (against
     the just-updated climber ratings), then records the Bradley-Terry
     marginal log-likelihood.  The model is evaluated once per point: the
-    :func:`outcome_probabilities` each pass returns are carried to the next
-    pass and give the recorded likelihood.  No pass lowers the log
-    posterior.  The fit is converged once the last ``CONVERGENCE_WINDOW + 1``
-    recorded likelihoods span at most ``convergence_span``; otherwise it
-    stops at ``max_iterations``.  Entities that have no ascents (possible in
+    :func:`outcome_probabilities` and their log that each pass returns are
+    carried to the next pass, and the route pass's log gives the recorded
+    likelihood.  The state's :class:`FitStructure` is built once, so a trial
+    point costs one gather of the side that moved, one
+    :func:`win_probabilities` call, one ``np.log`` and the per-entity sums;
+    an iteration without halving calls :func:`win_probabilities` twice and
+    :func:`solve_tridiagonal` once.  No pass lowers the log posterior.  The
+    fit is converged once the last ``CONVERGENCE_WINDOW + 1`` recorded
+    likelihoods span at most ``convergence_span``; otherwise it stops at
+    ``max_iterations``.  Entities that have no ascents (possible in
     cross-validation subsets) are left at their prior means.
 
     Returns the final state and a report (iterations run, convergence flag,
@@ -335,12 +429,13 @@ def fit(
 
     state = initialize_state(dataset, hyper)
     outcome_p = outcome_probabilities(state)
+    log_p = np.log(outcome_p)
     history = state.bt_log_likelihood_history
     converged = False
     for iterations in range(1, max_iterations + 1):
-        state.climber_ratings, outcome_p = climber_pass(state, outcome_p)
-        state.route_ratings, outcome_p = route_pass(state, outcome_p)
-        history.append(float(np.log(outcome_p).sum()))
+        state.climber_ratings, outcome_p, log_p = climber_pass(state, outcome_p, log_p)
+        state.route_ratings, outcome_p, log_p = route_pass(state, outcome_p, log_p)
+        history.append(float(log_p.sum()))
         if len(history) > CONVERGENCE_WINDOW:
             recent = history[-(CONVERGENCE_WINDOW + 1):]
             if max(recent) - min(recent) <= convergence_span:

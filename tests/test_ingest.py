@@ -16,6 +16,7 @@ from cragrank.ingest import (
     RawAscentLog,
     TickClass,
     classify_tick,
+    format_float,
     load_tick_mapping,
     parse_ascent_log,
     preprocess,
@@ -23,6 +24,7 @@ from cragrank.ingest import (
     read_clean_dataset,
     week_start_date,
     write_clean_dataset,
+    write_csv,
     write_raw_ascent_log,
 )
 
@@ -467,3 +469,62 @@ class TestSerialization:
         again = preprocess(parse_ascent_log(tmp_path / "raw.csv"))
         assert ascents(again) == ascents(ds)
         assert tables(again) == tables(ds)
+
+
+def csv_writer_bytes(header, columns):
+    """A table as ``csv.writer`` writes it, floats through ``format_float`` and
+    bools as 0/1: the reference ``write_csv`` must match byte for byte."""
+    fields = []
+    for column in map(np.asarray, columns):
+        if column.dtype.kind == "f":
+            fields.append([format_float(x) for x in column.tolist()])
+        elif column.dtype.kind == "b":
+            fields.append(column.astype(np.int64).tolist())
+        else:
+            fields.append(column.tolist())
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(zip(*fields))
+    return out.getvalue().encode("utf-8")
+
+
+AWKWARD_IDS = ["a,b", 'say "hi"', "line\nbreak", "r\r\n3", "cr\ronly", " spaced ", ""]
+AWKWARD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308, 0.1]
+INT64 = np.iinfo(np.int64)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("header, columns", [
+        (("id", "x", "won", "n"), (np.array(AWKWARD_IDS, dtype=object), np.array(AWKWARD_FLOATS),
+                                   np.array([True, False, True, True, False, False, True]),
+                                   np.array([INT64.min, INT64.max, 0, -1, 1, 7, 42]))),
+        (("x", "id"), (np.array(AWKWARD_FLOATS), np.array(AWKWARD_IDS))),  # a str dtype
+        (("id", "n"), (np.array([], dtype=object), np.array([], dtype=np.int64))),
+        (("id",), (np.array(AWKWARD_IDS, dtype=object),)),
+        (("",), (np.array([""], dtype=object),)),
+        (("x",), (np.array(AWKWARD_FLOATS),)),
+        (('a "quoted", header', "b"), (np.array([1.5]), np.array(["two"], dtype=object))),
+    ])
+    def test_bytes_match_csv_writer(self, tmp_path, header, columns):
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(header, columns)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.text(), st.floats(), st.booleans(),
+                              st.integers(INT64.min, INT64.max)), max_size=20),
+           st.booleans())
+    def test_random_tables_match_csv_writer(self, tmp_path_factory, rows, one_column):
+        texts, floats, bools, ints = zip(*rows) if rows else ((), (), (), ())
+        columns = (np.array(texts, dtype=object), np.array(floats, dtype=float),
+                   np.array(bools, dtype=bool), np.array(ints, dtype=np.int64))
+        header = ("text", "float", "bool", "int")
+        if one_column:
+            header, columns = header[:1], columns[:1]
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, columns)
+
+    @given(st.floats())
+    def test_format_float_is_nine_significant_digits(self, x):
+        assert format_float(x) == f"{x:.9g}"

@@ -15,9 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cragrank import solver
 from cragrank.errors import EmptyDatasetError
 from cragrank.ingest import CleanDataset, assemble_clean_dataset
-from cragrank.model import AscentOutcome, Hyperparameters
+from cragrank.model import AscentOutcome, Hyperparameters, win_probabilities
 from cragrank.solver import (
     ModelState,
     bt_marginal_log_likelihood,
@@ -33,6 +34,12 @@ from cragrank.solver import (
 
 S = AscentOutcome.SUCCESS
 F = AscentOutcome.FAILURE
+
+
+def evaluated(state):
+    """What a pass takes: the outcome probabilities at the state, and their log."""
+    outcome_p = outcome_probabilities(state)
+    return outcome_p, np.log(outcome_p)
 
 
 def make_dataset(ascents, n_routes, n_climbers, grades=None):
@@ -303,14 +310,14 @@ class TestUpdateRoute:
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
-        assert route_pass(state, outcome_probabilities(state))[0][0] == 0.0
+        assert route_pass(state, *evaluated(state))[0][0] == 0.0
 
     def test_one_failure_matches_grid_search(self):
         # climber pinned at 0; iterate the route to its fixed point
         ds = make_dataset([(0, 0, 0, F)], n_routes=1, n_climbers=1)
         state = initialize_state(ds)
         for _ in range(200):
-            new, _ = route_pass(state, outcome_probabilities(state))
+            new, *_ = route_pass(state, *evaluated(state))
             if abs(new[0] - state.route_ratings[0]) < 1e-12:
                 break
             state.route_ratings = new
@@ -329,7 +336,7 @@ class TestUpdateRoute:
             n_routes=1, n_climbers=2,
         )
         state = initialize_state(ds)
-        assert route_pass(state, outcome_probabilities(state))[0][0] < 0.0
+        assert route_pass(state, *evaluated(state))[0][0] < 0.0
 
     def test_step_halved_until_the_posterior_does_not_fall(self):
         # 50 failures by a far-stronger climber: the flat curvature asks for
@@ -346,7 +353,7 @@ class TestUpdateRoute:
             return -50.0 * math.log1p(math.exp(30.0 - r)) - r * r / 8.0
 
         halvings = next(k for k in range(60) if log_f(step / 2**k) >= log_f(0.0))
-        new, _ = route_pass(state, outcome_p)
+        new, *_ = route_pass(state, outcome_p, np.log(outcome_p))
         assert new[0] == step / 2**halvings == pytest.approx(100.0)
 
     def test_no_two_cycle_on_a_lopsided_route(self):
@@ -364,7 +371,7 @@ class TestUpdateRoute:
 
         for _ in range(50):
             before = log_f(state.route_ratings[0])
-            state.route_ratings, _ = route_pass(state, outcome_probabilities(state))
+            state.route_ratings, *_ = route_pass(state, *evaluated(state))
             assert log_f(state.route_ratings[0]) >= before - 1e-12
         grid = np.arange(-5.0, 5.0, 1e-5)
         best = grid[np.argmax(log_f(grid))]
@@ -379,7 +386,7 @@ class TestUpdateRoute:
         )
         state = initialize_state(ds)
         state.climber_ratings[:] = [1.5, -0.5]
-        new, _ = route_pass(state, outcome_probabilities(state))
+        new, *_ = route_pass(state, *evaluated(state))
         assert new[1] == state.route_prior_means[1]
         fitted, _ = fit(ds)
         assert fitted.route_ratings[1] == pytest.approx(1.2, abs=1e-15)
@@ -398,7 +405,7 @@ class TestUpdateClimber:
         d1 = 2.0 * (1.0 - p) + (0.0 - p) - 0.0 / hyper.sigma_c_sq
         d2 = -3.0 * p * (1.0 - p) - 1.0 / hyper.sigma_c_sq
         expected = 0.0 - d1 / d2
-        got, _ = climber_pass(state, outcome_probabilities(state))
+        got, *_ = climber_pass(state, *evaluated(state))
         assert got[0] == pytest.approx(expected, abs=1e-14)
 
     def _two_period_state(self, w_sq):
@@ -410,7 +417,7 @@ class TestUpdateClimber:
 
     def test_loose_coupling_updates_independently(self):
         state = self._two_period_state(w_sq=1e6)
-        got, _ = climber_pass(state, outcome_probabilities(state))
+        got, *_ = climber_pass(state, *evaluated(state))
         # oracle with the coupling dropped entirely: first period has the
         # success and the prior, second period has the failure and no prior
         p = 0.5
@@ -422,7 +429,7 @@ class TestUpdateClimber:
 
     def test_tight_coupling_updates_together(self):
         state = self._two_period_state(w_sq=1e-9)
-        got, _ = climber_pass(state, outcome_probabilities(state))
+        got, *_ = climber_pass(state, *evaluated(state))
         assert got[0] == pytest.approx(got[1], abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -432,7 +439,7 @@ class TestUpdateClimber:
         state = initialize_state(ds)
         randomize_ratings(state, rng)
         expected = dense_climber_step(state)
-        got, _ = climber_pass(state, outcome_probabilities(state))
+        got, *_ = climber_pass(state, *evaluated(state))
         assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_unequal_histories_match_dense_oracle(self):
@@ -450,7 +457,7 @@ class TestUpdateClimber:
         assert np.diff(state.period_offsets).tolist() == [1, 2, 0, 6]
         randomize_ratings(state, rng)
         expected = dense_climber_step(state)
-        got, _ = climber_pass(state, outcome_probabilities(state))
+        got, *_ = climber_pass(state, *evaluated(state))
         assert np.max(np.abs(got - expected)) < 1e-10
 
 
@@ -506,7 +513,7 @@ class TestBtMarginalLogLikelihood:
         assert grad.dtype == hess.dtype == float
         assert grad.tolist() == pytest.approx([(1.2 - 0.2) / hyper.sigma_r_sq])
         assert hess.tolist() == [-1.0 / hyper.sigma_r_sq]
-        assert route_pass(state, outcome_probabilities(state))[0].tolist() == pytest.approx([1.2])
+        assert route_pass(state, *evaluated(state))[0].tolist() == pytest.approx([1.2])
         assert bt_marginal_log_likelihood(state) == 0.0
 
 
@@ -536,10 +543,10 @@ class TestFit:
         ds = random_dataset(np.random.default_rng(3))
         fast, _ = fit(ds, max_iterations=8)
         state = initialize_state(ds)
-        outcome_p = outcome_probabilities(state)
+        outcome_p, log_p = evaluated(state)
         for _ in range(8):
-            state.climber_ratings, outcome_p = climber_pass(state, outcome_p)
-            state.route_ratings, outcome_p = route_pass(state, outcome_p)
+            state.climber_ratings, outcome_p, log_p = climber_pass(state, outcome_p, log_p)
+            state.route_ratings, outcome_p, log_p = route_pass(state, outcome_p, log_p)
         assert (fast.climber_ratings == state.climber_ratings).all()
         assert (fast.route_ratings == state.route_ratings).all()
         assert fast.bt_log_likelihood_history[-1] == bt_marginal_log_likelihood(state)
@@ -598,12 +605,12 @@ class TestFit:
             fitted, report = fit(ds, hyper, max_iterations=300)
             assert report.converged, seed
             state = initialize_state(ds, hyper)
-            outcome_p = outcome_probabilities(state)
+            outcome_p, log_p = evaluated(state)
             for _ in range(report.iterations):
                 for name, step in (("climber_ratings", climber_pass),
                                    ("route_ratings", route_pass)):
                     before = log_posterior(state)
-                    ratings, outcome_p = step(state, outcome_p)
+                    ratings, outcome_p, log_p = step(state, outcome_p, log_p)
                     setattr(state, name, ratings)
                     assert log_posterior(state) >= before - 1e-9 * (1.0 + abs(before)), seed
             assert (state.route_ratings == fitted.route_ratings).all()
@@ -666,3 +673,67 @@ class TestFit:
             best_small = min(best_small, timed(small))
             best_large = min(best_large, timed(large))
         assert best_large / best_small < 3.0
+
+
+def margin_state(margins, won):
+    """One climber per ascent, each with one period at its ``margins`` entry,
+    against one route rated 0.0: each ascent's margin is exactly its entry."""
+    n = len(margins)
+    return ModelState(
+        hyper=Hyperparameters(),
+        climber_ids=np.array([f"c{i}" for i in range(n)], dtype=object),
+        period_offsets=np.arange(n + 1),
+        period_weeks=np.zeros(n, dtype=np.int64),
+        climber_ratings=np.array(margins, dtype=float),
+        route_ids=np.array(["r0"], dtype=object),
+        route_grades=np.array([22]),
+        route_prior_means=np.zeros(1),
+        route_ratings=np.zeros(1),
+        asc_flat_period=np.arange(n),
+        asc_route=np.zeros(n, dtype=np.int64),
+        asc_success=np.array(won, dtype=bool),
+    )
+
+
+EDGE_MARGINS = [0.0, -0.0, 36.0, -36.0, 36.000000000000014, -36.5, 1e308, -1e308,
+                5e-324, -5e-324, 2.2250738585072014e-308, -1e-310]
+
+
+class TestBranchFreeSelects:
+    """The sign and ``lost`` arrays select outcomes with the same bits as ``np.where``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.booleans()), max_size=30),
+           st.lists(st.floats(0.0, 1.0), min_size=len(EDGE_MARGINS), max_size=len(EDGE_MARGINS)))
+    def test_selects_are_bit_identical(self, drawn, probabilities):
+        margins = np.array(EDGE_MARGINS * 2 + [m for m, _ in drawn])
+        won = np.array([True] * len(EDGE_MARGINS) + [False] * len(EDGE_MARGINS)
+                       + [w for _, w in drawn])
+        state = margin_state(margins, won)
+        assert (state.climber_ratings[state.asc_flat_period]
+                - state.route_ratings[state.asc_route]).tobytes() == margins.tobytes()
+
+        outcome_p = outcome_probabilities(state)
+        expected = win_probabilities(np.where(won, margins, -margins), 0.0)
+        assert outcome_p.tobytes() == expected.tobytes()
+
+        for p in (outcome_p, np.resize(np.array(probabilities), len(won))):
+            got = solver._climber_win_probabilities(state, p)
+            assert got.tobytes() == np.where(won, p, 1.0 - p).tobytes()
+
+
+class TestCostContract:
+    def test_calls_per_fit(self, monkeypatch):
+        calls = dict.fromkeys(("win_probabilities", "solve_tridiagonal", "fit_structure"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(solver, name, counted)
+        ds = random_dataset(np.random.default_rng(3), n_climbers=6, n_routes=5, max_periods=4)
+        for fits in (1, 2):
+            _, report = solver.fit(ds)
+            # no halving round on this log: every pass accepts its first trial point
+            assert calls["win_probabilities"] == fits * (1 + 2 * report.iterations)
+            assert calls["solve_tridiagonal"] == fits * report.iterations
+            assert calls["fit_structure"] == fits
