@@ -27,7 +27,6 @@ from .ingest import (
     write_clean_dataset,
 )
 from .model import (
-    AscentOutcome,
     Hyperparameters,
     bt_probability,
     route_prior_mean,

@@ -100,7 +100,7 @@ def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     write_csv(out_dir / "route_ratings.csv", ("route_idx", "route_id", "grade", "rating"),
               (np.arange(len(state.route_ids)), state.route_ids, state.route_grades,
                state.route_ratings))
-    climber = state.period_climbers()
+    climber = state.period_owner
     write_csv(out_dir / "climber_ratings.csv", ("climber_idx", "climber_id", "week", "rating"),
               (climber, state.climber_ids[climber], state.period_weeks, state.climber_ratings))
     write_keyvalues(out_dir / "fit_report.txt", asdict(report))
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Climber and route ratings from ascent logs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("preprocess", parents=[], help="clean a raw ascent log",
+    p = sub.add_parser("preprocess", help="clean a raw ascent log",
                        description="Clean a raw ascent-log CSV into a dataset directory.")
     p.add_argument("raw_csv", help="raw ascent log (climber_id,route_id,tick_type,"
                                    "date,grade_label,grade_system)")

@@ -12,7 +12,6 @@ stable.  Every dropped row is tallied in the provenance counters.
 from __future__ import annotations
 
 import csv
-import io
 import re
 from dataclasses import dataclass
 from datetime import date
@@ -356,17 +355,16 @@ def write_keyvalues(path: str | Path, mapping: Mapping) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def parse_ascent_log(source: str | Path | IO) -> RawAscentLog:
-    """Parse a raw ascent-log CSV into columns, reporting bad lines by number.
+def parse_ascent_log(source: str | Path | IO[str]) -> RawAscentLog:
+    """Parse a raw ascent-log CSV, given as a path or a text stream, into
+    columns, reporting bad lines by number.
 
     A file's errors are prefixed with its name, a stream's are not.
     """
     if isinstance(source, (str, Path)):
         table = CsvTable.read(Path(source), RAW_COLUMNS)
-    elif isinstance(source, io.TextIOBase):
-        table = CsvTable(source, RAW_COLUMNS)
     else:
-        table = CsvTable(io.TextIOWrapper(source, encoding="utf-8", newline=""), RAW_COLUMNS)
+        table = CsvTable(source, RAW_COLUMNS)
     day = table.convert("date", lambda text: date.fromisoformat(text.strip()), "datetime64[D]",
                         "invalid date {!r}")
     table.raise_first()
@@ -528,10 +526,14 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     prov_path = src / "provenance.txt"
     if prov_path.exists():
         provenance = {}
-        for line in prov_path.read_text(encoding="utf-8").splitlines():
+        for lineno, line in enumerate(prov_path.read_text(encoding="utf-8").splitlines(), 1):
             if line.strip():
                 key, _, value = line.partition("=")
-                provenance[key.strip()] = int(value)
+                try:
+                    provenance[key.strip()] = int(value)
+                except ValueError:
+                    raise ParseError(f"provenance.txt line {lineno}: expected "
+                                     f"'key=integer', got {line!r}") from None
     else:
         provenance = {"rows_read": ascents.rows, "rows_kept": ascents.rows}
     return CleanDataset(

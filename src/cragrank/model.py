@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -26,13 +25,6 @@ import numpy as np
 # exp(36) is far from float64 overflow, and logistic(+/-36) is still strictly
 # inside (0, 1), so no ascent probability ever collapses to exactly 0 or 1.
 RATING_DIFF_CLAMP = 36.0
-
-
-class AscentOutcome(IntEnum):
-    """Outcome of a single ascent; as a number, whether the climber succeeded."""
-
-    FAILURE = 0
-    SUCCESS = 1
 
 
 @dataclass(frozen=True)

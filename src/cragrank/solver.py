@@ -11,12 +11,13 @@ of the log posterior come from :func:`climber_derivatives` and
 :func:`route_derivatives`.  Each entity's Newton step is halved until that
 entity's own log posterior does not fall, so no pass lowers the posterior.
 
-What does not change during a fit is built once per state, as its
-:class:`FitStructure`: the random-walk pairs with their precisions and the
-Hessian off-diagonal, each ascent's outcome sign, and each period's wins and
-each route's losses.  Each pass gathers the ratings of the side that stays
-fixed once, and carries each ascent's outcome probability ``p`` with its
-``log p``.  A trial point then costs one gather of the side that moved, one
+What does not change during a fit is built once, when the
+:class:`ModelState` is constructed, as its read-only fields: the random-walk
+pairs with their precisions and the Hessian off-diagonal, each ascent's
+outcome sign, and each period's wins and each route's losses.  Each pass
+gathers the ratings of the side that stays fixed once, and carries each
+ascent's outcome probability ``p`` with its ``log p``.  A trial point then
+costs one gather of the side that moved, one
 :func:`~cragrank.model.win_probabilities` call, one ``np.log`` and the
 per-entity sums of its log posterior.
 
@@ -28,7 +29,6 @@ unit (or at ``max_iterations``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class FitReport:
 
 @dataclass
 class ModelState:
-    """All ratings and ascents as flat arrays.
+    """All ratings and ascents as flat arrays, and what a fit never changes.
 
     Climber ``c`` owns the rating periods ``period_offsets[c]`` up to
     ``period_offsets[c + 1]`` of ``period_weeks`` and ``climber_ratings``;
@@ -65,8 +65,18 @@ class ModelState:
     ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every ascent
     once, in canonical (climber, week, route, outcome) order:
     ``asc_flat_period`` indexes the climber's period, ``asc_route`` the
-    route.  A fit changes only the ratings and the history; every other
-    field must stay as it is once :attr:`structure` has been read.
+    route.  A fit changes only the ratings and the history.
+
+    The fields after the history are read-only arrays that construction
+    builds from the periods, ascents and hyperparameters; the ratings play no
+    part.  ``period_owner`` is the climber of each period and
+    ``first_periods`` each climber's first period.  ``walk_pairs`` are the
+    periods ``j`` whose next period ``j + 1`` belongs to the same climber,
+    ``walk_precision`` their random-walk precisions, and ``hess_off`` the
+    climber Hessian's off-diagonal: the precision at each pair, 0 elsewhere.
+    ``sign`` is 1.0 at each ascent the climber won and -1.0 at each it lost,
+    ``lost`` 0.0 and 1.0; ``period_wins`` counts each period's successes and
+    ``route_losses`` each route's failures.
     """
 
     hyper: Hyperparameters
@@ -82,40 +92,40 @@ class ModelState:
     asc_route: np.ndarray
     asc_success: np.ndarray
     bt_log_likelihood_history: list[float] = field(default_factory=list)
+    period_owner: np.ndarray = field(init=False)
+    first_periods: np.ndarray = field(init=False)
+    walk_pairs: np.ndarray = field(init=False)
+    walk_precision: np.ndarray = field(init=False)
+    hess_off: np.ndarray = field(init=False)
+    sign: np.ndarray = field(init=False)
+    lost: np.ndarray = field(init=False)
+    period_wins: np.ndarray = field(init=False)
+    route_losses: np.ndarray = field(init=False)
 
-    def period_climbers(self) -> np.ndarray:
-        """Climber index of every flat rating period."""
-        return np.repeat(np.arange(len(self.climber_ids)), np.diff(self.period_offsets))
-
-    @cached_property
-    def structure(self) -> FitStructure:
-        """The state's :class:`FitStructure`, built by :func:`fit_structure` on first use."""
-        return fit_structure(self)
-
-
-@dataclass(frozen=True)
-class FitStructure:
-    """What every point of a fit shares; its arrays are read-only.
-
-    ``period_owner`` is the climber of each period and ``first_periods``
-    each climber's first period.  ``walk_pairs`` are the periods ``j`` whose
-    next period ``j + 1`` belongs to the same climber, ``walk_precision``
-    their random-walk precisions, and ``hess_off`` the climber Hessian's
-    off-diagonal: the precision at each pair, 0 elsewhere.  ``sign`` is 1.0
-    at each ascent the climber won and -1.0 at each it lost, ``lost`` 0.0 and
-    1.0; ``period_wins`` counts each period's successes and ``route_losses``
-    each route's failures.
-    """
-
-    period_owner: np.ndarray
-    first_periods: np.ndarray
-    walk_pairs: np.ndarray
-    walk_precision: np.ndarray
-    hess_off: np.ndarray
-    sign: np.ndarray
-    lost: np.ndarray
-    period_wins: np.ndarray
-    route_losses: np.ndarray
+    def __post_init__(self) -> None:
+        offsets = self.period_offsets
+        owner = np.repeat(np.arange(len(self.climber_ids)), np.diff(offsets))
+        j = np.flatnonzero(owner[1:] == owner[:-1])
+        precision = 1.0 / np.maximum(np.diff(self.period_weeks)[j] * self.hyper.w_sq,
+                                     MIN_WIENER_VARIANCE)
+        hess_off = np.zeros(max(len(owner) - 1, 0))
+        hess_off[j] = precision
+        won = self.asc_success
+        lost = (~won).astype(float)
+        derived = dict(
+            period_owner=owner,
+            first_periods=offsets[:-1][np.diff(offsets) > 0],
+            walk_pairs=j,
+            walk_precision=precision,
+            hess_off=hess_off,
+            sign=1.0 - 2.0 * lost,
+            lost=lost,
+            period_wins=_sums(self.asc_flat_period, won.astype(float), len(owner)),
+            route_losses=_sums(self.asc_route, lost, len(self.route_ratings)),
+        )
+        for name, array in derived.items():
+            array.flags.writeable = False
+            setattr(self, name, array)
 
 
 def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
@@ -219,38 +229,10 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
-def fit_structure(state: ModelState) -> FitStructure:
-    """Build the :class:`FitStructure` of ``state`` from its periods, ascents and
-    hyperparameters; the ratings play no part."""
-    offsets = state.period_offsets
-    owner = state.period_climbers()
-    j = np.flatnonzero(owner[1:] == owner[:-1])
-    precision = 1.0 / np.maximum(np.diff(state.period_weeks)[j] * state.hyper.w_sq,
-                                 MIN_WIENER_VARIANCE)
-    hess_off = np.zeros(max(len(owner) - 1, 0))
-    hess_off[j] = precision
-    won = state.asc_success
-    lost = (~won).astype(float)
-    structure = FitStructure(
-        period_owner=owner,
-        first_periods=offsets[:-1][np.diff(offsets) > 0],
-        walk_pairs=j,
-        walk_precision=precision,
-        hess_off=hess_off,
-        sign=1.0 - 2.0 * lost,
-        lost=lost,
-        period_wins=_sums(state.asc_flat_period, won.astype(float), len(owner)),
-        route_losses=_sums(state.asc_route, lost, len(state.route_ratings)),
-    )
-    for array in vars(structure).values():
-        array.flags.writeable = False
-    return structure
-
-
 def _observed(state: ModelState, margin: np.ndarray) -> np.ndarray:
     """Each ascent's winner's :func:`win_probabilities`, from the climber's
     ``margin`` over the route.  Multiplying by the outcome sign is exact."""
-    return win_probabilities(margin * state.structure.sign, 0.0)
+    return win_probabilities(margin * state.sign, 0.0)
 
 
 def outcome_probabilities(state: ModelState) -> np.ndarray:
@@ -265,8 +247,7 @@ def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.n
 
     ``lost + sign * p`` is ``p`` or ``1.0 - p`` exactly, without a branch.
     """
-    structure = state.structure
-    return structure.lost + structure.sign * outcome_p
+    return state.lost + state.sign * outcome_p
 
 
 def climber_derivatives(state: ModelState, outcome_p: np.ndarray
@@ -279,17 +260,16 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     belong to different climbers.  Each period holds its ascents'
     Bradley-Terry terms, each climber's first period the initial-rating
     prior, and consecutive periods of one climber the random-walk coupling.
-    ``hess_off`` is the state's read-only :attr:`FitStructure.hess_off`.
+    ``hess_off`` is the state's read-only :attr:`ModelState.hess_off`.
     """
-    structure = state.structure
     r = state.climber_ratings
     n = r.shape[0]
     idx = state.asc_flat_period
     p = _climber_win_probabilities(state, outcome_p)
-    grad = structure.period_wins - _sums(idx, p, n)
+    grad = state.period_wins - _sums(idx, p, n)
     hess = -_sums(idx, p * (1.0 - p), n)
 
-    first, j, precision = structure.first_periods, structure.walk_pairs, structure.walk_precision
+    first, j, precision = state.first_periods, state.walk_pairs, state.walk_precision
     grad[first] -= r[first] / state.hyper.sigma_c_sq
     hess[first] -= 1.0 / state.hyper.sigma_c_sq
     pull = (r[j + 1] - r[j]) * precision
@@ -297,7 +277,7 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     grad[j + 1] -= pull
     hess[j] -= precision
     hess[j + 1] -= precision
-    return grad, hess, structure.hess_off
+    return grad, hess, state.hess_off
 
 
 def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,7 +291,7 @@ def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndar
     ratings = state.route_ratings
     n = ratings.shape[0]
     q = 1.0 - _climber_win_probabilities(state, outcome_p)
-    d1 = (state.structure.route_losses - _sums(route, q, n)
+    d1 = (state.route_losses - _sums(route, q, n)
           - (ratings - state.route_prior_means) / state.hyper.sigma_r_sq)
     d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / state.hyper.sigma_r_sq
     return d1, d2
@@ -320,12 +300,11 @@ def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndar
 def _climber_log_posteriors(state: ModelState, r: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """At each period, the log posterior terms of its climber at ratings ``r``:
     ascents (from their ``log_p``), prior and random walk."""
-    structure = state.structure
-    first, j = structure.first_periods, structure.walk_pairs
+    first, j = state.first_periods, state.walk_pairs
     terms = _sums(state.asc_flat_period, log_p, r.shape[0])
     terms[first] -= r[first] ** 2 / (2.0 * state.hyper.sigma_c_sq)
-    terms[j] -= (r[j + 1] - r[j]) ** 2 * structure.walk_precision / 2.0
-    owner = structure.period_owner
+    terms[j] -= (r[j + 1] - r[j]) ** 2 * state.walk_precision / 2.0
+    owner = state.period_owner
     return _sums(owner, terms, len(state.climber_ids))[owner]
 
 
@@ -411,10 +390,10 @@ def fit(
     marginal log-likelihood.  The model is evaluated once per point: the
     :func:`outcome_probabilities` and their log that each pass returns are
     carried to the next pass, and the route pass's log gives the recorded
-    likelihood.  The state's :class:`FitStructure` is built once, so a trial
-    point costs one gather of the side that moved, one
-    :func:`win_probabilities` call, one ``np.log`` and the per-entity sums;
-    an iteration without halving calls :func:`win_probabilities` twice and
+    likelihood.  The state's read-only fields are built once, by
+    :func:`initialize_state`, so a trial point costs one gather of the side
+    that moved, one :func:`win_probabilities` call, one ``np.log`` and the
+    per-entity sums; an iteration without halving calls :func:`win_probabilities` twice and
     :func:`solve_tridiagonal` once.  No pass lowers the log posterior.  The
     fit is converged once the last ``CONVERGENCE_WINDOW + 1`` recorded
     likelihoods span at most ``convergence_span``; otherwise it stops at

@@ -152,25 +152,21 @@ def level_matched_dataset(
     n_periods: int,
     per_period: int,
     *,
-    spread: float = 2.0,
-    route_variance: float = 1.0,
     world_seed: int,
     log_seed: int,
 ) -> CleanDataset:
     """A large simulated log where climbers pick routes near their level.
 
-    Route ratings are drawn with variance ``route_variance`` and every
-    climber makes ``per_period`` attempts per period, each on the route whose
-    true rating is nearest to the climber's current ability plus a normal
-    offset with standard deviation ``spread``, mirroring how real logbooks
-    cluster around each climber's working grade.  Matched difficulty keeps
-    outcomes informative for every entity, which is what lets a log of this
-    size fit to convergence.  The result has passed the ingest activity
-    filters.
+    Route ratings are drawn with variance 1 and every climber makes
+    ``per_period`` attempts per period, each on the route whose true rating
+    is nearest to the climber's current ability plus a normal offset with
+    standard deviation 2, mirroring how real logbooks cluster around each
+    climber's working grade.  Matched difficulty keeps outcomes informative
+    for every entity, which is what lets a log of this size fit to
+    convergence.  The result has passed the ingest activity filters.
     """
-    gen_hyper = Hyperparameters(sigma_r_sq=route_variance)
     world = generate_world(n_climbers, n_routes, n_periods, (18, 28),
-                           hyper=gen_hyper, seed=world_seed)
+                           hyper=Hyperparameters(sigma_r_sq=1.0), seed=world_seed)
     rng = np.random.default_rng(log_seed)
     order = np.argsort(world.route_ratings)
     sorted_ratings = world.route_ratings[order]
@@ -179,7 +175,7 @@ def level_matched_dataset(
     climber_idx = np.repeat(np.arange(n_climbers), n_periods * per_period)
     period_idx = np.tile(np.repeat(np.arange(n_periods), per_period), n_climbers)
     ability = world.climber_ratings[climber_idx, period_idx]
-    target = ability + rng.normal(0.0, spread, size=total)
+    target = ability + rng.normal(0.0, 2.0, size=total)
     pos = np.clip(np.searchsorted(sorted_ratings, target), 0, n_routes - 1)
     left = np.maximum(pos - 1, 0)
     nearer_left = np.abs(sorted_ratings[left] - target) <= np.abs(
@@ -225,7 +221,7 @@ def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport
 
     climber_row = {cid: i for i, cid in enumerate(world.climber_ids)}
     rows = np.array([climber_row.get(cid, -1) for cid in fitted.climber_ids], dtype=np.int64)
-    period_rows = rows[fitted.period_climbers()]
+    period_rows = rows[fitted.period_owner]
     known = period_rows >= 0
     positions = np.searchsorted(world.weeks, fitted.period_weeks[known])
     fitted_c = fitted.climber_ratings[known]

@@ -34,7 +34,7 @@ from cragrank.ingest import (
     preprocess,
     week_start_date,
 )
-from cragrank.model import AscentOutcome, Hyperparameters
+from cragrank.model import Hyperparameters
 from cragrank.solver import (
     climber_derivatives,
     fit,
@@ -50,8 +50,8 @@ from cragrank.synthetic import (
     simulate_ascents,
 )
 
-S = AscentOutcome.SUCCESS
-F = AscentOutcome.FAILURE
+S = True
+F = False
 
 FD_STEP = 1e-6
 
@@ -257,7 +257,7 @@ def _check_derivatives_config(seed, rng):
     state.climber_ratings = rng.uniform(-6.0, 6.0, size=state.climber_ratings.shape[0])
     state.route_ratings = rng.uniform(-6.0, 6.0, size=state.route_ratings.shape[0])
     period_coord = [coord_of[(int(c), int(w))]
-                    for c, w in zip(state.period_climbers(), state.period_weeks)]
+                    for c, w in zip(state.period_owner, state.period_weeks)]
     x = np.zeros(n_coords)
     x[period_coord] = state.climber_ratings
     x[route_base:] = state.route_ratings

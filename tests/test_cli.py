@@ -304,6 +304,18 @@ class TestFit:
         err = capsys.readouterr().err
         assert f"ascents.csv line 3: {column} out of range" in err
 
+    @pytest.mark.parametrize("line, bad", [(0, "rows_read=many"), (1, "no equals sign")])
+    def test_bad_provenance_names_file_and_line(self, tmp_path, capsys, line, bad):
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = dataset_dir / "provenance.txt"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[line] = bad
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: provenance.txt line {line + 1}: expected 'key=integer', got {bad!r}\n")
+
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run(["fit", tmp_path / "nowhere", "--out", tmp_path / "f"]) == 1
 
@@ -448,7 +460,7 @@ class TestIdsThatNeedQuoting:
                 == state.route_ids.tolist())
         periods = self.read_csv(ratings / "climber_ratings.csv")
         assert ([r["climber_id"] for r in periods]
-                == state.climber_ids[state.period_climbers()].tolist())
+                == state.climber_ids[state.period_owner].tolist())
 
         weeks = quantize_week(self.DAYS).tolist()
         queries = [(c, r, w) for c in self.CLIMBERS for r in self.ROUTES for w in weeks]

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from cragrank.evaluation import (
@@ -24,11 +24,11 @@ from cragrank.evaluation import (
     rating_at_nearest_week,
 )
 from cragrank.ingest import CleanDataset
-from cragrank.model import AscentOutcome, Hyperparameters, bt_probability
-from cragrank.solver import fit, initialize_state
+from cragrank.model import Hyperparameters, bt_probability
+from cragrank.solver import initialize_state
 
-S = AscentOutcome.SUCCESS
-F = AscentOutcome.FAILURE
+S = True
+F = False
 
 
 def make_dataset(ascents, n_routes, n_climbers, grades=None):

@@ -1,9 +1,10 @@
-"""Source hygiene, checked on the syntax tree of each module under ``src/cragrank``.
+"""Source hygiene, checked on the syntax tree of each module under ``src/cragrank``,
+``tests`` and ``scripts``.
 
-No linter ships with the project.  Every module-level name a library module
-imports is used in it (except in the package ``__init__``, whose imports are
-the public re-exports).  And only ``model.py`` evaluates the logistic or
-names its clamp, so that the model has one copy of its likelihood.
+No linter ships with the project.  Every module-level name a module imports
+is used in it (except in the package ``__init__``, whose imports are the
+public re-exports).  And only ``model.py`` evaluates the logistic or names its
+clamp, so that the model has one copy of its likelihood.
 """
 
 import ast
@@ -11,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).resolve().parents[1] / "src" / "cragrank").glob("*.py"))
-SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = sorted((ROOT / "src" / "cragrank").glob("*.py"))
+SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
+           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from cragrank.errors import EmptyDatasetError, ParseError
 from cragrank.ingest import (
-    DEFAULT_TICK_MAPPING,
     RAW_COLUMNS,
     RawAscentLog,
     TickClass,

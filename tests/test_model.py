@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from cragrank.model import (
     RATING_DIFF_CLAMP,
-    AscentOutcome,
     Hyperparameters,
     bt_probability,
     route_prior_mean,
@@ -52,7 +51,7 @@ def bt_log_density(own, opponents, outcomes, side):
     total = 0.0
     for opp, outcome in zip(opponents, outcomes):
         z = own - opp if side == "climber" else opp - own
-        if outcome is AscentOutcome.SUCCESS:
+        if outcome:
             total -= math.log1p(math.exp(-z))
         else:
             total -= math.log1p(math.exp(z))
@@ -64,7 +63,7 @@ def bt_gradient(own, opponents, outcomes, side):
     # where p is own's win probability logistic(own - opp) for either side
     total = 0.0
     for opp, outcome in zip(opponents, outcomes):
-        won = (outcome is AscentOutcome.SUCCESS) == (side == "climber")
+        won = outcome == (side == "climber")
         total += (1.0 if won else 0.0) - logistic(own - opp)
     return total
 
@@ -99,13 +98,13 @@ def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_
         route_ratings=np.array(route_ratings, dtype=float),
         asc_flat_period=np.array(period),
         asc_route=np.array(route),
-        asc_success=np.array([o is AscentOutcome.SUCCESS for o in outcome], dtype=bool),
+        asc_success=np.array(outcome, dtype=bool),
     )
 
 
 def lone_route_state(rating, mean=0.0, hyper=None):
     """Route 0 at ``rating`` without ascents, and one success on route 1."""
-    return one_climber_state([0], [0.0], [rating, 0.0], [(0, 1, AscentOutcome.SUCCESS)],
+    return one_climber_state([0], [0.0], [rating, 0.0], [(0, 1, True)],
                              hyper=hyper, prior_means=[mean, 0.0])
 
 
@@ -116,8 +115,7 @@ def coupled_state(weeks, ratings, hyper=None):
     period's own rating: their Bradley-Terry terms are exactly 0 in the
     gradient and -0.5 in the Hessian diagonal.
     """
-    ascents = [(k, k, o) for k in range(len(weeks))
-               for o in (AscentOutcome.SUCCESS, AscentOutcome.FAILURE)]
+    ascents = [(k, k, o) for k in range(len(weeks)) for o in (True, False)]
     return one_climber_state(weeks, ratings, ratings, ascents, hyper=hyper)
 
 
@@ -314,9 +312,49 @@ class TestWienerVariance:
         assert grad[1] == pytest.approx(-pull, rel=1e-9, abs=1e-9)
 
 
+class TestStateInvariants:
+    """The read-only fields a state builds from its periods, ascents and
+    hyperparameters, against values worked out by hand."""
+
+    # (period, route, outcome) at weeks [0, 2, 5]: route 0 is failed once,
+    # route 1 twice; periods 0 and 2 hold one success each.
+    ASCENTS = [(0, 0, True), (0, 1, False), (1, 0, False), (2, 1, True), (2, 1, False)]
+    DERIVED = ("period_owner", "first_periods", "walk_pairs", "walk_precision", "hess_off",
+               "sign", "lost", "period_wins", "route_losses")
+
+    def state(self, w_sq):
+        return one_climber_state([0, 2, 5], [0.3, -0.2, 0.1], [0.5, -0.5], self.ASCENTS,
+                                 hyper=Hyperparameters(w_sq=w_sq))
+
+    def test_fields(self):
+        state = self.state(0.5)
+        assert state.period_owner.tolist() == [0, 0, 0]
+        assert state.first_periods.tolist() == [0]
+        assert state.walk_pairs.tolist() == [0, 1]
+        # 1 / (weeks apart * w_sq): 1 / (2 * 0.5) and 1 / (3 * 0.5)
+        assert state.walk_precision.tolist() == [1.0, 1.0 / 1.5]
+        assert state.hess_off.tolist() == [1.0, 1.0 / 1.5]
+        assert state.sign.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0]
+        assert state.lost.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
+        assert state.period_wins.tolist() == [1.0, 0.0, 1.0]
+        assert state.route_losses.tolist() == [1.0, 2.0]
+
+    def test_zero_drift_is_floored(self):
+        state = self.state(0.0)
+        floored = 1.0 / MIN_WIENER_VARIANCE
+        assert state.walk_precision.tolist() == [floored, floored]
+        assert state.hess_off.tolist() == [floored, floored]
+
+    def test_fields_are_read_only(self):
+        state = self.state(0.5)
+        for name in self.DERIVED:
+            with pytest.raises(ValueError):
+                getattr(state, name)[0] = 0
+
+
 class TestBtDerivatives:
     def test_single_success_even_odds(self):
-        d1, d2 = bt_terms(0.0, [0.0], [AscentOutcome.SUCCESS], "climber")
+        d1, d2 = bt_terms(0.0, [0.0], [True], "climber")
         assert d1 == pytest.approx(0.5)
         assert d2 == pytest.approx(-0.25)
 
@@ -327,18 +365,17 @@ class TestBtDerivatives:
         assert (grad[0], hess[0]) == (0.0, -1.0 / Hyperparameters().sigma_r_sq)
 
     def test_balanced_outcomes(self):
-        d1, d2 = bt_terms(0.0, [0.0, 0.0], [AscentOutcome.SUCCESS, AscentOutcome.FAILURE],
-                          "climber")
+        d1, d2 = bt_terms(0.0, [0.0, 0.0], [True, False], "climber")
         assert d1 == pytest.approx(0.0)
         assert d2 == pytest.approx(-0.5)
 
     def test_route_wins_failed_ascent(self):
-        d1, d2 = bt_terms(0.0, [0.0], [AscentOutcome.FAILURE], "route")
+        d1, d2 = bt_terms(0.0, [0.0], [False], "route")
         assert d1 == pytest.approx(0.5)
         assert d2 == pytest.approx(-0.25)
 
     def test_route_loses_successful_ascent(self):
-        d1, _ = bt_terms(0.0, [0.0], [AscentOutcome.SUCCESS], "route")
+        d1, _ = bt_terms(0.0, [0.0], [True], "route")
         assert d1 == pytest.approx(-0.5)
 
     @given(
@@ -351,7 +388,7 @@ class TestBtDerivatives:
     def test_matches_finite_difference(self, own, opponents, side, data):
         outcomes = data.draw(
             st.lists(
-                st.sampled_from([AscentOutcome.SUCCESS, AscentOutcome.FAILURE]),
+                st.sampled_from([True, False]),
                 min_size=len(opponents),
                 max_size=len(opponents),
             )
@@ -370,5 +407,5 @@ class TestBtDerivatives:
 
     @given(own=ratings, opponents=st.lists(ratings, min_size=1, max_size=8))
     def test_d2_negative_with_data(self, own, opponents):
-        outcomes = [AscentOutcome.SUCCESS] * len(opponents)
+        outcomes = [True] * len(opponents)
         assert bt_terms(own, opponents, outcomes, "climber")[1] < 0.0

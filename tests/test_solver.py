@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from cragrank import solver
 from cragrank.errors import EmptyDatasetError
 from cragrank.ingest import CleanDataset, assemble_clean_dataset
-from cragrank.model import AscentOutcome, Hyperparameters, win_probabilities
+from cragrank.model import Hyperparameters, win_probabilities
 from cragrank.solver import (
     ModelState,
     bt_marginal_log_likelihood,
@@ -32,8 +32,8 @@ from cragrank.solver import (
     solve_tridiagonal,
 )
 
-S = AscentOutcome.SUCCESS
-F = AscentOutcome.FAILURE
+S = True
+F = False
 
 
 def evaluated(state):
@@ -724,16 +724,19 @@ class TestBranchFreeSelects:
 
 class TestCostContract:
     def test_calls_per_fit(self, monkeypatch):
-        calls = dict.fromkeys(("win_probabilities", "solve_tridiagonal", "fit_structure"), 0)
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(solver, name), **kwargs):
+        counted_in = {"win_probabilities": solver, "solve_tridiagonal": solver,
+                      "__post_init__": ModelState}
+        calls = dict.fromkeys(counted_in, 0)
+        for name, owner in counted_in.items():
+            def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
-            monkeypatch.setattr(solver, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         ds = random_dataset(np.random.default_rng(3), n_climbers=6, n_routes=5, max_periods=4)
         for fits in (1, 2):
             _, report = solver.fit(ds)
             # no halving round on this log: every pass accepts its first trial point
             assert calls["win_probabilities"] == fits * (1 + 2 * report.iterations)
             assert calls["solve_tridiagonal"] == fits * report.iterations
-            assert calls["fit_structure"] == fits
+            # one state per fit, so its invariants are built once
+            assert calls["__post_init__"] == fits
