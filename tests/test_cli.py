@@ -159,6 +159,13 @@ bob,r1,punted,2020-01-13,21,ewbank
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
 
+# An index column, and the line end of the edited ascents.csv (the ids of the
+# LF cases predate the CRLF ones).
+INDEX_CASES = [pytest.param(column, newline, id=column + suffix)
+               for newline, suffix in (("\n", ""), ("\r\n", "-crlf"))
+               for column in ("climber_idx", "route_idx")]
+
+
 class TestFit:
     def test_writes_rating_files(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)
@@ -282,27 +289,29 @@ class TestFit:
                     "--hyper-config", config]) == 1
         assert "unknown hyperparameter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column", ["climber_idx", "route_idx"])
-    def test_negative_index_exits_one_with_line(self, tmp_path, capsys, column):
-        self.assert_index_rejected(tmp_path, capsys, column, "-1")
+    @pytest.mark.parametrize("column, newline", INDEX_CASES)
+    def test_negative_index_exits_one_with_line(self, tmp_path, capsys, column, newline):
+        self.assert_index_rejected(tmp_path, capsys, column, "-1", newline)
 
-    @pytest.mark.parametrize("column", ["climber_idx", "route_idx"])
-    def test_index_past_table_exits_one_with_line(self, tmp_path, capsys, column):
-        self.assert_index_rejected(tmp_path, capsys, column, "2")
+    @pytest.mark.parametrize("column, newline", INDEX_CASES)
+    def test_index_past_table_exits_one_with_line(self, tmp_path, capsys, column, newline):
+        self.assert_index_rejected(tmp_path, capsys, column, "2", newline)
 
-    def assert_index_rejected(self, tmp_path, capsys, column, value):
-        # BASIC_LOG has two climbers and two routes, so indexes run 0..1
+    def assert_index_rejected(self, tmp_path, capsys, column, value, newline):
+        # BASIC_LOG has two climbers and two routes, so indexes run 0..1.  With
+        # CRLF line ends the file keeps the form write_csv writes.
         dataset_dir = preprocess_fixture(tmp_path)
         path = dataset_dir / "ascents.csv"
         lines = path.read_text(encoding="utf-8").splitlines()
         fields = lines[2].split(",")
         fields[0 if column == "climber_idx" else 1] = value
         lines[2] = ",".join(fields)
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_bytes((newline.join(lines) + newline).encode())
         capsys.readouterr()
         assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 1
-        err = capsys.readouterr().err
-        assert f"ascents.csv line 3: {column} out of range" in err
+        table = "climbers" if column == "climber_idx" else "routes"
+        assert capsys.readouterr().err == (
+            f"error: ascents.csv line 3: {column} out of range for 2 {table}\n")
 
     @pytest.mark.parametrize("line, bad", [(0, "rows_read=many"), (1, "no equals sign")])
     def test_bad_provenance_names_file_and_line(self, tmp_path, capsys, line, bad):

@@ -3,8 +3,10 @@
 
 No linter ships with the project.  Every module-level name a module imports
 is used in it (except in the package ``__init__``, whose imports are the
-public re-exports).  And only ``model.py`` evaluates the logistic or names its
-clamp, so that the model has one copy of its likelihood.
+public re-exports).  Only ``model.py`` evaluates the logistic or names its
+clamp, so that the model has one copy of its likelihood.  And only
+``ingest.py`` parses CSV text, with the ``csv`` module or numpy's text
+readers, so that the dataset file format lives in one module.
 """
 
 import ast
@@ -69,3 +71,36 @@ def test_finds_a_logistic():
                          ids=lambda p: p.name)
 def test_only_model_evaluates_the_logistic(path):
     assert logistic_outside_model(path.read_text(encoding="utf-8")) == []
+
+
+TEXT_READERS = ("loadtxt", "genfromtxt", "fromstring")
+
+
+def text_parsing(source: str) -> list[str]:
+    """Each import of ``csv`` and each use of numpy's text readers in a source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "csv"]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] == "csv":
+                found.append(node.module)
+            elif node.module.split(".")[0] == "numpy":
+                found += [a.name for a in node.names if a.name in TEXT_READERS]
+        elif isinstance(node, ast.Attribute) and node.attr in TEXT_READERS:
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.append(node.attr)
+    return found
+
+
+def test_finds_text_parsing():
+    source = ("import csv\nimport numpy as np\nfrom numpy import genfromtxt\n"
+              "from csv import reader\nx = np.loadtxt(f)\ny = numpy.fromstring(s)\n"
+              "z = np.load(f)\n")
+    assert sorted(text_parsing(source)) == ["csv", "csv", "fromstring", "genfromtxt", "loadtxt"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "ingest.py"],
+                         ids=lambda p: p.name)
+def test_only_ingest_parses_csv(path):
+    assert text_parsing(path.read_text(encoding="utf-8")) == []

@@ -12,8 +12,11 @@ from hypothesis import strategies as st
 from cragrank.errors import EmptyDatasetError, ParseError
 from cragrank.ingest import (
     RAW_COLUMNS,
+    CleanDataset,
     RawAscentLog,
     TickClass,
+    _read_checked_ascents,
+    _read_written_ascents,
     classify_tick,
     format_float,
     load_tick_mapping,
@@ -434,13 +437,14 @@ class TestSerialization:
         back = read_clean_dataset(tmp_path)
         assert ascents(back) == ascents(ds)
 
-    def test_bad_outcome_rejected(self, tmp_path):
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_bad_outcome_rejected(self, tmp_path, newline):
         ds = self._dataset()
         write_clean_dataset(ds, tmp_path)
         ascents = (tmp_path / "ascents.csv").read_text().splitlines()
         ascents[1] = ascents[1].rsplit(",", 1)[0] + ",2"
-        (tmp_path / "ascents.csv").write_text("\n".join(ascents) + "\n")
-        with pytest.raises(ParseError):
+        (tmp_path / "ascents.csv").write_bytes((newline.join(ascents) + newline).encode())
+        with pytest.raises(ParseError, match="^ascents.csv line 2: outcome must be 0 or 1$"):
             read_clean_dataset(tmp_path)
 
     def test_raw_log_round_trip(self, tmp_path):
@@ -509,6 +513,15 @@ class TestWriteCsv:
         write_csv(tmp_path / "t.csv", header, columns)
         assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(header, columns)
 
+    @pytest.mark.parametrize("rows", [6, 7])
+    def test_bytes_match_across_row_chunks(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr("cragrank.ingest._WRITE_ROWS", 3)
+        header = ("id", "x", "won", "n")
+        columns = (np.array(AWKWARD_IDS[:rows], dtype=object), np.array(AWKWARD_FLOATS[:rows]),
+                   np.arange(rows) % 2 == 0, np.arange(rows))
+        write_csv(tmp_path / "t.csv", header, columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(header, columns)
+
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.tuples(st.text(), st.floats(), st.booleans(),
                               st.integers(INT64.min, INT64.max)), max_size=20),
@@ -527,3 +540,117 @@ class TestWriteCsv:
     @given(st.floats())
     def test_format_float_is_nine_significant_digits(self, x):
         assert format_float(x) == f"{x:.9g}"
+
+
+def column_outcome(read):
+    """The columns ``read`` returns, as (dtype, contiguous, values) each, or its ParseError text."""
+    try:
+        columns = read()
+    except ParseError as exc:
+        return str(exc)
+    return [(c.dtype.str, c.flags.c_contiguous, c.tolist()) for c in columns]
+
+
+def replace_field(line: bytes, index: int, text: bytes) -> bytes:
+    fields = line.split(b",")
+    fields[index] = text
+    return b",".join(fields)
+
+
+def on_first_row(change):
+    """A mutation of an ascents.csv that applies ``change`` to its first data line."""
+    def mutate(data: bytes) -> bytes:
+        lines = data.split(b"\r\n")
+        lines[1] = change(lines[1])
+        return b"\r\n".join(lines)
+    return mutate
+
+
+def extra_column(header: bytes, field: bytes):
+    """A mutation that appends ``header`` to the header line and ``field`` to every row."""
+    def mutate(data: bytes) -> bytes:
+        lines = data.split(b"\r\n")
+        return b"\r\n".join([lines[0] + b"," + header]
+                             + [line + b"," + field for line in lines[1:-1]] + [b""])
+    return mutate
+
+
+# Edits of a written ascents.csv; the reader must treat each as the checked
+# reader does, whether it takes numpy's parser or not.
+MUTATIONS = {
+    "lf": lambda data: data.replace(b"\r\n", b"\n"),
+    "quoted": on_first_row(lambda line: b'"' + line.replace(b",", b'","') + b'"'),
+    "spaces": on_first_row(lambda line: b" " + line.replace(b",", b" , ")),
+    "plus": on_first_row(lambda line: b"+" + line),
+    "leading zeros": on_first_row(lambda line: replace_field(line, 1, b"003")),
+    "minus zero": on_first_row(lambda line: replace_field(line, 0, b"-0")),
+    "empty field": on_first_row(lambda line: replace_field(line, 2, b"")),
+    "minus inside": on_first_row(lambda line: replace_field(line, 2, b"1-2")),
+    "week 2**63": on_first_row(lambda line: replace_field(line, 2, str(2**63).encode())),
+    "week -2**63": on_first_row(lambda line: replace_field(line, 2, str(-2**63).encode())),
+    "negative week": on_first_row(lambda line: replace_field(line, 2, b"-5")),
+    "climber past table": on_first_row(lambda line: replace_field(line, 0, b"99")),
+    "negative route": on_first_row(lambda line: replace_field(line, 1, b"-1")),
+    "outcome 01": on_first_row(lambda line: replace_field(line, 3, b"01")),
+    "outcome 00": on_first_row(lambda line: replace_field(line, 3, b"00")),
+    "outcome -0": on_first_row(lambda line: replace_field(line, 3, b"-0")),
+    "outcome 2": on_first_row(lambda line: replace_field(line, 3, b"2")),
+    "blank line": lambda data: data.replace(b"\r\n", b"\r\n\r\n", 1),
+    "no final line end": lambda data: data[:-2],
+    "reordered header": lambda data: data.replace(b"climber_idx,route_idx", b"route_idx,climber_idx",
+                                                  1),
+    "extra column": extra_column(b"note", b"x"),
+    "duplicated column": extra_column(b"week", b"3"),
+    "header only": lambda data: data.split(b"\r\n")[0] + b"\r\n",
+}
+# The edits that leave a file numpy's parser reads: fields of digits and minus
+# signs that int() reads as it does.
+NUMPY_EDITS = {"leading zeros", "minus zero", "negative week", "week -2**63"}
+
+ascent_rows = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                 st.integers(INT64.min, INT64.max), st.booleans()),
+                       min_size=1, max_size=12)
+
+
+class TestWrittenAscents:
+    """``read_clean_dataset`` parses an ascents.csv as written with numpy, and
+    must give exactly what the checked reader gives, for every file."""
+
+    @staticmethod
+    def written(directory, rows):
+        climber, route, week, success = (np.array(c) for c in zip(*rows))
+        dataset = CleanDataset(climber, route, week, success.astype(bool),
+                               np.array([f"c{i}" for i in range(4)], dtype=object),
+                               np.array([f"r{i}" for i in range(4)], dtype=object),
+                               np.arange(20, 24), {})
+        write_clean_dataset(dataset, directory)
+        return directory / "ascents.csv"
+
+    @staticmethod
+    def both(directory):
+        """What read_clean_dataset and the checked reader alone make of the directory."""
+        def read():
+            dataset = read_clean_dataset(directory)
+            return dataset.climber, dataset.route, dataset.week, dataset.success
+        checked = column_outcome(lambda: _read_checked_ascents(directory / "ascents.csv", 4, 4))
+        return column_outcome(read), checked
+
+    @settings(max_examples=60, deadline=None)
+    @given(ascent_rows)
+    def test_written_file_takes_numpy_parser(self, tmp_path_factory, rows):
+        path = self.written(tmp_path_factory.mktemp("ds"), rows)
+        assert column_outcome(lambda: _read_written_ascents(path, 4, 4)) == [
+            ("<i8", True, [r[i] for r in rows]) for i in range(3)
+        ] + [("|b1", True, [r[3] for r in rows])]
+        fast, checked = self.both(path.parent)
+        assert fast == checked
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    @settings(max_examples=10, deadline=None)
+    @given(ascent_rows)
+    def test_edited_file_reads_as_checked(self, tmp_path_factory, mutation, rows):
+        path = self.written(tmp_path_factory.mktemp("ds"), rows)
+        path.write_bytes(MUTATIONS[mutation](path.read_bytes()))
+        assert (_read_written_ascents(path, 4, 4) is not None) == (mutation in NUMPY_EDITS)
+        fast, checked = self.both(path.parent)
+        assert fast == checked
