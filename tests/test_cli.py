@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from cragrank import ingest
 from cragrank.cli import main
 from cragrank.evaluation import predict_probabilities
 from cragrank.ingest import quantize_week, read_clean_dataset
@@ -159,11 +160,17 @@ bob,r1,punted,2020-01-13,21,ewbank
         assert read_tree(tmp_path / "a") == read_tree(tmp_path / "b")
 
 
-# An index column, and the line end of the edited ascents.csv (the ids of the
-# LF cases predate the CRLF ones).
-INDEX_CASES = [pytest.param(column, newline, id=column + suffix)
+# CsvTable's row-chunk sizes to run read errors at, with their id suffixes:
+# the default (no suffix), then one and two rows.
+READ_ROWS = [(ingest._READ_ROWS, ""), (1, "-read_rows=1"), (2, "-read_rows=2")]
+
+
+# An index column, the line end of the edited ascents.csv (the ids of the LF
+# cases predate the CRLF ones), and CsvTable's row-chunk size.
+INDEX_CASES = [pytest.param(column, newline, read_rows, id=column + suffix + rows_suffix)
                for newline, suffix in (("\n", ""), ("\r\n", "-crlf"))
-               for column in ("climber_idx", "route_idx")]
+               for column in ("climber_idx", "route_idx")
+               for read_rows, rows_suffix in READ_ROWS]
 
 
 class TestFit:
@@ -289,12 +296,16 @@ class TestFit:
                     "--hyper-config", config]) == 1
         assert "unknown hyperparameter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("column, newline", INDEX_CASES)
-    def test_negative_index_exits_one_with_line(self, tmp_path, capsys, column, newline):
+    @pytest.mark.parametrize("column, newline, read_rows", INDEX_CASES)
+    def test_negative_index_exits_one_with_line(self, tmp_path, capsys, monkeypatch, column,
+                                                newline, read_rows):
+        monkeypatch.setattr(ingest, "_READ_ROWS", read_rows)
         self.assert_index_rejected(tmp_path, capsys, column, "-1", newline)
 
-    @pytest.mark.parametrize("column, newline", INDEX_CASES)
-    def test_index_past_table_exits_one_with_line(self, tmp_path, capsys, column, newline):
+    @pytest.mark.parametrize("column, newline, read_rows", INDEX_CASES)
+    def test_index_past_table_exits_one_with_line(self, tmp_path, capsys, monkeypatch, column,
+                                                  newline, read_rows):
+        monkeypatch.setattr(ingest, "_READ_ROWS", read_rows)
         self.assert_index_rejected(tmp_path, capsys, column, "2", newline)
 
     def assert_index_rejected(self, tmp_path, capsys, column, value, newline):
@@ -399,9 +410,13 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "line 2" in err and "week" in err
 
-    @pytest.mark.parametrize("name, line", [("route_ratings.csv", 3),
-                                            ("climber_ratings.csv", 4)])
-    def test_bad_rating_reports_file_and_line(self, tmp_path, capsys, name, line):
+    @pytest.mark.parametrize("name, line, read_rows", [
+        pytest.param(name, line, read_rows, id=f"{name}-{line}{rows_suffix}")
+        for name, line in (("route_ratings.csv", 3), ("climber_ratings.csv", 4))
+        for read_rows, rows_suffix in READ_ROWS])
+    def test_bad_rating_reports_file_and_line(self, tmp_path, capsys, monkeypatch, name, line,
+                                              read_rows):
+        monkeypatch.setattr(ingest, "_READ_ROWS", read_rows)
         ratings = self.write_ratings(tmp_path)
         path = ratings / name
         lines = path.read_text(encoding="utf-8").splitlines()

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 from datetime import date, timedelta
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cragrank import ingest
+from cragrank.cli import main
 from cragrank.errors import EmptyDatasetError, ParseError
 from cragrank.ingest import (
     RAW_COLUMNS,
@@ -119,6 +122,12 @@ class TestLoadTickMapping:
         with pytest.raises(ParseError):
             load_tick_mapping(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "ticks.txt"
+        path.write_text("onsight,unsuccessful\nflash,unsuccessful\n", encoding="utf-8-sig")
+        assert load_tick_mapping(path) == {"onsight": TickClass.UNSUCCESSFUL,
+                                           "flash": TickClass.UNSUCCESSFUL}
+
 
 class TestQuantizeWeek:
     def test_epoch(self):
@@ -218,6 +227,13 @@ class TestParseAscentLog:
         with pytest.raises(ParseError, match="line 2"):
             parse_ascent_log(io.StringIO(text))
 
+    def test_blank_lines_skipped_and_short_row_named(self):
+        ascent = "alice,r1,redpoint,2020-03-14,21,ewbank\n"
+        text = HEADER + "\n\n\n" + ascent + "\n\n" + ascent
+        assert parse_ascent_log(io.StringIO(text)).climber_id.tolist() == ["alice", "alice"]
+        with pytest.raises(ParseError, match="^line 8: too few fields$"):
+            parse_ascent_log(io.StringIO(text + "bob,r2\n"))
+
     def test_quoted_fields(self):
         text = HEADER + '\n"alice, a",r1,redpoint,2020-03-14,21,ewbank\n'
         log = parse_ascent_log(io.StringIO(text))
@@ -227,6 +243,48 @@ class TestParseAscentLog:
         path = tmp_path / "log.csv"
         path.write_text(HEADER + "\nalice,r1,redpoint,2020-03-14,21,ewbank\n")
         assert len(parse_ascent_log(path)) == 1
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(HEADER + "\nalice,r1,redpoint,2020-03-14,21,ewbank\n",
+                        encoding="utf-8-sig")
+        log = parse_ascent_log(path)
+        assert log.climber_id.tolist() == ["alice"]
+        assert log.grade_system.tolist() == ["ewbank"]
+
+
+@pytest.fixture(scope="class", params=[1, 2], ids=lambda rows: f"read_rows={rows}")
+def small_read_chunks(request):
+    """CsvTable reading 1 or 2 rows at a time, so that rows and blank lines straddle chunks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_READ_ROWS", request.param)
+        yield
+
+
+@pytest.mark.usefixtures("small_read_chunks")
+class TestParseAscentLogInSmallChunks(TestParseAscentLog):
+    pass
+
+
+class TestParseMemory:
+    def test_equal_fields_share_one_string(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "raw_ascents.csv"
+        parse_ascent_log(path)  # one-time allocations stay outside the traced parse
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            log = parse_ascent_log(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 20000
+        for column in (log.climber_id, log.route_id, log.tick_type, log.grade_label,
+                       log.grade_system):
+            assert len(set(map(id, column))) == len(set(column))
+        # One list and one str per field would take over 500 bytes a row.
+        assert peak / len(log) < 250
 
 
 class TestPreprocess:
@@ -360,6 +418,11 @@ class TestParsingSemantics:
         bad = self.LOG + "e,r1,dog,2020-02-30,12,ewbank\n"
         with pytest.raises(ParseError, match="^line 10: invalid date '2020-02-30'$"):
             parse_ascent_log(io.StringIO(bad))
+
+
+@pytest.mark.usefixtures("small_read_chunks")
+class TestParsingSemanticsInSmallChunks(TestParsingSemantics):
+    pass
 
 
 raw_rows = st.lists(
@@ -654,3 +717,8 @@ class TestWrittenAscents:
         assert (_read_written_ascents(path, 4, 4) is not None) == (mutation in NUMPY_EDITS)
         fast, checked = self.both(path.parent)
         assert fast == checked
+
+
+@pytest.mark.usefixtures("small_read_chunks")
+class TestWrittenAscentsInSmallChunks(TestWrittenAscents):
+    pass
