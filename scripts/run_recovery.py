@@ -10,7 +10,7 @@ constant-predictor baseline.
 import argparse
 import time
 
-from cragrank.evaluation import cross_validate, make_fold_plan
+from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
 from cragrank.model import Hyperparameters
 from cragrank.solver import fit
 from cragrank.synthetic import generate_world, recovery_report, simulate_ascents
@@ -67,8 +67,9 @@ def main():
           f"route_rmse={recovered.route_rmse:.9g}")
 
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
-    held_out = cross_validate(dataset, hyper, plan,
-                              max_iterations=args.max_iterations)
+    pooled_p, pooled_y, _ = cross_validate_predictions(dataset, hyper, plan,
+                                                       max_iterations=args.max_iterations)
+    held_out = compute_metrics(pooled_p, pooled_y)
     print(f"held-out: accuracy={held_out.accuracy:.9g} "
           f"log_loss={held_out.log_loss:.9g} "
           f"balanced_accuracy={held_out.balanced_accuracy:.9g}")

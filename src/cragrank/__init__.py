@@ -5,7 +5,6 @@ from .evaluation import (
     EvaluationReport,
     baseline_log_loss,
     compute_metrics,
-    cross_validate,
     cross_validate_predictions,
     linear_fit_r_squared,
     make_fold_plan,
@@ -35,7 +34,6 @@ from .model import (
 from .solver import (
     FitReport,
     ModelState,
-    bt_marginal_log_likelihood,
     climber_derivatives,
     climber_pass,
     fit,

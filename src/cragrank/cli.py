@@ -114,17 +114,26 @@ def _index_of(ids: np.ndarray, table: list[str]) -> np.ndarray:
 
 
 def _read_ratings(ratings_dir: Path):
-    """Route ids and ratings, and every climber's periods as flat arrays sorted by week."""
+    """Route ids and ratings, climber ids, and every climber's periods as flat arrays.
+
+    The periods are the owner (an index into the climber ids), week and
+    rating of each row of ``climber_ratings.csv``, sorted by owner and then
+    week.  A row that repeats the climber and week of an earlier row is an
+    error, so weeks strictly increase within each owner.
+    """
     routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
     route_ratings = routes.floats("rating")
     routes.raise_first()
     periods = CsvTable.read(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
     weeks, ratings = periods.integers("week"), periods.floats("rating")
-    periods.raise_first()
     ids, owner = unique_strings(periods.text["climber_id"])
-    order = np.lexsort((ratings, weeks, owner))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=ids.shape[0]))))
-    return (routes.text["route_id"].tolist(), route_ratings, ids.tolist(), offsets, weeks[order],
+    order = np.lexsort((weeks, owner))
+    owner, weeks = owner[order], weeks[order]
+    again = np.zeros(periods.rows, dtype=bool)
+    again[order[1:]] = (owner[1:] == owner[:-1]) & (weeks[1:] == weeks[:-1])
+    periods.check(again, "climber_id and week repeat an earlier row's")
+    periods.raise_first()
+    return (routes.text["route_id"].tolist(), route_ratings, ids.tolist(), owner, weeks,
             ratings[order])
 
 
@@ -179,7 +188,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _cmd_predict(args: argparse.Namespace) -> int:
-    route_ids, routes, climber_ids, offsets, weeks, ratings = _read_ratings(
+    route_ids, routes, climber_ids, period_owner, weeks, ratings = _read_ratings(
         Path(args.ratings_dir))
     queries = CsvTable.read(Path(args.query_csv), ("climber_id", "route_id", "week"))
     week = queries.integers("week")
@@ -189,11 +198,11 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     if problems:
         return 1
 
-    # An unknown climber gets an owner without periods, so the prior mean of
-    # 0, and an unknown route the rating 0 appended to the route ratings.
+    # An unknown climber's index, len(climber_ids), owns no period, so it gets
+    # the prior mean of 0, and an unknown route the rating 0 appended to the
+    # route ratings.
     owner = _index_of(queries.text["climber_id"], climber_ids)
-    climber_rating = rating_at_nearest_week(np.append(offsets, offsets[-1]), weeks, ratings,
-                                            owner, week)
+    climber_rating = rating_at_nearest_week(period_owner, weeks, ratings, owner, week)
     route = _index_of(queries.text["route_id"], route_ids)
     route_rating = np.append(routes, 0.0)[route]
     p = bt_probability(climber_rating, route_rating)

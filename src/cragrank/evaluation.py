@@ -124,46 +124,48 @@ def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> np
     return plan
 
 
-def rating_at_nearest_week(period_offsets, period_weeks, period_ratings, owner, week) -> np.ndarray:
+def rating_at_nearest_week(period_owner, period_weeks, period_ratings, owner, week) -> np.ndarray:
     """Each query's rating at its owner's period nearest in week.
 
-    Owner ``o`` holds the periods ``period_offsets[o]`` up to
-    ``period_offsets[o + 1]`` of ``period_weeks`` (strictly increasing within
-    an owner) and ``period_ratings``.  Query ``i`` asks for owner
-    ``owner[i]`` at week ``week[i]``.  A tie between two periods picks the
-    earlier one; an owner without periods gets the prior mean of 0.
+    Period ``j`` belongs to owner ``period_owner[j]`` (non-decreasing) and has
+    the week ``period_weeks[j]`` (strictly increasing within an owner) and the
+    rating ``period_ratings[j]``.  Query ``i`` asks for owner ``owner[i]`` at
+    week ``week[i]``.  A tie between two periods picks the earlier one; an
+    owner without periods, such as one beyond every period's owner, gets the
+    prior mean of 0.
     """
-    offsets = np.asarray(period_offsets)
+    period_owner = np.asarray(period_owner, dtype=np.int64)
     owner = np.asarray(owner, dtype=np.int64)
     week = np.asarray(week, dtype=np.int64)
     n_periods = period_weeks.shape[0]
     if n_periods == 0:
         return np.zeros(owner.shape[0])
     # Number the distinct weeks in order, so that (owner, week) pairs become
-    # increasing keys: a query's insertion point among the period keys is
-    # then its insertion point into its owner's weeks, as a flat index.
-    period_owner = np.repeat(np.arange(offsets.shape[0] - 1), np.diff(offsets))
+    # increasing keys: a query's insertion point among the period keys then
+    # lies next to its owner's periods, if the owner has any.  Its candidates
+    # are the two neighbours there, each counting only if the query owns it.
     _, rank = np.unique(np.concatenate((period_weeks, week)), return_inverse=True)
     keys = np.concatenate((period_owner, owner)) * rank.shape[0] + rank
     insert_at = np.searchsorted(keys[:n_periods], keys[n_periods:])
 
-    lo, hi = offsets[owner], offsets[owner + 1]
-    has_periods = hi > lo
-    before = np.where(has_periods, np.maximum(insert_at - 1, lo), 0)
-    after = np.where(has_periods, np.minimum(insert_at, hi - 1), 0)
+    before, after = np.maximum(insert_at - 1, 0), np.minimum(insert_at, n_periods - 1)
+    own_before, own_after = period_owner[before] == owner, period_owner[after] == owner
     earlier = week - period_weeks[before] <= period_weeks[after] - week
-    return np.where(has_periods, period_ratings[np.where(earlier, before, after)], 0.0)
+    pick = np.where(own_before & (earlier | ~own_after), before, after)
+    return np.where(own_before | own_after, period_ratings[pick], 0.0)
 
 
 def predict_probabilities(state: ModelState, climber, route, week) -> np.ndarray:
     """Success probabilities of climbers on routes in weeks, under a fitted state.
 
-    A climber's rating is taken from their fitted period nearest in time to
-    the queried week.  Climbers with no fitted periods fall back to the prior
-    mean of 0; routes always carry a rating (the prior mean if never updated).
+    A climber's rating is taken by :func:`rating_at_nearest_week` from their
+    fitted period nearest in time to the queried week, looked up through the
+    state's ``period_owner``.  Climbers with no fitted periods fall back to the
+    prior mean of 0; routes always carry a rating (the prior mean if never
+    updated).
     """
     climber_rating = rating_at_nearest_week(
-        state.period_offsets, state.period_weeks, state.climber_ratings, climber, week
+        state.period_owner, state.period_weeks, state.climber_ratings, climber, week
     )
     return bt_probability(climber_rating, state.route_ratings[route])
 
@@ -200,20 +202,6 @@ def cross_validate_predictions(
     pooled_p = predictions.reshape(-1)
     pooled_y = np.tile(dataset.success, plan.shape[0])
     return pooled_p, pooled_y, fold_reports
-
-
-def cross_validate(
-    dataset: CleanDataset,
-    hyper: Hyperparameters | None,
-    plan: np.ndarray,
-    *,
-    max_iterations: int = 1000,
-) -> EvaluationReport:
-    """Micro-averaged metrics over all held-out predictions of a fold plan."""
-    pooled_p, pooled_y, _ = cross_validate_predictions(
-        dataset, hyper, plan, max_iterations=max_iterations
-    )
-    return compute_metrics(pooled_p, pooled_y)
 
 
 def precision_recall_curve(predictions, actuals) -> np.recarray:

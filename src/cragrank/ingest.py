@@ -220,8 +220,8 @@ def _parse_int(text: str) -> int:
 
 # Rows that CsvTable holds as Python lists at a time.  On a 161,781-row raw
 # log, keeping every row's list and every field's own str took a tracemalloc
-# peak of 89.6 MB; chunks of this size with shared fields take 20.4 MB
-# (1024 rows: 20.5 MB, 16384 rows: 23.3 MB).
+# peak of 89.6 MB; chunks of this size with shared fields, joined column by
+# column, take 13.3 MB (1024 rows: 12.6 MB, 16384 rows: 23.3 MB).
 _READ_ROWS = 4096
 
 
@@ -251,7 +251,8 @@ class CsvTable:
         index = [len(header) - 1 - header[::-1].index(c) for c in columns]
         need = max(index) + 1
         firsts = [{} for _ in index]  # each column's first copy of each field
-        parts, lines, short = [], [], []
+        parts = [[] for _ in index]  # each column's chunk arrays
+        lines, short = [], []
         self.rows = 0
         while True:
             start = reader.line_num
@@ -266,13 +267,17 @@ class CsvTable:
                 chunk_lines.append(reader.line_num)
             self.rows += len(rows)
             fields = [list(map(itemgetter(i), rows)) for i in index]
-            parts.append([np.fromiter(map(first.setdefault, col, col), dtype=object,
-                                      count=len(col)) for first, col in zip(firsts, fields)])
+            for first, col, chunks in zip(firsts, fields, parts):
+                chunks.append(np.fromiter(map(first.setdefault, col, col), dtype=object,
+                                          count=len(col)))
             lines.append(np.array(chunk_lines, dtype=np.int64))
             if reader.line_num == start:  # the reader is at the end of the stream
                 break
         self.lines = np.concatenate(lines)
-        self.text = {c: np.concatenate(chunks) for c, chunks in zip(columns, zip(*parts))}
+        self.text = {}
+        for c, chunks in zip(columns, parts):  # free each column's chunks once joined
+            self.text[c] = np.concatenate(chunks)
+            chunks.clear()
         self.checks = []
         self.check(np.isin(np.arange(self.rows), short), "too few fields")
 

@@ -370,11 +370,6 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
                    _route_log_posteriors)
 
 
-def bt_marginal_log_likelihood(state: ModelState) -> float:
-    """Sum of the log :func:`outcome_probabilities`; finite, and free of prior terms."""
-    return float(np.log(outcome_probabilities(state)).sum())
-
-
 def fit(
     dataset: CleanDataset,
     hyper: Hyperparameters | None = None,

@@ -23,7 +23,7 @@ from cragrank.errors import EmptyDatasetError
 from cragrank.evaluation import (
     baseline_log_loss,
     compute_metrics,
-    cross_validate,
+    cross_validate_predictions,
     make_fold_plan,
 )
 from cragrank.ingest import (
@@ -448,7 +448,7 @@ def test_criterion_06_synthetic_recovery(recovery_fit):
     start = time.perf_counter()
     correlation = recovery_report(world, state).route_correlation
     plan = make_fold_plan(dataset, k=5, repeats=1, seed=0)
-    held_out = cross_validate(dataset, None, plan)
+    held_out = compute_metrics(*cross_validate_predictions(dataset, None, plan)[:2])
     gain = held_out.accuracy - held_out.baseline_accuracy
     elapsed = fit_seconds + time.perf_counter() - start
     ok = correlation > 0.9 and gain >= 0.05 and elapsed < 120.0

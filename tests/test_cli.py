@@ -430,6 +430,27 @@ class TestPredict:
             f"error: {name} line {line}: rating must be a number, got 'abc'\n")
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("rows, problem", [
+        (["0,a,10,1", "0,a,10,3", "0,a,20,5"],
+         "climber_ratings.csv line 3: climber_id and week repeat an earlier row's"),
+        (["0,a,20,5", "0,a,10,1", "1,b,10,2", "0,a,010,3"],
+         "climber_ratings.csv line 5: climber_id and week repeat an earlier row's"),
+        # a week that fails to parse is reported, not the row whose week it seems to repeat
+        (["0,a,soon,1", "0,a,0,2"],
+         "climber_ratings.csv line 2: week must be an integer, got 'soon'"),
+    ], ids=["adjacent", "apart-and-respelled", "bad-week-first"])
+    def test_repeated_climber_week_exits_one_with_line(self, tmp_path, capsys, rows, problem):
+        ratings = self.write_ratings(tmp_path)
+        (ratings / "climber_ratings.csv").write_text(
+            "climber_idx,climber_id,week,rating\n" + "".join(f"{r}\n" for r in rows),
+            encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("climber_id,route_id,week\na,r1,10\na,r1,14\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_columns_exit_one(self, tmp_path, capsys):
         ratings = self.write_ratings(tmp_path)
         query = tmp_path / "query.csv"

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from cragrank.evaluation import (
     baseline_log_loss,
     compute_metrics,
-    cross_validate,
     cross_validate_predictions,
     linear_fit_r_squared,
     make_fold_plan,
@@ -195,7 +194,7 @@ class TestRatingAtNearestWeek:
 
     def lookup(self, *weeks):
         owner = np.zeros(len(weeks), dtype=np.int64)
-        return rating_at_nearest_week([0, 3], self.WEEKS, self.RATINGS, owner, weeks).tolist()
+        return rating_at_nearest_week([0, 0, 0], self.WEEKS, self.RATINGS, owner, weeks).tolist()
 
     def test_exact_week(self):
         assert self.lookup(20) == [2.0]
@@ -210,11 +209,16 @@ class TestRatingAtNearestWeek:
         assert self.lookup(0, 99) == [1.0, 3.0]
 
     def test_owner_without_periods_gets_prior_mean(self):
-        offsets = [0, 0, 3, 3]
-        got = rating_at_nearest_week(offsets, self.WEEKS, self.RATINGS, [0, 1, 2, 1], [5, 5, 5, 41])
+        owners = [1, 1, 1]
+        got = rating_at_nearest_week(owners, self.WEEKS, self.RATINGS, [0, 1, 2, 1], [5, 5, 5, 41])
         assert got.tolist() == [0.0, 1.0, 0.0, 3.0]
-        none = rating_at_nearest_week([0, 0], np.array([], dtype=np.int64), np.array([]), [0], [5])
+        none = rating_at_nearest_week(np.array([], dtype=np.int64), np.array([], dtype=np.int64),
+                                      np.array([]), [0], [5])
         assert none.tolist() == [0.0]
+        # predict looks up an unknown climber as the index past every known one
+        beyond = rating_at_nearest_week([0, 0, 0], self.WEEKS, self.RATINGS, [1, 0, 1],
+                                        [40, 40, 10])
+        assert beyond.tolist() == [0.0, 3.0, 0.0]
 
 
     def test_matches_per_query_search(self):
@@ -238,7 +242,8 @@ class TestRatingAtNearestWeek:
             ratings = rng.normal(size=weeks.shape[0])
             owner = rng.integers(0, counts.shape[0], size=int(rng.integers(0, 10)))
             week = rng.integers(-3, 33, size=owner.shape[0])
-            got = rating_at_nearest_week(offsets, weeks, ratings, owner, week)
+            got = rating_at_nearest_week(np.repeat(np.arange(counts.shape[0]), counts), weeks,
+                                         ratings, owner, week)
             expected = [nearest(weeks[offsets[o]:offsets[o + 1]],
                                 ratings[offsets[o]:offsets[o + 1]], w)
                         for o, w in zip(owner, week)]
@@ -334,7 +339,7 @@ class TestCrossValidate:
     def test_symmetric_fixture_is_finite_and_sane(self):
         dataset = symmetric_fixture()
         plan = make_fold_plan(dataset, k=2, repeats=1, seed=0)
-        report = cross_validate(dataset, Hyperparameters(), plan)
+        report = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
         assert math.isfinite(report.log_loss)
         assert report.accuracy >= 0.5
 
@@ -361,8 +366,8 @@ class TestCrossValidate:
                     )
         dataset = make_dataset(ascents, n_routes=5, n_climbers=6)
         plan = make_fold_plan(dataset, k=3, repeats=2, seed=5)
-        first = cross_validate(dataset, Hyperparameters(), plan)
-        second = cross_validate(dataset, Hyperparameters(), plan)
+        first = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
+        second = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
         assert first == second
 
     def test_recovers_signal_on_easy_synthetic_data(self):
@@ -380,7 +385,7 @@ class TestCrossValidate:
                     ascents.append((c, route, w, S if won else F))
         dataset = make_dataset(ascents, n_routes=6, n_climbers=8)
         plan = make_fold_plan(dataset, k=4, repeats=1, seed=2)
-        report = cross_validate(dataset, Hyperparameters(), plan)
+        report = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
         assert report.accuracy > report.baseline_accuracy
         assert report.log_loss < baseline_log_loss(report.baseline_accuracy) + 0.05
 
