@@ -222,7 +222,7 @@ def precision_recall_curve(predictions, actuals) -> np.recarray:
     if p.shape[0] == 0:
         raise ValueError("cannot build a curve from zero predictions")
 
-    order = np.argsort(-p, kind="stable")
+    order = np.argsort(-p)  # tied probabilities fall in one group, in any order
     p_sorted = p[order]
     cum_tp = np.cumsum(y[order].astype(np.int64))
     total_success = int(cum_tp[-1])

@@ -8,13 +8,17 @@ updates never read other routes, so each pass is computed at once over flat
 arrays: the climber Hessians form one block-tridiagonal system, solved in a
 single sweep, and the route steps are elementwise.  The gradient and Hessian
 of the log posterior come from :func:`climber_derivatives` and
-:func:`route_derivatives`.  Each entity's Newton step is halved until that
-entity's own log posterior does not fall, so no pass lowers the posterior.
+:func:`route_derivatives`; the random-walk terms act on whole slices through
+the Hessian off-diagonal, which is 0 between climbers.  Each entity's Newton
+step is halved until that entity's own log posterior does not fall, so no
+pass lowers the posterior.
 
-What does not change during a fit is built once, when the
-:class:`ModelState` is constructed, as its read-only fields: the random-walk
-pairs with their precisions and the Hessian off-diagonal, each ascent's
-outcome sign, and each period's wins and each route's losses.  Each pass
+What does not change during a fit is built once, when
+:func:`initialize_state` sorts the ascents (one packed int64 key) and the
+:class:`ModelState` is constructed, as its read-only fields: the Hessian
+off-diagonal with the :class:`TridiagonalPlan` by which every pass solves
+the climber system, each ascent's outcome sign, and each period's wins and
+each route's losses.  Each pass
 gathers the ratings of the side that stays fixed once, and carries each
 ascent's outcome probability ``p`` with its ``log p``.  A trial point then
 costs one gather of the side that moved, one
@@ -53,6 +57,48 @@ class FitReport:
     final_bt_log_likelihood: float
 
 
+@dataclass(frozen=True)
+class TridiagonalPlan:
+    """The elimination order of a symmetric tridiagonal system, level by level.
+
+    A zero off-diagonal entry splits the system into independent blocks.
+    Row ``k`` of a block is at level ``k``.  ``order`` lists the rows level
+    by level, and within each level the blocks longest first (stably), so
+    the blocks longer than ``k + 1`` are a prefix of those longer than
+    ``k``.  ``coupling`` holds, at each row of ``order``, the off-diagonal
+    entry to its predecessor in its block (0.0 at level 0).  ``levels`` has
+    one pair of slices of ``order`` for each level ``k >= 1``: the rows at
+    level ``k``, and their predecessors at level ``k - 1``, the first rows
+    of that level.
+    """
+
+    order: np.ndarray
+    coupling: np.ndarray
+    levels: tuple[tuple[slice, slice], ...]
+
+
+def tridiagonal_plan(off_diag) -> TridiagonalPlan:
+    """The :class:`TridiagonalPlan` of a system with the off-diagonal ``off_diag``
+    (of length n - 1).  Its arrays are read-only."""
+    off = np.asarray(off_diag, dtype=float)
+    n = off.shape[0] + 1
+    starts = np.flatnonzero(np.concatenate(([True], off == 0.0)))
+    lengths = np.diff(np.append(starts, n))
+    by_length = np.argsort(-lengths, kind="stable")
+    starts, lengths = starts[by_length], lengths[by_length]
+    # longer[k] = number of blocks with more than k rows
+    longer = np.searchsorted(-lengths, -np.arange(lengths[0])).tolist()
+    order = np.concatenate([starts[:count] + k for k, count in enumerate(longer)])
+    bounds = np.cumsum([0] + longer).tolist()
+    coupling = np.zeros(n)
+    coupling[longer[0]:] = off[order[longer[0]:] - 1]
+    levels = tuple((slice(bounds[k], bounds[k + 1]),
+                    slice(bounds[k - 1], bounds[k - 1] + longer[k]))
+                   for k in range(1, len(longer)))
+    order.flags.writeable = coupling.flags.writeable = False
+    return TridiagonalPlan(order, coupling, levels)
+
+
 @dataclass
 class ModelState:
     """All ratings and ascents as flat arrays, and what a fit never changes.
@@ -70,10 +116,11 @@ class ModelState:
     The fields after the history are read-only arrays that construction
     builds from the periods, ascents and hyperparameters; the ratings play no
     part.  ``period_owner`` is the climber of each period and
-    ``first_periods`` each climber's first period.  ``walk_pairs`` are the
-    periods ``j`` whose next period ``j + 1`` belongs to the same climber,
-    ``walk_precision`` their random-walk precisions, and ``hess_off`` the
-    climber Hessian's off-diagonal: the precision at each pair, 0 elsewhere.
+    ``first_periods`` each climber's first period.  ``hess_off`` is the
+    climber Hessian's off-diagonal: at each period ``j`` whose next period
+    ``j + 1`` belongs to the same climber, the random-walk precision between
+    them, and 0 elsewhere.  ``climber_plan`` is the :func:`tridiagonal_plan`
+    of ``hess_off``, by which every climber pass solves its system.
     ``sign`` is 1.0 at each ascent the climber won and -1.0 at each it lost,
     ``lost`` 0.0 and 1.0; ``period_wins`` counts each period's successes and
     ``route_losses`` each route's failures.
@@ -94,9 +141,8 @@ class ModelState:
     bt_log_likelihood_history: list[float] = field(default_factory=list)
     period_owner: np.ndarray = field(init=False)
     first_periods: np.ndarray = field(init=False)
-    walk_pairs: np.ndarray = field(init=False)
-    walk_precision: np.ndarray = field(init=False)
     hess_off: np.ndarray = field(init=False)
+    climber_plan: TridiagonalPlan = field(init=False)
     sign: np.ndarray = field(init=False)
     lost: np.ndarray = field(init=False)
     period_wins: np.ndarray = field(init=False)
@@ -106,17 +152,15 @@ class ModelState:
         offsets = self.period_offsets
         owner = np.repeat(np.arange(len(self.climber_ids)), np.diff(offsets))
         j = np.flatnonzero(owner[1:] == owner[:-1])
-        precision = 1.0 / np.maximum(np.diff(self.period_weeks)[j] * self.hyper.w_sq,
-                                     MIN_WIENER_VARIANCE)
         hess_off = np.zeros(max(len(owner) - 1, 0))
-        hess_off[j] = precision
+        hess_off[j] = 1.0 / np.maximum(np.diff(self.period_weeks)[j] * self.hyper.w_sq,
+                                       MIN_WIENER_VARIANCE)
+        self.climber_plan = tridiagonal_plan(hess_off)
         won = self.asc_success
         lost = (~won).astype(float)
         derived = dict(
             period_owner=owner,
             first_periods=offsets[:-1][np.diff(offsets) > 0],
-            walk_pairs=j,
-            walk_precision=precision,
             hess_off=hess_off,
             sign=1.0 - 2.0 * lost,
             lost=lost,
@@ -128,58 +172,65 @@ class ModelState:
             setattr(self, name, array)
 
 
-def solve_tridiagonal(diag, off_diag, rhs) -> np.ndarray:
+def solve_tridiagonal(diag, off_diag, rhs, plan: TridiagonalPlan | None = None) -> np.ndarray:
     """Solve a symmetric tridiagonal system by Thomas elimination.
 
     ``diag`` is the main diagonal (length n), ``off_diag`` the shared
-    super/sub diagonal (length n-1).  Linear time, no pivoting: intended for
-    the definite systems produced by the climber updates, where elimination
-    without pivoting is stable.
+    super/sub diagonal (length n-1), and ``plan`` its
+    :func:`tridiagonal_plan`, built here if not given.  Linear time, no
+    pivoting: intended for the definite systems produced by the climber
+    updates, where elimination without pivoting is stable.
 
-    A zero off-diagonal entry splits the system into independent blocks.
-    All blocks are eliminated together, longest first: step ``k`` of the
-    sweep is one vectorized update of row ``k`` of every block longer than
-    ``k``, with the same arithmetic as eliminating each block on its own.
+    The rows are put in the plan's level order, so step ``k`` of the sweep
+    is one update of the contiguous level ``k``, in every block longer than
+    ``k`` at once, with the same arithmetic as eliminating each block on its
+    own.
     """
-    d = np.array(diag, dtype=float)
     off = np.asarray(off_diag, dtype=float)
-    b = np.array(rhs, dtype=float)
-    n = d.shape[0]
+    n = np.shape(diag)[0]
     if n == 0:
         raise ValueError("empty system")
-    if off.shape[0] != n - 1 or b.shape[0] != n:
+    if off.shape[0] != n - 1 or np.shape(rhs)[0] != n:
         raise ValueError("inconsistent system dimensions")
-    starts = np.flatnonzero(np.concatenate(([True], off == 0.0)))
-    lengths = np.diff(np.append(starts, n))
-    order = np.argsort(-lengths, kind="stable")
-    starts, lengths = starts[order], lengths[order]
-    # longer[k] = number of blocks with more than k rows
-    longer = np.searchsorted(-lengths, -np.arange(lengths[0]))
-
-    for k in range(1, lengths[0]):
-        i = starts[:longer[k]] + k
-        pivot = d[i - 1]
+    if plan is None:
+        plan = tridiagonal_plan(off)
+    elif plan.order.shape[0] != n:
+        raise ValueError("plan does not match the system")
+    order, coupling = plan.order, plan.coupling
+    d = np.asarray(diag, dtype=float)[order]
+    b = np.asarray(rhs, dtype=float)[order]
+    for row, before in plan.levels:
+        pivot = d[before]
         if not pivot.all():
             raise np.linalg.LinAlgError("singular tridiagonal system")
-        m = off[i - 1] / pivot
-        d[i] -= m * off[i - 1]
-        b[i] -= m * b[i - 1]
-    last = starts + lengths - 1
-    if not d[last].all():
+        m = coupling[row] / pivot
+        d[row] -= m * coupling[row]
+        b[row] -= m * b[before]
+    if not d.all():
         raise np.linalg.LinAlgError("singular tridiagonal system")
-    x = np.empty(n)
-    x[last] = b[last] / d[last]
-    for k in range(lengths[0] - 2, -1, -1):
-        i = starts[:longer[k + 1]] + k
-        x[i] = (b[i] - off[i] * x[i + 1]) / d[i]
-    return x
+    # Back substitution turns b into the solution in place, top level first
+    # (the rows of a level that the next level does not continue end their
+    # blocks), and d's buffer takes it back to row order: one more array of
+    # n rows per call raised the peak RSS of crossval on 157k ascents by
+    # about 0.7 MB.
+    top = plan.levels[-1][0] if plan.levels else slice(None)
+    b[top] /= d[top]
+    for row, before in reversed(plan.levels):
+        ended = slice(before.stop, row.start)
+        b[ended] /= d[ended]
+        b[before] = (b[before] - coupling[row] * b[row]) / d[before]
+    d[order] = b
+    return d
 
 
 def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None) -> ModelState:
     """Build the optimizer state: climbers at 0, routes at their prior means.
 
-    Ascents are put into a canonical (climber, week, route) order so the
-    result is independent of input row order.
+    Ascents are put into a canonical (climber, week, route, outcome) order so
+    the result is independent of input row order.  The four columns are
+    packed into one int64 key, sorted and unpacked; rows with equal keys are
+    equal, so the sort need not be stable.  A dataset whose key range does
+    not fit in int64 is sorted by ``np.lexsort`` instead.
     """
     if hyper is None:
         hyper = Hyperparameters()
@@ -187,21 +238,41 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     if n_asc == 0:
         raise EmptyDatasetError("dataset contains no ascents")
 
-    order = np.lexsort((dataset.success, dataset.route, dataset.week, dataset.climber))
     climber_idx, route_idx, week, success = (
-        dataset.climber[order], dataset.route[order], dataset.week[order], dataset.success[order]
-    )
-
+        dataset.climber.astype(np.int64, copy=False), dataset.route.astype(np.int64, copy=False),
+        dataset.week.astype(np.int64, copy=False), dataset.success)
     n_climbers = len(dataset.climber_ids)
     n_routes = len(dataset.route_ids)
-    if climber_idx.max() >= n_climbers or route_idx.max() >= n_routes:
+    if (climber_idx.min() < 0 or climber_idx.max() >= n_climbers
+            or route_idx.min() < 0 or route_idx.max() >= n_routes):
         raise ValueError("ascent indexes out of range of the entity tables")
 
     # A new rating period starts wherever the (climber, week) pair changes.
     new_period = np.ones(n_asc, dtype=bool)
-    new_period[1:] = (np.diff(climber_idx) != 0) | (np.diff(week) != 0)
+    first_week = int(week.min())
+    n_weeks = int(week.max()) - first_week + 1
+    if n_climbers * n_weeks * n_routes * 2 <= 2**63:  # every key fits in int64
+        key = ((climber_idx * n_weeks + (week - first_week)) * n_routes + route_idx) * 2 + success
+        key.sort()
+        # Separate // and % by one number are faster than np.divmod, and
+        # unpacking (route, outcome) in place keeps one copy of the key.
+        climber_week = key // (2 * n_routes)
+        new_period[1:] = climber_week[1:] != climber_week[:-1]
+        climber_week = climber_week[new_period]
+        period_climber = climber_week // n_weeks
+        period_weeks = climber_week % n_weeks + first_week
+        key %= 2 * n_routes
+        success = (key & 1).astype(bool)
+        key >>= 1
+        route_idx = key
+    else:
+        order = np.lexsort((success, route_idx, week, climber_idx))
+        climber_idx, route_idx, week, success = (
+            climber_idx[order], route_idx[order], week[order], success[order])
+        new_period[1:] = (climber_idx[1:] != climber_idx[:-1]) | (week[1:] != week[:-1])
+        period_climber, period_weeks = climber_idx[new_period], week[new_period]
     flat_period = np.cumsum(new_period) - 1
-    periods_per_climber = np.bincount(climber_idx[new_period], minlength=n_climbers)
+    periods_per_climber = np.bincount(period_climber, minlength=n_climbers)
     period_offsets = np.concatenate(([0], np.cumsum(periods_per_climber)))
 
     prior_means = route_prior_mean(dataset.route_grades, hyper)
@@ -209,7 +280,7 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
         hyper=hyper,
         climber_ids=dataset.climber_ids,
         period_offsets=period_offsets,
-        period_weeks=week[new_period],
+        period_weeks=period_weeks,
         climber_ratings=np.zeros(int(period_offsets[-1])),
         route_ids=dataset.route_ids,
         route_grades=dataset.route_grades,
@@ -269,15 +340,16 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     grad = state.period_wins - _sums(idx, p, n)
     hess = -_sums(idx, p * (1.0 - p), n)
 
-    first, j, precision = state.first_periods, state.walk_pairs, state.walk_precision
+    first, off = state.first_periods, state.hess_off
     grad[first] -= r[first] / state.hyper.sigma_c_sq
     hess[first] -= 1.0 / state.hyper.sigma_c_sq
-    pull = (r[j + 1] - r[j]) * precision
-    grad[j] += pull
-    grad[j + 1] -= pull
-    hess[j] -= precision
-    hess[j + 1] -= precision
-    return grad, hess, state.hess_off
+    # hess_off is 0 between climbers, where these terms add an exact +/-0
+    pull = (r[1:] - r[:-1]) * off
+    grad[:-1] += pull
+    grad[1:] -= pull
+    hess[:-1] -= off
+    hess[1:] -= off
+    return grad, hess, off
 
 
 def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,10 +372,10 @@ def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndar
 def _climber_log_posteriors(state: ModelState, r: np.ndarray, log_p: np.ndarray) -> np.ndarray:
     """At each period, the log posterior terms of its climber at ratings ``r``:
     ascents (from their ``log_p``), prior and random walk."""
-    first, j = state.first_periods, state.walk_pairs
+    first = state.first_periods
     terms = _sums(state.asc_flat_period, log_p, r.shape[0])
     terms[first] -= r[first] ** 2 / (2.0 * state.hyper.sigma_c_sq)
-    terms[j] -= (r[j + 1] - r[j]) ** 2 * state.walk_precision / 2.0
+    terms[:-1] -= (r[1:] - r[:-1]) ** 2 * state.hess_off / 2.0
     owner = state.period_owner
     return _sums(owner, terms, len(state.climber_ids))[owner]
 
@@ -349,7 +421,8 @@ def climber_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
     """
     grad, hess, off = climber_derivatives(state, outcome_p)
     opponents = state.route_ratings[state.asc_route]
-    return _ascend(state, state.climber_ratings, -solve_tridiagonal(hess, off, grad), log_p,
+    step = -solve_tridiagonal(hess, off, grad, state.climber_plan)
+    return _ascend(state, state.climber_ratings, step, log_p,
                    lambda trial: _observed(state, trial[state.asc_flat_period] - opponents),
                    _climber_log_posteriors)
 

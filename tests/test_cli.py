@@ -451,6 +451,23 @@ class TestPredict:
         assert capsys.readouterr().err == f"error: {problem}\n"
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize("rows, line", [
+        (["0,r1,22,0.8", "1,r1,22,-2"], 3),
+        (["0,r1,22,0.8", "1,r2,24,0", "2,r3,20,1", "3,r2,24,5"], 5),
+    ], ids=["adjacent", "apart"])
+    def test_repeated_route_exits_one_with_line(self, tmp_path, capsys, rows, line):
+        ratings = self.write_ratings(tmp_path)
+        (ratings / "route_ratings.csv").write_text(
+            "route_idx,route_id,grade,rating\n" + "".join(f"{r}\n" for r in rows),
+            encoding="utf-8")
+        query = tmp_path / "query.csv"
+        query.write_text("climber_id,route_id,week\nalice,r1,0\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: route_ratings.csv line {line}: route_id repeats an earlier row's\n")
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_columns_exit_one(self, tmp_path, capsys):
         ratings = self.write_ratings(tmp_path)
         query = tmp_path / "query.csv"

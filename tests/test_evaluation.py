@@ -5,6 +5,7 @@ and baseline formulas are re-derived inline with ``math`` calls so they never
 share code with the implementation.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -452,6 +453,14 @@ class TestPrecisionRecallCurve:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             precision_recall_curve([], [])
+
+    def test_heavy_ties_give_the_stable_sort_curve(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        p = rng.choice([0.1, 0.25, 0.5, 0.5 + 1e-16, 0.75, 0.9], size=5000)
+        y = rng.random(5000) < p
+        got = precision_recall_curve(p, y)
+        monkeypatch.setattr(np, "argsort", functools.partial(np.argsort, kind="stable"))
+        assert got.tobytes() == precision_recall_curve(p, y).tobytes()
 
 
 class TestLinearFitRSquared:

@@ -319,8 +319,8 @@ class TestStateInvariants:
     # (period, route, outcome) at weeks [0, 2, 5]: route 0 is failed once,
     # route 1 twice; periods 0 and 2 hold one success each.
     ASCENTS = [(0, 0, True), (0, 1, False), (1, 0, False), (2, 1, True), (2, 1, False)]
-    DERIVED = ("period_owner", "first_periods", "walk_pairs", "walk_precision", "hess_off",
-               "sign", "lost", "period_wins", "route_losses")
+    DERIVED = ("period_owner", "first_periods", "hess_off", "sign", "lost", "period_wins",
+               "route_losses")
 
     def state(self, w_sq):
         return one_climber_state([0, 2, 5], [0.3, -0.2, 0.1], [0.5, -0.5], self.ASCENTS,
@@ -330,10 +330,13 @@ class TestStateInvariants:
         state = self.state(0.5)
         assert state.period_owner.tolist() == [0, 0, 0]
         assert state.first_periods.tolist() == [0]
-        assert state.walk_pairs.tolist() == [0, 1]
+        # periods 0 and 1, and 1 and 2, are random-walk pairs, at precisions
         # 1 / (weeks apart * w_sq): 1 / (2 * 0.5) and 1 / (3 * 0.5)
-        assert state.walk_precision.tolist() == [1.0, 1.0 / 1.5]
+        assert np.flatnonzero(state.hess_off).tolist() == [0, 1]
         assert state.hess_off.tolist() == [1.0, 1.0 / 1.5]
+        # one block of three rows, one per level, each coupled to the row before
+        assert state.climber_plan.order.tolist() == [0, 1, 2]
+        assert state.climber_plan.coupling.tolist() == [0.0, 1.0, 1.0 / 1.5]
         assert state.sign.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0]
         assert state.lost.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
         assert state.period_wins.tolist() == [1.0, 0.0, 1.0]
@@ -342,14 +345,14 @@ class TestStateInvariants:
     def test_zero_drift_is_floored(self):
         state = self.state(0.0)
         floored = 1.0 / MIN_WIENER_VARIANCE
-        assert state.walk_precision.tolist() == [floored, floored]
         assert state.hess_off.tolist() == [floored, floored]
 
     def test_fields_are_read_only(self):
         state = self.state(0.5)
-        for name in self.DERIVED:
+        plan = state.climber_plan
+        for array in [getattr(state, name) for name in self.DERIVED] + [plan.order, plan.coupling]:
             with pytest.raises(ValueError):
-                getattr(state, name)[0] = 0
+                array[0] = 0
 
 
 class TestBtDerivatives:

@@ -9,10 +9,11 @@ Oracles used here, all independent of the solver's own code path:
 
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cragrank import solver
@@ -29,6 +30,7 @@ from cragrank.solver import (
     route_derivatives,
     route_pass,
     solve_tridiagonal,
+    tridiagonal_plan,
 )
 
 S = True
@@ -80,6 +82,55 @@ def random_dataset(rng, n_climbers=4, n_routes=4, max_periods=3):
             ascents.append((0, r, int(ascents[0][2]), F))
     grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
     return make_dataset(ascents, n_routes, n_climbers, grades)
+
+
+@st.composite
+def ascent_logs(draw):
+    """(ascents, n_climbers, n_routes): small logs with repeated rows, unused
+    climbers and routes, and weeks near 0, near a large or negative base, or
+    anywhere in int64."""
+    n_climbers, n_routes = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = draw(st.sampled_from([0, -9, 2**40, -2**62]))
+    week = st.one_of(st.integers(-3, 3).map(lambda w: base + w),
+                     st.integers(-2**63, 2**63 - 1))
+    ascents = draw(st.lists(st.tuples(st.integers(0, n_climbers - 1),
+                                      st.integers(0, n_routes - 1), week, st.booleans()),
+                            min_size=1, max_size=25))
+    return ascents, n_climbers + draw(st.integers(0, 2)), n_routes + draw(st.integers(0, 2))
+
+
+def lexsort_reference(ds):
+    """The constructor arrays of ``initialize_state(ds)``, from one ``np.lexsort``
+    of the four columns."""
+    order = np.lexsort((ds.success, ds.route, ds.week, ds.climber))
+    climber, route, week, success = (ds.climber[order], ds.route[order], ds.week[order],
+                                     ds.success[order])
+    new_period = np.ones(len(ds), dtype=bool)
+    new_period[1:] = (climber[1:] != climber[:-1]) | (week[1:] != week[:-1])
+    per_climber = np.bincount(climber[new_period], minlength=len(ds.climber_ids))
+    offsets = np.concatenate(([0], np.cumsum(per_climber)))
+    return dict(period_offsets=offsets, period_weeks=week[new_period],
+                climber_ratings=np.zeros(int(offsets[-1])),
+                asc_flat_period=np.cumsum(new_period) - 1, asc_route=route, asc_success=success)
+
+
+def per_block_thomas(diag, off, rhs):
+    """Thomas elimination of each block between zero off-diagonal entries on
+    its own, one row at a time in Python floats."""
+    n = len(diag)
+    x = np.empty(n)
+    cuts = [0] + [k + 1 for k in range(n - 1) if off[k] == 0.0] + [n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        d, b = [float(v) for v in diag[lo:hi]], [float(v) for v in rhs[lo:hi]]
+        c = [float(v) for v in off[lo:hi - 1]]
+        for i in range(1, hi - lo):
+            m = c[i - 1] / d[i - 1]
+            d[i] -= m * c[i - 1]
+            b[i] -= m * b[i - 1]
+        x[hi - 1] = b[-1] / d[-1]
+        for i in range(hi - lo - 2, -1, -1):
+            x[lo + i] = (b[i] - c[i] * x[lo + i + 1]) / d[i]
+    return x
 
 
 def climber_blocks(state):
@@ -243,6 +294,39 @@ class TestSolveTridiagonal:
         solve_tridiagonal(diag, off, rhs)
         assert (diag == [-2.0, -2.0]).all() and (rhs == [1.0, 1.0]).all()
 
+    def test_planned_solve_matches_per_block_elimination(self):
+        rng = np.random.default_rng(12)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            off = rng.uniform(-2.0, 2.0, size=n - 1)
+            off[rng.random(n - 1) < rng.uniform(0.0, 0.6)] = 0.0
+            diag = -(np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+                     + rng.uniform(0.1, 3.0, size=n))
+            rhs = rng.uniform(-5.0, 5.0, size=n)
+            expected = per_block_thomas(diag, off, rhs)
+            assert solve_tridiagonal(diag, off, rhs).tobytes() == expected.tobytes()
+            plan = tridiagonal_plan(off)
+            assert solve_tridiagonal(diag, off, rhs, plan).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("level", range(5))
+    @pytest.mark.parametrize("last", [True, False], ids=["last-row", "pivot"])
+    def test_zero_pivot_at_any_level_raises(self, level, last):
+        # With unit couplings, rows 1, 2, 2, ..., 2, 1 eliminate to pivots 1, 1, ..., 1
+        # and then exactly 0 at ``level``; the block ends there or goes on for two rows.
+        block = [1.0] + [2.0] * (level - 1) + [1.0] if level else [0.0]
+        block += [] if last else [3.0, 3.0]
+        other = [4.0, 4.0, 4.0, 4.0, 4.0, 4.0, 4.0]  # a longer block beside it
+        diag = np.array(other + block)
+        off = np.array([1.0] * (len(other) - 1) + [0.0] + [1.0] * (len(block) - 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError):
+                solve_tridiagonal(diag, off, np.ones(len(diag)))
+
+    def test_plan_of_another_size_rejected(self):
+        with pytest.raises(ValueError):
+            solve_tridiagonal([1.0, 1.0], [0.5], [1.0, 1.0], tridiagonal_plan([0.5, 0.5]))
+
 
 class TestInitializeState:
     def test_prior_means(self):
@@ -297,9 +381,36 @@ class TestInitializeState:
         with pytest.raises(EmptyDatasetError):
             initialize_state(make_dataset([], 1, 1))
 
-    def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            initialize_state(make_dataset([(0, 5, 0, F)], 1, 1))
+    @pytest.mark.parametrize("ascent", [(0, 5, 0, F), (0, -1, 0, F), (1, 0, 0, F),
+                                        (-1, 0, 0, F)],
+                             ids=["route-above", "route-negative", "climber-above",
+                                  "climber-negative"])
+    def test_out_of_range_index(self, ascent):
+        with pytest.raises(ValueError, match="ascent indexes out of range"):
+            initialize_state(make_dataset([(0, 0, 0, S), ascent], 1, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascent_logs())
+    @example(([(0, 0, 3, S), (0, 0, 3, S), (1, 0, 3, F), (0, 0, 3, S)], 3, 2))  # duplicate rows
+    @example(([(0, 1, -2**63, F), (0, 0, 2**63 - 1, S)], 1, 2))  # key beyond int64
+    @example(([(0, 0, 0, F), (0, 0, 2**62 - 1, S)], 1, 1))  # largest key that fits
+    def test_matches_lexsort_reference(self, log):
+        ascents, n_climbers, n_routes = log
+        ds = make_dataset(ascents, n_routes, n_climbers)
+        state, expected = initialize_state(ds), lexsort_reference(ds)
+        for name, array in expected.items():
+            got = getattr(state, name)
+            assert got.dtype == array.dtype and got.tobytes() == array.tobytes(), name
+
+    def test_lexsort_only_when_the_key_overflows(self, monkeypatch):
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        for weeks, sorted_by_lexsort in (((0, 2**62 - 1), False), ((0, 2**62), True),
+                                         ((-2**63, 2**63 - 1), True)):
+            calls.clear()
+            initialize_state(make_dataset([(0, 0, w, F) for w in weeks], 1, 1))
+            assert bool(calls) is sorted_by_lexsort
 
 
 class TestUpdateRoute:
@@ -724,7 +835,7 @@ class TestBranchFreeSelects:
 class TestCostContract:
     def test_calls_per_fit(self, monkeypatch):
         counted_in = {"win_probabilities": solver, "solve_tridiagonal": solver,
-                      "__post_init__": ModelState}
+                      "tridiagonal_plan": solver, "__post_init__": ModelState}
         calls = dict.fromkeys(counted_in, 0)
         for name, owner in counted_in.items():
             def counted(*args, _name=name, _fn=getattr(owner, name), **kwargs):
@@ -737,5 +848,6 @@ class TestCostContract:
             # no halving round on this log: every pass accepts its first trial point
             assert calls["win_probabilities"] == fits * (1 + 2 * report.iterations)
             assert calls["solve_tridiagonal"] == fits * report.iterations
-            # one state per fit, so its invariants are built once
+            # one state per fit, so its invariants and its climber plan are built once
             assert calls["__post_init__"] == fits
+            assert calls["tridiagonal_plan"] == fits
