@@ -150,7 +150,9 @@ def rating_at_nearest_week(period_owner, period_weeks, period_ratings, owner, we
 
     before, after = np.maximum(insert_at - 1, 0), np.minimum(insert_at, n_periods - 1)
     own_before, own_after = period_owner[before] == owner, period_owner[after] == owner
-    earlier = week - period_weeks[before] <= period_weeks[after] - week
+    # Where the query owns both, before < week <= after: the uint64 distances are exact.
+    earlier = ((week - period_weeks[before]).view(np.uint64)
+               <= (period_weeks[after] - week).view(np.uint64))
     pick = np.where(own_before & (earlier | ~own_after), before, after)
     return np.where(own_before | own_after, period_ratings[pick], 0.0)
 

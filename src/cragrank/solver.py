@@ -103,20 +103,20 @@ def tridiagonal_plan(off_diag) -> TridiagonalPlan:
 class ModelState:
     """All ratings and ascents as flat arrays, and what a fit never changes.
 
-    Climber ``c`` owns the rating periods ``period_offsets[c]`` up to
-    ``period_offsets[c + 1]`` of ``period_weeks`` and ``climber_ratings``;
-    its weeks are strictly increasing and each of its periods holds at least
-    one ascent.  A climber without ascents owns no periods.  Route ``i`` has
-    ``route_ids[i]``, ``route_grades[i]``, ``route_prior_means[i]`` and
-    ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every ascent
-    once, in canonical (climber, week, route, outcome) order:
+    Period ``j`` of ``period_weeks`` and ``climber_ratings`` belongs to the
+    climber ``period_owner[j]``, which does not decrease with ``j``; each
+    climber's weeks are strictly increasing and each of its periods holds at
+    least one ascent.  A climber without ascents owns no periods.  Route
+    ``i`` has ``route_ids[i]``, ``route_grades[i]``, ``route_prior_means[i]``
+    and ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every
+    ascent once, in canonical (climber, week, route, outcome) order:
     ``asc_flat_period`` indexes the climber's period, ``asc_route`` the
     route.  A fit changes only the ratings and the history.
 
-    The fields after the history are read-only arrays that construction
-    builds from the periods, ascents and hyperparameters; the ratings play no
-    part.  ``period_owner`` is the climber of each period and
-    ``first_periods`` each climber's first period.  ``hess_off`` is the
+    Construction makes ``period_owner`` read-only.  The fields after the
+    history are read-only arrays that construction builds from the periods,
+    ascents and hyperparameters; the ratings play no part.
+    ``first_periods`` is each climber's first period.  ``hess_off`` is the
     climber Hessian's off-diagonal: at each period ``j`` whose next period
     ``j + 1`` belongs to the same climber, the random-walk precision between
     them, and 0 elsewhere.  ``climber_plan`` is the :func:`tridiagonal_plan`
@@ -128,7 +128,7 @@ class ModelState:
 
     hyper: Hyperparameters
     climber_ids: np.ndarray
-    period_offsets: np.ndarray
+    period_owner: np.ndarray
     period_weeks: np.ndarray
     climber_ratings: np.ndarray
     route_ids: np.ndarray
@@ -139,7 +139,6 @@ class ModelState:
     asc_route: np.ndarray
     asc_success: np.ndarray
     bt_log_likelihood_history: list[float] = field(default_factory=list)
-    period_owner: np.ndarray = field(init=False)
     first_periods: np.ndarray = field(init=False)
     hess_off: np.ndarray = field(init=False)
     climber_plan: TridiagonalPlan = field(init=False)
@@ -149,18 +148,18 @@ class ModelState:
     route_losses: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        offsets = self.period_offsets
-        owner = np.repeat(np.arange(len(self.climber_ids)), np.diff(offsets))
+        owner = self.period_owner
         j = np.flatnonzero(owner[1:] == owner[:-1])
+        # A climber's weeks strictly increase: its gaps are exact as uint64.
+        gap = np.diff(self.period_weeks)[j].view(np.uint64)
         hess_off = np.zeros(max(len(owner) - 1, 0))
-        hess_off[j] = 1.0 / np.maximum(np.diff(self.period_weeks)[j] * self.hyper.w_sq,
-                                       MIN_WIENER_VARIANCE)
+        hess_off[j] = 1.0 / np.maximum(gap * self.hyper.w_sq, MIN_WIENER_VARIANCE)
         self.climber_plan = tridiagonal_plan(hess_off)
         won = self.asc_success
         lost = (~won).astype(float)
         derived = dict(
             period_owner=owner,
-            first_periods=offsets[:-1][np.diff(offsets) > 0],
+            first_periods=np.flatnonzero(np.diff(owner, prepend=-1)),
             hess_off=hess_off,
             sign=1.0 - 2.0 * lost,
             lost=lost,
@@ -272,16 +271,14 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
         new_period[1:] = (climber_idx[1:] != climber_idx[:-1]) | (week[1:] != week[:-1])
         period_climber, period_weeks = climber_idx[new_period], week[new_period]
     flat_period = np.cumsum(new_period) - 1
-    periods_per_climber = np.bincount(period_climber, minlength=n_climbers)
-    period_offsets = np.concatenate(([0], np.cumsum(periods_per_climber)))
 
     prior_means = route_prior_mean(dataset.route_grades, hyper)
     return ModelState(
         hyper=hyper,
         climber_ids=dataset.climber_ids,
-        period_offsets=period_offsets,
+        period_owner=period_climber,
         period_weeks=period_weeks,
-        climber_ratings=np.zeros(int(period_offsets[-1])),
+        climber_ratings=np.zeros(len(period_weeks)),
         route_ids=dataset.route_ids,
         route_grades=dataset.route_grades,
         route_prior_means=prior_means,

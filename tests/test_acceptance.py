@@ -28,7 +28,6 @@ from cragrank.evaluation import (
 )
 from cragrank.ingest import (
     RAW_COLUMNS,
-    CleanDataset,
     RawAscentLog,
     parse_ascent_log,
     preprocess,
@@ -49,43 +48,12 @@ from cragrank.synthetic import (
     recovery_report,
     simulate_ascents,
 )
-
-S = True
-F = False
-
-FD_STEP = 1e-6
+from helpers import F, S, central_difference, make_dataset, relative_error
 
 
 def announce(number, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\n[criterion {number:02d}] {status} — {detail}", flush=True)
-
-
-# ---------------------------------------------------------------------------
-# Independent numerical helpers (no shared code with the implementation)
-
-
-def central_difference(f, x, h=FD_STEP):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def relative_error(got, want, floor=0.05):
-    return abs(got - want) / max(abs(want), floor)
-
-
-def make_dataset(ascents, n_routes, n_climbers, grades=None):
-    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
-    if grades is None:
-        grades = [22] * n_routes
-    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
-    table = table.reshape(-1, 4)
-    return CleanDataset(
-        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
-        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
-        route_grades=np.array(grades, dtype=np.int64),
-        provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +306,9 @@ def _coordinate_grid_map(log_f, n_coords):
 def _max_fit_vs_oracle_gap(dataset, oracle, coord_of, route_base):
     state, _ = fit(dataset, None, 3000, convergence_span=1e-10)
     gap = 0.0
-    offsets = state.period_offsets
-    for ci in range(len(state.climber_ids)):
-        for k in range(offsets[ci], offsets[ci + 1]):
-            coord = coord_of[(ci, int(state.period_weeks[k]))]
-            gap = max(gap, abs(float(state.climber_ratings[k]) - oracle[coord]))
+    for k, ci in enumerate(state.period_owner.tolist()):
+        coord = coord_of[(ci, int(state.period_weeks[k]))]
+        gap = max(gap, abs(float(state.climber_ratings[k]) - oracle[coord]))
     for ri, rating in enumerate(state.route_ratings):
         gap = max(gap, abs(float(rating) - oracle[route_base + ri]))
     return gap

@@ -23,27 +23,9 @@ from cragrank.evaluation import (
     predict_probabilities,
     rating_at_nearest_week,
 )
-from cragrank.ingest import CleanDataset
 from cragrank.model import Hyperparameters, bt_probability
 from cragrank.solver import initialize_state
-
-S = True
-F = False
-
-
-def make_dataset(ascents, n_routes, n_climbers, grades=None):
-    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
-    if grades is None:
-        grades = [22] * n_routes
-    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
-    table = table.reshape(-1, 4)
-    return CleanDataset(
-        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
-        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
-        route_grades=np.array(grades, dtype=np.int64),
-        provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
-    )
+from helpers import F, S, make_dataset
 
 
 def symmetric_fixture():
@@ -221,6 +203,17 @@ class TestRatingAtNearestWeek:
                                         [40, 40, 10])
         assert beyond.tolist() == [0.0, 3.0, 0.0]
 
+
+    def test_distances_beyond_int64(self):
+        # from week 0 the period at 2**63 - 1 is nearer than the one at
+        # -2**63, and so from 2**62; from -1 the earlier one is nearer
+        far = np.array([-2**63, 2**63 - 1], dtype=np.int64)
+        weeks = [0, 2**62, -1, -2**63, 2**63 - 1]
+        got = rating_at_nearest_week([0, 0], far, np.array([1.0, 2.0]), [0] * 5, weeks)
+        assert got.tolist() == [2.0, 2.0, 1.0, 1.0, 2.0]
+        # -1 is 2**63 - 1 weeks from both: the tie picks the earlier period
+        tie = np.array([-2**63, 2**63 - 2], dtype=np.int64)
+        assert rating_at_nearest_week([0, 0], tie, np.array([1.0, 2.0]), [0], [-1]).tolist() == [1.0]
 
     def test_matches_per_query_search(self):
         # reference: a binary search of each query's own owner's weeks

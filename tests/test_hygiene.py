@@ -3,10 +3,12 @@
 
 No linter ships with the project.  Every module-level name a module imports
 is used in it (except in the package ``__init__``, whose imports are the
-public re-exports).  Only ``model.py`` evaluates the logistic or names its
-clamp, so that the model has one copy of its likelihood.  And only
-``ingest.py`` parses CSV text, with the ``csv`` module or numpy's text
-readers, so that the dataset file format lives in one module.
+public re-exports).  No two modules define a top-level function with the
+same name and body, so a helper that tests share lives in ``helpers.py``.
+Only ``model.py`` evaluates the logistic or names its clamp, so that the
+model has one copy of its likelihood.  And only ``ingest.py`` parses CSV
+text, with the ``csv`` module or numpy's text readers, so that the dataset
+file format lives in one module.
 """
 
 import ast
@@ -41,6 +43,35 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def duplicate_functions(sources: dict[str, str]) -> list[str]:
+    """Each top-level function that more than one of ``sources`` (module name
+    to text) defines with the same name and body, as ``"name: modules"``."""
+    defined = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.setdefault((node.name, ast.dump(node)), []).append(module)
+    return sorted(f"{name}: {', '.join(modules)}"
+                  for (name, _), modules in defined.items() if len(modules) > 1)
+
+
+def test_finds_a_duplicate_function():
+    sources = {
+        "a.py": "def f(x):\n    return x + 1\n\ndef g():\n    return 1\n",
+        "b.py": "def f(x):\n    # the same body\n    return x + 1\n\ndef g():\n    return 2\n",
+        "c.py": "def f(y):\n    return y + 1\n\nclass C:\n    def g():\n        return 1\n",
+        "d.py": "async def f(x):\n    return x + 1\n\nasync def h():\n    pass\n",
+        "e.py": "async def h():\n    pass\n",
+    }
+    assert duplicate_functions(sources) == ["f: a.py, b.py", "h: d.py, e.py"]
+
+
+def test_no_duplicate_functions():
+    # keyed by path, so the package modules that both lists hold count once
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE + SOURCES}
+    assert duplicate_functions(sources) == []
 
 
 def logistic_outside_model(source: str) -> list[str]:

@@ -32,8 +32,7 @@ from cragrank.solver import (
     outcome_probabilities,
     route_derivatives,
 )
-
-FD_STEP = 1e-6
+from helpers import central_difference, relative_error
 
 ratings = st.floats(min_value=-15.0, max_value=15.0, allow_nan=False)
 
@@ -68,14 +67,6 @@ def bt_gradient(own, opponents, outcomes, side):
     return total
 
 
-def central_difference(f, x, h=FD_STEP):
-    return (f(x + h) - f(x - h)) / (2.0 * h)
-
-
-def relative_error(got, want, floor=0.05):
-    return abs(got - want) / max(abs(want), floor)
-
-
 def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_means=None):
     """A state of one climber with a period at each of ``weeks``.
 
@@ -88,7 +79,7 @@ def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_
     return ModelState(
         hyper=hyper,
         climber_ids=["c0"],
-        period_offsets=np.array([0, len(weeks)]),
+        period_owner=np.zeros(len(weeks), dtype=np.int64),
         period_weeks=np.array(weeks, dtype=np.int64),
         climber_ratings=np.array(ratings, dtype=float),
         route_ids=[f"r{i}" for i in range(n_routes)],
@@ -296,6 +287,14 @@ class TestWienerVariance:
         grad, _, off = climber_derivatives(state, outcome_probabilities(state))
         assert off[0] == 1.0 / MIN_WIENER_VARIANCE
         assert grad[1] == -1.0 / MIN_WIENER_VARIANCE
+
+    def test_gap_beyond_int64(self):
+        # weeks 2**63 and 2**64 - 1 apart: their int64 difference wraps, the gap does not
+        hyper = Hyperparameters()
+        for weeks, gap in (([-2**62, 2**62], 2**63), ([-2**63, 2**63 - 1], 2**64 - 1)):
+            state = coupled_state(weeks, [0.0, 0.0])
+            _, _, off = climber_derivatives(state, outcome_probabilities(state))
+            assert off[0] == 1.0 / (float(gap) * hyper.w_sq)
 
     @given(a=st.integers(-3000, 3000), gap=st.integers(1, 3000), x0=ratings, x1=ratings)
     def test_symmetric_and_nonnegative(self, a, gap, x0, x1):

@@ -32,30 +32,13 @@ from cragrank.solver import (
     solve_tridiagonal,
     tridiagonal_plan,
 )
-
-S = True
-F = False
+from helpers import F, S, make_dataset
 
 
 def evaluated(state):
     """What a pass takes: the outcome probabilities at the state, and their log."""
     outcome_p = outcome_probabilities(state)
     return outcome_p, np.log(outcome_p)
-
-
-def make_dataset(ascents, n_routes, n_climbers, grades=None):
-    """A dataset of (climber, route, week, outcome) tuples over generated id tables."""
-    if grades is None:
-        grades = [22] * n_routes
-    table = np.array([(c, r, w, o is S) for c, r, w, o in ascents], dtype=np.int64)
-    table = table.reshape(-1, 4)
-    return CleanDataset(
-        climber=table[:, 0], route=table[:, 1], week=table[:, 2], success=table[:, 3] == 1,
-        climber_ids=np.array([f"c{i}" for i in range(n_climbers)], dtype=object),
-        route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
-        route_grades=np.array(grades, dtype=np.int64),
-        provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
-    )
 
 
 def one_one_fixture():
@@ -107,10 +90,8 @@ def lexsort_reference(ds):
                                      ds.success[order])
     new_period = np.ones(len(ds), dtype=bool)
     new_period[1:] = (climber[1:] != climber[:-1]) | (week[1:] != week[:-1])
-    per_climber = np.bincount(climber[new_period], minlength=len(ds.climber_ids))
-    offsets = np.concatenate(([0], np.cumsum(per_climber)))
-    return dict(period_offsets=offsets, period_weeks=week[new_period],
-                climber_ratings=np.zeros(int(offsets[-1])),
+    return dict(period_owner=climber[new_period], period_weeks=week[new_period],
+                climber_ratings=np.zeros(int(new_period.sum())),
                 asc_flat_period=np.cumsum(new_period) - 1, asc_route=route, asc_success=success)
 
 
@@ -135,8 +116,8 @@ def per_block_thomas(diag, off, rhs):
 
 def climber_blocks(state):
     """(lo, hi) bounds of every climber's slice of the flat period arrays."""
-    offsets = state.period_offsets
-    return [(int(offsets[c]), int(offsets[c + 1])) for c in range(len(state.climber_ids))]
+    bounds = np.searchsorted(state.period_owner, np.arange(len(state.climber_ids) + 1))
+    return [(int(bounds[c]), int(bounds[c + 1])) for c in range(len(state.climber_ids))]
 
 
 def log_posterior_gradient(state):
@@ -345,8 +326,7 @@ class TestInitializeState:
         ds = random_dataset(np.random.default_rng(0))
         state = initialize_state(ds)
         flat = state.asc_flat_period
-        climber = np.searchsorted(state.period_offsets, flat, side="right") - 1
-        got = sorted(zip(climber.tolist(), state.period_weeks[flat].tolist(),
+        got = sorted(zip(state.period_owner[flat].tolist(), state.period_weeks[flat].tolist(),
                          state.asc_route.tolist(), state.asc_success.tolist()))
         expected = sorted(zip(ds.climber.tolist(), ds.week.tolist(), ds.route.tolist(),
                               ds.success.tolist()))
@@ -354,14 +334,15 @@ class TestInitializeState:
 
     def test_climber_history_invariants(self):
         state = initialize_state(random_dataset(np.random.default_rng(1)))
-        offsets = state.period_offsets
-        assert offsets[0] == 0 and (np.diff(offsets) >= 0).all()
-        assert offsets[-1] == state.period_weeks.shape[0]
+        owner = state.period_owner
+        assert (np.diff(owner) >= 0).all()
+        assert owner.min() >= 0 and owner.max() < len(state.climber_ids)
+        assert owner.shape == state.period_weeks.shape
         assert state.climber_ratings.shape == state.period_weeks.shape
         for lo, hi in climber_blocks(state):
             assert (np.diff(state.period_weeks[lo:hi]) > 0).all()
         # every period has at least one ascent
-        counts = np.bincount(state.asc_flat_period, minlength=offsets[-1])
+        counts = np.bincount(state.asc_flat_period, minlength=owner.shape[0])
         assert (counts >= 1).all()
 
     def test_canonical_order(self):
@@ -564,7 +545,7 @@ class TestUpdateClimber:
                     ascents.append((climber, int(rng.integers(0, 3)), week,
                                                 S if rng.random() < 0.5 else F))
         state = initialize_state(make_dataset(ascents, n_routes=3, n_climbers=4))
-        assert np.diff(state.period_offsets).tolist() == [1, 2, 0, 6]
+        assert np.bincount(state.period_owner, minlength=4).tolist() == [1, 2, 0, 6]
         randomize_ratings(state, rng)
         expected = dense_climber_step(state)
         got, *_ = climber_pass(state, *evaluated(state))
@@ -587,7 +568,7 @@ class TestBtMarginalLogLikelihood:
         state = ModelState(
             hyper=Hyperparameters(),
             climber_ids=[],
-            period_offsets=np.zeros(1, dtype=np.int64),
+            period_owner=np.zeros(0, dtype=np.int64),
             period_weeks=np.zeros(0, dtype=np.int64),
             climber_ratings=np.zeros(0),
             route_ids=[],
@@ -606,7 +587,7 @@ class TestBtMarginalLogLikelihood:
         state = ModelState(
             hyper=hyper,
             climber_ids=np.zeros(0, dtype=object),
-            period_offsets=np.zeros(1, dtype=np.int64),
+            period_owner=np.zeros(0, dtype=np.int64),
             period_weeks=np.zeros(0, dtype=np.int64),
             climber_ratings=np.zeros(0),
             route_ids=np.array(["r0"], dtype=object),
@@ -730,6 +711,20 @@ class TestFit:
         assert not report.converged
         assert report.iterations == 8
 
+    def test_periods_beyond_int64_apart_are_all_but_independent(self):
+        # two successes, then two failures 2**63 weeks later: the random walk
+        # between them has a variance of 2**63 * w_sq, so the ratings part at
+        # least as far as 10**6 weeks apart, and are not pinned together
+        def log(first, second):
+            return make_dataset([(0, 0, first, S), (0, 1, first, S),
+                                 (0, 0, second, F), (0, 1, second, F)], n_routes=2, n_climbers=1)
+
+        far, _ = fit(log(-2**62, 2**62))
+        near, _ = fit(log(-52, 999999))
+        assert far.hess_off.tolist() == [1.0 / (2.0**63 * Hyperparameters().w_sq)]
+        assert far.climber_ratings[0] == pytest.approx(near.climber_ratings[0], abs=1e-3)
+        assert far.climber_ratings[1] < near.climber_ratings[1] < -9.0
+
     def test_zero_drift_pins_ratings_flat(self):
         ds = make_dataset(
             [(0, 0, 0, S), (0, 0, 7, F),
@@ -792,7 +787,7 @@ def margin_state(margins, won):
     return ModelState(
         hyper=Hyperparameters(),
         climber_ids=np.array([f"c{i}" for i in range(n)], dtype=object),
-        period_offsets=np.arange(n + 1),
+        period_owner=np.arange(n),
         period_weeks=np.zeros(n, dtype=np.int64),
         climber_ratings=np.array(margins, dtype=float),
         route_ids=np.array(["r0"], dtype=object),

@@ -211,11 +211,10 @@ class TestRecoveryReport:
         true_route = dict(zip(world.route_ids, world.route_ratings))
         state.route_ratings = np.array([true_route[rid] for rid in state.route_ids])
         row_of = {cid: i for i, cid in enumerate(world.climber_ids)}
-        offsets = state.period_offsets
         for c, climber_id in enumerate(state.climber_ids):
-            lo, hi = offsets[c], offsets[c + 1]
-            positions = np.searchsorted(world.weeks, state.period_weeks[lo:hi])
-            state.climber_ratings[lo:hi] = world.climber_ratings[row_of[climber_id], positions]
+            own = state.period_owner == c
+            positions = np.searchsorted(world.weeks, state.period_weeks[own])
+            state.climber_ratings[own] = world.climber_ratings[row_of[climber_id], positions]
         return state
 
     def test_injected_truth_scores_perfectly(self):
