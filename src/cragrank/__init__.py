@@ -42,12 +42,12 @@ from .solver import (
     route_derivatives,
     route_pass,
     solve_tridiagonal,
+    tridiagonal_plan,
 )
 from .synthetic import (
     RecoveryReport,
     SyntheticWorld,
     generate_world,
-    level_matched_dataset,
     recovery_report,
     simulate_ascents,
     simulate_trials,

@@ -118,16 +118,14 @@ def _read_ratings(ratings_dir: Path):
 
     The periods are the owner (an index into the climber ids), week and
     rating of each row of ``climber_ratings.csv``, sorted by owner and then
-    week.  A row that repeats the route of an earlier row, or the climber
-    and week of an earlier row, is an error, so each route has one rating
-    and weeks strictly increase within each owner.
+    week.  A rating that is not finite is an error, as is a row that
+    repeats the route of an earlier row, or the climber and week of an
+    earlier row, so each route has one rating and weeks strictly increase
+    within each owner.
     """
     routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
     route_ratings = routes.floats("rating")
-    _, route = unique_strings(routes.text["route_id"])
-    again = np.ones(routes.rows, dtype=bool)
-    again[np.unique(route, return_index=True)[1]] = False
-    routes.check(again, "route_id repeats an earlier row's")
+    routes.check_distinct("route_id")
     routes.raise_first()
     periods = CsvTable.read(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
     weeks, ratings = periods.integers("week"), periods.floats("rating")

@@ -304,11 +304,21 @@ class CsvTable:
         return self.convert(column, _parse_int, np.int64, column + " must be an integer, got {!r}")
 
     def floats(self, column: str) -> np.ndarray:
-        """Column ``column`` by ``float`` in one pass, and by :meth:`convert` if it rejects any."""
+        """Column ``column`` by ``float`` in one pass, and by :meth:`convert` if it
+        rejects any, checking that every number is finite."""
         try:
-            return np.fromiter(map(float, self.text[column]), dtype=float, count=self.rows)
+            values = np.fromiter(map(float, self.text[column]), dtype=float, count=self.rows)
         except ValueError:
-            return self.convert(column, float, float, column + " must be a number, got {!r}")
+            values = self.convert(column, float, float, column + " must be a number, got {!r}")
+        self.check(~np.isfinite(values), column + " must be finite, got {!r}", self.text[column])
+        return values
+
+    def check_distinct(self, column: str) -> None:
+        """Check that no row's field of ``column`` repeats an earlier row's."""
+        _, code = unique_strings(self.text[column])
+        again = np.ones(self.rows, dtype=bool)
+        again[np.unique(code, return_index=True)[1]] = False
+        self.check(again, column + " repeats an earlier row's")
 
     def problems(self) -> list[str]:
         """For each failing row in order, the first check it fails, with its line number."""
@@ -587,7 +597,8 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     The files are read in the order routes, climbers, ascents.  Any CSV with
     their headers is accepted and checked line by line: this raises
     ParseError naming the file and line of the first malformed row,
-    including an ascent whose climber or route index is outside its table.
+    including a route or climber whose id repeats an earlier row's and an
+    ascent whose climber or route index is outside its table.
     An ``ascents.csv`` exactly as :func:`write_csv` writes it, with every
     index in range, is parsed by numpy instead, to the same arrays.
     """
@@ -595,10 +606,12 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     routes = CsvTable.read(src / "routes.csv", ("route_idx", "route_id", "grade"))
     routes.check(routes.integers("route_idx") != np.arange(routes.rows), "route_idx out of order")
     grades = routes.integers("grade")
+    routes.check_distinct("route_id")
     routes.raise_first()
     climbers = CsvTable.read(src / "climbers.csv", ("climber_idx", "climber_id"))
     climbers.check(climbers.integers("climber_idx") != np.arange(climbers.rows),
                    "climber_idx out of order")
+    climbers.check_distinct("climber_id")
     climbers.raise_first()
 
     path = src / "ascents.csv"

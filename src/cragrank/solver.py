@@ -14,16 +14,9 @@ step is halved until that entity's own log posterior does not fall, so no
 pass lowers the posterior.
 
 What does not change during a fit is built once, when
-:func:`initialize_state` sorts the ascents (one packed int64 key) and the
-:class:`ModelState` is constructed, as its read-only fields: the Hessian
-off-diagonal with the :class:`TridiagonalPlan` by which every pass solves
-the climber system, each ascent's outcome sign, and each period's wins and
-each route's losses.  Each pass
-gathers the ratings of the side that stays fixed once, and carries each
-ascent's outcome probability ``p`` with its ``log p``.  A trial point then
-costs one gather of the side that moved, one
-:func:`~cragrank.model.win_probabilities` call, one ``np.log`` and the
-per-entity sums of its log posterior.
+:func:`initialize_state` sorts the ascents and constructs the
+:class:`ModelState`, as its read-only fields; :func:`fit` states what a
+trial point then costs.
 
 The Bradley-Terry marginal log-likelihood is recorded after every outer
 iteration; the fit stops once the last nine recorded values span at most one
@@ -171,29 +164,24 @@ class ModelState:
             setattr(self, name, array)
 
 
-def solve_tridiagonal(diag, off_diag, rhs, plan: TridiagonalPlan | None = None) -> np.ndarray:
+def solve_tridiagonal(diag, rhs, plan: TridiagonalPlan) -> np.ndarray:
     """Solve a symmetric tridiagonal system by Thomas elimination.
 
-    ``diag`` is the main diagonal (length n), ``off_diag`` the shared
-    super/sub diagonal (length n-1), and ``plan`` its
-    :func:`tridiagonal_plan`, built here if not given.  Linear time, no
-    pivoting: intended for the definite systems produced by the climber
-    updates, where elimination without pivoting is stable.
+    ``diag`` is the main diagonal and ``rhs`` the right-hand side, both of
+    length n.  The off-diagonal is the ``coupling`` of ``plan``, the
+    :func:`tridiagonal_plan` of the system, and nothing else, so the system
+    with ``-diag`` and ``-off_diag`` is solved as
+    ``-solve_tridiagonal(diag, rhs, plan)``.  Linear time, no pivoting:
+    intended for the definite systems produced by the climber updates, where
+    elimination without pivoting is stable.
 
     The rows are put in the plan's level order, so step ``k`` of the sweep
     is one update of the contiguous level ``k``, in every block longer than
     ``k`` at once, with the same arithmetic as eliminating each block on its
     own.
     """
-    off = np.asarray(off_diag, dtype=float)
-    n = np.shape(diag)[0]
-    if n == 0:
-        raise ValueError("empty system")
-    if off.shape[0] != n - 1 or np.shape(rhs)[0] != n:
-        raise ValueError("inconsistent system dimensions")
-    if plan is None:
-        plan = tridiagonal_plan(off)
-    elif plan.order.shape[0] != n:
+    n = plan.order.shape[0]  # a plan has a row, so no empty system matches it
+    if np.shape(diag)[0] != n or np.shape(rhs)[0] != n:
         raise ValueError("plan does not match the system")
     order, coupling = plan.order, plan.coupling
     d = np.asarray(diag, dtype=float)[order]
@@ -416,9 +404,9 @@ def climber_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
     reaches along these steps, with the outcome probabilities there and
     their log; the state is not mutated.
     """
-    grad, hess, off = climber_derivatives(state, outcome_p)
+    grad, hess, _ = climber_derivatives(state, outcome_p)
     opponents = state.route_ratings[state.asc_route]
-    step = -solve_tridiagonal(hess, off, grad, state.climber_plan)
+    step = -solve_tridiagonal(hess, grad, state.climber_plan)
     return _ascend(state, state.climber_ratings, step, log_p,
                    lambda trial: _observed(state, trial[state.asc_flat_period] - opponents),
                    _climber_log_posteriors)

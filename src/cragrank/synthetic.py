@@ -34,13 +34,6 @@ class SyntheticWorld:
     weeks: np.ndarray
     climber_ratings: np.ndarray
 
-    def standardized_increments(self) -> np.ndarray:
-        """Per-step rating increments divided by their prior standard deviation."""
-        if self.weeks.shape[0] < 2 or self.hyper.w_sq == 0.0:
-            return np.empty((len(self.climber_ids), 0))
-        sd = np.sqrt(np.diff(self.weeks) * self.hyper.w_sq)
-        return np.diff(self.climber_ratings, axis=1) / sd
-
 
 @dataclass(frozen=True)
 class RecoveryReport:
@@ -142,48 +135,6 @@ def simulate_ascents(
     climber_idx, period_idx, route_idx, success = simulate_trials(
         world, ascents_per_climber_period, seed
     )
-    return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
-                                  climber_idx, route_idx, world.weeks[period_idx], success)
-
-
-def level_matched_dataset(
-    n_climbers: int,
-    n_routes: int,
-    n_periods: int,
-    per_period: int,
-    *,
-    world_seed: int,
-    log_seed: int,
-) -> CleanDataset:
-    """A large simulated log where climbers pick routes near their level.
-
-    Route ratings are drawn with variance 1 and every climber makes
-    ``per_period`` attempts per period, each on the route whose true rating
-    is nearest to the climber's current ability plus a normal offset with
-    standard deviation 2, mirroring how real logbooks cluster around each
-    climber's working grade.  Matched difficulty keeps outcomes informative
-    for every entity, which is what lets a log of this size fit to
-    convergence.  The result has passed the ingest activity filters.
-    """
-    world = generate_world(n_climbers, n_routes, n_periods, (18, 28),
-                           hyper=Hyperparameters(sigma_r_sq=1.0), seed=world_seed)
-    rng = np.random.default_rng(log_seed)
-    order = np.argsort(world.route_ratings)
-    sorted_ratings = world.route_ratings[order]
-
-    total = n_climbers * n_periods * per_period
-    climber_idx = np.repeat(np.arange(n_climbers), n_periods * per_period)
-    period_idx = np.tile(np.repeat(np.arange(n_periods), per_period), n_climbers)
-    ability = world.climber_ratings[climber_idx, period_idx]
-    target = ability + rng.normal(0.0, 2.0, size=total)
-    pos = np.clip(np.searchsorted(sorted_ratings, target), 0, n_routes - 1)
-    left = np.maximum(pos - 1, 0)
-    nearer_left = np.abs(sorted_ratings[left] - target) <= np.abs(
-        sorted_ratings[pos] - target
-    )
-    route_idx = order[np.where(nearer_left, left, pos)]
-    success = rng.random(total) < win_probabilities(ability, world.route_ratings[route_idx])
-
     return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
                                   climber_idx, route_idx, world.weeks[period_idx], success)
 

@@ -41,14 +41,14 @@ from cragrank.solver import (
     outcome_probabilities,
     route_derivatives,
     solve_tridiagonal,
+    tridiagonal_plan,
 )
 from cragrank.synthetic import (
     generate_world,
-    level_matched_dataset,
     recovery_report,
     simulate_ascents,
 )
-from helpers import F, S, central_difference, make_dataset, relative_error
+from helpers import F, S, central_difference, level_matched_dataset, make_dataset, relative_error
 
 
 def announce(number, ok, detail):
@@ -382,7 +382,7 @@ def test_criterion_05_tridiagonal_matches_dense_solver():
             dominance[1:] += np.abs(off)
         diag = -(dominance + rng.uniform(0.1, 3.0, size=n))
         rhs = rng.normal(size=n)
-        got = solve_tridiagonal(diag, off, rhs)
+        got = solve_tridiagonal(diag, rhs, tridiagonal_plan(off))
         dense = np.diag(diag)
         if n > 1:
             dense += np.diag(off, 1) + np.diag(off, -1)

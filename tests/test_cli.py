@@ -164,6 +164,9 @@ bob,r1,punted,2020-01-13,21,ewbank
 # the default (no suffix), then one and two rows.
 READ_ROWS = [(ingest._READ_ROWS, ""), (1, "-read_rows=1"), (2, "-read_rows=2")]
 
+# The line of a rating in each ratings file that TestPredict writes.
+RATING_LINES = [("route_ratings.csv", 3), ("climber_ratings.csv", 4)]
+
 
 # An index column, the line end of the edited ascents.csv (the ids of the LF
 # cases predate the CRLF ones), and CsvTable's row-chunk size.
@@ -339,6 +342,22 @@ class TestFit:
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run(["fit", tmp_path / "nowhere", "--out", tmp_path / "f"]) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "evaluate", "crossval"])
+    @pytest.mark.parametrize("table, column", [("routes", "route_id"), ("climbers", "climber_id")])
+    def test_repeated_id_exits_one_with_line(self, tmp_path, capsys, command, table, column):
+        # BASIC_LOG has two climbers and two routes; the second row takes the first's id
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = dataset_dir / f"{table}.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        first, second = lines[1].split(","), lines[2].split(",")
+        lines[2] = ",".join([second[0], first[1]] + second[2:])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run([command, dataset_dir, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {table}.csv line 3: {column} repeats an earlier row's\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestPredict:
     def write_ratings(self, tmp_path):
@@ -410,24 +429,26 @@ class TestPredict:
         err = capsys.readouterr().err
         assert "line 2" in err and "week" in err
 
-    @pytest.mark.parametrize("name, line, read_rows", [
-        pytest.param(name, line, read_rows, id=f"{name}-{line}{rows_suffix}")
-        for name, line in (("route_ratings.csv", 3), ("climber_ratings.csv", 4))
-        for read_rows, rows_suffix in READ_ROWS])
+    @pytest.mark.parametrize("name, line, read_rows, text, problem", [
+        pytest.param(name, line, read_rows, "abc", "must be a number",
+                     id=f"{name}-{line}{rows_suffix}")
+        for name, line in RATING_LINES for read_rows, rows_suffix in READ_ROWS] + [
+        pytest.param(name, line, ingest._READ_ROWS, text, "must be finite", id=f"{name}-{line}-{text}")
+        for name, line in RATING_LINES for text in ("nan", "inf", "-inf", "NaN", "-Infinity")])
     def test_bad_rating_reports_file_and_line(self, tmp_path, capsys, monkeypatch, name, line,
-                                              read_rows):
+                                              read_rows, text, problem):
         monkeypatch.setattr(ingest, "_READ_ROWS", read_rows)
         ratings = self.write_ratings(tmp_path)
         path = ratings / name
         lines = path.read_text(encoding="utf-8").splitlines()
-        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",abc"
+        lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + "," + text
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         query = tmp_path / "query.csv"
         query.write_text("climber_id,route_id,week\nalice,r1,0\n", encoding="utf-8")
         capsys.readouterr()
         assert run(["predict", ratings, query, "--out", tmp_path / "p.csv"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {name} line {line}: rating must be a number, got 'abc'\n")
+            f"error: {name} line {line}: rating {problem}, got {text!r}\n")
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize("rows, problem", [

@@ -8,10 +8,13 @@ same name and body, so a helper that tests share lives in ``helpers.py``.
 Only ``model.py`` evaluates the logistic or names its clamp, so that the
 model has one copy of its likelihood.  And only ``ingest.py`` parses CSV
 text, with the ``csv`` module or numpy's text readers, so that the dataset
-file format lives in one module.
+file format lives in one module.  Every function, class and method that the
+package defines is named by the package, ``scripts`` or ``benchmark``, so
+that code only the tests call lives in the tests.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -135,3 +138,93 @@ def test_finds_text_parsing():
                          ids=lambda p: p.name)
 def test_only_ingest_parses_csv(path):
     assert text_parsing(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(tree: ast.Module):
+    """Each top-level function and class of a module, and each method of its
+    classes, as ``(qualified name, node)``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{method.name}", method
+
+
+def named(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name, attribute and imported name in ``node``, outside ``skip``."""
+    found = set()
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def unused_definitions(library: dict[str, str], users: dict[str, str]) -> list[str]:
+    """Each definition of the ``library`` modules (module name to text) that
+    no library module names outside the definition itself, and no module of
+    ``users`` names, as ``"module: name"``.  Special methods are called by
+    Python, so they count as named."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    used_by_users = set().union(*(named(ast.parse(source)) for source in users.values()))
+    found = []
+    for module, tree in trees.items():
+        for qualified, node in definitions(tree):
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or name in used_by_users:
+                continue
+            if not any(name in named(other, skip=node) for other in trees.values()):
+                found.append(f"{module}: {qualified}")
+    return sorted(found)
+
+
+def test_finds_an_unused_definition():
+    library = {
+        "a.py": ("def used(x):\n    return helper(x)\n\ndef helper(x):\n    return x\n\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n\n"
+                 "class C:\n    def __init__(self):\n        self.m()\n"
+                 "    def m(self):\n        pass\n    def lonely(self):\n        pass\n"),
+        "b.py": "from .a import used\n\ndef by_script():\n    return used(1)\n\nx = C()\n",
+    }
+    users = {"run.py": "import b\nb.by_script()\n"}
+    assert unused_definitions(library, users) == ["a.py: C.lonely", "a.py: recursive"]
+
+
+def overrides_a_base(definition: str) -> bool:
+    """Whether the package method ``"module: Class.method"`` overrides one of a
+    base class, whose own code calls it (as argparse calls ``_Parser.error``)."""
+    module, _, qualified = definition.partition(": ")
+    owner, _, method = qualified.rpartition(".")
+    if not owner:
+        return False
+    cls = getattr(importlib.import_module("cragrank." + module.removesuffix(".py")), owner)
+    return any(method in vars(base) for base in cls.__mro__[1:])
+
+
+def test_finds_an_override():
+    assert overrides_a_base("cli.py: _Parser.error")
+    assert not overrides_a_base("ingest.py: CsvTable.floats")
+    assert not overrides_a_base("cli.py: main")
+
+
+# A test oracle: the tests check that the cleaning stages' output keeps the
+# guarantees CleanDataset states.
+TEST_ORACLE = "ingest.py: CleanDataset.check_invariants"
+
+
+def test_no_definition_only_the_tests_use():
+    library = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+    users = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+             for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
+    found = unused_definitions(library, users)
+    assert [d for d in found if d != TEST_ORACLE and not overrides_a_base(d)] == []

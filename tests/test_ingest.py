@@ -510,6 +510,19 @@ class TestSerialization:
         with pytest.raises(ParseError, match="^ascents.csv line 2: outcome must be 0 or 1$"):
             read_clean_dataset(tmp_path)
 
+    @pytest.mark.parametrize("name, column", [("routes.csv", "route_id"),
+                                              ("climbers.csv", "climber_id")])
+    @pytest.mark.parametrize("earlier", [2, 1], ids=["adjacent", "apart"])
+    def test_repeated_id_rejected(self, tmp_path, name, column, earlier):
+        # a third row, on line 4, takes the id of the row on line 1 + earlier
+        write_clean_dataset(self._dataset(), tmp_path)
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines.append(",".join(["2"] + lines[earlier].split(",")[1:]))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{name} line 4: {column} repeats an earlier row's$"):
+            read_clean_dataset(tmp_path)
+
     def test_raw_log_round_trip(self, tmp_path):
         ds = self._dataset()
         path = tmp_path / "raw.csv"

@@ -7,6 +7,7 @@ Oracles used here, all independent of the solver's own code path:
   * hand-written gradient formulas for the stationarity check.
 """
 
+import inspect
 import math
 import time
 import warnings
@@ -32,6 +33,7 @@ from cragrank.solver import (
     solve_tridiagonal,
     tridiagonal_plan,
 )
+from cragrank.synthetic import generate_world, simulate_ascents
 from helpers import F, S, make_dataset
 
 
@@ -231,6 +233,23 @@ def randomize_ratings(state, rng):
     state.route_ratings = rng.uniform(-2, 2, size=state.route_ratings.shape)
 
 
+def random_blocked_system(rng):
+    """A definite tridiagonal system whose zero couplings split it into blocks."""
+    n = int(rng.integers(1, 40))
+    off = rng.uniform(-2.0, 2.0, size=n - 1)
+    off[rng.random(n - 1) < rng.uniform(0.0, 0.6)] = 0.0
+    diag = -(np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+             + rng.uniform(0.1, 3.0, size=n))
+    return diag, off, rng.uniform(-5.0, 5.0, size=n)
+
+
+def dense_tridiagonal(diag, off):
+    dense = np.diag(diag)
+    if len(diag) > 1:
+        dense += np.diag(off, 1) + np.diag(off, -1)
+    return dense
+
+
 class TestSolveTridiagonal:
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(11)
@@ -245,49 +264,68 @@ class TestSolveTridiagonal:
                 + rng.uniform(0.1, 3.0, size=n)
             )
             rhs = rng.uniform(-5.0, 5.0, size=n)
-            dense = np.diag(diag)
-            if n > 1:
-                dense += np.diag(off, 1) + np.diag(off, -1)
-            expected = np.linalg.solve(dense, rhs)
-            got = solve_tridiagonal(diag, off, rhs)
+            expected = np.linalg.solve(dense_tridiagonal(diag, off), rhs)
+            got = solve_tridiagonal(diag, rhs, tridiagonal_plan(off))
             assert np.max(np.abs(got - expected)) < 1e-10
 
     def test_identity(self):
-        out = solve_tridiagonal([1.0, 1.0, 1.0], [0.0, 0.0], [3.0, -2.0, 7.0])
+        out = solve_tridiagonal([1.0, 1.0, 1.0], [3.0, -2.0, 7.0], tridiagonal_plan([0.0, 0.0]))
         assert out == pytest.approx([3.0, -2.0, 7.0])
 
     def test_singular_raises(self):
         with pytest.raises(np.linalg.LinAlgError):
-            solve_tridiagonal([0.0], [], [1.0])
+            solve_tridiagonal([0.0], [1.0], tridiagonal_plan([]))
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_tridiagonal([1.0, 2.0], [0.5, 0.5], [1.0, 1.0])
+        plan = tridiagonal_plan([0.5, 0.5])
+        for diag, rhs in (([1.0] * 3, [1.0] * 4), ([1.0] * 3, [1.0] * 2), ([1.0] * 4, [1.0] * 3)):
+            with pytest.raises(ValueError, match="plan does not match the system"):
+                solve_tridiagonal(diag, rhs, plan)
 
     def test_empty_system(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal([], [], [])
+            solve_tridiagonal([], [], tridiagonal_plan([]))
 
     def test_does_not_mutate_inputs(self):
         diag = np.array([-2.0, -2.0])
         off = np.array([0.5])
         rhs = np.array([1.0, 1.0])
-        solve_tridiagonal(diag, off, rhs)
+        solve_tridiagonal(diag, rhs, tridiagonal_plan(off))
         assert (diag == [-2.0, -2.0]).all() and (rhs == [1.0, 1.0]).all()
+
+    def test_takes_its_off_diagonal_from_the_plan_alone(self):
+        # a second off-diagonal argument could disagree with the plan's coupling
+        parameters = inspect.signature(solve_tridiagonal).parameters
+        assert list(parameters) == ["diag", "rhs", "plan"]
+        assert all(p.default is inspect.Parameter.empty for p in parameters.values())
 
     def test_planned_solve_matches_per_block_elimination(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            n = int(rng.integers(1, 40))
-            off = rng.uniform(-2.0, 2.0, size=n - 1)
-            off[rng.random(n - 1) < rng.uniform(0.0, 0.6)] = 0.0
-            diag = -(np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
-                     + rng.uniform(0.1, 3.0, size=n))
-            rhs = rng.uniform(-5.0, 5.0, size=n)
-            expected = per_block_thomas(diag, off, rhs)
-            assert solve_tridiagonal(diag, off, rhs).tobytes() == expected.tobytes()
-            plan = tridiagonal_plan(off)
-            assert solve_tridiagonal(diag, off, rhs, plan).tobytes() == expected.tobytes()
+            diag, off, rhs = random_blocked_system(rng)
+            got = solve_tridiagonal(diag, rhs, tridiagonal_plan(off))
+            assert got.tobytes() == per_block_thomas(diag, off, rhs).tobytes()
+
+    def test_negated_system_gives_the_negated_solution(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            diag, off, rhs = random_blocked_system(rng)
+            got = solve_tridiagonal(-diag, rhs, tridiagonal_plan(-off))
+            negated = -solve_tridiagonal(diag, rhs, tridiagonal_plan(off))
+            assert got.tobytes() == negated.tobytes()
+            expected = np.linalg.solve(-dense_tridiagonal(diag, off), rhs)
+            assert np.max(np.abs(got - expected)) < 1e-10
+
+    def test_negative_hessian_solve_on_a_fitted_state(self):
+        # the climber block of -H, as a preconditioner applies it: the solve of
+        # H's own system, negated, with the state's plan
+        world = generate_world(30, 40, 6, (18, 28), seed=2)
+        state, _ = fit(simulate_ascents(world, 6, seed=3))
+        _, hess, off = climber_derivatives(state, outcome_probabilities(state))
+        r = np.random.default_rng(4).normal(size=hess.shape[0])
+        got = -solve_tridiagonal(hess, r, state.climber_plan)
+        expected = np.linalg.solve(-dense_tridiagonal(hess, off), r)
+        assert np.max(np.abs(got - expected)) < 1e-10
 
     @pytest.mark.parametrize("level", range(5))
     @pytest.mark.parametrize("last", [True, False], ids=["last-row", "pivot"])
@@ -302,11 +340,11 @@ class TestSolveTridiagonal:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(np.linalg.LinAlgError):
-                solve_tridiagonal(diag, off, np.ones(len(diag)))
+                solve_tridiagonal(diag, np.ones(len(diag)), tridiagonal_plan(off))
 
     def test_plan_of_another_size_rejected(self):
         with pytest.raises(ValueError):
-            solve_tridiagonal([1.0, 1.0], [0.5], [1.0, 1.0], tridiagonal_plan([0.5, 0.5]))
+            solve_tridiagonal([1.0, 1.0], [1.0, 1.0], tridiagonal_plan([0.5, 0.5]))
 
 
 class TestInitializeState:

@@ -92,7 +92,9 @@ class TestGenerateWorld:
 
     def test_standardized_increments_have_unit_variance(self):
         world = generate_world(100, 2, 11, (22, 22), seed=6)
-        z = world.standardized_increments()
+        # each step's rating increment over its prior standard deviation
+        sd = np.sqrt(np.diff(world.weeks) * world.hyper.w_sq)
+        z = np.diff(world.climber_ratings, axis=1) / sd
         assert z.size == 1000
         assert 0.8 <= float(z.var()) <= 1.2
 
