@@ -1,32 +1,27 @@
 #!/usr/bin/env python3
 """Fit a model on simulated ascents and report how well it recovers truth.
 
-Generates a world with known ratings, simulates a logbook from it, fits the
-model to the simulated data, and prints (a) the correlation between true and
-fitted ratings and (b) held-out cross-validation metrics next to the
-constant-predictor baseline.
+Generates a world with known ratings and its raw ascent log, as
+``cragrank synth`` does with the same world flags, cleans the log as
+``cragrank preprocess`` does, fits the model to the cleaned data, and prints
+(a) the correlation between true and fitted ratings and (b) held-out
+cross-validation metrics next to the constant-predictor baseline.
 """
 
 import argparse
 import time
 
+from cragrank.cli import add_world_flags, simulate_log
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
+from cragrank.ingest import preprocess
 from cragrank.model import Hyperparameters
 from cragrank.solver import fit
-from cragrank.synthetic import generate_world, recovery_report, simulate_ascents
+from cragrank.synthetic import recovery_report
 
 
 def parse_args():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--climbers", type=int, default=100)
-    parser.add_argument("--routes", type=int, default=200)
-    parser.add_argument("--periods", type=int, default=10)
-    parser.add_argument("--ascents-per-period", type=int, default=20,
-                        help="attempts per climber per period (default 20)")
-    parser.add_argument("--grade-min", type=int, default=18)
-    parser.add_argument("--grade-max", type=int, default=28)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="world seed; the ascent draw uses seed+1")
+    add_world_flags(parser)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--max-iterations", type=int, default=1000)
@@ -46,11 +41,8 @@ def main():
         overrides["sigma_r_sq"] = args.sigma_r_sq
     hyper = Hyperparameters(**overrides)
 
-    world = generate_world(
-        args.climbers, args.routes, args.periods,
-        (args.grade_min, args.grade_max), hyper=hyper, seed=args.seed,
-    )
-    dataset = simulate_ascents(world, args.ascents_per_period, seed=args.seed + 1)
+    world, log = simulate_log(args, hyper)
+    dataset = preprocess(log)
     print(f"simulated {len(dataset)} ascents "
           f"({len(dataset.climber_ids)} climbers, {len(dataset.route_ids)} routes)")
 

@@ -49,7 +49,6 @@ from .synthetic import (
     SyntheticWorld,
     generate_world,
     recovery_report,
-    simulate_ascents,
     simulate_trials,
 )
 

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: preprocess, fit, predict, evaluate, crossval, synth.  All float
-output is serialized with 9 significant digits, and every command is
-deterministic given its inputs and seeds.  Exit codes: 0 success, 1 bad
+output is serialized with 9 significant digits, except ``report.json``, which
+``json.dump`` writes at full precision; every command is deterministic given
+its inputs and seeds.  Exit codes: 0 success, 1 bad
 input, 2 empty result.
 """
 
@@ -71,6 +72,19 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
                         help="outer iteration budget (default 1000)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
+
+
+def add_world_flags(parser: argparse.ArgumentParser) -> None:
+    """The flags of a synthetic world and its ascent draw, read by :func:`simulate_log`."""
+    parser.add_argument("--climbers", type=int, default=100)
+    parser.add_argument("--routes", type=int, default=200)
+    parser.add_argument("--periods", type=int, default=10)
+    parser.add_argument("--ascents-per-period", type=int, default=20,
+                        help="ascents per climber per period (default 20)")
+    parser.add_argument("--grade-min", type=int, default=18)
+    parser.add_argument("--grade-max", type=int, default=28)
+    parser.add_argument("--seed", type=int, default=0,
+                        help="world seed; the ascent draw uses seed+1")
 
 
 def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
@@ -246,22 +260,24 @@ def _cmd_crossval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
-    hyper = _resolve_hyper(args)
-    world = generate_world(
-        n_climbers=args.climbers,
-        n_routes=args.routes,
-        n_periods=args.periods,
-        grade_range=(args.grade_min, args.grade_max),
-        hyper=hyper,
-        seed=args.seed,
-    )
+def simulate_log(args: argparse.Namespace, hyper: Hyperparameters):
+    """The world that the flags of :func:`add_world_flags` describe, and its raw ascent log.
+
+    The world is drawn with ``--seed`` and the ascents with ``--seed`` + 1.
+    """
+    world = generate_world(args.climbers, args.routes, args.periods,
+                           (args.grade_min, args.grade_max), hyper=hyper, seed=args.seed)
     trials = simulate_trials(world, args.ascents_per_period, seed=args.seed + 1)
+    return world, trials_to_raw_log(world, trials)
+
+
+def _cmd_synth(args: argparse.Namespace) -> int:
+    world, log = simulate_log(args, _resolve_hyper(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_raw_ascent_log(trials_to_raw_log(world, trials), out_dir / "raw_ascents.csv")
+    write_raw_ascent_log(log, out_dir / "raw_ascents.csv")
     write_truth_csv(world, out_dir / "truth.csv")
-    print(f"wrote {trials[0].shape[0]} raw ascents for {args.climbers} climbers "
+    print(f"wrote {len(log)} raw ascents for {args.climbers} climbers "
           f"on {args.routes} routes")
     return 0
 
@@ -311,15 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic ascent log")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--climbers", type=int, default=100)
-    p.add_argument("--routes", type=int, default=200)
-    p.add_argument("--periods", type=int, default=10)
-    p.add_argument("--ascents-per-period", type=int, default=20,
-                   help="ascents per climber per period (default 20)")
-    p.add_argument("--grade-min", type=int, default=18)
-    p.add_argument("--grade-max", type=int, default=28)
-    p.add_argument("--seed", type=int, default=0,
-                   help="world seed; the ascent draw uses seed+1")
+    add_world_flags(p)
     _add_hyper_flags(p)
     p.set_defaults(func=_cmd_synth)
 

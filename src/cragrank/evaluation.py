@@ -248,13 +248,13 @@ def precision_recall_curve(predictions, actuals) -> np.recarray:
 
 
 def linear_fit_r_squared(x, y) -> float:
-    """R-squared of the least-squares line through (x, y) pairs."""
+    """R-squared of the least-squares line through (x, y) pairs; 0 for constant x or y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-D and equally long")
-    if x.shape[0] < 2:
-        raise ValueError("need at least two points")
+    if x.shape[0] < 1:
+        raise ValueError("need at least one point")
     ss_tot = float(((y - y.mean()) ** 2).sum())
     if ss_tot == 0.0 or np.all(x == x[0]):
         return 0.0

@@ -145,8 +145,10 @@ def classify_tick(tick_type: str, mapping: Mapping[str, TickClass] | None = None
 def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
     """Read a ``tick_string,class`` mapping file (class is a TickClass name).
 
-    Errors name the file and line, as ``ticks.csv line 3: ...``.  A leading
-    UTF-8 byte-order mark is skipped.
+    Each line is read as a CSV row, so a tick may be quoted; the fields
+    before the last, joined by commas, are the tick.  Errors name the file
+    and line, as ``ticks.csv line 3: ...``.  A leading UTF-8 byte-order mark
+    is skipped.
     """
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
@@ -156,14 +158,14 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            tick, sep, cls = line.rpartition(",")
-            if not sep:
+            *tick, cls = next(csv.reader([line]))
+            if not tick:
                 raise ParseError(f"{name} line {lineno}: expected 'tick_string,class', "
                                  f"got {line!r}")
             cls = cls.strip().lower()
             if cls not in classes:
                 raise ParseError(f"{name} line {lineno}: unknown tick class {cls!r}")
-            mapping[tick.strip().lower()] = classes[cls]
+            mapping[",".join(tick).strip().lower()] = classes[cls]
     return mapping
 
 
@@ -216,6 +218,16 @@ def convert_distinct(column: np.ndarray, convert, dtype) -> tuple[np.ndarray, np
 
 def _parse_int(text: str) -> int:
     return int(text.strip())
+
+
+_DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
+
+
+def _parse_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date, not the other ISO forms that Python 3.11's parser takes."""
+    if not _DATE.fullmatch(text.strip()):
+        raise ValueError(text)
+    return date.fromisoformat(text.strip())
 
 
 # Rows that CsvTable holds as Python lists at a time.  On a 161,781-row raw
@@ -412,8 +424,7 @@ def parse_ascent_log(source: str | Path | IO[str]) -> RawAscentLog:
         table = CsvTable.read(Path(source), RAW_COLUMNS)
     else:
         table = CsvTable(source, RAW_COLUMNS)
-    day = table.convert("date", lambda text: date.fromisoformat(text.strip()), "datetime64[D]",
-                        "invalid date {!r}")
+    day = table.convert("date", _parse_date, "datetime64[D]", "invalid date {!r}")
     table.raise_first()
     text = table.text
     return RawAscentLog(text["climber_id"], text["route_id"], text["tick_type"], day,

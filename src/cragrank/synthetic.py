@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CleanDataset, RawAscentLog, assemble_clean_dataset, week_start_date, write_csv
+from .ingest import RawAscentLog, week_start_date, write_csv
 from .model import Hyperparameters, route_prior_mean, win_probabilities
 from .solver import ModelState
 
@@ -120,23 +120,6 @@ def simulate_trials(
     )
     success = rng.random(total) < p
     return climber_idx, period_idx, route_idx, success
-
-
-def simulate_ascents(
-    world: SyntheticWorld, ascents_per_climber_period: int, seed: int = 0
-) -> CleanDataset:
-    """Simulate an ascent log and run it through the ingest activity filters.
-
-    The returned dataset satisfies the CleanDataset guarantees (every route
-    has at least two ascents, every climber at least one failure); raises
-    EmptyDatasetError when nothing survives, e.g. if every simulated ascent
-    succeeded.
-    """
-    climber_idx, period_idx, route_idx, success = simulate_trials(
-        world, ascents_per_climber_period, seed
-    )
-    return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
-                                  climber_idx, route_idx, world.weeks[period_idx], success)
 
 
 def trials_to_raw_log(

@@ -5,9 +5,9 @@ The oracles share no code with the implementation they check.
 
 import numpy as np
 
-from cragrank.ingest import CleanDataset, assemble_clean_dataset
+from cragrank.ingest import CleanDataset, assemble_clean_dataset, preprocess
 from cragrank.model import Hyperparameters, win_probabilities
-from cragrank.synthetic import generate_world
+from cragrank.synthetic import generate_world, simulate_trials, trials_to_raw_log
 
 S = True
 F = False
@@ -28,6 +28,15 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
         route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
+
+
+def simulate_ascents(world, per_period, seed):
+    """The cleaned dataset of ``per_period`` simulated attempts per climber and period.
+
+    The trials drawn with ``seed`` go through the raw log and
+    :func:`preprocess`, as ``cragrank synth`` and ``preprocess`` take them.
+    """
+    return preprocess(trials_to_raw_log(world, simulate_trials(world, per_period, seed)))
 
 
 def level_matched_dataset(

@@ -46,9 +46,16 @@ from cragrank.solver import (
 from cragrank.synthetic import (
     generate_world,
     recovery_report,
+)
+from helpers import (
+    F,
+    S,
+    central_difference,
+    level_matched_dataset,
+    make_dataset,
+    relative_error,
     simulate_ascents,
 )
-from helpers import F, S, central_difference, level_matched_dataset, make_dataset, relative_error
 
 
 def announce(number, ok, detail):

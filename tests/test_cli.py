@@ -120,8 +120,13 @@ class TestPreprocess:
     @pytest.mark.parametrize("log, ticks, problem", [
         (HEADER + "\nalice,r1,redpoint,2020-13-01,21,ewbank\n", None,
          "raw.csv line 2: invalid date '2020-13-01'"),
+        # ISO forms that date.fromisoformat takes on Python 3.11 but not 3.10
+        (HEADER + "\nalice,r1,redpoint,20200106,21,ewbank\n", None,
+         "raw.csv line 2: invalid date '20200106'"),
+        (HEADER + "\nalice,r1,redpoint,2020-W02-1,21,ewbank\n", None,
+         "raw.csv line 2: invalid date '2020-W02-1'"),
         (BASIC_LOG, "onsight,triumphant\n", "ticks.csv line 1: unknown tick class 'triumphant'"),
-    ], ids=["raw-log", "tick-mapping"])
+    ], ids=["raw-log", "raw-log-basic-date", "raw-log-week-date", "tick-mapping"])
     def test_errors_name_their_file(self, tmp_path, capsys, log, ticks, problem):
         args = ["preprocess", write_log(tmp_path, log), "--out", tmp_path / "d"]
         if ticks is not None:
@@ -140,6 +145,22 @@ bob,r1,punted,2020-01-13,21,ewbank
         raw = write_log(tmp_path, log)
         mapping = tmp_path / "ticks.csv"
         mapping.write_text("sent,successful\npunted,unsuccessful\n", encoding="utf-8")
+        code = run(["preprocess", raw, "--out", tmp_path / "d", "--tick-mapping", mapping])
+        assert code == 0
+        assert "kept 4 of 4" in capsys.readouterr().out
+
+    def test_tick_mapping_written_by_csv_writer(self, tmp_path, capsys):
+        # a tick with a comma is quoted in the log and in the mapping file alike
+        log = HEADER + """
+alice,r1,sent,2020-01-06,21,ewbank
+alice,r1,"hang, dog",2020-01-06,21,ewbank
+bob,r1,sent,2020-01-13,21,ewbank
+bob,r1,"hang, dog",2020-01-13,21,ewbank
+"""
+        raw = write_log(tmp_path, log)
+        mapping = tmp_path / "ticks.csv"
+        with open(mapping, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("sent", "successful"), ("hang, dog", "unsuccessful")])
         code = run(["preprocess", raw, "--out", tmp_path / "d", "--tick-mapping", mapping])
         assert code == 0
         assert "kept 4 of 4" in capsys.readouterr().out
@@ -635,6 +656,22 @@ class TestEvaluateAndCrossval:
         assert "warning: 6 of 6 fold fits not converged" in captured.err
         assert "full fit not converged" in captured.err
         assert captured.out.startswith("held-out accuracy=")
+
+    def test_one_route_dataset_evaluates_and_crossvalidates(self, tmp_path):
+        # a single fitted route has no spread of grades: the R-squared is 0
+        log = HEADER + """
+alice,r1,redpoint,2020-01-06,21,ewbank
+alice,r1,attempt,2020-01-06,21,ewbank
+bob,r1,redpoint,2020-01-13,21,ewbank
+bob,r1,attempt,2020-01-13,21,ewbank
+"""
+        dataset_dir = preprocess_fixture(tmp_path, log)
+        assert run(["evaluate", dataset_dir, "--out", tmp_path / "eval"]) == 0
+        assert run(["crossval", dataset_dir, "-k", "2", "--repeats", "1",
+                    "--out", tmp_path / "cv"]) == 0
+        for out in ("eval", "cv"):
+            payload = json.loads((tmp_path / out / "report.json").read_text())
+            assert payload["ratings_grades_r_squared"] == 0.0
 
     def test_crossval_oversized_k_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)

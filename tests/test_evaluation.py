@@ -473,9 +473,11 @@ class TestLinearFitRSquared:
 
     def test_constant_inputs_give_zero(self):
         assert linear_fit_r_squared([2.0, 2.0, 2.0], [1.0, 4.0, 9.0]) == 0.0
+        # a single point is a constant input
+        assert linear_fit_r_squared([1.0], [1.0]) == 0.0
 
     def test_bad_shapes_rejected(self):
         with pytest.raises(ValueError):
             linear_fit_r_squared([1.0, 2.0], [1.0])
         with pytest.raises(ValueError):
-            linear_fit_r_squared([1.0], [1.0])
+            linear_fit_r_squared([], [])

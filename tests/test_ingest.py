@@ -116,6 +116,14 @@ class TestLoadTickMapping:
         assert mapping["second go"] is TickClass.UNSUCCESSFUL
         assert mapping["tick,with,commas"] is TickClass.AMBIGUOUS
 
+    def test_quoted_ticks_read_as_csv(self, tmp_path):
+        path = tmp_path / "ticks.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([("hang, dog", "unsuccessful"),
+                                      ('said "take"', "ambiguous")])
+        assert load_tick_mapping(path) == {"hang, dog": TickClass.UNSUCCESSFUL,
+                                           'said "take"': TickClass.AMBIGUOUS}
+
     def test_bad_class_rejected(self, tmp_path):
         path = tmp_path / "ticks.txt"
         path.write_text("onsight,triumphant\n")

@@ -2,6 +2,7 @@
 end on a small input."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,15 +12,42 @@ from cragrank.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_run_recovery_on_a_small_world():
+def run_recovery(*flags):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_recovery.py"), "--climbers", "20",
-         "--routes", "30", "--periods", "3", "--ascents-per-period", "8", "--folds", "3"],
+        [sys.executable, str(ROOT / "scripts" / "run_recovery.py"), *flags],
         env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    assert "\nheld-out: accuracy=" in result.stdout
+    return result.stdout
+
+
+def test_run_recovery_on_a_small_world():
+    out = run_recovery("--climbers", "20", "--routes", "30", "--periods", "3",
+                       "--ascents-per-period", "8", "--folds", "3")
+    # everything but the fit's wall time, in parentheses, is deterministic
+    assert re.sub(r" \(\d+\.\d\ds\)\n", " (-)\n", out) == (
+        "simulated 480 ascents (20 climbers, 30 routes)\n"
+        "fit: iterations=10 converged=True log_likelihood=-197.68996 (-)\n"
+        "recovery: route_correlation=0.924742884 climber_correlation=0.81875728 "
+        "route_rmse=0.706275423\n"
+        "held-out: accuracy=0.752083333 log_loss=0.505732482 balanced_accuracy=0.744319285\n"
+        "baseline: accuracy=0.564583333 log_loss=0.684781814\n"
+        "accuracy gain over baseline: 18.75 percentage points\n")
+
+
+def test_run_recovery_fits_what_synth_and_preprocess_keep(tmp_path, capsys):
+    # Routes graded 0 or below are dropped by preprocess, so this world's
+    # cleaned log is much smaller than its raw one.
+    world = ["--climbers", "30", "--routes", "40", "--periods", "4",
+             "--ascents-per-period", "8", "--grade-min", "-2", "--grade-max", "3"]
+    simulated = run_recovery(*world, "--folds", "2").splitlines()[0]
+    assert main(["synth", "--out", str(tmp_path), *world]) == 0
+    assert main(["preprocess", str(tmp_path / "raw_ascents.csv"),
+                 "--out", str(tmp_path / "dataset")]) == 0
+    kept = capsys.readouterr().out.splitlines()[-1]
+    assert kept.startswith("kept 73 of 960 ascent rows ")
+    assert simulated == "simulated 73 ascents " + kept[kept.index("("):]
 
 
 def test_readme_library_use_block(tmp_path, monkeypatch):

@@ -33,8 +33,8 @@ from cragrank.solver import (
     solve_tridiagonal,
     tridiagonal_plan,
 )
-from cragrank.synthetic import generate_world, simulate_ascents
-from helpers import F, S, make_dataset
+from cragrank.synthetic import generate_world
+from helpers import F, S, make_dataset, simulate_ascents
 
 
 def evaluated(state):

@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from cragrank.errors import EmptyDatasetError
-from cragrank.ingest import preprocess, quantize_week
+from cragrank.ingest import quantize_week
 from cragrank.model import Hyperparameters
 from cragrank.solver import initialize_state
 from cragrank.synthetic import (
     SyntheticWorld,
     generate_world,
     recovery_report,
-    simulate_ascents,
     simulate_trials,
     trials_to_raw_log,
     write_truth_csv,
 )
+from helpers import simulate_ascents
 
 
 def flat_world(n_climbers, n_routes, n_periods, climber_level=0.0, route_level=0.0):
@@ -180,15 +180,6 @@ class TestSimulateAscents:
         world = flat_world(4, 6, 2, climber_level=20.0, route_level=-20.0)
         with pytest.raises(EmptyDatasetError):
             simulate_ascents(world, 50, seed=3)
-
-    def test_agrees_with_raw_row_pipeline(self):
-        world = generate_world(8, 15, 3, (18, 26), seed=2)
-        trials = simulate_trials(world, 5, seed=4)
-        direct = simulate_ascents(world, 5, seed=4)
-        via_rows = preprocess(trials_to_raw_log(world, trials))
-        for column in ("climber", "route", "week", "success", "climber_ids", "route_ids",
-                       "route_grades"):
-            assert np.array_equal(getattr(via_rows, column), getattr(direct, column))
 
 
 class TestTrialsToRawRows:
