@@ -5,13 +5,15 @@ Generates a world with known ratings and its raw ascent log, as
 ``cragrank synth`` does with the same world flags, cleans the log as
 ``cragrank preprocess`` does, fits the model to the cleaned data, and prints
 (a) the correlation between true and fitted ratings and (b) held-out
-cross-validation metrics next to the constant-predictor baseline.
+cross-validation metrics next to the constant-predictor baseline.  Errors
+are reported as the CLI reports them: ``error: ...`` on stderr, and exit
+code 1 for a bad value or 2 when no ascent survives cleaning.
 """
 
 import argparse
 import time
 
-from cragrank.cli import add_world_flags, simulate_log
+from cragrank.cli import add_world_flags, report_errors, simulate_log
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
 from cragrank.ingest import preprocess
 from cragrank.model import Hyperparameters
@@ -69,7 +71,8 @@ def main():
           f"log_loss={held_out.baseline_log_loss:.9g}")
     gain = held_out.accuracy - held_out.baseline_accuracy
     print(f"accuracy gain over baseline: {gain * 100:.2f} percentage points")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(report_errors(main))

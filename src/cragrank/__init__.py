@@ -15,6 +15,7 @@ from .evaluation import (
 from .ingest import (
     DEFAULT_TICK_MAPPING,
     CleanDataset,
+    CodedColumn,
     RawAscentLog,
     TickClass,
     classify_tick,

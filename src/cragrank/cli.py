@@ -29,13 +29,13 @@ from .evaluation import (
     rating_at_nearest_week,
 )
 from .ingest import (
+    CodedColumn,
     CsvTable,
     format_float as _fmt,
     load_tick_mapping,
     parse_ascent_log,
     preprocess,
     read_clean_dataset,
-    unique_strings,
     write_clean_dataset,
     write_csv,
     write_keyvalues,
@@ -120,22 +120,23 @@ def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
     write_keyvalues(out_dir / "fit_report.txt", asdict(report))
 
 
-def _index_of(ids: np.ndarray, table: list[str]) -> np.ndarray:
-    """The index in ``table`` of each id, or ``len(table)``; ``table`` holds each id once."""
-    index = dict(zip(table, range(len(table))))
-    return np.fromiter(map(index.get, ids, repeat(len(table))), dtype=np.int64,
-                       count=ids.shape[0])
+def _index_of(ids: CodedColumn, table: np.ndarray) -> np.ndarray:
+    """The index in ``table`` of each row's id, or ``len(table)``, looked up
+    once per distinct id; ``table`` holds each id once."""
+    index = dict(zip(table.tolist(), range(len(table))))
+    return np.fromiter(map(index.get, ids.distinct, repeat(len(table))), dtype=np.int64,
+                       count=ids.distinct.shape[0])[ids.code]
 
 
 def _read_ratings(ratings_dir: Path):
     """Route ids and ratings, climber ids, and every climber's periods as flat arrays.
 
-    The periods are the owner (an index into the climber ids), week and
-    rating of each row of ``climber_ratings.csv``, sorted by owner and then
-    week.  A rating that is not finite is an error, as is a row that
-    repeats the route of an earlier row, or the climber and week of an
-    earlier row, so each route has one rating and weeks strictly increase
-    within each owner.
+    The periods are the owner (an index into the climber ids, which are in
+    the order they first appear), week and rating of each row of
+    ``climber_ratings.csv``, sorted by owner and then week.  A rating that
+    is not finite is an error, as is a row that repeats the route of an
+    earlier row, or the climber and week of an earlier row, so each route
+    has one rating and weeks strictly increase within each owner.
     """
     routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
     route_ratings = routes.floats("rating")
@@ -143,14 +144,14 @@ def _read_ratings(ratings_dir: Path):
     routes.raise_first()
     periods = CsvTable.read(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
     weeks, ratings = periods.integers("week"), periods.floats("rating")
-    ids, owner = unique_strings(periods.text["climber_id"])
-    order = np.lexsort((weeks, owner))
-    owner, weeks = owner[order], weeks[order]
+    climbers = periods.text["climber_id"]
+    order = np.lexsort((weeks, climbers.code))
+    owner, weeks = climbers.code[order], weeks[order]
     again = np.zeros(periods.rows, dtype=bool)
     again[order[1:]] = (owner[1:] == owner[:-1]) & (weeks[1:] == weeks[:-1])
     periods.check(again, "climber_id and week repeat an earlier row's")
     periods.raise_first()
-    return (routes.text["route_id"].tolist(), route_ratings, ids.tolist(), owner, weeks,
+    return (routes.text["route_id"].strings(), route_ratings, climbers.distinct, owner, weeks,
             ratings[order])
 
 
@@ -226,7 +227,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     labels = np.array(["none", "climber", "route", "climber+route"], dtype=object)
     fallback = labels[(owner == len(climber_ids)) + 2 * (route == len(route_ids))]
     write_csv(args.out, ("climber_id", "route_id", "week", "probability", "fallback"),
-              (queries.text["climber_id"], queries.text["route_id"], week, p, fallback))
+              (queries.text["climber_id"].strings(), queries.text["route_id"].strings(), week, p,
+               fallback))
     return 0
 
 
@@ -334,11 +336,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def report_errors(run) -> int:
+    """The exit code ``run()`` returns, or that of the error it raises.
+
+    The error is printed on stderr as ``error: ...``: an empty dataset, with
+    its provenance counts, exits 2, and bad input or a file error exits 1.
+    """
     try:
-        return args.func(args)
+        return run()
     except EmptyDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for key, value in exc.provenance.items():
@@ -347,6 +352,11 @@ def main(argv=None) -> int:
     except (ParseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return report_errors(lambda: args.func(args))
 
 
 if __name__ == "__main__":

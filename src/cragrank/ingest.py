@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
-from itertools import islice
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Mapping, Sequence
@@ -71,19 +71,67 @@ DEFAULT_TICK_MAPPING: dict[str, TickClass] = {
 
 
 @dataclass
+class CodedColumn:
+    """A column of strings as its distinct strings and one code per row.
+
+    ``distinct`` is an object array holding each string once, and ``code``
+    an int64 array: row ``i`` holds ``distinct[code[i]]``.  A function of
+    the strings is computed once per distinct string and spread over the
+    rows by ``code``.
+    """
+
+    distinct: np.ndarray
+    code: np.ndarray
+
+    def strings(self) -> np.ndarray:
+        """The column as an object array of one string per row."""
+        return self.distinct[self.code]
+
+    def convert(self, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's string by ``convert``, applied once per distinct string.
+
+        Returns the results as an array of ``dtype``, and a mask of the rows
+        whose string ``convert`` rejects with ValueError, or whose result
+        ``dtype`` cannot hold (they hold zero).
+        """
+        values = np.zeros(self.distinct.shape[0], dtype=dtype)
+        rejected = np.zeros(self.distinct.shape[0], dtype=bool)
+        for i, text in enumerate(self.distinct.tolist()):
+            try:
+                values[i] = convert(text)
+            except (ValueError, OverflowError):
+                rejected[i] = True
+        return values[self.code], rejected[self.code]
+
+    def ranked(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """What ``np.unique(self.strings()[rows], return_inverse=True)`` returns.
+
+        That is the sorted distinct strings of the rows that the mask
+        ``rows`` selects, and each selected row's index into them; only the
+        distinct strings are sorted.
+        """
+        code = self.code[rows]
+        used = np.flatnonzero(np.bincount(code, minlength=self.distinct.shape[0]))
+        order = used[np.argsort(self.distinct[used])]
+        rank = np.zeros(self.distinct.shape[0], dtype=np.int64)
+        rank[order] = np.arange(order.shape[0])
+        return self.distinct[order], rank[code]
+
+
+@dataclass
 class RawAscentLog:
     """A raw ascent log as parallel columns, one entry per data row.
 
-    The string columns are object arrays holding each field verbatim;
+    The string columns are :class:`CodedColumn` s of the fields verbatim;
     ``day`` holds the parsed dates as ``datetime64[D]``.
     """
 
-    climber_id: np.ndarray
-    route_id: np.ndarray
-    tick_type: np.ndarray
+    climber_id: CodedColumn
+    route_id: CodedColumn
+    tick_type: CodedColumn
     day: np.ndarray
-    grade_label: np.ndarray
-    grade_system: np.ndarray
+    grade_label: CodedColumn
+    grade_system: CodedColumn
 
     def __len__(self) -> int:
         return self.day.shape[0]
@@ -147,8 +195,8 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
 
     Each line is read as a CSV row, so a tick may be quoted; the fields
     before the last, joined by commas, are the tick.  Errors name the file
-    and line, as ``ticks.csv line 3: ...``.  A leading UTF-8 byte-order mark
-    is skipped.
+    and line, as ``ticks.csv line 3: ...``, a line the csv module cannot
+    read among them.  A leading UTF-8 byte-order mark is skipped.
     """
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
@@ -158,7 +206,10 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            *tick, cls = next(csv.reader([line]))
+            try:
+                *tick, cls = next(csv.reader([line]))
+            except csv.Error as exc:
+                raise ParseError(f"{name} line {lineno}: {exc}") from None
             if not tick:
                 raise ParseError(f"{name} line {lineno}: expected 'tick_string,class', "
                                  f"got {line!r}")
@@ -185,39 +236,16 @@ def week_start_date(week):
     return WEEK_EPOCH + 7 * np.asarray(week, dtype=np.int64)
 
 
-def unique_strings(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """What ``np.unique(column, return_inverse=True)`` returns for a column of strings.
-
-    The column is hashed rather than sorted: only its distinct strings are
-    sorted, which is much faster for an object array with few of them.
-    """
-    values = column.tolist()
-    distinct = sorted(dict.fromkeys(values))
-    code = dict(zip(distinct, range(len(distinct))))
-    inverse = np.fromiter(map(code.__getitem__, values), dtype=np.int64, count=len(values))
-    return np.array(distinct, dtype=object), inverse
-
-
-def convert_distinct(column: np.ndarray, convert, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Apply ``convert`` once to each distinct string of ``column``, spread over its rows.
-
-    Returns the results as an array of ``dtype``, and a mask of the rows
-    whose string ``convert`` rejects with ValueError, or whose result
-    ``dtype`` cannot hold (they hold zero).
-    """
-    distinct, inverse = unique_strings(column)
-    values = np.zeros(distinct.shape[0], dtype=dtype)
-    rejected = np.zeros(distinct.shape[0], dtype=bool)
-    for i, text in enumerate(distinct.tolist()):
-        try:
-            values[i] = convert(text)
-        except (ValueError, OverflowError):
-            rejected[i] = True
-    return values[inverse], rejected[inverse]
+_INT = re.compile(r"[+-]?[0-9]+")
 
 
 def _parse_int(text: str) -> int:
-    return int(text.strip())
+    """An optional sign and ASCII digits, not the ``2_0`` or other scripts'
+    digits that ``int`` also takes."""
+    text = text.strip()
+    if not _INT.fullmatch(text):
+        raise ValueError(text)
+    return int(text)
 
 
 _DATE = re.compile(r"\d{4}-\d{2}-\d{2}")
@@ -230,65 +258,119 @@ def _parse_date(text: str) -> date:
     return date.fromisoformat(text.strip())
 
 
-# Rows that CsvTable holds as Python lists at a time.  On a 161,781-row raw
-# log, keeping every row's list and every field's own str took a tracemalloc
-# peak of 89.6 MB; chunks of this size with shared fields, joined column by
-# column, take 13.3 MB (1024 rows: 12.6 MB, 16384 rows: 23.3 MB).
+# Lines that CsvTable reads at a time.  Parsing a 161,781-row raw log took a
+# tracemalloc peak of 13.0 MB in chunks of this size (1024 lines: 12.9 MB,
+# 16384 lines: 18.6 MB), in about the same time.
 _READ_ROWS = 4096
+
+
+class _Codes(dict):
+    """Codes 0, 1, 2, ... for strings, in the order they are first looked up."""
+
+    def __missing__(self, text: str) -> int:
+        code = self[text] = len(self)
+        return code
+
+
+def _split_chunk(lines: list[str], width: int) -> list[str] | None:
+    """The fields of ``lines``, row after row, split by one ``str.split``.
+
+    Returns None unless :func:`csv.reader` reads each line as a row of
+    ``width`` fields, the same ones: for lines with a quote, a NUL, a blank
+    line, a lone carriage return, a line of another number of fields, or a
+    line longer than the csv module's field size limit.
+    """
+    text = "".join(lines)
+    if '"' in text or "\0" in text or "\n" in lines or "\r\n" in lines:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        fields.pop()  # the empty string after the last line end
+    return fields
 
 
 class CsvTable:
     """The named columns of a CSV file with a header line, and checks on its rows.
 
-    ``text[c]`` holds column ``c`` as an object array of the fields verbatim.
-    Rows are read :data:`_READ_ROWS` at a time, and each column keeps one
-    copy of each distinct field: equal fields of a column are one object.
-    A repeated column name refers to its last occurrence, as in
-    ``csv.DictReader``, and blank lines are skipped.  Checks are recorded in
-    the order a row is checked, starting with a row too short to hold every
-    named field (its fields read as empty strings).  ``name`` prefixes the
-    error messages.
+    ``text[c]`` holds column ``c`` as a :class:`CodedColumn` of the fields
+    verbatim, its distinct strings in the order they first appear.  The
+    lines after the header are read :data:`_READ_ROWS` at a time.  A chunk
+    without a quote, a NUL, a blank line or a lone carriage return, whose
+    every line holds as many fields as the header, is split by one
+    ``str.split``; any other chunk goes through :func:`csv.reader`, which
+    reads on past the chunk to finish a quoted field.  Both give the same
+    fields and line numbers.  A repeated column name refers to its last
+    occurrence, as in ``csv.DictReader``, and blank lines are skipped.
+    Checks are recorded in the order a row is checked, starting with a row
+    too short to hold every named field (its fields read as empty strings).
+    ``name`` prefixes the error messages, among them that of a line the csv
+    module cannot read.
     """
 
     def __init__(self, stream: IO[str], columns: Sequence[str], name: str = ""):
+        self.prefix = f"{name} " if name else ""
         reader = csv.reader(stream)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise ParseError(f"{self.prefix}line {reader.line_num}: {exc}") from None
         if header is None:
             raise ParseError(f"{name}: empty file" if name else "empty input: no header line")
-        self.prefix = f"{name} " if name else ""
         missing = [c for c in columns if c not in header]
         if missing:
             raise ParseError(f"{name + ': ' if name else ''}missing required columns: "
                              f"{', '.join(missing)}")
         index = [len(header) - 1 - header[::-1].index(c) for c in columns]
         need = max(index) + 1
-        firsts = [{} for _ in index]  # each column's first copy of each field
-        parts = [[] for _ in index]  # each column's chunk arrays
-        lines, short = [], []
-        self.rows = 0
-        while True:
-            start = reader.line_num
-            rows, chunk_lines = [], []
-            for row in islice(reader, _READ_ROWS):
-                if not row:
-                    continue
-                if len(row) < need:
-                    short.append(self.rows + len(rows))
-                    row = [""] * need
-                rows.append(row)
-                chunk_lines.append(reader.line_num)
-            self.rows += len(rows)
-            fields = [list(map(itemgetter(i), rows)) for i in index]
-            for first, col, chunks in zip(firsts, fields, parts):
-                chunks.append(np.fromiter(map(first.setdefault, col, col), dtype=object,
-                                          count=len(col)))
-            lines.append(np.array(chunk_lines, dtype=np.int64))
-            if reader.line_num == start:  # the reader is at the end of the stream
-                break
+        codes = [_Codes() for _ in index]
+        parts = [[np.zeros(0, dtype=np.int64)] for _ in index]  # each column's chunk codes
+        lines, short = [np.zeros(0, dtype=np.int64)], []
+        self.rows, read = 0, reader.line_num  # rows kept and lines read so far
+        while chunk := list(islice(stream, _READ_ROWS)):
+            fields = _split_chunk(chunk, len(header))
+            if fields is not None:
+                fields = [fields[i::len(header)] for i in index]
+                chunk_lines = np.arange(read + 1, read + 1 + len(chunk))
+                read += len(chunk)
+            else:
+                rows, chunk_lines = [], []
+                reader = csv.reader(chain(chunk, stream))
+                try:
+                    for row in reader:
+                        if row:
+                            if len(row) < need:
+                                short.append(self.rows + len(rows))
+                                row = [""] * need
+                            rows.append(row)
+                            chunk_lines.append(read + reader.line_num)
+                        if reader.line_num >= len(chunk):
+                            break
+                except csv.Error as exc:
+                    line = read + reader.line_num
+                    raise ParseError(f"{self.prefix}line {line}: {exc}") from None
+                read += reader.line_num
+                fields = [list(map(itemgetter(i), rows)) for i in index]
+                del rows, reader
+            self.rows += len(chunk_lines)
+            for column_codes, column, chunks in zip(codes, fields, parts):
+                chunks.append(np.fromiter(map(column_codes.__getitem__, column), dtype=np.int64,
+                                          count=len(column)))
+            lines.append(np.asarray(chunk_lines, dtype=np.int64))
+            del chunk, fields  # free this chunk's strings before the next is read
         self.lines = np.concatenate(lines)
         self.text = {}
-        for c, chunks in zip(columns, parts):  # free each column's chunks once joined
-            self.text[c] = np.concatenate(chunks)
+        for c, column_codes, chunks in zip(columns, codes, parts):  # free each column's chunks
+            self.text[c] = CodedColumn(np.array(list(column_codes), dtype=object),
+                                       np.concatenate(chunks))
             chunks.clear()
         self.checks = []
         self.check(np.isin(np.arange(self.rows), short), "too few fields")
@@ -302,13 +384,13 @@ class CsvTable:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             return cls(fh, columns, path.name)
 
-    def check(self, failed: np.ndarray, problem: str, text: np.ndarray | None = None) -> None:
+    def check(self, failed: np.ndarray, problem: str, text: CodedColumn | None = None) -> None:
         """Record that the rows in ``failed`` have ``problem``, formatted with their ``text``."""
         self.checks.append((failed, problem, text))
 
     def convert(self, column: str, convert, dtype, problem: str) -> np.ndarray:
-        """Column ``column`` converted by :func:`convert_distinct`, checking for rejects."""
-        values, rejected = convert_distinct(self.text[column], convert, dtype)
+        """Column ``column`` by :meth:`CodedColumn.convert`, checking for rejects."""
+        values, rejected = self.text[column].convert(convert, dtype)
         self.check(rejected, problem, self.text[column])
         return values
 
@@ -316,20 +398,22 @@ class CsvTable:
         return self.convert(column, _parse_int, np.int64, column + " must be an integer, got {!r}")
 
     def floats(self, column: str) -> np.ndarray:
-        """Column ``column`` by ``float`` in one pass, and by :meth:`convert` if it
-        rejects any, checking that every number is finite."""
+        """Column ``column`` by ``float`` in one pass over its distinct strings,
+        and by :meth:`convert` if it rejects any, checking that every number
+        is finite."""
+        text = self.text[column]
         try:
-            values = np.fromiter(map(float, self.text[column]), dtype=float, count=self.rows)
+            values = np.fromiter(map(float, text.distinct), dtype=float,
+                                 count=text.distinct.shape[0])[text.code]
         except ValueError:
             values = self.convert(column, float, float, column + " must be a number, got {!r}")
-        self.check(~np.isfinite(values), column + " must be finite, got {!r}", self.text[column])
+        self.check(~np.isfinite(values), column + " must be finite, got {!r}", text)
         return values
 
     def check_distinct(self, column: str) -> None:
         """Check that no row's field of ``column`` repeats an earlier row's."""
-        _, code = unique_strings(self.text[column])
         again = np.ones(self.rows, dtype=bool)
-        again[np.unique(code, return_index=True)[1]] = False
+        again[np.unique(self.text[column].code, return_index=True)[1]] = False
         self.check(again, column + " repeats an earlier row's")
 
     def problems(self) -> list[str]:
@@ -337,8 +421,8 @@ class CsvTable:
         messages = []
         for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in self.checks])):
             problem, text = next((p, t) for mask, p, t in self.checks if mask[i])
-            messages.append(f"{self.prefix}line {self.lines[i]}: "
-                            f"{problem.format(None if text is None else text[i])}")
+            field = None if text is None else text.distinct[text.code[i]]
+            messages.append(f"{self.prefix}line {self.lines[i]}: {problem.format(field)}")
         return messages
 
     def raise_first(self) -> None:
@@ -354,9 +438,9 @@ _FLOAT_FIELD = "%.9g"
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
-# Rows that write_csv turns into Python objects at a time.  Writing the 60k
-# points of a pr_curve.csv took 6.2 MB above the live arrays as one chunk and
-# 0.9 MB in chunks of this size (tracemalloc), in the same time.
+# Rows that write_csv formats at a time.  Writing the 60k points of a
+# pr_curve.csv took 12.6 MB above the live arrays as one chunk and 1.0 MB in
+# chunks of this size (tracemalloc), in about the same time.
 _WRITE_ROWS = 4096
 
 
@@ -382,21 +466,27 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     A column of float dtype is written by :func:`format_float`, one of bool
     dtype as 0/1, and any other value as its ``str``, quoted where the CSV
     dialect needs it, so that :class:`CsvTable` reads each field back
-    verbatim.  The bytes are those of :func:`csv.writer`; each row is
-    formatted by one ``%`` template, :data:`_WRITE_ROWS` rows at a time.
+    verbatim.  The bytes are those of :func:`csv.writer`.  The rows are
+    formatted :data:`_WRITE_ROWS` at a time, by one ``%`` of the row
+    template repeated once per row, over the rows' fields interleaved.
     """
     alone = len(header) == 1
     columns = [np.asarray(column) for column in columns]
     specs = [_FLOAT_FIELD if column.dtype.kind == "f" else "%d" if column.dtype.kind in "biu"
              else "%s" for column in columns]
     row = ",".join(specs) + "\r\n"
+    template = row * min(_WRITE_ROWS, len(columns[0]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_texts(list(header), alone)) + "\r\n")
         for start in range(0, len(columns[0]), _WRITE_ROWS):
             fields = [column[start:start + _WRITE_ROWS].tolist() for column in columns]
-            fields = [_csv_texts(list(map(str, values)), alone) if spec == "%s" else values
-                      for spec, values in zip(specs, fields)]
-            fh.writelines(map(row.__mod__, zip(*fields)))
+            rows = len(fields[0])
+            interleaved = [None] * (rows * len(fields))
+            for i, (spec, values) in enumerate(zip(specs, fields)):
+                interleaved[i::len(fields)] = (_csv_texts(list(map(str, values)), alone)
+                                               if spec == "%s" else values)
+            fh.write((template if len(template) == len(row) * rows else row * rows)
+                     % tuple(interleaved))
 
 
 def write_keyvalues(path: str | Path, mapping: Mapping) -> None:
@@ -497,19 +587,18 @@ def preprocess(
     """Clean a raw ascent log into a CleanDataset.
 
     Stages: map each tick to its class and drop ambiguous ones; keep only
-    Ewbank-graded rows with a positive grade label that fits a 64-bit
-    integer; compute each route's median grade; quantize dates to weeks;
-    then apply the minimum-activity fixpoint filters.  Every distinct tick,
-    grade system and grade label string is classified or converted once.
+    Ewbank-graded rows whose grade label is a positive integer of ASCII
+    digits that fits a 64-bit integer; compute each route's median grade;
+    quantize dates to weeks; then apply the minimum-activity fixpoint
+    filters.  Each distinct string of a column is classified, converted or
+    sorted once, and reaches its rows through their codes.
     Raises EmptyDatasetError if nothing survives.
     """
-    tick, _ = convert_distinct(log.tick_type, lambda text: classify_tick(text, mapping), object)
-    ewbank, _ = convert_distinct(
-        log.grade_system, lambda text: text.strip().lower() == "ewbank", bool
-    )
-    # A label int() rejects, or one outside the 64-bit range, counts as
-    # grade 0, so as invalid.
-    grade, _ = convert_distinct(log.grade_label, _parse_int, np.int64)
+    tick, _ = log.tick_type.convert(lambda text: classify_tick(text, mapping), object)
+    ewbank, _ = log.grade_system.convert(lambda text: text.strip().lower() == "ewbank", bool)
+    # A label that is not an integer, or one outside the 64-bit range, counts
+    # as grade 0, so as invalid.
+    grade, _ = log.grade_label.convert(_parse_int, np.int64)
 
     ambiguous = tick == TickClass.AMBIGUOUS
     foreign = ~ambiguous & ~ewbank
@@ -520,8 +609,8 @@ def preprocess(
             "dropped_invalid_grade": int(np.count_nonzero(invalid))}
     graded = ~(ambiguous | foreign | invalid)
 
-    climber_ids, climber = unique_strings(log.climber_id[graded])
-    route_ids, route = unique_strings(log.route_id[graded])
+    climber_ids, climber = log.climber_id.ranked(graded)
+    route_ids, route = log.route_id.ranked(graded)
     # Each route's median grade: the middle of its sorted grades, or the
     # lower of the two middle ones for an even count.  Sort by (route,
     # grade) and index each group at (count - 1) // 2.
@@ -637,7 +726,7 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
             if line.strip():
                 key, _, value = line.partition("=")
                 try:
-                    provenance[key.strip()] = int(value)
+                    provenance[key.strip()] = _parse_int(value)
                 except ValueError:
                     raise ParseError(f"provenance.txt line {lineno}: expected "
                                      f"'key=integer', got {line!r}") from None
@@ -645,13 +734,14 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
         provenance = {"rows_read": len(climber), "rows_kept": len(climber)}
     return CleanDataset(
         climber=climber, route=route, week=week, success=success,
-        climber_ids=climbers.text["climber_id"], route_ids=routes.text["route_id"],
+        climber_ids=climbers.text["climber_id"].strings(),
+        route_ids=routes.text["route_id"].strings(),
         route_grades=grades, provenance=provenance,
     )
 
 
 def write_raw_ascent_log(log: RawAscentLog, path: str | Path) -> None:
     """Write a raw ascent log as an ingest-compatible CSV."""
-    write_csv(path, RAW_COLUMNS, (log.climber_id, log.route_id, log.tick_type,
-                                  np.datetime_as_string(log.day), log.grade_label,
-                                  log.grade_system))
+    write_csv(path, RAW_COLUMNS, (log.climber_id.strings(), log.route_id.strings(),
+                                  log.tick_type.strings(), np.datetime_as_string(log.day),
+                                  log.grade_label.strings(), log.grade_system.strings()))

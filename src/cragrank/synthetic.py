@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import RawAscentLog, week_start_date, write_csv
+from .ingest import CodedColumn, RawAscentLog, week_start_date, write_csv
 from .model import Hyperparameters, route_prior_mean, win_probabilities
 from .solver import ModelState
 
@@ -126,16 +126,21 @@ def trials_to_raw_log(
     world: SyntheticWorld,
     trials: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
 ) -> RawAscentLog:
-    """Express simulated trials as a raw ascent log (no filtering)."""
+    """Express simulated trials as a raw ascent log (no filtering).
+
+    The trials' climber and route indexes are the codes of the id columns.
+    """
     climber_idx, period_idx, route_idx, success = trials
-    grade_labels = np.array([str(int(g)) for g in world.route_grades], dtype=object)
+    grades, grade_code = np.unique(world.route_grades, return_inverse=True)
     return RawAscentLog(
-        climber_id=np.array(world.climber_ids, dtype=object)[climber_idx],
-        route_id=np.array(world.route_ids, dtype=object)[route_idx],
-        tick_type=np.where(success, "redpoint", "attempt").astype(object),
+        climber_id=CodedColumn(np.array(world.climber_ids, dtype=object), climber_idx),
+        route_id=CodedColumn(np.array(world.route_ids, dtype=object), route_idx),
+        tick_type=CodedColumn(np.array(["attempt", "redpoint"], dtype=object),
+                              success.astype(np.int64)),
         day=week_start_date(world.weeks[period_idx]),
-        grade_label=grade_labels[route_idx],
-        grade_system=np.full(success.shape[0], "ewbank", dtype=object),
+        grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[route_idx]),
+        grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
+                                 np.zeros(success.shape[0], dtype=np.int64)),
     )
 
 

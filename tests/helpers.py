@@ -5,7 +5,14 @@ The oracles share no code with the implementation they check.
 
 import numpy as np
 
-from cragrank.ingest import CleanDataset, assemble_clean_dataset, preprocess
+from cragrank.ingest import (
+    CleanDataset,
+    CodedColumn,
+    RawAscentLog,
+    assemble_clean_dataset,
+    preprocess,
+    week_start_date,
+)
 from cragrank.model import Hyperparameters, win_probabilities
 from cragrank.synthetic import generate_world, simulate_trials, trials_to_raw_log
 
@@ -27,6 +34,25 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
         route_ids=np.array([f"r{i}" for i in range(n_routes)], dtype=object),
         route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
+    )
+
+
+def dataset_to_raw_log(dataset):
+    """The cleaned ascents as a raw log that preprocesses back to the same dataset.
+
+    The id tables are the distinct strings of the id columns, and the
+    dataset's indexes their codes.
+    """
+    grades, grade_code = np.unique(dataset.route_grades, return_inverse=True)
+    return RawAscentLog(
+        climber_id=CodedColumn(dataset.climber_ids, dataset.climber),
+        route_id=CodedColumn(dataset.route_ids, dataset.route),
+        tick_type=CodedColumn(np.array(["attempt", "redpoint"], dtype=object),
+                              dataset.success.astype(np.int64)),
+        day=week_start_date(dataset.week),
+        grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[dataset.route]),
+        grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
+                                 np.zeros(len(dataset), dtype=np.int64)),
     )
 
 

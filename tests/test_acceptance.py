@@ -28,10 +28,8 @@ from cragrank.evaluation import (
 )
 from cragrank.ingest import (
     RAW_COLUMNS,
-    RawAscentLog,
     parse_ascent_log,
     preprocess,
-    week_start_date,
 )
 from cragrank.model import Hyperparameters
 from cragrank.solver import (
@@ -51,6 +49,7 @@ from helpers import (
     F,
     S,
     central_difference,
+    dataset_to_raw_log,
     level_matched_dataset,
     make_dataset,
     relative_error,
@@ -510,19 +509,6 @@ def _random_raw_log(rng):
     return parse_ascent_log(text)
 
 
-def _dataset_to_raw_log(dataset):
-    """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
-    labels = dataset.route_grades.astype(str).astype(object)
-    return RawAscentLog(
-        climber_id=dataset.climber_ids[dataset.climber],
-        route_id=dataset.route_ids[dataset.route],
-        tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
-        day=week_start_date(dataset.week),
-        grade_label=labels[dataset.route],
-        grade_system=np.full(len(dataset), "ewbank", dtype=object),
-    )
-
-
 def test_criterion_09_pipeline_invariants():
     rng = np.random.default_rng(0)
     start = time.perf_counter()
@@ -545,7 +531,7 @@ def test_criterion_09_pipeline_invariants():
         assert route_counts.min() >= 2, "route with fewer than two ascents survived"
         assert climbers_with_failure == set(range(len(dataset.climber_ids)))
 
-        again = preprocess(_dataset_to_raw_log(dataset))
+        again = preprocess(dataset_to_raw_log(dataset))
         for column in ("climber", "route", "week", "success", "climber_ids", "route_ids",
                        "route_grades"):
             assert np.array_equal(getattr(again, column), getattr(dataset, column))

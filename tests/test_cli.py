@@ -126,7 +126,15 @@ class TestPreprocess:
         (HEADER + "\nalice,r1,redpoint,2020-W02-1,21,ewbank\n", None,
          "raw.csv line 2: invalid date '2020-W02-1'"),
         (BASIC_LOG, "onsight,triumphant\n", "ticks.csv line 1: unknown tick class 'triumphant'"),
-    ], ids=["raw-log", "raw-log-basic-date", "raw-log-week-date", "tick-mapping"])
+        # a field longer than the csv module's limit, in the first row or after others
+        (HEADER + f"\nalice,r1,{'x' * 200_000},2020-01-06,21,ewbank\n", None,
+         "raw.csv line 2: field larger than field limit (131072)"),
+        (BASIC_LOG + f"bob,r1,{'x' * 200_000},2020-01-06,21,ewbank\n", None,
+         "raw.csv line 6: field larger than field limit (131072)"),
+        (BASIC_LOG, f"onsight,successful\n{'x' * 200_000},successful\n",
+         "ticks.csv line 2: field larger than field limit (131072)"),
+    ], ids=["raw-log", "raw-log-basic-date", "raw-log-week-date", "tick-mapping",
+            "raw-log-long-field", "raw-log-long-field-after-rows", "tick-mapping-long-field"])
     def test_errors_name_their_file(self, tmp_path, capsys, log, ticks, problem):
         args = ["preprocess", write_log(tmp_path, log), "--out", tmp_path / "d"]
         if ticks is not None:
@@ -348,7 +356,8 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: ascents.csv line 3: {column} out of range for 2 {table}\n")
 
-    @pytest.mark.parametrize("line, bad", [(0, "rows_read=many"), (1, "no equals sign")])
+    @pytest.mark.parametrize("line, bad", [(0, "rows_read=many"), (1, "no equals sign"),
+                                           (0, "rows_read=1_0")])
     def test_bad_provenance_names_file_and_line(self, tmp_path, capsys, line, bad):
         dataset_dir = preprocess_fixture(tmp_path)
         path = dataset_dir / "provenance.txt"

@@ -16,10 +16,11 @@ from cragrank.errors import EmptyDatasetError, ParseError
 from cragrank.ingest import (
     RAW_COLUMNS,
     CleanDataset,
-    RawAscentLog,
+    CsvTable,
     TickClass,
     _read_checked_ascents,
     _read_written_ascents,
+    _split_chunk,
     classify_tick,
     format_float,
     load_tick_mapping,
@@ -32,6 +33,7 @@ from cragrank.ingest import (
     write_csv,
     write_raw_ascent_log,
 )
+from helpers import dataset_to_raw_log
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
@@ -49,19 +51,6 @@ def raw_log(rows):
     writer.writerows(rows)
     text.seek(0)
     return parse_ascent_log(text)
-
-
-def dataset_to_raw_log(dataset):
-    """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
-    labels = dataset.route_grades.astype(str).astype(object)
-    return RawAscentLog(
-        climber_id=dataset.climber_ids[dataset.climber],
-        route_id=dataset.route_ids[dataset.route],
-        tick_type=np.where(dataset.success, "redpoint", "attempt").astype(object),
-        day=week_start_date(dataset.week),
-        grade_label=labels[dataset.route],
-        grade_system=np.full(len(dataset), "ewbank", dtype=object),
-    )
 
 
 def ascents(dataset):
@@ -215,8 +204,9 @@ class TestParseAscentLog:
         text = HEADER + "\nalice,cave-route,redpoint,2020-03-14,21,ewbank\n"
         log = parse_ascent_log(io.StringIO(text))
         assert len(log) == 1
-        assert [log.climber_id[0], log.route_id[0], log.tick_type[0], log.grade_label[0],
-                log.grade_system[0]] == ["alice", "cave-route", "redpoint", "21", "ewbank"]
+        assert [column.strings()[0] for column in (log.climber_id, log.route_id, log.tick_type,
+                                                   log.grade_label, log.grade_system)] == [
+            "alice", "cave-route", "redpoint", "21", "ewbank"]
         assert log.day[0] == np.datetime64(date(2020, 3, 14))
 
     def test_invalid_date_names_line(self):
@@ -238,14 +228,15 @@ class TestParseAscentLog:
     def test_blank_lines_skipped_and_short_row_named(self):
         ascent = "alice,r1,redpoint,2020-03-14,21,ewbank\n"
         text = HEADER + "\n\n\n" + ascent + "\n\n" + ascent
-        assert parse_ascent_log(io.StringIO(text)).climber_id.tolist() == ["alice", "alice"]
+        assert parse_ascent_log(io.StringIO(text)).climber_id.strings().tolist() == [
+            "alice", "alice"]
         with pytest.raises(ParseError, match="^line 8: too few fields$"):
             parse_ascent_log(io.StringIO(text + "bob,r2\n"))
 
     def test_quoted_fields(self):
         text = HEADER + '\n"alice, a",r1,redpoint,2020-03-14,21,ewbank\n'
         log = parse_ascent_log(io.StringIO(text))
-        assert log.climber_id[0] == "alice, a"
+        assert log.climber_id.strings()[0] == "alice, a"
 
     def test_reads_from_path(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -257,8 +248,8 @@ class TestParseAscentLog:
         path.write_text(HEADER + "\nalice,r1,redpoint,2020-03-14,21,ewbank\n",
                         encoding="utf-8-sig")
         log = parse_ascent_log(path)
-        assert log.climber_id.tolist() == ["alice"]
-        assert log.grade_system.tolist() == ["ewbank"]
+        assert log.climber_id.strings().tolist() == ["alice"]
+        assert log.grade_system.strings().tolist() == ["ewbank"]
 
 
 @pytest.fixture(scope="class", params=[1, 2], ids=lambda rows: f"read_rows={rows}")
@@ -290,7 +281,10 @@ class TestParseMemory:
         assert len(log) == 20000
         for column in (log.climber_id, log.route_id, log.tick_type, log.grade_label,
                        log.grade_system):
-            assert len(set(map(id, column))) == len(set(column))
+            # each distinct string is stored once, and each row holds its code
+            assert len(set(column.distinct.tolist())) == len(column.distinct)
+            assert column.code.dtype == np.int64 and column.code.shape == (len(log),)
+        assert len(log.climber_id.distinct) == 100 and len(log.route_id.distinct) == 200
         # One list and one str per field would take over 500 bytes a row.
         assert peak / len(log) < 250
 
@@ -411,16 +405,17 @@ class TestParsingSemantics:
     )
 
     def test_spellings_and_line_numbers(self):
+        # " 12" and "+12" are grade 12; "1_2", fullwidth digits, "12.0" and
+        # "0" are invalid, which leaves route r2 one ascent
         ds = preprocess(parse_ascent_log(io.StringIO(self.LOG)))
-        assert ds.climber_ids.tolist() == ["a", "b", "d\nd"]
-        assert ds.route_ids.tolist() == ["r1", "r2"]
-        assert ds.route_grades.tolist() == [12, 12]
-        assert ascents(ds) == [(0, 0, 2609, True), (0, 0, 2609, False), (1, 0, 2610, False),
-                               (1, 1, 2610, True), (2, 1, 2611, False)]
+        assert ds.climber_ids.tolist() == ["a"]
+        assert ds.route_ids.tolist() == ["r1"]
+        assert ds.route_grades.tolist() == [12]
+        assert ascents(ds) == [(0, 0, 2609, True), (0, 0, 2609, False)]
         assert ds.provenance == {
             "rows_read": 7, "dropped_ambiguous_tick": 0, "dropped_non_ewbank": 0,
-            "dropped_invalid_grade": 2, "dropped_route_few_ascents": 0,
-            "dropped_climber_no_failure": 0, "rows_kept": 5,
+            "dropped_invalid_grade": 4, "dropped_route_few_ascents": 1,
+            "dropped_climber_no_failure": 0, "rows_kept": 2,
         }
         # the quoted id spans lines 8-9, so the next row is line 10
         bad = self.LOG + "e,r1,dog,2020-02-30,12,ewbank\n"
@@ -430,6 +425,118 @@ class TestParsingSemantics:
 
 @pytest.mark.usefixtures("small_read_chunks")
 class TestParsingSemanticsInSmallChunks(TestParsingSemantics):
+    pass
+
+
+class TestIntegerFields:
+    """An integer field is an optional sign and ASCII digits, with spaces around them."""
+
+    # each of these is 20 to int()
+    @pytest.mark.parametrize("label", ["2_0", "\u0662\u0660", "\uff12\uff10"])
+    def test_other_digits_are_an_invalid_grade(self, label):
+        ds = preprocess(raw_log([row(climber="a", tick="attempt", grade="20"),
+                                 row(climber="a", tick="redpoint", grade="20"),
+                                 row(climber="b", tick="attempt", grade=label)]))
+        assert ds.provenance["dropped_invalid_grade"] == 1
+        assert ds.provenance["rows_kept"] == 2
+
+    @pytest.mark.parametrize("name, column", [("routes.csv", "route_idx"), ("routes.csv", "grade"),
+                                              ("climbers.csv", "climber_idx"),
+                                              ("ascents.csv", "week")])
+    def test_other_digits_in_a_dataset_table_are_an_error(self, tmp_path, name, column):
+        ds = preprocess(raw_log([row(climber="a", tick="attempt", grade="20"),
+                                 row(climber="a", tick="redpoint", grade="20")]))
+        write_clean_dataset(ds, tmp_path)
+        path = tmp_path / name
+        lines = path.read_bytes().decode().split("\r\n")
+        fields = lines[1].split(",")
+        at = lines[0].split(",").index(column)
+        # Arabic-Indic digits, which int() reads as the ASCII ones
+        fields[at] = fields[at].translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663"
+                                                        "\u0664\u0665\u0666\u0667\u0668\u0669"))
+        lines[1] = ",".join(fields)
+        path.write_bytes("\r\n".join(lines).encode())
+        with pytest.raises(ParseError, match=f"^{name} line 2: {column} must be an integer, "
+                                             f"got {fields[at]!r}$"):
+            read_clean_dataset(tmp_path)
+
+
+def table_outcome(text: str, newline: str, columns=("x", "z")):
+    """The columns, line numbers and problems of CsvTable on a text, or its ParseError."""
+    try:
+        table = CsvTable(io.StringIO(text, newline=newline), columns)
+    except ParseError as exc:
+        return str(exc)
+    return ({c: (text.distinct.tolist(), text.code.tolist()) for c, text in table.text.items()},
+            table.lines.tolist(), table.problems())
+
+
+# Fields, rare quotes among them, and the line ends of random tables with the header
+# x,y,z or x.
+csv_fields = st.sampled_from(["", "a", "b", "ab", " a", "a ", "\0", "a\0b", "\ufeff", "\ufeffa",
+                              '"', '"q"', '"a,\nb"'])
+csv_line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+csv_tables = st.tuples(
+    st.booleans(),  # a byte-order mark before the header
+    st.sampled_from(["x,y,z", "x"]),
+    csv_line_ends,  # the header's line end
+    st.lists(st.tuples(st.lists(csv_fields, max_size=5), csv_line_ends), max_size=8),
+    st.booleans(),  # the last line ends in a line end
+)
+
+
+def table_text(table) -> str:
+    mark, header, header_end, lines, last_end = table
+    text = ("\ufeff" if mark else "") + header + header_end
+    text += "".join(",".join(fields) + end for fields, end in lines)
+    if lines and not last_end:
+        text = text[:-len(lines[-1][1])]
+    return text
+
+
+class TestCsvRoutes:
+    """CsvTable splits a chunk in one call only where csv.reader reads it the same."""
+
+    def test_unquoted_lines_split_in_one_call(self):
+        assert _split_chunk(["a,b\n", "c,d\r\n", "e,\n", "g,h"], 2) == [
+            "a", "b", "c", "d", "e", "", "g", "h"]
+
+    @pytest.mark.parametrize("lines", [
+        ['a,"b"\n'], ["a,b\n", "\n", "c,d\n"], ["a,b\r\n", "\r\n"], ["a,b\r"], ["a\rb,c\n"],
+        ["a,b,c\n"], ["a\n"], ["a,b\0\n"],
+    ], ids=["quote", "blank", "crlf-blank", "lone-cr", "cr-inside", "long-row", "short-row",
+            "nul"])
+    def test_other_lines_go_through_the_csv_reader(self, lines):
+        assert _split_chunk(lines, 2) is None
+
+    def test_a_line_over_the_field_limit_goes_through_the_csv_reader(self):
+        # the csv module's limit is 131,072 characters a field; a longer line might hold one
+        assert _split_chunk(["a," + "b" * 131_070 + "\n"], 2) is None
+        assert _split_chunk(["a," + "b" * 131_069 + "\n"], 2) == ["a", "b" * 131_069]
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables, st.sampled_from(["", "\n"]), st.sampled_from([131_072, 1]))
+    def test_both_routes_read_the_same(self, table, newline, limit):
+        text, columns = table_text(table), ("x", "z") if table[1] == "x,y,z" else ("x",)
+        old_limit = csv.field_size_limit(limit)
+        try:
+            split = table_outcome(text, newline, columns)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ingest, "_split_chunk", lambda lines, width: None)
+                assert table_outcome(text, newline, columns) == split
+        finally:
+            csv.field_size_limit(old_limit)
+
+    def test_quote_in_a_later_chunk(self):
+        text = "x,y,z\na,b,c\nd,e,f\n\"g\nh\",i,j\nk,l,m\n"
+        columns, lines, problems = table_outcome(text, "")
+        assert columns["x"] == (["a", "d", "g\nh", "k"], [0, 1, 2, 3])
+        assert lines == [2, 3, 5, 6]
+        assert problems == []
+
+
+@pytest.mark.usefixtures("small_read_chunks")
+class TestCsvRoutesInSmallChunks(TestCsvRoutes):
     pass
 
 

@@ -7,17 +7,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cragrank.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_recovery(*flags):
+def run_script(*flags):
+    """``scripts/run_recovery.py`` with ``flags``, run to its end."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "run_recovery.py"), *flags],
         env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_recovery(*flags):
+    result = run_script(*flags)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -48,6 +55,21 @@ def test_run_recovery_fits_what_synth_and_preprocess_keep(tmp_path, capsys):
     kept = capsys.readouterr().out.splitlines()[-1]
     assert kept.startswith("kept 73 of 960 ascent rows ")
     assert simulated == "simulated 73 ascents " + kept[kept.index("("):]
+
+
+@pytest.mark.parametrize("flags, code, error", [
+    # the cleaned log has a stratum of 4 ascents, too few for the default 5 folds
+    (["--climbers", "30", "--routes", "40", "--periods", "4", "--ascents-per-period", "8",
+      "--grade-min", "-2", "--grade-max", "3"], 1,
+     "error: outcome stratum has 4 ascents, fewer than k=5\n"),
+    (["--climbers", "1", "--routes", "1", "--periods", "1", "--ascents-per-period", "1"], 2,
+     "error: no ascents survived preprocessing\n  rows_read=1\n  dropped_ambiguous_tick=0\n"
+     "  dropped_non_ewbank=0\n  dropped_invalid_grade=0\n  dropped_route_few_ascents=1\n"
+     "  dropped_climber_no_failure=0\n  rows_kept=0\n"),
+], ids=["bad-value", "empty-dataset"])
+def test_run_recovery_reports_errors_as_the_cli_does(flags, code, error):
+    result = run_script(*flags)
+    assert (result.returncode, result.stderr) == (code, error)
 
 
 def test_readme_library_use_block(tmp_path, monkeypatch):

@@ -190,12 +190,12 @@ class TestTrialsToRawRows:
         climber_idx, period_idx, route_idx, success = trials
         assert len(log) == climber_idx.shape[0]
         for i, (c, k, r, s) in enumerate(zip(climber_idx, period_idx, route_idx, success)):
-            assert log.climber_id[i] == world.climber_ids[c]
-            assert log.route_id[i] == world.route_ids[r]
-            assert log.tick_type[i] == ("redpoint" if s else "attempt")
+            assert log.climber_id.strings()[i] == world.climber_ids[c]
+            assert log.route_id.strings()[i] == world.route_ids[r]
+            assert log.tick_type.strings()[i] == ("redpoint" if s else "attempt")
             assert quantize_week(log.day[i]) == int(world.weeks[k])
-            assert log.grade_label[i] == str(int(world.route_grades[r]))
-            assert log.grade_system[i] == "ewbank"
+            assert log.grade_label.strings()[i] == str(int(world.route_grades[r]))
+            assert log.grade_system.strings()[i] == "ewbank"
 
 
 class TestRecoveryReport:
