@@ -13,10 +13,9 @@ code 1 for a bad value or 2 when no ascent survives cleaning.
 import argparse
 import time
 
-from cragrank.cli import add_world_flags, report_errors, simulate_log
+from cragrank.cli import add_world_flags, report_errors, resolve_hyper, simulate_log
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
 from cragrank.ingest import preprocess
-from cragrank.model import Hyperparameters
 from cragrank.solver import fit
 from cragrank.synthetic import recovery_report
 
@@ -36,12 +35,7 @@ def parse_args():
 
 def main():
     args = parse_args()
-    overrides = {}
-    if args.w_sq is not None:
-        overrides["w_sq"] = args.w_sq
-    if args.sigma_r_sq is not None:
-        overrides["sigma_r_sq"] = args.sigma_r_sq
-    hyper = Hyperparameters(**overrides)
+    hyper = resolve_hyper(args)
 
     world, log = simulate_log(args, hyper)
     dataset = preprocess(log)

@@ -87,7 +87,7 @@ def add_world_flags(parser: argparse.ArgumentParser) -> None:
                         help="world seed; the ascent draw uses seed+1")
 
 
-def _resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
+def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
     if getattr(args, "hyper_config", None):
@@ -198,7 +198,7 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    state, report = _fit(read_clean_dataset(args.dataset_dir), _resolve_hyper(args), args)
+    state, report = _fit(read_clean_dataset(args.dataset_dir), resolve_hyper(args), args)
     _write_ratings(state, report, Path(args.out))
     print(f"fit finished: iterations={report.iterations} converged={report.converged} "
           f"log_likelihood={_fmt(report.final_bt_log_likelihood)}")
@@ -234,7 +234,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
-    state, _ = _fit(dataset, _resolve_hyper(args), args)
+    state, _ = _fit(dataset, resolve_hyper(args), args)
     predictions = predict_probabilities(state, dataset.climber, dataset.route, dataset.week)
     report = compute_metrics(predictions, dataset.success)
     _write_evaluation(report, predictions, dataset.success, state, Path(args.out))
@@ -245,7 +245,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
-    hyper = _resolve_hyper(args)
+    hyper = resolve_hyper(args)
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
     pooled_p, pooled_y, fold_reports = cross_validate_predictions(
         dataset, hyper, plan, max_iterations=args.max_iterations
@@ -274,7 +274,7 @@ def simulate_log(args: argparse.Namespace, hyper: Hyperparameters):
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    world, log = simulate_log(args, _resolve_hyper(args))
+    world, log = simulate_log(args, resolve_hyper(args))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_raw_ascent_log(log, out_dir / "raw_ascents.csv")
@@ -358,6 +358,3 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     return report_errors(lambda: args.func(args))
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

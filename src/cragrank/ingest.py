@@ -398,16 +398,10 @@ class CsvTable:
         return self.convert(column, _parse_int, np.int64, column + " must be an integer, got {!r}")
 
     def floats(self, column: str) -> np.ndarray:
-        """Column ``column`` by ``float`` in one pass over its distinct strings,
-        and by :meth:`convert` if it rejects any, checking that every number
-        is finite."""
-        text = self.text[column]
-        try:
-            values = np.fromiter(map(float, text.distinct), dtype=float,
-                                 count=text.distinct.shape[0])[text.code]
-        except ValueError:
-            values = self.convert(column, float, float, column + " must be a number, got {!r}")
-        self.check(~np.isfinite(values), column + " must be finite, got {!r}", text)
+        """Column ``column`` by ``float`` through :meth:`convert`, checking
+        that every number is finite."""
+        values = self.convert(column, float, float, column + " must be a number, got {!r}")
+        self.check(~np.isfinite(values), column + " must be finite, got {!r}", self.text[column])
         return values
 
     def check_distinct(self, column: str) -> None:
@@ -475,7 +469,6 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     specs = [_FLOAT_FIELD if column.dtype.kind == "f" else "%d" if column.dtype.kind in "biu"
              else "%s" for column in columns]
     row = ",".join(specs) + "\r\n"
-    template = row * min(_WRITE_ROWS, len(columns[0]))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(_csv_texts(list(header), alone)) + "\r\n")
         for start in range(0, len(columns[0]), _WRITE_ROWS):
@@ -485,8 +478,7 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
             for i, (spec, values) in enumerate(zip(specs, fields)):
                 interleaved[i::len(fields)] = (_csv_texts(list(map(str, values)), alone)
                                                if spec == "%s" else values)
-            fh.write((template if len(template) == len(row) * rows else row * rows)
-                     % tuple(interleaved))
+            fh.write((row * rows) % tuple(interleaved))
 
 
 def write_keyvalues(path: str | Path, mapping: Mapping) -> None:

@@ -214,10 +214,10 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     """Build the optimizer state: climbers at 0, routes at their prior means.
 
     Ascents are put into a canonical (climber, week, route, outcome) order so
-    the result is independent of input row order.  The four columns are
-    packed into one int64 key, sorted and unpacked; rows with equal keys are
-    equal, so the sort need not be stable.  A dataset whose key range does
-    not fit in int64 is sorted by ``np.lexsort`` instead.
+    the result is independent of input row order.  The order is the
+    ``np.argsort`` of the four columns packed into one int64 key; rows with
+    equal keys are equal, so the sort need not be stable.  A dataset whose
+    key range does not fit in int64 is ordered by ``np.lexsort`` instead.
     """
     if hyper is None:
         hyper = Hyperparameters()
@@ -234,30 +234,19 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
             or route_idx.min() < 0 or route_idx.max() >= n_routes):
         raise ValueError("ascent indexes out of range of the entity tables")
 
-    # A new rating period starts wherever the (climber, week) pair changes.
-    new_period = np.ones(n_asc, dtype=bool)
     first_week = int(week.min())
     n_weeks = int(week.max()) - first_week + 1
     if n_climbers * n_weeks * n_routes * 2 <= 2**63:  # every key fits in int64
-        key = ((climber_idx * n_weeks + (week - first_week)) * n_routes + route_idx) * 2 + success
-        key.sort()
-        # Separate // and % by one number are faster than np.divmod, and
-        # unpacking (route, outcome) in place keeps one copy of the key.
-        climber_week = key // (2 * n_routes)
-        new_period[1:] = climber_week[1:] != climber_week[:-1]
-        climber_week = climber_week[new_period]
-        period_climber = climber_week // n_weeks
-        period_weeks = climber_week % n_weeks + first_week
-        key %= 2 * n_routes
-        success = (key & 1).astype(bool)
-        key >>= 1
-        route_idx = key
+        order = np.argsort(((climber_idx * n_weeks + (week - first_week)) * n_routes
+                            + route_idx) * 2 + success)
     else:
         order = np.lexsort((success, route_idx, week, climber_idx))
-        climber_idx, route_idx, week, success = (
-            climber_idx[order], route_idx[order], week[order], success[order])
-        new_period[1:] = (climber_idx[1:] != climber_idx[:-1]) | (week[1:] != week[:-1])
-        period_climber, period_weeks = climber_idx[new_period], week[new_period]
+    climber_idx, route_idx, week, success = (
+        climber_idx[order], route_idx[order], week[order], success[order])
+    # A new rating period starts wherever the (climber, week) pair changes.
+    new_period = np.ones(n_asc, dtype=bool)
+    new_period[1:] = (climber_idx[1:] != climber_idx[:-1]) | (week[1:] != week[:-1])
+    period_climber, period_weeks = climber_idx[new_period], week[new_period]
     flat_period = np.cumsum(new_period) - 1
 
     prior_means = route_prior_mean(dataset.route_grades, hyper)

@@ -8,7 +8,9 @@ same name and body, so a helper that tests share lives in ``helpers.py``.
 Only ``model.py`` evaluates the logistic or names its clamp, so that the
 model has one copy of its likelihood.  And only ``ingest.py`` parses CSV
 text, with the ``csv`` module, numpy's text readers or ``.split(",")``, so
-that the dataset file format lives in one module.  Every function, class and method that the
+that the dataset file format lives in one module.  Only ``__main__.py`` runs
+the package as a script, so ``python -m cragrank`` and the console script
+enter it through ``cli.main`` alone.  Every function, class and method that the
 package defines is named by the package, ``scripts`` or ``benchmark``, so
 that code only the tests call lives in the tests.
 """
@@ -144,6 +146,25 @@ def test_finds_text_parsing():
                          ids=lambda p: p.name)
 def test_only_ingest_parses_csv(path):
     assert text_parsing(path.read_text(encoding="utf-8")) == []
+
+
+def main_blocks(source: str) -> list[int]:
+    """The line of each top-level ``if __name__ == "__main__":`` in a source."""
+    return [node.lineno for node in ast.parse(source).body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+
+
+def test_finds_a_main_block():
+    source = ('import sys\n\nif __name__ == "__main__":\n    main()\n'
+              "if __name__ == '__main__':\n    pass\nif __name__ == 'cli':\n    pass\n"
+              "def f():\n    if __name__ == '__main__':\n        pass\n")
+    assert main_blocks(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__main__.py"],
+                         ids=lambda p: p.name)
+def test_only_main_module_runs_as_a_script(path):
+    assert main_blocks(path.read_text(encoding="utf-8")) == []
 
 
 def definitions(tree: ast.Module):

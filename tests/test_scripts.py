@@ -66,7 +66,8 @@ def test_run_recovery_fits_what_synth_and_preprocess_keep(tmp_path, capsys):
      "error: no ascents survived preprocessing\n  rows_read=1\n  dropped_ambiguous_tick=0\n"
      "  dropped_non_ewbank=0\n  dropped_invalid_grade=0\n  dropped_route_few_ascents=1\n"
      "  dropped_climber_no_failure=0\n  rows_kept=0\n"),
-], ids=["bad-value", "empty-dataset"])
+    (["--sigma-r-sq", "-1"], 1, "error: hyperparameter sigma_r_sq must be positive, got -1.0\n"),
+], ids=["bad-value", "empty-dataset", "bad-hyperparameter"])
 def test_run_recovery_reports_errors_as_the_cli_does(flags, code, error):
     result = run_script(*flags)
     assert (result.returncode, result.stderr) == (code, error)

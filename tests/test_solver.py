@@ -413,6 +413,7 @@ class TestInitializeState:
     @example(([(0, 0, 3, S), (0, 0, 3, S), (1, 0, 3, F), (0, 0, 3, S)], 3, 2))  # duplicate rows
     @example(([(0, 1, -2**63, F), (0, 0, 2**63 - 1, S)], 1, 2))  # key beyond int64
     @example(([(0, 0, 0, F), (0, 0, 2**62 - 1, S)], 1, 1))  # largest key that fits
+    @example(([(0, 0, 0, F), (0, 0, 2**62, S)], 1, 1))  # smallest key range beyond int64
     def test_matches_lexsort_reference(self, log):
         ascents, n_climbers, n_routes = log
         ds = make_dataset(ascents, n_routes, n_climbers)
@@ -425,10 +426,11 @@ class TestInitializeState:
         calls = []
         lexsort = np.lexsort
         monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        # one climber on one route: the key range is 2 * (last week - first week + 1)
         for weeks, sorted_by_lexsort in (((0, 2**62 - 1), False), ((0, 2**62), True),
                                          ((-2**63, 2**63 - 1), True)):
             calls.clear()
-            initialize_state(make_dataset([(0, 0, w, F) for w in weeks], 1, 1))
+            initialize_state(make_dataset([(0, 0, weeks[0], F), (0, 0, weeks[1], S)], 1, 1))
             assert bool(calls) is sorted_by_lexsort
 
 
