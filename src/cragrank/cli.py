@@ -91,7 +91,7 @@ def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
     if getattr(args, "hyper_config", None):
-        with open(args.hyper_config, encoding="utf-8") as fh:
+        with open(args.hyper_config, encoding="utf-8-sig") as fh:
             values = json.load(fh)
         if not isinstance(values, dict):
             raise ValueError("hyperparameter config must be a JSON object")

@@ -521,7 +521,7 @@ def assemble_clean_dataset(
     route: np.ndarray,
     week: np.ndarray,
     success: np.ndarray,
-    provenance: dict[str, int] | None = None,
+    provenance: dict[str, int],
 ) -> CleanDataset:
     """Run the minimum-activity filters and index the survivors.
 
@@ -532,12 +532,12 @@ def assemble_clean_dataset(
     alternately until neither rule removes anything; dropping a route can
     strip a climber's last failure and vice versa, hence the fixpoint loop.
     Surviving entities are indexed in sorted-id order, and the surviving
-    rows keep their order.
+    rows keep their order.  The drop and keep tallies are added to
+    ``provenance``, which the dataset keeps.
     """
     n = climber.shape[0]
-    prov = provenance if provenance is not None else {"rows_read": n}
     for key in _DROP_KEYS:
-        prov.setdefault(key, 0)
+        provenance.setdefault(key, 0)
 
     keep = np.ones(n, dtype=bool)
     kept = n
@@ -545,18 +545,18 @@ def assemble_clean_dataset(
         before = kept
         keep &= np.bincount(route[keep], minlength=len(route_ids))[route] >= 2
         after_routes = int(np.count_nonzero(keep))
-        prov["dropped_route_few_ascents"] += before - after_routes
+        provenance["dropped_route_few_ascents"] += before - after_routes
 
         failures = np.bincount(climber[keep & ~success], minlength=len(climber_ids))
         keep &= failures[climber] > 0
         kept = int(np.count_nonzero(keep))
-        prov["dropped_climber_no_failure"] += after_routes - kept
+        provenance["dropped_climber_no_failure"] += after_routes - kept
         if kept == before:  # a full round removed nothing: fixpoint
             break
 
-    prov["rows_kept"] = kept
+    provenance["rows_kept"] = kept
     if not kept:
-        raise EmptyDatasetError("no ascents survived preprocessing", prov)
+        raise EmptyDatasetError("no ascents survived preprocessing", provenance)
 
     climbers_used, climber_index = np.unique(climber[keep], return_inverse=True)
     routes_used, route_index = np.unique(route[keep], return_inverse=True)
@@ -568,7 +568,7 @@ def assemble_clean_dataset(
         climber_ids=np.asarray(climber_ids, dtype=object)[climbers_used],
         route_ids=np.asarray(route_ids, dtype=object)[routes_used],
         route_grades=np.asarray(route_grades, dtype=np.int64)[routes_used],
-        provenance=prov,
+        provenance=provenance,
     )
 
 

@@ -104,7 +104,8 @@ def level_matched_dataset(
     success = rng.random(total) < win_probabilities(ability, world.route_ratings[route_idx])
 
     return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
-                                  climber_idx, route_idx, world.weeks[period_idx], success)
+                                  climber_idx, route_idx, world.weeks[period_idx], success,
+                                  {"rows_read": total})
 
 
 def central_difference(f, x, h=FD_STEP):

@@ -7,6 +7,7 @@ file outputs are checked exactly as a shell user would see them.
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +71,28 @@ def preprocess_fixture(tmp_path, text=BASIC_LOG):
     dataset_dir = tmp_path / "dataset"
     assert run(["preprocess", raw, "--out", dataset_dir]) == 0
     return dataset_dir
+
+
+@pytest.mark.parametrize("command, emptied, content", [
+    ("preprocess", "raw.csv", b""),
+    ("preprocess", "raw.csv", b"\xef\xbb\xbf"),
+    ("predict", "query.csv", b""),
+    ("predict", "ratings/climber_ratings.csv", b""),
+    ("fit", "dataset/ascents.csv", b""),
+    ("evaluate", "dataset/routes.csv", b""),
+], ids=["raw-log", "raw-log-bom-only", "query", "climber-ratings", "ascents", "routes"])
+def test_empty_input_file_exits_one_and_names_it(tmp_path, capsys, command, emptied, content):
+    dataset_dir = preprocess_fixture(tmp_path)
+    assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 0
+    write_log(tmp_path, "climber_id,route_id,week\nalice,r1,0\n", "query.csv")
+    (tmp_path / emptied).write_bytes(content)
+    inputs = {"preprocess": ["raw.csv"], "predict": ["ratings", "query.csv"],
+              "fit": ["dataset"], "evaluate": ["dataset"]}[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *(tmp_path / name for name in inputs), "--out", out]) == 1
+    assert capsys.readouterr() == ("", f"error: {Path(emptied).name}: empty file\n")
+    assert not out.exists()
 
 
 class TestHelp:
@@ -261,10 +284,11 @@ class TestFit:
         assert "not converged" in captured.err
         assert "converged=false" in (out / "fit_report.txt").read_text()
 
-    def test_hyper_config_file_and_flag_priority(self, tmp_path):
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_hyper_config_file_and_flag_priority(self, tmp_path, encoding):
         dataset_dir = preprocess_fixture(tmp_path)
         config = tmp_path / "hyper.json"
-        config.write_text(json.dumps({"b": 0.0, "sigma_r_sq": 2.0}), encoding="utf-8")
+        config.write_text(json.dumps({"b": 0.0, "sigma_r_sq": 2.0}), encoding=encoding)
         out_config = tmp_path / "via-config"
         out_flag = tmp_path / "via-flag"
         assert run(["fit", dataset_dir, "--out", out_config,

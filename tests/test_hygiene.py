@@ -2,9 +2,9 @@
 ``tests`` and ``scripts``.
 
 No linter ships with the project.  Every module-level name a module imports
-is used in it (except in the package ``__init__``, whose imports are the
-public re-exports).  No two modules define a top-level function with the
-same name and body, so a helper that tests share lives in ``helpers.py``.
+is used in it, so the package ``__init__`` re-exports nothing.  No two modules
+define a top-level function with the same name and body, so a helper that
+tests share lives in ``helpers.py``.
 Only ``model.py`` evaluates the logistic or names its clamp, so that the
 model has one copy of its likelihood.  And only ``ingest.py`` parses CSV
 text, with the ``csv`` module, numpy's text readers or ``.split(",")``, so
@@ -23,8 +23,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "cragrank").glob("*.py"))
-SOURCES = ([p for p in PACKAGE if p.name != "__init__.py"]
-           + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,8 +73,7 @@ def test_finds_a_duplicate_function():
 
 
 def test_no_duplicate_functions():
-    # keyed by path, so the package modules that both lists hold count once
-    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in PACKAGE + SOURCES}
+    sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SOURCES}
     assert duplicate_functions(sources) == []
 
 
@@ -250,7 +248,7 @@ TEST_ORACLE = "ingest.py: CleanDataset.check_invariants"
 
 
 def test_no_definition_only_the_tests_use():
-    library = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE if p.name != "__init__.py"}
+    library = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     users = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
              for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
     found = unused_definitions(library, users)

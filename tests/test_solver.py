@@ -184,7 +184,7 @@ def random_clean_log(seed):
                 [f"c{i}" for i in range(n_climbers)], [f"r{i}" for i in range(n_routes)],
                 rng.integers(10, 37, size=n_routes), rng.integers(0, n_climbers, size=n),
                 rng.integers(0, n_routes, size=n), rng.integers(0, 20, size=n),
-                rng.random(n) < rng.uniform(0.3, 0.97),
+                rng.random(n) < rng.uniform(0.3, 0.97), {"rows_read": n},
             )
         except EmptyDatasetError:
             continue
