@@ -29,6 +29,7 @@ from .evaluation import (
     rating_at_nearest_week,
 )
 from .ingest import (
+    DEFAULT_TICK_MAPPING,
     CodedColumn,
     CsvTable,
     format_float as _fmt,
@@ -43,7 +44,7 @@ from .ingest import (
 )
 from .model import Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
-from .synthetic import generate_world, simulate_trials, trials_to_raw_log, write_truth_csv
+from .synthetic import generate_world, simulate_trials, write_truth_csv
 
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 
@@ -186,9 +187,8 @@ def _fit(dataset, hyper: Hyperparameters, args: argparse.Namespace, what: str = 
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    mapping = load_tick_mapping(args.tick_mapping) if args.tick_mapping else None
-    rows = parse_ascent_log(args.raw_csv)
-    dataset = preprocess(rows, mapping)
+    mapping = load_tick_mapping(args.tick_mapping) if args.tick_mapping else DEFAULT_TICK_MAPPING
+    dataset = preprocess(parse_ascent_log(args.raw_csv), mapping)
     write_clean_dataset(dataset, args.out)
     kept = dataset.provenance["rows_kept"]
     read = dataset.provenance["rows_read"]
@@ -269,8 +269,7 @@ def simulate_log(args: argparse.Namespace, hyper: Hyperparameters):
     """
     world = generate_world(args.climbers, args.routes, args.periods,
                            (args.grade_min, args.grade_max), hyper=hyper, seed=args.seed)
-    trials = simulate_trials(world, args.ascents_per_period, seed=args.seed + 1)
-    return world, trials_to_raw_log(world, trials)
+    return world, simulate_trials(world, args.ascents_per_period, seed=args.seed + 1)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -1,15 +1,11 @@
 """Exception types shared across the package."""
 
 
-class CragrankError(Exception):
-    """Base class for errors raised by cragrank."""
-
-
-class ParseError(CragrankError):
+class ParseError(Exception):
     """Input file could not be parsed; the message names the offending line."""
 
 
-class EmptyDatasetError(CragrankError):
+class EmptyDatasetError(Exception):
     """No usable ascents remain (empty input, or everything was filtered)."""
 
     def __init__(self, message: str, provenance: dict[str, int] | None = None):

@@ -174,7 +174,7 @@ def predict_probabilities(state: ModelState, climber, route, week) -> np.ndarray
 
 def cross_validate_predictions(
     dataset: CleanDataset,
-    hyper: Hyperparameters | None,
+    hyper: Hyperparameters,
     plan: np.ndarray,
     *,
     max_iterations: int = 1000,

@@ -184,10 +184,10 @@ class CleanDataset:
             raise ValueError(f"climber {np.argmin(failures)} has no failed ascent")
 
 
-def classify_tick(tick_type: str, mapping: Mapping[str, TickClass] | None = None) -> TickClass:
+def classify_tick(tick_type: str,
+                  mapping: Mapping[str, TickClass] = DEFAULT_TICK_MAPPING) -> TickClass:
     """Classify a tick string, case-insensitively; unknown ticks are ambiguous."""
-    table = DEFAULT_TICK_MAPPING if mapping is None else mapping
-    return table.get(tick_type.strip().lower(), TickClass.AMBIGUOUS)
+    return mapping.get(tick_type.strip().lower(), TickClass.AMBIGUOUS)
 
 
 def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
@@ -312,23 +312,22 @@ class CsvTable:
     occurrence, as in ``csv.DictReader``, and blank lines are skipped.
     Checks are recorded in the order a row is checked, starting with a row
     too short to hold every named field (its fields read as empty strings).
-    ``name`` prefixes the error messages, among them that of a line the csv
-    module cannot read.
+    The file's ``name`` prefixes the error messages, among them that of a
+    line the csv module cannot read.
     """
 
-    def __init__(self, stream: IO[str], columns: Sequence[str], name: str = ""):
-        self.prefix = f"{name} " if name else ""
+    def __init__(self, stream: IO[str], columns: Sequence[str], name: str):
+        self.name = name
         reader = csv.reader(stream)
         try:
             header = next(reader, None)
         except csv.Error as exc:
-            raise ParseError(f"{self.prefix}line {reader.line_num}: {exc}") from None
+            raise ParseError(f"{name} line {reader.line_num}: {exc}") from None
         if header is None:
-            raise ParseError(f"{name}: empty file" if name else "empty input: no header line")
+            raise ParseError(f"{name}: empty file")
         missing = [c for c in columns if c not in header]
         if missing:
-            raise ParseError(f"{name + ': ' if name else ''}missing required columns: "
-                             f"{', '.join(missing)}")
+            raise ParseError(f"{name}: missing required columns: {', '.join(missing)}")
         index = [len(header) - 1 - header[::-1].index(c) for c in columns]
         need = max(index) + 1
         codes = [_Codes() for _ in index]
@@ -356,7 +355,7 @@ class CsvTable:
                             break
                 except csv.Error as exc:
                     line = read + reader.line_num
-                    raise ParseError(f"{self.prefix}line {line}: {exc}") from None
+                    raise ParseError(f"{name} line {line}: {exc}") from None
                 read += reader.line_num
                 fields = [list(map(itemgetter(i), rows)) for i in index]
                 del rows, reader
@@ -377,7 +376,7 @@ class CsvTable:
 
     @classmethod
     def read(cls, path: Path, columns: Sequence[str]) -> CsvTable:
-        """The table of a file, whose name then prefixes the error messages.
+        """The table of a file, named by the file's name.
 
         A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
         """
@@ -416,7 +415,7 @@ class CsvTable:
         for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in self.checks])):
             problem, text = next((p, t) for mask, p, t in self.checks if mask[i])
             field = None if text is None else text.distinct[text.code[i]]
-            messages.append(f"{self.prefix}line {self.lines[i]}: {problem.format(field)}")
+            messages.append(f"{self.name} line {self.lines[i]}: {problem.format(field)}")
         return messages
 
     def raise_first(self) -> None:
@@ -496,16 +495,9 @@ def write_keyvalues(path: str | Path, mapping: Mapping) -> None:
             fh.write(f"{key}={value}\n")
 
 
-def parse_ascent_log(source: str | Path | IO[str]) -> RawAscentLog:
-    """Parse a raw ascent-log CSV, given as a path or a text stream, into
-    columns, reporting bad lines by number.
-
-    A file's errors are prefixed with its name, a stream's are not.
-    """
-    if isinstance(source, (str, Path)):
-        table = CsvTable.read(Path(source), RAW_COLUMNS)
-    else:
-        table = CsvTable(source, RAW_COLUMNS)
+def parse_ascent_log(path: str | Path) -> RawAscentLog:
+    """Parse a raw ascent-log CSV file into columns; errors name the file and the line."""
+    table = CsvTable.read(Path(path), RAW_COLUMNS)
     day = table.convert("date", _parse_date, "datetime64[D]", "invalid date {!r}")
     table.raise_first()
     text = table.text
@@ -574,7 +566,7 @@ def assemble_clean_dataset(
 
 def preprocess(
     log: RawAscentLog,
-    mapping: Mapping[str, TickClass] | None = None,
+    mapping: Mapping[str, TickClass] = DEFAULT_TICK_MAPPING,
 ) -> CleanDataset:
     """Clean a raw ascent log into a CleanDataset.
 

@@ -210,7 +210,7 @@ def solve_tridiagonal(diag, rhs, plan: TridiagonalPlan) -> np.ndarray:
     return d
 
 
-def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None) -> ModelState:
+def initialize_state(dataset: CleanDataset, hyper: Hyperparameters = Hyperparameters()) -> ModelState:
     """Build the optimizer state: climbers at 0, routes at their prior means.
 
     Ascents are put into a canonical (climber, week, route, outcome) order so
@@ -219,8 +219,6 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters | None = None
     equal keys are equal, so the sort need not be stable.  A dataset whose
     key range does not fit in int64 is ordered by ``np.lexsort`` instead.
     """
-    if hyper is None:
-        hyper = Hyperparameters()
     n_asc = len(dataset)
     if n_asc == 0:
         raise EmptyDatasetError("dataset contains no ascents")
@@ -419,7 +417,7 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
 
 def fit(
     dataset: CleanDataset,
-    hyper: Hyperparameters | None = None,
+    hyper: Hyperparameters = Hyperparameters(),
     max_iterations: int = 1000,
     *,
     convergence_span: float = 1.0,

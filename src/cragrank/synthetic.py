@@ -49,7 +49,7 @@ def generate_world(
     n_routes: int,
     n_periods: int,
     grade_range: tuple[int, int],
-    hyper: Hyperparameters | None = None,
+    hyper: Hyperparameters = Hyperparameters(),
     seed: int = 0,
 ) -> SyntheticWorld:
     """Draw a world from the model's own priors.
@@ -59,8 +59,6 @@ def generate_world(
     initial-rating prior and drift by independent normal increments with
     variance ``w_sq`` per week across ``n_periods`` consecutive weeks.
     """
-    if hyper is None:
-        hyper = Hyperparameters()
     if n_climbers < 1 or n_routes < 1 or n_periods < 1:
         raise ValueError("n_climbers, n_routes and n_periods must all be at least 1")
     lo, hi = grade_range
@@ -95,13 +93,13 @@ def generate_world(
 
 def simulate_trials(
     world: SyntheticWorld, ascents_per_climber_period: int, seed: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Simulate raw ascent attempts before any filtering.
+) -> RawAscentLog:
+    """Simulate raw ascent attempts before any filtering, as a raw ascent log.
 
     Every climber attempts ``ascents_per_climber_period`` uniformly chosen
     routes in every period; each attempt succeeds with the model probability
-    of the true ratings.  Returns parallel arrays
-    ``(climber_idx, period_idx, route_idx, success)``.
+    of the true ratings.  The world's climber and route indexes are the codes
+    of the id columns, and a success is ticked ``redpoint``, a failure ``attempt``.
     """
     if ascents_per_climber_period < 1:
         raise ValueError("ascents_per_climber_period must be at least 1")
@@ -119,18 +117,6 @@ def simulate_trials(
         world.climber_ratings[climber_idx, period_idx], world.route_ratings[route_idx]
     )
     success = rng.random(total) < p
-    return climber_idx, period_idx, route_idx, success
-
-
-def trials_to_raw_log(
-    world: SyntheticWorld,
-    trials: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
-) -> RawAscentLog:
-    """Express simulated trials as a raw ascent log (no filtering).
-
-    The trials' climber and route indexes are the codes of the id columns.
-    """
-    climber_idx, period_idx, route_idx, success = trials
     grades, grade_code = np.unique(world.route_grades, return_inverse=True)
     return RawAscentLog(
         climber_id=CodedColumn(np.array(world.climber_ids, dtype=object), climber_idx),
@@ -140,7 +126,7 @@ def trials_to_raw_log(
         day=week_start_date(world.weeks[period_idx]),
         grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[route_idx]),
         grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
-                                 np.zeros(success.shape[0], dtype=np.int64)),
+                                 np.zeros(total, dtype=np.int64)),
     )
 
 

@@ -3,6 +3,9 @@
 The oracles share no code with the implementation they check.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from cragrank.ingest import (
@@ -10,11 +13,12 @@ from cragrank.ingest import (
     CodedColumn,
     RawAscentLog,
     assemble_clean_dataset,
+    parse_ascent_log,
     preprocess,
     week_start_date,
 )
 from cragrank.model import Hyperparameters, win_probabilities
-from cragrank.synthetic import generate_world, simulate_trials, trials_to_raw_log
+from cragrank.synthetic import generate_world, simulate_trials
 
 S = True
 F = False
@@ -35,6 +39,15 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
         route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
+
+
+def parse_text(text):
+    """The raw ascent log that ``text``, written verbatim as ``raw.csv`` in a
+    temporary directory, parses to; errors name ``raw.csv`` and the line."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / "raw.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        return parse_ascent_log(path)
 
 
 def dataset_to_raw_log(dataset):
@@ -59,10 +72,10 @@ def dataset_to_raw_log(dataset):
 def simulate_ascents(world, per_period, seed):
     """The cleaned dataset of ``per_period`` simulated attempts per climber and period.
 
-    The trials drawn with ``seed`` go through the raw log and
-    :func:`preprocess`, as ``cragrank synth`` and ``preprocess`` take them.
+    The raw log drawn with ``seed`` goes through :func:`preprocess`, as
+    ``cragrank synth`` and ``preprocess`` take it.
     """
-    return preprocess(trials_to_raw_log(world, simulate_trials(world, per_period, seed)))
+    return preprocess(simulate_trials(world, per_period, seed))
 
 
 def level_matched_dataset(

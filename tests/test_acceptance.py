@@ -28,7 +28,6 @@ from cragrank.evaluation import (
 )
 from cragrank.ingest import (
     RAW_COLUMNS,
-    parse_ascent_log,
     preprocess,
 )
 from cragrank.model import Hyperparameters
@@ -52,6 +51,7 @@ from helpers import (
     dataset_to_raw_log,
     level_matched_dataset,
     make_dataset,
+    parse_text,
     relative_error,
     simulate_ascents,
 )
@@ -310,7 +310,7 @@ def _coordinate_grid_map(log_f, n_coords):
 
 
 def _max_fit_vs_oracle_gap(dataset, oracle, coord_of, route_base):
-    state, _ = fit(dataset, None, 3000, convergence_span=1e-10)
+    state, _ = fit(dataset, Hyperparameters(), 3000, convergence_span=1e-10)
     gap = 0.0
     for k, ci in enumerate(state.period_owner.tolist()):
         coord = coord_of[(ci, int(state.period_weeks[k]))]
@@ -344,7 +344,7 @@ def test_criterion_04_map_matches_grid_search():
         n_routes=1,
         n_climbers=1,
     )
-    state, _ = fit(fixture, None, 3000, convergence_span=1e-10)
+    state, _ = fit(fixture, Hyperparameters(), 3000, convergence_span=1e-10)
     fixture_gap = max(
         abs(float(state.climber_ratings[0]) - best_climber),
         abs(float(state.route_ratings[0]) - best_route),
@@ -410,7 +410,7 @@ def recovery_fit():
     world = generate_world(100, 200, 10, (18, 28), seed=0)
     dataset = simulate_ascents(world, 20, seed=1)
     start = time.perf_counter()
-    state, report = fit(dataset, None, 1000)
+    state, report = fit(dataset, Hyperparameters(), 1000)
     seconds = time.perf_counter() - start
     return world, dataset, state, report, seconds
 
@@ -420,7 +420,7 @@ def test_criterion_06_synthetic_recovery(recovery_fit):
     start = time.perf_counter()
     correlation = recovery_report(world, state).route_correlation
     plan = make_fold_plan(dataset, k=5, repeats=1, seed=0)
-    held_out = compute_metrics(*cross_validate_predictions(dataset, None, plan)[:2])
+    held_out = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
     gain = held_out.accuracy - held_out.baseline_accuracy
     elapsed = fit_seconds + time.perf_counter() - start
     ok = correlation > 0.9 and gain >= 0.05 and elapsed < 120.0
@@ -505,8 +505,7 @@ def _random_raw_log(rng):
             grade_labels[int(rng.integers(0, len(grade_labels)))],
             systems[int(rng.integers(0, len(systems)))],
         ])
-    text.seek(0)
-    return parse_ascent_log(text)
+    return parse_text(text.getvalue())
 
 
 def test_criterion_09_pipeline_invariants():
@@ -553,7 +552,7 @@ def test_criterion_10_scale_and_memory():
     n_ascents = len(dataset)
 
     start = time.perf_counter()
-    _, report = fit(dataset, None, 1000)
+    _, report = fit(dataset, Hyperparameters(), 1000)
     fit_seconds = time.perf_counter() - start
 
     peaks = []
@@ -561,7 +560,7 @@ def test_criterion_10_scale_and_memory():
         small = level_matched_dataset(n_climbers, n_routes, 20, 4,
                                        world_seed=0, log_seed=1)
         tracemalloc.start()
-        fit(small, None, 12, convergence_span=0.0)
+        fit(small, Hyperparameters(), 12, convergence_span=0.0)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks.append((len(small), peak))

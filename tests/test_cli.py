@@ -149,6 +149,7 @@ class TestPreprocess:
         (HEADER + "\nalice,r1,redpoint,2020-W02-1,21,ewbank\n", None,
          "raw.csv line 2: invalid date '2020-W02-1'"),
         (BASIC_LOG, "onsight,triumphant\n", "ticks.csv line 1: unknown tick class 'triumphant'"),
+        (BASIC_LOG, "onsight\n", "ticks.csv line 1: expected 'tick_string,class', got 'onsight'"),
         # a field longer than the csv module's limit, in the first row or after others
         (HEADER + f"\nalice,r1,{'x' * 200_000},2020-01-06,21,ewbank\n", None,
          "raw.csv line 2: field larger than field limit (131072)"),
@@ -157,7 +158,7 @@ class TestPreprocess:
         (BASIC_LOG, f"onsight,successful\n{'x' * 200_000},successful\n",
          "ticks.csv line 2: field larger than field limit (131072)"),
     ], ids=["raw-log", "raw-log-basic-date", "raw-log-week-date", "tick-mapping",
-            "raw-log-long-field", "raw-log-long-field-after-rows", "tick-mapping-long-field"])
+            "tick-mapping-no-class", "raw-log-long-field", "raw-log-long-field-after-rows", "tick-mapping-long-field"])
     def test_errors_name_their_file(self, tmp_path, capsys, log, ticks, problem):
         args = ["preprocess", write_log(tmp_path, log), "--out", tmp_path / "d"]
         if ticks is not None:
@@ -304,7 +305,7 @@ class TestFit:
 
     @pytest.mark.parametrize("config", [
         "5", "[0.4]", '{"sigma_c_sq": "x"}', '{"w_sq": null}', '{"b": "0.4"}', '{"b": true}',
-        '{"b": NaN}', '{"w_sq": 1e999}', '{"g0": 1.5}',
+        '{"b": NaN}', '{"w_sq": 1e999}', '{"g0": 1.5}', '{"b": 1%s}' % ("0" * 400),
     ])
     def test_malformed_hyper_config_exits_one(self, tmp_path, capsys, config):
         dataset_dir = preprocess_fixture(tmp_path)

@@ -443,9 +443,13 @@ class TestPrecisionRecallCurve:
             recalls = [pt.recall for pt in curve]
             assert recalls == sorted(recalls)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            precision_recall_curve([], [])
+    @pytest.mark.parametrize("p, y, problem", [
+        ([], [], "cannot build a curve from zero predictions"),
+        ([0.9, 0.1], [S], "predictions and actuals must be 1-D and equally long"),
+    ], ids=["empty", "unequal"])
+    def test_bad_input_rejected(self, p, y, problem):
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            precision_recall_curve(p, y)
 
     def test_heavy_ties_give_the_stable_sort_curve(self, monkeypatch):
         rng = np.random.default_rng(6)

@@ -12,7 +12,9 @@ that the dataset file format lives in one module.  Only ``__main__.py`` runs
 the package as a script, so ``python -m cragrank`` and the console script
 enter it through ``cli.main`` alone.  Every function, class and method that the
 package defines is named by the package, ``scripts`` or ``benchmark``, so
-that code only the tests call lives in the tests.
+that code only the tests call lives in the tests.  And every exception class
+that the package defines is raised in the package, so that no handler waits
+for an error that never comes.
 """
 
 import ast
@@ -253,3 +255,41 @@ def test_no_definition_only_the_tests_use():
              for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
     found = unused_definitions(library, users)
     assert [d for d in found if d != TEST_ORACLE and not overrides_a_base(d)] == []
+
+
+def unraised_exceptions(sources: dict[str, str]) -> list[str]:
+    """Each exception class that one of ``sources`` (module name to text)
+    defines and no ``raise`` in them names, as ``"module: name"``.  A class is
+    an exception class if a base's name ends in ``Error`` or ``Exception``, or
+    is an exception class of the sources."""
+    classes, raised = {}, set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name] = (module, [ast.unparse(b).rpartition(".")[2]
+                                               for b in node.bases])
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc).rpartition(".")[2])
+    exceptions = set()
+    while True:
+        found = {name for name, (_, bases) in classes.items()
+                 if any(b.endswith(("Error", "Exception")) or b in exceptions for b in bases)}
+        if found == exceptions:
+            break
+        exceptions = found
+    return sorted(f"{classes[name][0]}: {name}" for name in exceptions - raised)
+
+
+def test_finds_an_unraised_exception():
+    sources = {
+        "a.py": ("class Base(Exception):\n    pass\n\nclass Leaf(Base):\n    pass\n\n"
+                 "class Bad(ValueError):\n    pass\n\nclass Plain:\n    pass\n"),
+        "b.py": ("from . import a\n\ndef f():\n    raise a.Leaf('x') from None\n\n"
+                 "def g():\n    raise Plain\n"),
+    }
+    assert unraised_exceptions(sources) == ["a.py: Bad", "a.py: Base"]
+
+
+def test_every_exception_class_is_raised():
+    assert unraised_exceptions({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []

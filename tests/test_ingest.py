@@ -33,7 +33,7 @@ from cragrank.ingest import (
     write_csv,
     write_raw_ascent_log,
 )
-from helpers import dataset_to_raw_log
+from helpers import dataset_to_raw_log, parse_text
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
@@ -49,8 +49,7 @@ def raw_log(rows):
     writer = csv.writer(text)
     writer.writerow(RAW_COLUMNS)
     writer.writerows(rows)
-    text.seek(0)
-    return parse_ascent_log(text)
+    return parse_text(text.getvalue())
 
 
 def ascents(dataset):
@@ -198,11 +197,11 @@ class TestMedianGrade:
 
 class TestParseAscentLog:
     def test_header_only(self):
-        assert len(parse_ascent_log(io.StringIO(HEADER + "\n"))) == 0
+        assert len(parse_text(HEADER + "\n")) == 0
 
     def test_single_row_verbatim(self):
         text = HEADER + "\nalice,cave-route,redpoint,2020-03-14,21,ewbank\n"
-        log = parse_ascent_log(io.StringIO(text))
+        log = parse_text(text)
         assert len(log) == 1
         assert [column.strings()[0] for column in (log.climber_id, log.route_id, log.tick_type,
                                                    log.grade_label, log.grade_system)] == [
@@ -213,29 +212,29 @@ class TestParseAscentLog:
         text = (HEADER + "\n"
                 "alice,r1,redpoint,2020-03-14,21,ewbank\n"
                 "bob,r2,dog,2020-13-40,21,ewbank\n")
-        with pytest.raises(ParseError, match="line 3"):
-            parse_ascent_log(io.StringIO(text))
+        with pytest.raises(ParseError, match="^raw.csv line 3: invalid date '2020-13-40'$"):
+            parse_text(text)
 
     def test_missing_column_rejected(self):
-        with pytest.raises(ParseError):
-            parse_ascent_log(io.StringIO("climber_id,route_id,tick_type\na,b,c\n"))
+        with pytest.raises(ParseError, match="^raw.csv: missing required columns: date, "
+                                             "grade_label, grade_system$"):
+            parse_text("climber_id,route_id,tick_type\na,b,c\n")
 
     def test_short_row_rejected(self):
         text = HEADER + "\nalice,r1,redpoint\n"
-        with pytest.raises(ParseError, match="line 2"):
-            parse_ascent_log(io.StringIO(text))
+        with pytest.raises(ParseError, match="^raw.csv line 2: too few fields$"):
+            parse_text(text)
 
     def test_blank_lines_skipped_and_short_row_named(self):
         ascent = "alice,r1,redpoint,2020-03-14,21,ewbank\n"
         text = HEADER + "\n\n\n" + ascent + "\n\n" + ascent
-        assert parse_ascent_log(io.StringIO(text)).climber_id.strings().tolist() == [
-            "alice", "alice"]
-        with pytest.raises(ParseError, match="^line 8: too few fields$"):
-            parse_ascent_log(io.StringIO(text + "bob,r2\n"))
+        assert parse_text(text).climber_id.strings().tolist() == ["alice", "alice"]
+        with pytest.raises(ParseError, match="^raw.csv line 8: too few fields$"):
+            parse_text(text + "bob,r2\n")
 
     def test_quoted_fields(self):
         text = HEADER + '\n"alice, a",r1,redpoint,2020-03-14,21,ewbank\n'
-        log = parse_ascent_log(io.StringIO(text))
+        log = parse_text(text)
         assert log.climber_id.strings()[0] == "alice, a"
 
     def test_reads_from_path(self, tmp_path):
@@ -407,7 +406,7 @@ class TestParsingSemantics:
     def test_spellings_and_line_numbers(self):
         # " 12" and "+12" are grade 12; "1_2", fullwidth digits, "12.0" and
         # "0" are invalid, which leaves route r2 one ascent
-        ds = preprocess(parse_ascent_log(io.StringIO(self.LOG)))
+        ds = preprocess(parse_text(self.LOG))
         assert ds.climber_ids.tolist() == ["a"]
         assert ds.route_ids.tolist() == ["r1"]
         assert ds.route_grades.tolist() == [12]
@@ -419,8 +418,8 @@ class TestParsingSemantics:
         }
         # the quoted id spans lines 8-9, so the next row is line 10
         bad = self.LOG + "e,r1,dog,2020-02-30,12,ewbank\n"
-        with pytest.raises(ParseError, match="^line 10: invalid date '2020-02-30'$"):
-            parse_ascent_log(io.StringIO(bad))
+        with pytest.raises(ParseError, match="^raw.csv line 10: invalid date '2020-02-30'$"):
+            parse_text(bad)
 
 
 @pytest.mark.usefixtures("small_read_chunks")
@@ -464,7 +463,7 @@ class TestIntegerFields:
 def table_outcome(text: str, newline: str, columns=("x", "z")):
     """The columns, line numbers and problems of CsvTable on a text, or its ParseError."""
     try:
-        table = CsvTable(io.StringIO(text, newline=newline), columns)
+        table = CsvTable(io.StringIO(text, newline=newline), columns, "t.csv")
     except ParseError as exc:
         return str(exc)
     return ({c: (text.distinct.tolist(), text.code.tolist()) for c, text in table.text.items()},

@@ -67,13 +67,13 @@ def bt_gradient(own, opponents, outcomes, side):
     return total
 
 
-def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_means=None):
+def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=Hyperparameters(),
+                      prior_means=None):
     """A state of one climber with a period at each of ``weeks``.
 
     ``ascents`` are (period, route, outcome) triples, at least one.  Route
     prior means default to 0.
     """
-    hyper = hyper or Hyperparameters()
     n_routes = len(route_ratings)
     period, route, outcome = zip(*ascents)
     return ModelState(
@@ -93,13 +93,13 @@ def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=None, prior_
     )
 
 
-def lone_route_state(rating, mean=0.0, hyper=None):
+def lone_route_state(rating, mean=0.0, hyper=Hyperparameters()):
     """Route 0 at ``rating`` without ascents, and one success on route 1."""
     return one_climber_state([0], [0.0], [rating, 0.0], [(0, 1, True)],
                              hyper=hyper, prior_means=[mean, 0.0])
 
 
-def coupled_state(weeks, ratings, hyper=None):
+def coupled_state(weeks, ratings, hyper=Hyperparameters()):
     """One climber whose periods are linked only by the random walk and the first prior.
 
     Each period holds one success and one failure against a route of the
@@ -143,7 +143,7 @@ class TestHyperparameters:
         "kwargs",
         [{"sigma_c_sq": 0.0}, {"sigma_c_sq": -1.0}, {"sigma_r_sq": 0.0}, {"w_sq": -0.1},
          {"w_sq": math.nan}, {"b": math.nan}, {"sigma_r_sq": math.inf}, {"b": True},
-         {"sigma_c_sq": "x"}, {"g0": 1.5}, {"g0": 2**63}],
+         {"sigma_c_sq": "x"}, {"g0": 1.5}, {"g0": 2**63}, {"b": 10**400}],
     )
     def test_rejects_bad_variances(self, kwargs):
         with pytest.raises(ValueError, match=f"^hyperparameter {next(iter(kwargs))} "):

@@ -19,7 +19,6 @@ from cragrank.synthetic import (
     generate_world,
     recovery_report,
     simulate_trials,
-    trials_to_raw_log,
     write_truth_csv,
 )
 from helpers import simulate_ascents
@@ -113,40 +112,58 @@ class TestGenerateWorld:
             generate_world(5, 5, 1, (24, 20))
 
 
+def successes(log):
+    """Whether each row of a simulated log is a success, from its tick."""
+    return log.tick_type.strings() == "redpoint"
+
+
 class TestSimulateTrials:
     def test_deterministic_given_seed(self):
         world = generate_world(5, 10, 3, (20, 24), seed=0)
         a = simulate_trials(world, 4, seed=9)
         b = simulate_trials(world, 4, seed=9)
-        for left, right in zip(a, b):
-            assert np.array_equal(left, right)
+        assert np.array_equal(a.day, b.day)
+        for column in ("climber_id", "route_id", "tick_type", "grade_label", "grade_system"):
+            left, right = getattr(a, column), getattr(b, column)
+            assert np.array_equal(left.distinct, right.distinct)
+            assert np.array_equal(left.code, right.code)
 
     def test_shape_and_coverage(self):
         world = generate_world(5, 10, 3, (20, 24), seed=0)
-        climber_idx, period_idx, route_idx, success = simulate_trials(world, 4, seed=1)
-        assert climber_idx.shape == (5 * 3 * 4,)
-        assert period_idx.shape == route_idx.shape == success.shape == climber_idx.shape
+        log = simulate_trials(world, 4, seed=1)
+        climber, route, week = log.climber_id.code, log.route_id.code, quantize_week(log.day)
+        assert len(log) == 5 * 3 * 4
+        assert climber.shape == route.shape == week.shape == (len(log),)
         # Every climber attempts exactly 4 routes in every period.
         for c in range(5):
             for k in range(3):
-                assert int(np.count_nonzero((climber_idx == c) & (period_idx == k))) == 4
-        assert route_idx.min() >= 0 and route_idx.max() < 10
+                assert int(np.count_nonzero((climber == c) & (week == world.weeks[k]))) == 4
+        assert route.min() >= 0 and route.max() < 10
+
+    def test_rows_mirror_the_world(self):
+        world = generate_world(3, 4, 2, (20, 24), seed=0)
+        log = simulate_trials(world, 2, seed=1)
+        for i, (c, r) in enumerate(zip(log.climber_id.code, log.route_id.code)):
+            assert log.climber_id.strings()[i] == world.climber_ids[c]
+            assert log.route_id.strings()[i] == world.route_ids[r]
+            assert log.tick_type.strings()[i] in ("redpoint", "attempt")
+            assert quantize_week(log.day[i]) in world.weeks
+            assert log.grade_label.strings()[i] == str(int(world.route_grades[r]))
+            assert log.grade_system.strings()[i] == "ewbank"
 
     def test_even_odds_success_fraction(self):
         world = flat_world(10, 5, 1)
-        _, _, _, success = simulate_trials(world, 1000, seed=7)
+        success = successes(simulate_trials(world, 1000, seed=7))
         assert success.shape == (10_000,)
         assert abs(success.mean() - 0.5) < 0.02
 
     def test_extreme_odds_always_succeed(self):
         world = flat_world(4, 6, 2, climber_level=20.0, route_level=-20.0)
-        _, _, _, success = simulate_trials(world, 50, seed=3)
-        assert bool(success.all())
+        assert bool(successes(simulate_trials(world, 50, seed=3)).all())
 
     def test_extreme_odds_always_fail(self):
         world = flat_world(4, 6, 2, climber_level=-20.0, route_level=20.0)
-        _, _, _, success = simulate_trials(world, 50, seed=3)
-        assert not bool(success.any())
+        assert not bool(successes(simulate_trials(world, 50, seed=3)).any())
 
     def test_bad_attempt_count_rejected(self):
         world = flat_world(2, 2, 1)
@@ -182,22 +199,6 @@ class TestSimulateAscents:
             simulate_ascents(world, 50, seed=3)
 
 
-class TestTrialsToRawRows:
-    def test_rows_mirror_trials(self):
-        world = generate_world(3, 4, 2, (20, 24), seed=0)
-        trials = simulate_trials(world, 2, seed=1)
-        log = trials_to_raw_log(world, trials)
-        climber_idx, period_idx, route_idx, success = trials
-        assert len(log) == climber_idx.shape[0]
-        for i, (c, k, r, s) in enumerate(zip(climber_idx, period_idx, route_idx, success)):
-            assert log.climber_id.strings()[i] == world.climber_ids[c]
-            assert log.route_id.strings()[i] == world.route_ids[r]
-            assert log.tick_type.strings()[i] == ("redpoint" if s else "attempt")
-            assert quantize_week(log.day[i]) == int(world.weeks[k])
-            assert log.grade_label.strings()[i] == str(int(world.route_grades[r]))
-            assert log.grade_system.strings()[i] == "ewbank"
-
-
 class TestRecoveryReport:
     def fitted_state_with_true_ratings(self, world, dataset):
         state = initialize_state(dataset, world.hyper)
@@ -228,21 +229,25 @@ class TestRecoveryReport:
         assert report.route_correlation == pytest.approx(1.0, abs=1e-12)
         assert report.route_rmse == pytest.approx(3.0, abs=1e-12)
 
-    def test_too_few_routes_rejected(self):
+    # a world of one route, and one whose climbers the fit does not know
+    @pytest.mark.parametrize("routes, climbers, problem", [
+        (1, 6, "fewer than two routes"), (10, 0, "fewer than two climber rating points"),
+    ], ids=["routes", "climbers"])
+    def test_too_few_points_rejected(self, routes, climbers, problem):
         world = generate_world(6, 10, 3, (18, 26), seed=1)
         dataset = simulate_ascents(world, 8, seed=2)
         state = self.fitted_state_with_true_ratings(world, dataset)
         lonely = SyntheticWorld(
             hyper=world.hyper,
             seed=world.seed,
-            route_ids=world.route_ids[:1],
-            route_grades=world.route_grades[:1],
-            route_ratings=world.route_ratings[:1],
-            climber_ids=world.climber_ids,
+            route_ids=world.route_ids[:routes],
+            route_grades=world.route_grades[:routes],
+            route_ratings=world.route_ratings[:routes],
+            climber_ids=world.climber_ids[:climbers],
             weeks=world.weeks,
-            climber_ratings=world.climber_ratings,
+            climber_ratings=world.climber_ratings[:climbers],
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{problem} to compare$"):
             recovery_report(lonely, state)
 
 
