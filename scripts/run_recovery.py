@@ -15,7 +15,7 @@ import time
 
 from cragrank.cli import add_world_flags, report_errors, resolve_hyper, simulate_log
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
-from cragrank.ingest import preprocess
+from cragrank.ingest import format_float, preprocess
 from cragrank.solver import fit
 from cragrank.synthetic import recovery_report
 
@@ -46,23 +46,23 @@ def main():
     state, report = fit(dataset, hyper, args.max_iterations)
     elapsed = time.perf_counter() - start
     print(f"fit: iterations={report.iterations} converged={report.converged} "
-          f"log_likelihood={report.final_bt_log_likelihood:.9g} "
+          f"log_likelihood={format_float(report.final_bt_log_likelihood)} "
           f"({elapsed:.2f}s)")
 
     recovered = recovery_report(world, state)
-    print(f"recovery: route_correlation={recovered.route_correlation:.9g} "
-          f"climber_correlation={recovered.climber_correlation:.9g} "
-          f"route_rmse={recovered.route_rmse:.9g}")
+    print(f"recovery: route_correlation={format_float(recovered.route_correlation)} "
+          f"climber_correlation={format_float(recovered.climber_correlation)} "
+          f"route_rmse={format_float(recovered.route_rmse)}")
 
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
     pooled_p, pooled_y, _ = cross_validate_predictions(dataset, hyper, plan,
                                                        max_iterations=args.max_iterations)
     held_out = compute_metrics(pooled_p, pooled_y)
-    print(f"held-out: accuracy={held_out.accuracy:.9g} "
-          f"log_loss={held_out.log_loss:.9g} "
-          f"balanced_accuracy={held_out.balanced_accuracy:.9g}")
-    print(f"baseline: accuracy={held_out.baseline_accuracy:.9g} "
-          f"log_loss={held_out.baseline_log_loss:.9g}")
+    print(f"held-out: accuracy={format_float(held_out.accuracy)} "
+          f"log_loss={format_float(held_out.log_loss)} "
+          f"balanced_accuracy={format_float(held_out.balanced_accuracy)}")
+    print(f"baseline: accuracy={format_float(held_out.baseline_accuracy)} "
+          f"log_loss={format_float(held_out.baseline_log_loss)}")
     gain = held_out.accuracy - held_out.baseline_accuracy
     print(f"accuracy gain over baseline: {gain * 100:.2f} percentage points")
     return 0

@@ -139,11 +139,11 @@ def _read_ratings(ratings_dir: Path):
     earlier row, or the climber and week of an earlier row, so each route
     has one rating and weeks strictly increase within each owner.
     """
-    routes = CsvTable.read(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
+    routes = CsvTable(ratings_dir / "route_ratings.csv", ("route_id", "rating"))
     route_ratings = routes.floats("rating")
     routes.check_distinct("route_id")
     routes.raise_first()
-    periods = CsvTable.read(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
+    periods = CsvTable(ratings_dir / "climber_ratings.csv", ("climber_id", "week", "rating"))
     weeks, ratings = periods.integers("week"), periods.floats("rating")
     climbers = periods.text["climber_id"]
     order = np.lexsort((weeks, climbers.code))
@@ -208,7 +208,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     route_ids, routes, climber_ids, period_owner, weeks, ratings = _read_ratings(
         Path(args.ratings_dir))
-    queries = CsvTable.read(Path(args.query_csv), ("climber_id", "route_id", "week"))
+    queries = CsvTable(Path(args.query_csv), ("climber_id", "route_id", "week"))
     week = queries.integers("week")
     problems = queries.problems()
     for problem in problems:

@@ -8,6 +8,6 @@ class ParseError(Exception):
 class EmptyDatasetError(Exception):
     """No usable ascents remain (empty input, or everything was filtered)."""
 
-    def __init__(self, message: str, provenance: dict[str, int] | None = None):
+    def __init__(self, message: str, provenance: dict[str, int]):
         super().__init__(message)
-        self.provenance = provenance or {}
+        self.provenance = provenance

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import EmptyDatasetError
 from .ingest import CleanDataset
 from .model import Hyperparameters, bt_probability
 from .solver import FitReport, ModelState, fit
@@ -109,6 +110,8 @@ def make_fold_plan(dataset: CleanDataset, k: int, repeats: int, seed: int) -> np
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     n = len(dataset)
+    if n == 0:
+        raise EmptyDatasetError("dataset contains no ascents", {})
     strata = (np.flatnonzero(dataset.success), np.flatnonzero(~dataset.success))
     for stratum in strata:
         if stratum.shape[0] < k:

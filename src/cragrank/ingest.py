@@ -20,7 +20,7 @@ from enum import Enum
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -170,19 +170,6 @@ class CleanDataset:
             {"rows_read": n, "rows_kept": n},
         )
 
-    def check_invariants(self) -> None:
-        """Raise ValueError if the cleaned-data guarantees do not hold."""
-        n_routes, n_climbers = len(self.route_ids), len(self.climber_ids)
-        if not (np.all((self.route >= 0) & (self.route < n_routes))
-                and np.all((self.climber >= 0) & (self.climber < n_climbers))):
-            raise ValueError("ascent index out of range")
-        sparse = np.flatnonzero(np.bincount(self.route, minlength=n_routes) < 2)
-        if sparse.size:
-            raise ValueError(f"route {sparse[0]} has fewer than 2 ascents")
-        failures = np.bincount(self.climber[~self.success], minlength=n_climbers)
-        if not failures.all():
-            raise ValueError(f"climber {np.argmin(failures)} has no failed ascent")
-
 
 def classify_tick(tick_type: str,
                   mapping: Mapping[str, TickClass] = DEFAULT_TICK_MAPPING) -> TickClass:
@@ -299,72 +286,73 @@ def _split_chunk(lines: list[str], width: int) -> list[str] | None:
 
 
 class CsvTable:
-    """The named columns of a CSV file with a header line, and checks on its rows.
+    """The named columns of the CSV file at ``path``, with a header line, and checks on its rows.
 
     ``text[c]`` holds column ``c`` as a :class:`CodedColumn` of the fields
-    verbatim, its distinct strings in the order they first appear.  The
-    lines after the header are read :data:`_READ_ROWS` at a time.  A chunk
-    without a quote, a NUL, a blank line or a lone carriage return, whose
-    every line holds as many fields as the header, is split by one
-    ``str.split``; any other chunk goes through :func:`csv.reader`, which
-    reads on past the chunk to finish a quoted field.  Both give the same
-    fields and line numbers.  A repeated column name refers to its last
-    occurrence, as in ``csv.DictReader``, and blank lines are skipped.
-    Checks are recorded in the order a row is checked, starting with a row
-    too short to hold every named field (its fields read as empty strings).
-    The file's ``name`` prefixes the error messages, among them that of a
-    line the csv module cannot read.
+    verbatim, its distinct strings in the order they first appear.  The file
+    is read as UTF-8, a leading byte-order mark skipped, and its lines after
+    the header :data:`_READ_ROWS` at a time.  A chunk without a quote, a NUL,
+    a blank line or a lone carriage return, whose every line holds as many
+    fields as the header, is split by one ``str.split``; any other chunk goes
+    through :func:`csv.reader`, which reads on past the chunk to finish a
+    quoted field.  Both give the same fields and line numbers.  A repeated
+    column name refers to its last occurrence, as in ``csv.DictReader``, and
+    blank lines are skipped.  Checks are recorded in the order a row is
+    checked, starting with a row too short to hold every named field (its
+    fields read as empty strings).  The file's name prefixes the error
+    messages, among them that of a line the csv module cannot read.
     """
 
-    def __init__(self, stream: IO[str], columns: Sequence[str], name: str):
-        self.name = name
-        reader = csv.reader(stream)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise ParseError(f"{name} line {reader.line_num}: {exc}") from None
-        if header is None:
-            raise ParseError(f"{name}: empty file")
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise ParseError(f"{name}: missing required columns: {', '.join(missing)}")
-        index = [len(header) - 1 - header[::-1].index(c) for c in columns]
-        need = max(index) + 1
-        codes = [_Codes() for _ in index]
-        parts = [[np.zeros(0, dtype=np.int64)] for _ in index]  # each column's chunk codes
-        lines, short = [np.zeros(0, dtype=np.int64)], []
-        self.rows, read = 0, reader.line_num  # rows kept and lines read so far
-        while chunk := list(islice(stream, _READ_ROWS)):
-            fields = _split_chunk(chunk, len(header))
-            if fields is not None:
-                fields = [fields[i::len(header)] for i in index]
-                chunk_lines = np.arange(read + 1, read + 1 + len(chunk))
-                read += len(chunk)
-            else:
-                rows, chunk_lines = [], []
-                reader = csv.reader(chain(chunk, stream))
-                try:
-                    for row in reader:
-                        if row:
-                            if len(row) < need:
-                                short.append(self.rows + len(rows))
-                                row = [""] * need
-                            rows.append(row)
-                            chunk_lines.append(read + reader.line_num)
-                        if reader.line_num >= len(chunk):
-                            break
-                except csv.Error as exc:
-                    line = read + reader.line_num
-                    raise ParseError(f"{name} line {line}: {exc}") from None
-                read += reader.line_num
-                fields = [list(map(itemgetter(i), rows)) for i in index]
-                del rows, reader
-            self.rows += len(chunk_lines)
-            for column_codes, column, chunks in zip(codes, fields, parts):
-                chunks.append(np.fromiter(map(column_codes.__getitem__, column), dtype=np.int64,
-                                          count=len(column)))
-            lines.append(np.asarray(chunk_lines, dtype=np.int64))
-            del chunk, fields  # free this chunk's strings before the next is read
+    def __init__(self, path: Path, columns: Sequence[str]):
+        self.name = name = path.name
+        with open(path, "r", encoding="utf-8-sig", newline="") as stream:
+            reader = csv.reader(stream)
+            try:
+                header = next(reader, None)
+            except csv.Error as exc:
+                raise ParseError(f"{name} line {reader.line_num}: {exc}") from None
+            if header is None:
+                raise ParseError(f"{name}: empty file")
+            missing = [c for c in columns if c not in header]
+            if missing:
+                raise ParseError(f"{name}: missing required columns: {', '.join(missing)}")
+            index = [len(header) - 1 - header[::-1].index(c) for c in columns]
+            need = max(index) + 1
+            codes = [_Codes() for _ in index]
+            parts = [[np.zeros(0, dtype=np.int64)] for _ in index]  # each column's chunk codes
+            lines, short = [np.zeros(0, dtype=np.int64)], []
+            self.rows, read = 0, reader.line_num  # rows kept and lines read so far
+            while chunk := list(islice(stream, _READ_ROWS)):
+                fields = _split_chunk(chunk, len(header))
+                if fields is not None:
+                    fields = [fields[i::len(header)] for i in index]
+                    chunk_lines = np.arange(read + 1, read + 1 + len(chunk))
+                    read += len(chunk)
+                else:
+                    rows, chunk_lines = [], []
+                    reader = csv.reader(chain(chunk, stream))
+                    try:
+                        for row in reader:
+                            if row:
+                                if len(row) < need:
+                                    short.append(self.rows + len(rows))
+                                    row = [""] * need
+                                rows.append(row)
+                                chunk_lines.append(read + reader.line_num)
+                            if reader.line_num >= len(chunk):
+                                break
+                    except csv.Error as exc:
+                        line = read + reader.line_num
+                        raise ParseError(f"{name} line {line}: {exc}") from None
+                    read += reader.line_num
+                    fields = [list(map(itemgetter(i), rows)) for i in index]
+                    del rows, reader
+                self.rows += len(chunk_lines)
+                for column_codes, column, chunks in zip(codes, fields, parts):
+                    chunks.append(np.fromiter(map(column_codes.__getitem__, column),
+                                              dtype=np.int64, count=len(column)))
+                lines.append(np.asarray(chunk_lines, dtype=np.int64))
+                del chunk, fields  # free this chunk's strings before the next is read
         self.lines = np.concatenate(lines)
         self.text = {}
         for c, column_codes, chunks in zip(columns, codes, parts):  # free each column's chunks
@@ -373,15 +361,6 @@ class CsvTable:
             chunks.clear()
         self.checks = []
         self.check(np.isin(np.arange(self.rows), short), "too few fields")
-
-    @classmethod
-    def read(cls, path: Path, columns: Sequence[str]) -> CsvTable:
-        """The table of a file, named by the file's name.
-
-        A leading UTF-8 byte-order mark, as spreadsheet programs write, is skipped.
-        """
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return cls(fh, columns, path.name)
 
     def check(self, failed: np.ndarray, problem: str, text: CodedColumn | None = None) -> None:
         """Record that the rows in ``failed`` have ``problem``, formatted with their ``text``."""
@@ -442,19 +421,18 @@ def format_float(x: float) -> str:
     return _FLOAT_FIELD % x
 
 
-def _csv_texts(texts: list[str], alone: bool) -> list[str]:
-    """``texts`` as fields of the csv module's default dialect: quoted, with
-    quotes doubled, where a text holds a comma, a quote or a line break, or is
-    empty and ``alone`` in its row."""
-    if not _NEEDS_QUOTES.search("".join(texts)) and not (alone and "" in texts):
+def _csv_texts(texts: list[str]) -> list[str]:
+    """``texts`` as fields of the csv module's default dialect in a row of two
+    or more fields: quoted, with quotes doubled, where a text holds a comma, a
+    quote or a line break."""
+    if not _NEEDS_QUOTES.search("".join(texts)):
         return texts
-    return ['"' + text.replace('"', '""') + '"'
-            if _NEEDS_QUOTES.search(text) or (alone and not text) else text
+    return ['"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES.search(text) else text
             for text in texts]
 
 
 def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write parallel ``columns`` under a ``header`` line as a CSV file.
+    """Write two or more parallel ``columns`` under a ``header`` line as a CSV file.
 
     A column of float dtype is written by :func:`format_float`, one of bool
     dtype as 0/1, and any other value as its ``str``, quoted where the CSV
@@ -463,19 +441,18 @@ def write_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> Non
     formatted :data:`_WRITE_ROWS` at a time, by one ``%`` of the row
     template repeated once per row, over the rows' fields interleaved.
     """
-    alone = len(header) == 1
     columns = [np.asarray(column) for column in columns]
     specs = [_FLOAT_FIELD if column.dtype.kind == "f" else "%d" if column.dtype.kind in "biu"
              else "%s" for column in columns]
     row = ",".join(specs) + "\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_csv_texts(list(header), alone)) + "\r\n")
+        fh.write(",".join(_csv_texts(list(header))) + "\r\n")
         for start in range(0, len(columns[0]), _WRITE_ROWS):
             fields = [column[start:start + _WRITE_ROWS].tolist() for column in columns]
             rows = len(fields[0])
             interleaved = [None] * (rows * len(fields))
             for i, (spec, values) in enumerate(zip(specs, fields)):
-                interleaved[i::len(fields)] = (_csv_texts(list(map(str, values)), alone)
+                interleaved[i::len(fields)] = (_csv_texts(list(map(str, values)))
                                                if spec == "%s" else values)
             fh.write((row * rows) % tuple(interleaved))
 
@@ -497,7 +474,7 @@ def write_keyvalues(path: str | Path, mapping: Mapping) -> None:
 
 def parse_ascent_log(path: str | Path) -> RawAscentLog:
     """Parse a raw ascent-log CSV file into columns; errors name the file and the line."""
-    table = CsvTable.read(Path(path), RAW_COLUMNS)
+    table = CsvTable(Path(path), RAW_COLUMNS)
     day = table.convert("date", _parse_date, "datetime64[D]", "invalid date {!r}")
     table.raise_first()
     text = table.text
@@ -662,7 +639,7 @@ def _read_checked_ascents(path: Path, n_climbers: int, n_routes: int) -> tuple[n
     first index outside its table of ``n_climbers`` climbers or ``n_routes``
     routes.
     """
-    ascents = CsvTable.read(path, ASCENT_COLUMNS)
+    ascents = CsvTable(path, ASCENT_COLUMNS)
     # the index of "1" in ("0", "1") is True; any other outcome raises ValueError
     success = ascents.convert("outcome", lambda text: ("0", "1").index(text.strip()), bool,
                               "outcome must be 0 or 1")
@@ -687,12 +664,12 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     index in range, is parsed by numpy instead, to the same arrays.
     """
     src = Path(in_dir)
-    routes = CsvTable.read(src / "routes.csv", ("route_idx", "route_id", "grade"))
+    routes = CsvTable(src / "routes.csv", ("route_idx", "route_id", "grade"))
     routes.check(routes.integers("route_idx") != np.arange(routes.rows), "route_idx out of order")
     grades = routes.integers("grade")
     routes.check_distinct("route_id")
     routes.raise_first()
-    climbers = CsvTable.read(src / "climbers.csv", ("climber_idx", "climber_id"))
+    climbers = CsvTable(src / "climbers.csv", ("climber_idx", "climber_id"))
     climbers.check(climbers.integers("climber_idx") != np.arange(climbers.rows),
                    "climber_idx out of order")
     climbers.check_distinct("climber_id")

@@ -221,7 +221,7 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters = Hyperparame
     """
     n_asc = len(dataset)
     if n_asc == 0:
-        raise EmptyDatasetError("dataset contains no ascents")
+        raise EmptyDatasetError("dataset contains no ascents", {})
 
     climber_idx, route_idx, week, success = (
         dataset.climber.astype(np.int64, copy=False), dataset.route.astype(np.int64, copy=False),
@@ -294,16 +294,16 @@ def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.n
 
 
 def climber_derivatives(state: ModelState, outcome_p: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient and tridiagonal Hessian of the log posterior in every climber rating.
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian diagonal of the log posterior in every climber rating.
 
     ``outcome_p`` is :func:`outcome_probabilities` at the state.  Returns
-    ``(grad, hess_diag, hess_off)`` over the flat rating periods:
-    ``hess_off[k]`` couples periods ``k`` and ``k + 1``, and is 0 where they
-    belong to different climbers.  Each period holds its ascents'
-    Bradley-Terry terms, each climber's first period the initial-rating
-    prior, and consecutive periods of one climber the random-walk coupling.
-    ``hess_off`` is the state's read-only :attr:`ModelState.hess_off`.
+    ``(grad, hess_diag)`` over the flat rating periods.  The Hessian is
+    tridiagonal, and its off-diagonal is the state's read-only
+    :attr:`ModelState.hess_off`, which no rating changes.  Each period holds
+    its ascents' Bradley-Terry terms, each climber's first period the
+    initial-rating prior, and consecutive periods of one climber the
+    random-walk coupling.
     """
     r = state.climber_ratings
     n = r.shape[0]
@@ -321,7 +321,7 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     grad[1:] -= pull
     hess[:-1] -= off
     hess[1:] -= off
-    return grad, hess, off
+    return grad, hess
 
 
 def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +391,7 @@ def climber_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
     reaches along these steps, with the outcome probabilities there and
     their log; the state is not mutated.
     """
-    grad, hess, _ = climber_derivatives(state, outcome_p)
+    grad, hess = climber_derivatives(state, outcome_p)
     opponents = state.route_ratings[state.asc_route]
     step = -solve_tridiagonal(hess, grad, state.climber_plan)
     return _ascend(state, state.climber_ratings, step, log_p,

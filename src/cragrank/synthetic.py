@@ -21,12 +21,10 @@ from .solver import ModelState
 class SyntheticWorld:
     """True ratings for a simulated population of climbers and routes.
 
-    ``climber_ratings[i, k]`` is climber ``i``'s true rating at
-    ``weeks[k]``; ``route_ratings`` are static.
+    ``climber_ratings[i, k]`` is climber ``i``'s true rating at ``weeks[k]``;
+    ``route_ratings`` are static.  The world keeps no hyperparameters or seed.
     """
 
-    hyper: Hyperparameters
-    seed: int
     route_ids: list[str]
     route_grades: np.ndarray
     route_ratings: np.ndarray
@@ -80,8 +78,6 @@ def generate_world(
 
     width = max(5, len(str(max(n_climbers, n_routes) - 1)))
     return SyntheticWorld(
-        hyper=hyper,
-        seed=seed,
         route_ids=[f"r{i:0{width}d}" for i in range(n_routes)],
         route_grades=grades,
         route_ratings=route_ratings,

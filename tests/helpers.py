@@ -41,6 +41,20 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
     )
 
 
+def check_invariants(dataset):
+    """Raise ValueError if the cleaned-data guarantees do not hold."""
+    n_routes, n_climbers = len(dataset.route_ids), len(dataset.climber_ids)
+    if not (np.all((dataset.route >= 0) & (dataset.route < n_routes))
+            and np.all((dataset.climber >= 0) & (dataset.climber < n_climbers))):
+        raise ValueError("ascent index out of range")
+    sparse = np.flatnonzero(np.bincount(dataset.route, minlength=n_routes) < 2)
+    if sparse.size:
+        raise ValueError(f"route {sparse[0]} has fewer than 2 ascents")
+    failures = np.bincount(dataset.climber[~dataset.success], minlength=n_climbers)
+    if not failures.all():
+        raise ValueError(f"climber {np.argmin(failures)} has no failed ascent")
+
+
 def parse_text(text):
     """The raw ascent log that ``text``, written verbatim as ``raw.csv`` in a
     temporary directory, parses to; errors name ``raw.csv`` and the line."""

@@ -242,7 +242,8 @@ def _check_derivatives_config(seed, rng):
         return central_difference(lambda t: f(np.where(unit, t, x)), x[i])
 
     errors = []
-    grad, hess_diag, hess_off = climber_derivatives(state, outcome_probabilities(state))
+    grad, hess_diag = climber_derivatives(state, outcome_probabilities(state))
+    hess_off = state.hess_off
     k = int(rng.integers(0, len(period_coord)))
     i = period_coord[k]
     column = partial(gradient, i)

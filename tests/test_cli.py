@@ -73,6 +73,16 @@ def preprocess_fixture(tmp_path, text=BASIC_LOG):
     return dataset_dir
 
 
+def command_inputs(tmp_path, command):
+    """The input arguments of ``command`` in ``tmp_path``, after it is filled
+    with a raw log, its dataset, the ratings fitted to it and a query file."""
+    dataset_dir = preprocess_fixture(tmp_path)
+    assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 0
+    write_log(tmp_path, "climber_id,route_id,week\nalice,r1,0\nbob,r2,1\n", "query.csv")
+    names = {"preprocess": ["raw.csv"], "predict": ["ratings", "query.csv"]}
+    return [tmp_path / name for name in names.get(command, ["dataset"])]
+
+
 @pytest.mark.parametrize("command, emptied, content", [
     ("preprocess", "raw.csv", b""),
     ("preprocess", "raw.csv", b"\xef\xbb\xbf"),
@@ -82,16 +92,42 @@ def preprocess_fixture(tmp_path, text=BASIC_LOG):
     ("evaluate", "dataset/routes.csv", b""),
 ], ids=["raw-log", "raw-log-bom-only", "query", "climber-ratings", "ascents", "routes"])
 def test_empty_input_file_exits_one_and_names_it(tmp_path, capsys, command, emptied, content):
-    dataset_dir = preprocess_fixture(tmp_path)
-    assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 0
-    write_log(tmp_path, "climber_id,route_id,week\nalice,r1,0\n", "query.csv")
+    inputs = command_inputs(tmp_path, command)
     (tmp_path / emptied).write_bytes(content)
-    inputs = {"preprocess": ["raw.csv"], "predict": ["ratings", "query.csv"],
-              "fit": ["dataset"], "evaluate": ["dataset"]}[command]
     out = tmp_path / "out"
     capsys.readouterr()
-    assert run([command, *(tmp_path / name for name in inputs), "--out", out]) == 1
+    assert run([command, *inputs, "--out", out]) == 1
     assert capsys.readouterr() == ("", f"error: {Path(emptied).name}: empty file\n")
+    assert not out.exists()
+
+
+# A byte-order mark on ascents.csv also sends it to the checked reader.
+@pytest.mark.parametrize("command, marked", [
+    ("fit", "dataset/routes.csv"),
+    ("fit", "dataset/climbers.csv"),
+    ("fit", "dataset/ascents.csv"),
+    ("predict", "ratings/route_ratings.csv"),
+    ("predict", "ratings/climber_ratings.csv"),
+    ("predict", "query.csv"),
+], ids=["routes", "climbers", "ascents", "route-ratings", "climber-ratings", "query"])
+def test_byte_order_mark_skipped(tmp_path, command, marked):
+    inputs = command_inputs(tmp_path, command)
+    assert run([command, *inputs, "--out", tmp_path / "plain"]) == 0
+    path = tmp_path / marked
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert run([command, *inputs, "--out", tmp_path / "marked"]) == 0
+    read = read_tree if command == "fit" else Path.read_bytes  # an output directory or file
+    assert read(tmp_path / "marked") == read(tmp_path / "plain")
+
+
+@pytest.mark.parametrize("command", ["fit", "evaluate", "crossval"])
+def test_dataset_without_ascents_exits_two(tmp_path, capsys, command):
+    inputs = command_inputs(tmp_path, command)
+    (tmp_path / "dataset" / "ascents.csv").write_bytes(b"climber_idx,route_idx,week,outcome\r\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", out]) == 2
+    assert capsys.readouterr() == ("", "error: dataset contains no ascents\n")
     assert not out.exists()
 
 

@@ -12,9 +12,11 @@ that the dataset file format lives in one module.  Only ``__main__.py`` runs
 the package as a script, so ``python -m cragrank`` and the console script
 enter it through ``cli.main`` alone.  Every function, class and method that the
 package defines is named by the package, ``scripts`` or ``benchmark``, so
-that code only the tests call lives in the tests.  And every exception class
-that the package defines is raised in the package, so that no handler waits
-for an error that never comes.
+that code only the tests call, test oracles among it, lives in the tests; the
+one exception is a method that overrides a base class's, which that class's
+own code calls.  And every exception class that the package defines is
+raised in the package, so that no handler waits for an error that never
+comes.
 """
 
 import ast
@@ -244,17 +246,12 @@ def test_finds_an_override():
     assert not overrides_a_base("cli.py: main")
 
 
-# A test oracle: the tests check that the cleaning stages' output keeps the
-# guarantees CleanDataset states.
-TEST_ORACLE = "ingest.py: CleanDataset.check_invariants"
-
-
 def test_no_definition_only_the_tests_use():
     library = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
     users = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
              for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
     found = unused_definitions(library, users)
-    assert [d for d in found if d != TEST_ORACLE and not overrides_a_base(d)] == []
+    assert [d for d in found if not overrides_a_base(d)] == []
 
 
 def unraised_exceptions(sources: dict[str, str]) -> list[str]:

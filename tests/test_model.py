@@ -122,7 +122,7 @@ def bt_terms(own, opponents, outcomes, side):
     if side == "climber":
         state = one_climber_state([0], [own], opponents,
                                   [(0, k, o) for k, o in enumerate(outcomes)])
-        grad, hess, _ = climber_derivatives(state, outcome_probabilities(state))
+        grad, hess = climber_derivatives(state, outcome_probabilities(state))
         return grad[0] + own / hyper.sigma_c_sq, hess[0] + 1.0 / hyper.sigma_c_sq
     state = one_climber_state(list(range(n)), opponents, [own],
                               [(k, 0, o) for k, o in enumerate(outcomes)], prior_means=[own])
@@ -273,19 +273,17 @@ class TestWienerVariance:
     # 1 / (weeks apart * w_sq).
     def test_one_year(self):
         state = coupled_state([0, 52], [0.0, 0.0])
-        _, _, off = climber_derivatives(state, outcome_probabilities(state))
-        assert off[0] == 1.0
+        assert state.hess_off[0] == 1.0
 
     def test_absolute_difference(self):
         hyper = Hyperparameters()
         state = coupled_state([3, 5], [0.0, 0.0])
-        _, _, off = climber_derivatives(state, outcome_probabilities(state))
-        assert off[0] == 1.0 / (2.0 * hyper.w_sq)
+        assert state.hess_off[0] == 1.0 / (2.0 * hyper.w_sq)
 
     def test_zero_drift_is_floored(self):
         state = coupled_state([3, 5], [0.0, 1.0], hyper=Hyperparameters(w_sq=0.0))
-        grad, _, off = climber_derivatives(state, outcome_probabilities(state))
-        assert off[0] == 1.0 / MIN_WIENER_VARIANCE
+        grad, _ = climber_derivatives(state, outcome_probabilities(state))
+        assert state.hess_off[0] == 1.0 / MIN_WIENER_VARIANCE
         assert grad[1] == -1.0 / MIN_WIENER_VARIANCE
 
     def test_gap_beyond_int64(self):
@@ -293,14 +291,14 @@ class TestWienerVariance:
         hyper = Hyperparameters()
         for weeks, gap in (([-2**62, 2**62], 2**63), ([-2**63, 2**63 - 1], 2**64 - 1)):
             state = coupled_state(weeks, [0.0, 0.0])
-            _, _, off = climber_derivatives(state, outcome_probabilities(state))
-            assert off[0] == 1.0 / (float(gap) * hyper.w_sq)
+            assert state.hess_off[0] == 1.0 / (float(gap) * hyper.w_sq)
 
     @given(a=st.integers(-3000, 3000), gap=st.integers(1, 3000), x0=ratings, x1=ratings)
     def test_symmetric_and_nonnegative(self, a, gap, x0, x1):
         hyper = Hyperparameters()
         state = coupled_state([a, a + gap], [x0, x1])
-        grad, hess, off = climber_derivatives(state, outcome_probabilities(state))
+        grad, hess = climber_derivatives(state, outcome_probabilities(state))
+        off = state.hess_off
         precision = 1.0 / (gap * hyper.w_sq)
         assert off[0] > 0.0
         assert off[0] == pytest.approx(precision, rel=1e-12)

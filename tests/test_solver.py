@@ -321,7 +321,8 @@ class TestSolveTridiagonal:
         # H's own system, negated, with the state's plan
         world = generate_world(30, 40, 6, (18, 28), seed=2)
         state, _ = fit(simulate_ascents(world, 6, seed=3))
-        _, hess, off = climber_derivatives(state, outcome_probabilities(state))
+        _, hess = climber_derivatives(state, outcome_probabilities(state))
+        off = state.hess_off
         r = np.random.default_rng(4).normal(size=hess.shape[0])
         got = -solve_tridiagonal(hess, r, state.climber_plan)
         expected = np.linalg.solve(-dense_tridiagonal(hess, off), r)
@@ -638,7 +639,7 @@ class TestBtMarginalLogLikelihood:
             asc_route=np.zeros(0, dtype=np.int64),
             asc_success=np.zeros(0, dtype=bool),
         )
-        for array in climber_derivatives(state, outcome_probabilities(state)):
+        for array in (*climber_derivatives(state, outcome_probabilities(state)), state.hess_off):
             assert array.dtype == float and array.shape == (0,)
         grad, hess = route_derivatives(state, outcome_probabilities(state))
         assert grad.dtype == hess.dtype == float

@@ -27,8 +27,6 @@ from helpers import simulate_ascents
 def flat_world(n_climbers, n_routes, n_periods, climber_level=0.0, route_level=0.0):
     """A hand-built world where every rating is a chosen constant."""
     return SyntheticWorld(
-        hyper=Hyperparameters(),
-        seed=0,
         route_ids=[f"r{i:05d}" for i in range(n_routes)],
         route_grades=np.full(n_routes, 22, dtype=np.int64),
         route_ratings=np.full(n_routes, route_level),
@@ -90,9 +88,10 @@ class TestGenerateWorld:
         assert set(np.unique(world.route_grades)) == {19, 20, 21, 22, 23}
 
     def test_standardized_increments_have_unit_variance(self):
-        world = generate_world(100, 2, 11, (22, 22), seed=6)
+        hyper = Hyperparameters()
+        world = generate_world(100, 2, 11, (22, 22), hyper=hyper, seed=6)
         # each step's rating increment over its prior standard deviation
-        sd = np.sqrt(np.diff(world.weeks) * world.hyper.w_sq)
+        sd = np.sqrt(np.diff(world.weeks) * hyper.w_sq)
         z = np.diff(world.climber_ratings, axis=1) / sd
         assert z.size == 1000
         assert 0.8 <= float(z.var()) <= 1.2
@@ -201,7 +200,7 @@ class TestSimulateAscents:
 
 class TestRecoveryReport:
     def fitted_state_with_true_ratings(self, world, dataset):
-        state = initialize_state(dataset, world.hyper)
+        state = initialize_state(dataset, Hyperparameters())  # as the worlds here are drawn
         true_route = dict(zip(world.route_ids, world.route_ratings))
         state.route_ratings = np.array([true_route[rid] for rid in state.route_ids])
         row_of = {cid: i for i, cid in enumerate(world.climber_ids)}
@@ -238,8 +237,6 @@ class TestRecoveryReport:
         dataset = simulate_ascents(world, 8, seed=2)
         state = self.fitted_state_with_true_ratings(world, dataset)
         lonely = SyntheticWorld(
-            hyper=world.hyper,
-            seed=world.seed,
             route_ids=world.route_ids[:routes],
             route_grades=world.route_grades[:routes],
             route_ratings=world.route_ratings[:routes],
