@@ -210,11 +210,7 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         Path(args.ratings_dir))
     queries = CsvTable(Path(args.query_csv), ("climber_id", "route_id", "week"))
     week = queries.integers("week")
-    problems = queries.problems()
-    for problem in problems:
-        print(f"error: {problem}", file=sys.stderr)
-    if problems:
-        return 1
+    queries.raise_first()
 
     # An unknown climber's index, len(climber_ids), owns no period, so it gets
     # the prior mean of 0, and an unknown route the rating 0 appended to the

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -177,18 +178,30 @@ def classify_tick(tick_type: str,
     return mapping.get(tick_type.strip().lower(), TickClass.AMBIGUOUS)
 
 
+@contextmanager
+def _utf8_lines(path: Path):
+    """A UnicodeDecodeError while reading ``path`` as a ParseError naming its first line that
+    is not UTF-8; each line decodes alone, as no UTF-8 character holds a line-break byte."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        lineno = next(i for i, line in enumerate(path.read_bytes().splitlines(), 1)
+                      if line.decode("utf-8", "ignore").encode() != line)
+        raise ParseError(f"{path.name} line {lineno}: not UTF-8 text") from None
+
+
 def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
     """Read a ``tick_string,class`` mapping file (class is a TickClass name).
 
     Each line is read as a CSV row, so a tick may be quoted; the fields
     before the last, joined by commas, are the tick.  Errors name the file
-    and line, as ``ticks.csv line 3: ...``, a line the csv module cannot
-    read among them.  A leading UTF-8 byte-order mark is skipped.
+    and line, as ``ticks.csv line 3: not UTF-8 text``, a line the csv module
+    cannot read among them.  A leading UTF-8 byte-order mark is skipped.
     """
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
     name = Path(path).name
-    with open(path, encoding="utf-8-sig") as fh:
+    with _utf8_lines(Path(path)), open(path, encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -299,13 +312,14 @@ class CsvTable:
     column name refers to its last occurrence, as in ``csv.DictReader``, and
     blank lines are skipped.  Checks are recorded in the order a row is
     checked, starting with a row too short to hold every named field (its
-    fields read as empty strings).  The file's name prefixes the error
-    messages, among them that of a line the csv module cannot read.
+    fields read as empty strings), and :meth:`raise_first` rejects the file at
+    the first row that fails one.  Errors name the file, and the line of a
+    failing row, of a line the csv module cannot read or of one not UTF-8.
     """
 
     def __init__(self, path: Path, columns: Sequence[str]):
         self.name = name = path.name
-        with open(path, "r", encoding="utf-8-sig", newline="") as stream:
+        with _utf8_lines(path), open(path, "r", encoding="utf-8-sig", newline="") as stream:
             reader = csv.reader(stream)
             try:
                 header = next(reader, None)
@@ -388,19 +402,15 @@ class CsvTable:
         again[np.unique(self.text[column].code, return_index=True)[1]] = False
         self.check(again, column + " repeats an earlier row's")
 
-    def problems(self) -> list[str]:
-        """For each failing row in order, the first check it fails, with its line number."""
-        messages = []
-        for i in np.flatnonzero(np.logical_or.reduce([mask for mask, _, _ in self.checks])):
+    def raise_first(self) -> None:
+        """Raise ParseError naming the file, the line of the first row that
+        fails a check, and the first check it fails, if any row fails one."""
+        failed = np.logical_or.reduce([mask for mask, _, _ in self.checks])
+        if failed.any():
+            i = int(np.argmax(failed))
             problem, text = next((p, t) for mask, p, t in self.checks if mask[i])
             field = None if text is None else text.distinct[text.code[i]]
-            messages.append(f"{self.name} line {self.lines[i]}: {problem.format(field)}")
-        return messages
-
-    def raise_first(self) -> None:
-        problems = self.problems()
-        if problems:
-            raise ParseError(problems[0])
+            raise ParseError(f"{self.name} line {self.lines[i]}: {problem.format(field)}")
 
 
 _FLOAT_FIELD = "%.9g"
@@ -662,6 +672,8 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     ascent whose climber or route index is outside its table.
     An ``ascents.csv`` exactly as :func:`write_csv` writes it, with every
     index in range, is parsed by numpy instead, to the same arrays.
+    ``provenance.txt``, a report for people, is not read: the dataset's
+    provenance counts its ascents as read and kept, as a subset's does.
     """
     src = Path(in_dir)
     routes = CsvTable(src / "routes.csv", ("route_idx", "route_id", "grade"))
@@ -679,25 +691,12 @@ def read_clean_dataset(in_dir: str | Path) -> CleanDataset:
     climber, route, week, success = (
         _read_written_ascents(path, climbers.rows, routes.rows)
         or _read_checked_ascents(path, climbers.rows, routes.rows))
-
-    prov_path = src / "provenance.txt"
-    if prov_path.exists():
-        provenance = {}
-        for lineno, line in enumerate(prov_path.read_text(encoding="utf-8").splitlines(), 1):
-            if line.strip():
-                key, _, value = line.partition("=")
-                try:
-                    provenance[key.strip()] = _parse_int(value)
-                except ValueError:
-                    raise ParseError(f"provenance.txt line {lineno}: expected "
-                                     f"'key=integer', got {line!r}") from None
-    else:
-        provenance = {"rows_read": len(climber), "rows_kept": len(climber)}
+    n = len(climber)
     return CleanDataset(
         climber=climber, route=route, week=week, success=success,
         climber_ids=climbers.text["climber_id"].strings(),
         route_ids=routes.text["route_id"].strings(),
-        route_grades=grades, provenance=provenance,
+        route_grades=grades, provenance={"rows_read": n, "rows_kept": n},
     )
 
 

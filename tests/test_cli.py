@@ -101,6 +101,30 @@ def test_empty_input_file_exits_one_and_names_it(tmp_path, capsys, command, empt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, edited, line", [
+    ("preprocess", "raw.csv", 3),
+    ("preprocess", "ticks.csv", 2),
+    ("fit", "dataset/routes.csv", 2),
+    ("predict", "query.csv", 3),
+], ids=["raw-log", "tick-mapping", "routes", "query"])
+def test_byte_not_utf8_exits_one_and_names_file_and_line(tmp_path, capsys, command, edited,
+                                                          line):
+    inputs = command_inputs(tmp_path, command)
+    if edited == "ticks.csv":
+        write_log(tmp_path, "redpoint,successful\nattempt,unsuccessful\n", "ticks.csv")
+        inputs += ["--tick-mapping", tmp_path / "ticks.csv"]
+    path = tmp_path / edited
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xe9" + lines[line - 1]  # a Latin-1 "é"
+    path.write_bytes(b"".join(lines))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", out]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: {Path(edited).name} line {line}: not UTF-8 text\n")
+    assert not out.exists()
+
+
 # A byte-order mark on ascents.csv also sends it to the checked reader.
 @pytest.mark.parametrize("command, marked", [
     ("fit", "dataset/routes.csv"),
@@ -417,19 +441,6 @@ class TestFit:
         assert capsys.readouterr().err == (
             f"error: ascents.csv line 3: {column} out of range for 2 {table}\n")
 
-    @pytest.mark.parametrize("line, bad", [(0, "rows_read=many"), (1, "no equals sign"),
-                                           (0, "rows_read=1_0")])
-    def test_bad_provenance_names_file_and_line(self, tmp_path, capsys, line, bad):
-        dataset_dir = preprocess_fixture(tmp_path)
-        path = dataset_dir / "provenance.txt"
-        lines = path.read_text(encoding="utf-8").splitlines()
-        lines[line] = bad
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 1
-        assert capsys.readouterr().err == (
-            f"error: provenance.txt line {line + 1}: expected 'key=integer', got {bad!r}\n")
-
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run(["fit", tmp_path / "nowhere", "--out", tmp_path / "f"]) == 1
 
@@ -591,7 +602,10 @@ class TestPredict:
         ("climber_id,route_id,week\nalice,r1,0\nalice,r1,soon\n",
          "query.csv line 3: week must be an integer, got 'soon'"),
         ("climber_id\nalice\n", "query.csv: missing required columns: route_id, week"),
-    ])
+        # three bad lines, the second of them short: only the first bad line is named
+        ("climber_id,route_id,week\nalice,r1,0\nalice,r1,soon\nbob\nbob,r2,later\n",
+         "query.csv line 3: week must be an integer, got 'soon'"),
+    ], ids=["bad-week", "missing-columns", "three-bad-lines"])
     def test_bad_query_names_its_file(self, tmp_path, capsys, text, problem):
         ratings = self.write_ratings(tmp_path)
         query = tmp_path / "query.csv"
@@ -702,6 +716,30 @@ class TestEvaluateAndCrossval:
             assert float(rec["prior_mean"]) == pytest.approx(
                 0.4 * (grade - 22), abs=1e-9
             )
+
+    def test_provenance_file_is_not_read(self, tmp_path, capsys):
+        # provenance.txt is preprocess's report for people: malformed or missing, it
+        # changes no output of the commands that read the dataset
+        dataset_dir = self.synthetic_dataset(tmp_path)
+        provenance = dataset_dir / "provenance.txt"
+        intact = provenance.read_text(encoding="utf-8").splitlines()
+
+        def outputs(name):
+            result = {}
+            for command in (["fit"], ["evaluate"], ["crossval", "-k", "3", "--repeats", "1"]):
+                out = tmp_path / name / command[0]
+                capsys.readouterr()
+                assert run([*command, dataset_dir, "--out", out]) == 0
+                result[command[0]] = read_tree(out), capsys.readouterr()
+            return result
+
+        expected = outputs("intact")
+        for name, lines in [("not-an-integer", ["rows_read=many", *intact[1:]]),
+                            ("no-equals-sign", [intact[0], "no equals sign", *intact[2:]])]:
+            provenance.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            assert outputs(name) == expected
+        provenance.unlink()
+        assert outputs("missing") == expected
 
     def test_crossval_emits_reports_and_is_deterministic(self, tmp_path):
         dataset_dir = self.synthetic_dataset(tmp_path)

@@ -244,6 +244,18 @@ class TestParseAscentLog:
         path.write_text(HEADER + "\nalice,r1,redpoint,2020-03-14,21,ewbank\n")
         assert len(parse_ascent_log(path)) == 1
 
+    @pytest.mark.parametrize("bad", [b"\xe9lise,r1,redpoint,2020-03-14,21,ewbank\n",
+                                     b"alice,r1,redpoint,2020-03-14,21,ewbank\xc3\n"],
+                             ids=["latin-1", "cut-at-line-end"])
+    def test_byte_not_utf8_names_its_line(self, tmp_path, bad):
+        # line 3000 lies past the decoder's first block; line 2 holds a UTF-8 "é"
+        ascent = b"alice,r1,redpoint,2020-03-14,21,ewbank\n"
+        head = HEADER.encode() + b"\n" + "\u00e9lise,r1,dog,2020-03-14,21,ewbank\n".encode()
+        path = tmp_path / "raw.csv"
+        path.write_bytes(head + ascent * 2997 + bad + ascent)
+        with pytest.raises(ParseError, match="^raw.csv line 3000: not UTF-8 text$"):
+            parse_ascent_log(path)
+
     def test_byte_order_mark_skipped(self, tmp_path):
         path = tmp_path / "log.csv"
         path.write_text(HEADER + "\nalice,r1,redpoint,2020-03-14,21,ewbank\n",
@@ -463,8 +475,8 @@ class TestIntegerFields:
 
 
 def table_outcome(text: str, columns=("x", "z")):
-    """The columns, line numbers and problems of CsvTable on a file ``t.csv``
-    holding ``text`` verbatim, or its ParseError."""
+    """The columns, line numbers, and each check's mask and problem of CsvTable
+    on a file ``t.csv`` holding ``text`` verbatim, or its ParseError."""
     with tempfile.TemporaryDirectory() as folder:
         path = Path(folder) / "t.csv"
         path.write_text(text, encoding="utf-8", newline="")
@@ -473,7 +485,7 @@ def table_outcome(text: str, columns=("x", "z")):
         except ParseError as exc:
             return str(exc)
     return ({c: (text.distinct.tolist(), text.code.tolist()) for c, text in table.text.items()},
-            table.lines.tolist(), table.problems())
+            table.lines.tolist(), [(mask.tolist(), problem) for mask, problem, _ in table.checks])
 
 
 # Fields, rare quotes among them, and the line ends of random tables with the header
@@ -534,10 +546,10 @@ class TestCsvRoutes:
 
     def test_quote_in_a_later_chunk(self):
         text = "x,y,z\na,b,c\nd,e,f\n\"g\nh\",i,j\nk,l,m\n"
-        columns, lines, problems = table_outcome(text)
+        columns, lines, checks = table_outcome(text)
         assert columns["x"] == (["a", "d", "g\nh", "k"], [0, 1, 2, 3])
         assert lines == [2, 3, 5, 6]
-        assert problems == []
+        assert [mask for mask, _ in checks] == [[False] * 4]
 
 
 @pytest.mark.usefixtures("small_read_chunks")
@@ -611,7 +623,7 @@ class TestSerialization:
         back = read_clean_dataset(tmp_path)
         assert ascents(back) == ascents(ds)
         assert tables(back) == tables(ds)
-        assert back.provenance == ds.provenance
+        assert back.provenance == {"rows_read": len(ds), "rows_kept": len(ds)}
 
     def test_missing_provenance_tolerated(self, tmp_path):
         ds = self._dataset()
