@@ -34,6 +34,7 @@ from .ingest import (
     CsvTable,
     format_float as _fmt,
     load_tick_mapping,
+    open_input,
     parse_ascent_log,
     preprocess,
     read_clean_dataset,
@@ -92,8 +93,12 @@ def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
     if getattr(args, "hyper_config", None):
-        with open(args.hyper_config, encoding="utf-8-sig") as fh:
-            values = json.load(fh)
+        path = Path(args.hyper_config)
+        with open_input(path) as fh:
+            try:
+                values = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{path.name} line {exc.lineno}: {exc.msg}") from None
         if not isinstance(values, dict):
             raise ValueError("hyperparameter config must be a JSON object")
         unknown = set(values) - set(_HYPER_KEYS)
@@ -163,9 +168,8 @@ def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: 
     payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
                                                                state.route_ratings)
     write_keyvalues(out_dir / "report.txt", payload)
-    with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "report.json").write_bytes(
+        json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
     curve = precision_recall_curve(predictions, actuals)
     write_csv(out_dir / "pr_curve.csv", curve.dtype.names,
               [curve[name] for name in curve.dtype.names])

@@ -230,7 +230,6 @@ def precision_recall_curve(predictions, actuals) -> np.recarray:
     order = np.argsort(-p)  # tied probabilities fall in one group, in any order
     p_sorted = p[order]
     cum_tp = np.cumsum(y[order].astype(np.int64))
-    total_success = int(cum_tp[-1])
     # Last index of each run of equal probabilities = counts with p >= that value.
     last_of_group = np.flatnonzero(np.diff(p_sorted) != 0.0)
     group_ends = np.concatenate([last_of_group, [p.shape[0] - 1]])
@@ -238,13 +237,13 @@ def precision_recall_curve(predictions, actuals) -> np.recarray:
     tp = cum_tp[group_ends]
     thresholds = p_sorted[group_ends]
 
-    strict = p > 0.5
-    tp_c = int(np.count_nonzero(strict & y))
+    precision = tp / (group_ends + 1)
+    recall = tp / max(int(cum_tp[-1]), 1)
+    # The classifier p > 0.5 takes the ratios of the last point above 0.5, or 0 if none is.
     at = int(np.count_nonzero(thresholds > 0.5))
+    precision, recall = (np.insert(r, at, r[at - 1] if at else 0.0) for r in (precision, recall))
     return np.rec.fromarrays(
-        [np.insert(thresholds, at, 0.5),
-         np.insert(tp / (group_ends + 1), at, _safe_ratio(tp_c, int(np.count_nonzero(strict)))),
-         np.insert(tp / max(total_success, 1), at, _safe_ratio(tp_c, total_success)),
+        [np.insert(thresholds, at, 0.5), precision, recall,
          np.arange(thresholds.shape[0] + 1) == at],
         names="threshold,precision,recall,classifier_point",
     )

@@ -179,15 +179,16 @@ def classify_tick(tick_type: str,
 
 
 @contextmanager
-def _utf8_lines(path: Path):
-    """A UnicodeDecodeError while reading ``path`` as a ParseError naming its first line that
-    is not UTF-8; each line decodes alone, as no UTF-8 character holds a line-break byte."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        lineno = next(i for i, line in enumerate(path.read_bytes().splitlines(), 1)
-                      if line.decode("utf-8", "ignore").encode() != line)
-        raise ParseError(f"{path.name} line {lineno}: not UTF-8 text") from None
+def open_input(path: Path):
+    """``path`` as a text stream: UTF-8, a leading byte-order mark skipped, line ends as read.
+    A byte that is not UTF-8 raises ParseError naming the file and its first such line."""
+    with open(path, encoding="utf-8-sig", newline="") as stream:
+        try:
+            yield stream
+        except UnicodeDecodeError:  # each line decodes alone: no UTF-8 character holds \r or \n
+            lineno = next(i for i, line in enumerate(path.read_bytes().splitlines(), 1)
+                          if line.decode("utf-8", "ignore").encode() != line)
+            raise ParseError(f"{path.name} line {lineno}: not UTF-8 text") from None
 
 
 def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
@@ -201,7 +202,7 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
     name = Path(path).name
-    with _utf8_lines(Path(path)), open(path, encoding="utf-8-sig") as fh:
+    with open_input(Path(path)) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -303,8 +304,8 @@ class CsvTable:
 
     ``text[c]`` holds column ``c`` as a :class:`CodedColumn` of the fields
     verbatim, its distinct strings in the order they first appear.  The file
-    is read as UTF-8, a leading byte-order mark skipped, and its lines after
-    the header :data:`_READ_ROWS` at a time.  A chunk without a quote, a NUL,
+    is opened by :func:`open_input`, and its lines after the header are read
+    :data:`_READ_ROWS` at a time.  A chunk without a quote, a NUL,
     a blank line or a lone carriage return, whose every line holds as many
     fields as the header, is split by one ``str.split``; any other chunk goes
     through :func:`csv.reader`, which reads on past the chunk to finish a
@@ -319,7 +320,7 @@ class CsvTable:
 
     def __init__(self, path: Path, columns: Sequence[str]):
         self.name = name = path.name
-        with _utf8_lines(path), open(path, "r", encoding="utf-8-sig", newline="") as stream:
+        with open_input(path) as stream:
             reader = csv.reader(stream)
             try:
                 header = next(reader, None)
@@ -645,16 +646,15 @@ def _read_written_ascents(path: Path, n_climbers: int, n_routes: int) -> tuple |
 def _read_checked_ascents(path: Path, n_climbers: int, n_routes: int) -> tuple[np.ndarray, ...]:
     """The columns of any ``ascents.csv`` with the four named columns, checked line by line.
 
-    Raises ParseError naming the line of the first malformed row, or of the
-    first index outside its table of ``n_climbers`` climbers or ``n_routes``
-    routes.
+    Every check is recorded before one :meth:`CsvTable.raise_first`, so the
+    ParseError names the first row that is malformed or holds an index outside
+    its table of ``n_climbers`` climbers or ``n_routes`` routes.
     """
     ascents = CsvTable(path, ASCENT_COLUMNS)
     # the index of "1" in ("0", "1") is True; any other outcome raises ValueError
     success = ascents.convert("outcome", lambda text: ("0", "1").index(text.strip()), bool,
                               "outcome must be 0 or 1")
     climber, route, week = (ascents.integers(c) for c in ASCENT_COLUMNS[:3])
-    ascents.raise_first()
     ascents.check((climber < 0) | (climber >= n_climbers),
                   f"climber_idx out of range for {n_climbers} climbers")
     ascents.check((route < 0) | (route >= n_routes), f"route_idx out of range for {n_routes} routes")

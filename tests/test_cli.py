@@ -217,8 +217,11 @@ class TestPreprocess:
          "raw.csv line 6: field larger than field limit (131072)"),
         (BASIC_LOG, f"onsight,successful\n{'x' * 200_000},successful\n",
          "ticks.csv line 2: field larger than field limit (131072)"),
+        ("x" * 200_000 + "," + BASIC_LOG, None,
+         "raw.csv line 1: field larger than field limit (131072)"),
     ], ids=["raw-log", "raw-log-basic-date", "raw-log-week-date", "tick-mapping",
-            "tick-mapping-no-class", "raw-log-long-field", "raw-log-long-field-after-rows", "tick-mapping-long-field"])
+            "tick-mapping-no-class", "raw-log-long-field", "raw-log-long-field-after-rows",
+            "tick-mapping-long-field", "raw-log-long-header"])
     def test_errors_name_their_file(self, tmp_path, capsys, log, ticks, problem):
         args = ["preprocess", write_log(tmp_path, log), "--out", tmp_path / "d"]
         if ticks is not None:
@@ -387,6 +390,20 @@ class TestFit:
         assert capsys.readouterr().err.startswith("error: hyperparameter")
         assert not (tmp_path / "f").exists()
 
+    @pytest.mark.parametrize("config, problem", [
+        (b'{"b": 0.4,, "g0": 22}', "line 1: Expecting property name enclosed in double quotes"),
+        (b'{\n"b": 0.4\n"g0": 22\n}\n', "line 3: Expecting ',' delimiter"),
+        (b'{"b": 0.4, "g0": 22, "\xe9": 1}', "line 1: not UTF-8 text"),  # a Latin-1 "é"
+    ], ids=["double-comma", "missing-comma", "latin-1"])
+    def test_hyper_config_not_json_names_file_and_line(self, tmp_path, capsys, config, problem):
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = tmp_path / "hyper.json"
+        path.write_bytes(config)
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "f", "--hyper-config", path]) == 1
+        assert capsys.readouterr() == ("", f"error: hyper.json {problem}\n")
+        assert not (tmp_path / "f").exists()
+
     def test_large_integer_in_hyper_config_is_a_float(self, tmp_path):
         dataset_dir = preprocess_fixture(tmp_path)
         path = tmp_path / "hyper.json"
@@ -440,6 +457,21 @@ class TestFit:
         table = "climbers" if column == "climber_idx" else "routes"
         assert capsys.readouterr().err == (
             f"error: ascents.csv line 3: {column} out of range for 2 {table}\n")
+
+    def test_first_bad_ascent_line_named_whatever_its_check(self, tmp_path, capsys):
+        # An index out of range on line 3 comes before an outcome that is not
+        # 0 or 1 on line 5, though the outcome is checked first.
+        dataset_dir = preprocess_fixture(tmp_path)
+        path = dataset_dir / "ascents.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = "999," + lines[2].split(",", 1)[1]
+        lines[4] = lines[4][:-1] + "2"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "ratings"]) == 1
+        assert capsys.readouterr() == (
+            "", "error: ascents.csv line 3: climber_idx out of range for 2 climbers\n")
+        assert not (tmp_path / "ratings").exists()
 
     def test_missing_dataset_exits_one(self, tmp_path):
         assert run(["fit", tmp_path / "nowhere", "--out", tmp_path / "f"]) == 1

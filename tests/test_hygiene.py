@@ -8,7 +8,9 @@ tests share lives in ``helpers.py``.
 Only ``model.py`` evaluates the logistic or names its clamp, so that the
 model has one copy of its likelihood.  And only ``ingest.py`` parses CSV
 text, with the ``csv`` module, numpy's text readers or ``.split(",")``, so
-that the dataset file format lives in one module.  Only ``__main__.py`` runs
+that the dataset file format lives in one module.  No other package module,
+and no script, opens a file to read it, so that every input file is decoded,
+and fails to decode, by ``ingest.open_input`` alone.  Only ``__main__.py`` runs
 the package as a script, so ``python -m cragrank`` and the console script
 enter it through ``cli.main`` alone.  Every function, class and method that the
 package defines is named by the package, ``scripts`` or ``benchmark``, so
@@ -148,6 +150,42 @@ def test_finds_text_parsing():
                          ids=lambda p: p.name)
 def test_only_ingest_parses_csv(path):
     assert text_parsing(path.read_text(encoding="utf-8")) == []
+
+
+WRITE_MODES = set("wax+")
+
+
+def input_opens(source: str) -> list[str]:
+    """Each builtin ``open`` with no write mode and each ``.read_text()`` or
+    ``.read_bytes()`` in a source, as ``"line: call"``.  A mode that is not a
+    literal counts as no write mode."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if not any(isinstance(m, ast.Constant) and WRITE_MODES & set(str(m.value))
+                       for m in modes):
+                found.append(f"{node.lineno}: open")
+        elif isinstance(node.func, ast.Attribute) and node.func.attr in ("read_text",
+                                                                        "read_bytes"):
+            found.append(f"{node.lineno}: {node.func.attr}")
+    return found
+
+
+def test_finds_an_input_open():
+    source = ("open(p)\nopen(p, 'rb')\nopen(p, mode='r', encoding='utf-8')\nopen(p, m)\n"
+              "open(p, 'w')\nopen(p, mode='ab')\nopen(p, 'r+')\nopen(p, 'x')\n"
+              "p.read_text()\np.read_bytes()\np.write_text(s)\nopen_input(p)\nio.open(p)\n")
+    assert input_opens(source) == ["1: open", "2: open", "3: open", "4: open",
+                                   "9: read_text", "10: read_bytes"]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "ingest.py"]
+                         + sorted((ROOT / "scripts").glob("*.py")), ids=lambda p: p.name)
+def test_only_ingest_opens_input_files(path):
+    assert input_opens(path.read_text(encoding="utf-8")) == []
 
 
 def main_blocks(source: str) -> list[int]:
