@@ -2,18 +2,18 @@
 """Fit a model on simulated ascents and report how well it recovers truth.
 
 Generates a world with known ratings and its raw ascent log, as
-``cragrank synth`` does with the same world flags, cleans the log as
-``cragrank preprocess`` does, fits the model to the cleaned data, and prints
-(a) the correlation between true and fitted ratings and (b) held-out
-cross-validation metrics next to the constant-predictor baseline.  Errors
-are reported as the CLI reports them: ``error: ...`` on stderr, and exit
-code 1 for a bad value or 2 when no ascent survives cleaning.
+``cragrank synth`` does with the same world and hyperparameter options,
+cleans the log as ``cragrank preprocess`` does, fits the model to the
+cleaned data, and prints (a) the correlation between true and fitted ratings
+and (b) held-out cross-validation metrics next to the constant-predictor
+baseline.  Errors are reported as the CLI reports them, on stderr: exit code
+1 for a bad flag or value and 2 when no ascent survives cleaning.
 """
 
-import argparse
 import time
 
-from cragrank.cli import add_world_flags, report_errors, resolve_hyper, simulate_log
+from cragrank.cli import (Parser, add_hyper_flags, add_world_flags, report_errors,
+                          resolve_hyper, simulate_log)
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
 from cragrank.ingest import format_float, preprocess
 from cragrank.solver import fit
@@ -21,15 +21,12 @@ from cragrank.synthetic import recovery_report
 
 
 def parse_args():
-    parser = argparse.ArgumentParser(description=__doc__)
+    parser = Parser(description=__doc__)
     add_world_flags(parser)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=1)
     parser.add_argument("--max-iterations", type=int, default=1000)
-    parser.add_argument("--w-sq", type=float, default=None,
-                        help="override the drift variance per week")
-    parser.add_argument("--sigma-r-sq", type=float, default=None,
-                        help="override the route prior variance")
+    add_hyper_flags(parser)
     return parser.parse_args()
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, fields
 from itertools import repeat
@@ -50,7 +51,7 @@ from .synthetic import generate_world, simulate_trials, write_truth_csv
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
 
 
-class _Parser(argparse.ArgumentParser):
+class Parser(argparse.ArgumentParser):
     """argparse parser whose usage errors exit 1 (reserving 2 for empty results)."""
 
     def error(self, message):
@@ -58,7 +59,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
+def add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("hyperparameters")
     group.add_argument("--hyper-config", metavar="FILE",
                        help="JSON file of hyperparameter overrides (flags win)")
@@ -92,20 +93,21 @@ def add_world_flags(parser: argparse.ArgumentParser) -> None:
 def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
-    if getattr(args, "hyper_config", None):
+    if args.hyper_config:
         path = Path(args.hyper_config)
         with open_input(path) as fh:
             try:
                 values = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path.name} line {exc.lineno}: {exc.msg}") from None
+                lineno = len(re.split(r"\r\n|\r|\n", exc.doc[:exc.pos]))
+                raise ParseError(f"{path.name} line {lineno}: {exc.msg}") from None
         if not isinstance(values, dict):
             raise ValueError("hyperparameter config must be a JSON object")
         unknown = set(values) - set(_HYPER_KEYS)
         if unknown:
             raise ValueError(f"unknown hyperparameter keys in config: {sorted(unknown)}")
     for key in _HYPER_KEYS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     return Hyperparameters(**values)
@@ -284,8 +286,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="cragrank",
-                     description="Climber and route ratings from ascent logs.")
+    parser = Parser(prog="cragrank",
+                    description="Climber and route ratings from ascent logs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("preprocess", help="clean a raw ascent log",
@@ -300,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir", help="directory from `cragrank preprocess`")
     p.add_argument("--out", required=True, help="output directory for rating files")
     _add_fit_flags(p)
-    _add_hyper_flags(p)
+    add_hyper_flags(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict success probabilities")
@@ -313,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset_dir")
     p.add_argument("--out", required=True, help="output directory for reports")
     _add_fit_flags(p)
-    _add_hyper_flags(p)
+    add_hyper_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("crossval", help="repeated stratified k-fold evaluation")
@@ -323,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=3, help="repeats (default 3)")
     p.add_argument("--seed", type=int, default=0, help="fold shuffling seed")
     _add_fit_flags(p)
-    _add_hyper_flags(p)
+    add_hyper_flags(p)
     p.set_defaults(func=_cmd_crossval)
 
     p = sub.add_parser("synth", help="generate a synthetic ascent log")
     p.add_argument("--out", required=True, help="output directory")
     add_world_flags(p)
-    _add_hyper_flags(p)
+    add_hyper_flags(p)
     p.set_defaults(func=_cmd_synth)
 
     return parser

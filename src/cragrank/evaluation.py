@@ -57,30 +57,31 @@ def _safe_ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
-def compute_metrics(predictions, actuals) -> EvaluationReport:
-    """Score predicted success probabilities against observed outcomes.
-
-    An ascent is classified a success iff its probability is strictly above
-    0.5.  The log loss is the mean negative log probability assigned to what
-    actually happened.
-    """
+def _scored(predictions, actuals, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """The inputs as floats and bools; ValueError unless 1-D, equally long and not empty."""
     p = np.asarray(predictions, dtype=float)
     y = np.asarray(actuals, dtype=bool)
     if p.ndim != 1 or p.shape[0] != y.shape[0]:
         raise ValueError("predictions and actuals must be 1-D and equally long")
     if p.shape[0] == 0:
-        raise ValueError("cannot compute metrics on zero predictions")
+        raise ValueError(f"cannot {what} zero predictions")
+    return p, y
 
-    predicted_success = p > 0.5
-    tp = int(np.count_nonzero(predicted_success & y))
-    fp = int(np.count_nonzero(predicted_success & ~y))
-    fn = int(np.count_nonzero(~predicted_success & y))
-    tn = int(np.count_nonzero(~predicted_success & ~y))
+
+def compute_metrics(predictions, actuals) -> EvaluationReport:
+    """Score predicted success probabilities against observed outcomes.
+
+    An ascent is classified a success iff its probability is above 0.5.  The
+    log loss is the mean negative log probability of what actually happened.
+    Inputs that are not 1-D, equally long and non-empty raise ValueError.
+    """
+    p, y = _scored(predictions, actuals, "compute metrics on")
+    tn, fn, fp, tp = np.bincount(2 * (p > 0.5) + y, minlength=4).tolist()
 
     log_loss = float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
     recall = _safe_ratio(tp, tp + fn)
     specificity = _safe_ratio(tn, tn + fp)
-    a_bar = float(np.count_nonzero(y)) / y.shape[0]
+    a_bar = (tp + fn) / y.shape[0]
     return EvaluationReport(
         log_loss=log_loss,
         accuracy=(tp + tn) / y.shape[0],
@@ -218,14 +219,9 @@ def precision_recall_curve(predictions, actuals) -> np.recarray:
     per distinct probability, thresholds descending.  One extra point
     (``classifier_point`` true) records the classifier of
     :func:`compute_metrics`, success iff ``p > 0.5``.  Empty-denominator
-    ratios are 0.
+    ratios are 0.  Inputs are checked as :func:`compute_metrics` checks them.
     """
-    p = np.asarray(predictions, dtype=float)
-    y = np.asarray(actuals, dtype=bool)
-    if p.ndim != 1 or p.shape[0] != y.shape[0]:
-        raise ValueError("predictions and actuals must be 1-D and equally long")
-    if p.shape[0] == 0:
-        raise ValueError("cannot build a curve from zero predictions")
+    p, y = _scored(predictions, actuals, "build a curve from")
 
     order = np.argsort(-p)  # tied probabilities fall in one group, in any order
     p_sorted = p[order]

@@ -393,8 +393,9 @@ class TestFit:
     @pytest.mark.parametrize("config, problem", [
         (b'{"b": 0.4,, "g0": 22}', "line 1: Expecting property name enclosed in double quotes"),
         (b'{\n"b": 0.4\n"g0": 22\n}\n', "line 3: Expecting ',' delimiter"),
+        (b'{\r"b": 0.4\r"g0": 22\r}', "line 3: Expecting ',' delimiter"),
         (b'{"b": 0.4, "g0": 22, "\xe9": 1}', "line 1: not UTF-8 text"),  # a Latin-1 "é"
-    ], ids=["double-comma", "missing-comma", "latin-1"])
+    ], ids=["double-comma", "missing-comma", "missing-comma-cr", "latin-1"])
     def test_hyper_config_not_json_names_file_and_line(self, tmp_path, capsys, config, problem):
         dataset_dir = preprocess_fixture(tmp_path)
         path = tmp_path / "hyper.json"

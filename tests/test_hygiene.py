@@ -18,14 +18,20 @@ that code only the tests call, test oracles among it, lives in the tests; the
 one exception is a method that overrides a base class's, which that class's
 own code calls.  And every exception class that the package defines is
 raised in the package, so that no handler waits for an error that never
-comes.
+comes.  Only ``cli.py`` subclasses or constructs argparse's ``ArgumentParser``,
+once, and only its ``add_hyper_flags`` adds a hyperparameter flag, so that the
+commands and ``scripts`` share one definition of each option and of the usage
+error's exit code.
 """
 
 import ast
 import importlib
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from cragrank.model import Hyperparameters
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "cragrank").glob("*.py"))
@@ -269,7 +275,7 @@ def test_finds_an_unused_definition():
 
 def overrides_a_base(definition: str) -> bool:
     """Whether the package method ``"module: Class.method"`` overrides one of a
-    base class, whose own code calls it (as argparse calls ``_Parser.error``)."""
+    base class, whose own code calls it (as argparse calls ``Parser.error``)."""
     module, _, qualified = definition.partition(": ")
     owner, _, method = qualified.rpartition(".")
     if not owner:
@@ -279,7 +285,7 @@ def overrides_a_base(definition: str) -> bool:
 
 
 def test_finds_an_override():
-    assert overrides_a_base("cli.py: _Parser.error")
+    assert overrides_a_base("cli.py: Parser.error")
     assert not overrides_a_base("ingest.py: CsvTable.floats")
     assert not overrides_a_base("cli.py: main")
 
@@ -290,6 +296,59 @@ def test_no_definition_only_the_tests_use():
              for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
     found = unused_definitions(library, users)
     assert [d for d in found if not overrides_a_base(d)] == []
+
+
+HYPER_FLAGS = {"--hyper-config"} | {"--" + f.name.replace("_", "-")
+                                     for f in fields(Hyperparameters)}
+
+
+def parser_definitions(source: str) -> list[str]:
+    """Each call to or subclass of ``ArgumentParser`` in a source, and each
+    hyperparameter flag (with ``_`` or ``-`` between words) that an
+    ``add_argument`` outside a function ``add_hyper_flags`` adds, as
+    ``"line: what"`` in line order."""
+    tree = ast.parse(source)
+    helper = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "add_hyper_flags"
+              for node in ast.walk(f)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            calls = node.bases
+        elif isinstance(node, ast.Call):
+            calls = [node.func]
+        else:
+            continue
+        for call in calls:
+            name = ast.unparse(call).rpartition(".")[2]
+            if name == "ArgumentParser":
+                found.append((call.lineno, name))
+            elif name == "add_argument" and id(node) not in helper:
+                found += [(node.lineno, a.value) for a in node.args
+                          if isinstance(a, ast.Constant)
+                          and str(a.value).replace("_", "-") in HYPER_FLAGS]
+    return [f"{line}: {what}" for line, what in sorted(found)]
+
+
+def test_finds_a_parser_definition():
+    source = ("import argparse\nfrom argparse import ArgumentParser\n"
+              "p = argparse.ArgumentParser(description='x')\nq = ArgumentParser()\n"
+              "class P(argparse.ArgumentParser):\n    pass\n"
+              "p.add_argument('--w-sq', type=float)\np.add_argument('--hyper-config')\n"
+              "p.add_argument('--folds', type=int)\ngroup.add_argument('-b', '--b')\n"
+              "p.add_argument('--sigma_r_sq')\nP()\n"
+              "def add_hyper_flags(parser):\n    parser.add_argument('--g0')\n"
+              "def other(parser):\n    parser.add_argument('--sigma-c-sq')\n")
+    assert parser_definitions(source) == [
+        "3: ArgumentParser", "4: ArgumentParser", "5: ArgumentParser", "7: --w-sq",
+        "8: --hyper-config", "10: --b", "11: --sigma_r_sq", "16: --sigma-c-sq"]
+
+
+@pytest.mark.parametrize("path", PACKAGE + sorted((ROOT / "scripts").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_cli_defines_a_parser_and_hyperparameter_flags(path):
+    found = [f.partition(": ")[2] for f in parser_definitions(path.read_text(encoding="utf-8"))]
+    assert found == (["ArgumentParser"] if path.name == "cli.py" else [])
 
 
 def unraised_exceptions(sources: dict[str, str]) -> list[str]:

@@ -29,11 +29,18 @@ def run_recovery(*flags):
     return result.stdout
 
 
+SMALL_WORLD = ("--climbers", "20", "--routes", "30", "--periods", "3",
+               "--ascents-per-period", "8", "--folds", "3")
+
+
+def masked(out):
+    """Script output with the fit's wall time, in parentheses, masked: the rest
+    is deterministic."""
+    return re.sub(r" \(\d+\.\d\ds\)\n", " (-)\n", out)
+
+
 def test_run_recovery_on_a_small_world():
-    out = run_recovery("--climbers", "20", "--routes", "30", "--periods", "3",
-                       "--ascents-per-period", "8", "--folds", "3")
-    # everything but the fit's wall time, in parentheses, is deterministic
-    assert re.sub(r" \(\d+\.\d\ds\)\n", " (-)\n", out) == (
+    assert masked(run_recovery(*SMALL_WORLD)) == (
         "simulated 480 ascents (20 climbers, 30 routes)\n"
         "fit: iterations=10 converged=True log_likelihood=-197.68996 (-)\n"
         "recovery: route_correlation=0.924742884 climber_correlation=0.81875728 "
@@ -41,6 +48,14 @@ def test_run_recovery_on_a_small_world():
         "held-out: accuracy=0.752083333 log_loss=0.505732482 balanced_accuracy=0.744319285\n"
         "baseline: accuracy=0.564583333 log_loss=0.684781814\n"
         "accuracy gain over baseline: 18.75 percentage points\n")
+
+
+def test_run_recovery_takes_the_commands_hyperparameter_options(tmp_path):
+    config = tmp_path / "hyper.json"
+    config.write_text('{"w_sq": 0.05}', encoding="utf-8")
+    from_config = masked(run_recovery(*SMALL_WORLD, "--hyper-config", str(config)))
+    assert from_config == masked(run_recovery(*SMALL_WORLD, "--w-sq", "0.05"))
+    assert from_config != masked(run_recovery(*SMALL_WORLD))
 
 
 def test_run_recovery_fits_what_synth_and_preprocess_keep(tmp_path, capsys):
@@ -71,6 +86,16 @@ def test_run_recovery_fits_what_synth_and_preprocess_keep(tmp_path, capsys):
 def test_run_recovery_reports_errors_as_the_cli_does(flags, code, error):
     result = run_script(*flags)
     assert (result.returncode, result.stderr) == (code, error)
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--climbers", "abc"], "argument --climbers: invalid int value: 'abc'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+], ids=["bad-int", "unknown-flag"])
+def test_run_recovery_usage_error_exits_one(flags, error):
+    result = run_script(*flags)
+    assert result.returncode == 1
+    assert result.stderr.splitlines()[-1] == f"run_recovery.py: error: {error}"
 
 
 def test_readme_library_use_block(tmp_path, monkeypatch):
