@@ -93,7 +93,7 @@ def add_world_flags(parser: argparse.ArgumentParser) -> None:
 def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
-    if args.hyper_config:
+    if args.hyper_config is not None:
         path = Path(args.hyper_config)
         with open_input(path) as fh:
             try:
@@ -163,32 +163,26 @@ def _read_ratings(ratings_dir: Path):
             ratings[order])
 
 
-def _write_evaluation(report, predictions, actuals, state: ModelState, out_dir: Path) -> None:
-    """The metric reports, the PR curve, and the fitted route ratings against grades."""
+def _write_evaluation(payload: dict, predictions, actuals, out_dir: Path) -> None:
+    """The metric reports and the PR curve."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    payload = asdict(report)
-    payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
-                                                               state.route_ratings)
     write_keyvalues(out_dir / "report.txt", payload)
     (out_dir / "report.json").write_bytes(
         json.dumps(payload, indent=2, sort_keys=True).encode() + b"\n")
     curve = precision_recall_curve(predictions, actuals)
     write_csv(out_dir / "pr_curve.csv", curve.dtype.names,
               [curve[name] for name in curve.dtype.names])
-    write_csv(out_dir / "ratings_vs_grades.csv", ("grade", "prior_mean", "rating"),
-              (state.route_grades, state.route_prior_means, state.route_ratings))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _fit(dataset, hyper: Hyperparameters, args: argparse.Namespace, what: str = ""):
-    """:func:`fit` within ``--max-iterations``, warning on stderr if ``what`` did not converge."""
+def _fit(dataset, hyper: Hyperparameters, args: argparse.Namespace):
+    """:func:`fit` within ``--max-iterations``, warning on stderr if it did not converge."""
     state, report = fit(dataset, hyper, args.max_iterations)
     if not report.converged:
-        print(f"warning: {what}not converged after {report.iterations} iterations",
-              file=sys.stderr)
+        print(f"warning: not converged after {report.iterations} iterations", file=sys.stderr)
     return state, report
 
 
@@ -239,7 +233,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     state, _ = _fit(dataset, resolve_hyper(args), args)
     predictions = predict_probabilities(state, dataset.climber, dataset.route, dataset.week)
     report = compute_metrics(predictions, dataset.success)
-    _write_evaluation(report, predictions, dataset.success, state, Path(args.out))
+    payload = asdict(report)
+    payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
+                                                               state.route_ratings)
+    _write_evaluation(payload, predictions, dataset.success, Path(args.out))
+    write_csv(Path(args.out) / "ratings_vs_grades.csv", ("grade", "prior_mean", "rating"),
+              (state.route_grades, state.route_prior_means, state.route_ratings))
     print(f"accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_log_loss={_fmt(report.baseline_log_loss)}")
     return 0
@@ -247,18 +246,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_crossval(args: argparse.Namespace) -> int:
     dataset = read_clean_dataset(args.dataset_dir)
-    hyper = resolve_hyper(args)
     plan = make_fold_plan(dataset, args.folds, args.repeats, args.seed)
     pooled_p, pooled_y, fold_reports = cross_validate_predictions(
-        dataset, hyper, plan, max_iterations=args.max_iterations
+        dataset, resolve_hyper(args), plan, max_iterations=args.max_iterations
     )
     unconverged = sum(not r.converged for r in fold_reports)
     if unconverged:
         print(f"warning: {unconverged} of {len(fold_reports)} fold fits not converged",
               file=sys.stderr)
     report = compute_metrics(pooled_p, pooled_y)
-    state, _ = _fit(dataset, hyper, args, "full fit ")
-    _write_evaluation(report, pooled_p, pooled_y, state, Path(args.out))
+    _write_evaluation(asdict(report), pooled_p, pooled_y, Path(args.out))
     print(f"held-out accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_accuracy={_fmt(report.baseline_accuracy)}")
     return 0

@@ -76,7 +76,9 @@ def compute_metrics(predictions, actuals) -> EvaluationReport:
     Inputs that are not 1-D, equally long and non-empty raise ValueError.
     """
     p, y = _scored(predictions, actuals, "compute metrics on")
-    tn, fn, fp, tp = np.bincount(2 * (p > 0.5) + y, minlength=4).tolist()
+    codes = 2 * (p > 0.5)
+    codes += y
+    tn, fn, fp, tp = np.bincount(codes, minlength=4).tolist()
 
     log_loss = float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
     recall = _safe_ratio(tp, tp + fn)

@@ -7,14 +7,15 @@ file outputs are checked exactly as a shell user would see them.
 import csv
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cragrank import ingest
+from cragrank import cli, evaluation, ingest
 from cragrank.cli import main
-from cragrank.evaluation import predict_probabilities
+from cragrank.evaluation import EvaluationReport, predict_probabilities
 from cragrank.ingest import quantize_week, read_clean_dataset
 from cragrank.solver import climber_derivatives, fit, outcome_probabilities, route_derivatives
 
@@ -423,6 +424,14 @@ class TestFit:
         assert run(["fit", dataset_dir, "--out", tmp_path / "flag", "--g0", "21"]) == 0
         assert read_tree(tmp_path / "config") == read_tree(tmp_path / "flag")
 
+    def test_empty_hyper_config_exits_one(self, tmp_path, capsys):
+        # an empty path names no readable file, as any other such path
+        dataset_dir = preprocess_fixture(tmp_path)
+        capsys.readouterr()
+        assert run(["fit", dataset_dir, "--out", tmp_path / "f", "--hyper-config", ""]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "f").exists()
+
     def test_unknown_hyper_config_key_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)
         config = tmp_path / "hyper.json"
@@ -794,12 +803,33 @@ class TestEvaluateAndCrossval:
         args = ["crossval", dataset_dir, "-k", "3", "--repeats", "2", "--seed", "7"]
         assert run([*args, "--out", out, "--max-iterations", "8"]) == 0
         captured = capsys.readouterr()
-        assert "warning: 6 of 6 fold fits not converged" in captured.err
-        assert "full fit not converged" in captured.err
+        assert captured.err == "warning: 6 of 6 fold fits not converged\n"
         assert captured.out.startswith("held-out accuracy=")
 
+    def test_crossval_writes_only_held_out_reports(self, tmp_path):
+        dataset_dir = self.synthetic_dataset(tmp_path)
+        out = tmp_path / "cv"
+        assert run(["crossval", dataset_dir, "-k", "3", "--repeats", "1", "--out", out]) == 0
+        assert set(read_tree(out)) == {"report.txt", "report.json", "pr_curve.csv"}
+        payload = json.loads((out / "report.json").read_text())
+        assert set(payload) == {f.name for f in fields(EvaluationReport)}
+
+    def test_crossval_fits_once_per_fold(self, tmp_path, monkeypatch):
+        dataset_dir = self.synthetic_dataset(tmp_path)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit", counted)
+        monkeypatch.setattr(cli, "fit", counted)
+        assert run(["crossval", dataset_dir, "-k", "3", "--repeats", "2",
+                    "--out", tmp_path / "cv"]) == 0
+        assert len(calls) == 6
+
     def test_one_route_dataset_evaluates_and_crossvalidates(self, tmp_path):
-        # a single fitted route has no spread of grades: the R-squared is 0
+        # a single fitted route has no spread of grades: evaluate's R-squared is 0
         log = HEADER + """
 alice,r1,redpoint,2020-01-06,21,ewbank
 alice,r1,attempt,2020-01-06,21,ewbank
@@ -810,9 +840,10 @@ bob,r1,attempt,2020-01-13,21,ewbank
         assert run(["evaluate", dataset_dir, "--out", tmp_path / "eval"]) == 0
         assert run(["crossval", dataset_dir, "-k", "2", "--repeats", "1",
                     "--out", tmp_path / "cv"]) == 0
-        for out in ("eval", "cv"):
-            payload = json.loads((tmp_path / out / "report.json").read_text())
-            assert payload["ratings_grades_r_squared"] == 0.0
+        payload = json.loads((tmp_path / "eval" / "report.json").read_text())
+        assert payload["ratings_grades_r_squared"] == 0.0
+        assert "ratings_grades_r_squared" not in json.loads(
+            (tmp_path / "cv" / "report.json").read_text())
 
     def test_crossval_oversized_k_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)

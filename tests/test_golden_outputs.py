@@ -51,12 +51,10 @@ PINNED = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cv/pr_curve.csv":
         "fa40c95ee2e5c36397f4ab17112aaa5b4663e3fb73d9a81c999274ef71eaec67",
-    "cv/ratings_vs_grades.csv":
-        "b705f9bd324e56a40f19e0e663b75dec8f752e2f6adac2d46ddc9eb394949a1f",
     "cv/report.json":
-        "d2ff8528b7e89980432ad8e4c6884890e4b5bf31966b3d18748edd1c9cde407e",
+        "2317426497ba63b4218a64a0373b5bb9a884bf32cfd339f9c4324d9995484a92",
     "cv/report.txt":
-        "a21e33e7ef2703785088c8c8825b78403ff1915b4f5da1890aa23d8a92d1370e",
+        "7a3c5983855dc9a8167b05bf48888ffde14ae97b58f0703a4ce96eff2ce11bcc",
     "dataset/ascents.csv":
         "71eef06503191d924f1732551bcdf18b01e7d0035b89b07519f06bffd62c9b6a",
     "dataset/climbers.csv":
