@@ -16,7 +16,7 @@ from cragrank.cli import (Parser, add_hyper_flags, add_world_flags, report_error
                           resolve_hyper, simulate_log)
 from cragrank.evaluation import compute_metrics, cross_validate_predictions, make_fold_plan
 from cragrank.ingest import format_float, preprocess
-from cragrank.solver import fit
+from cragrank.solver import MAX_ITERATIONS, fit
 from cragrank.synthetic import recovery_report
 
 
@@ -25,7 +25,7 @@ def parse_args():
     add_world_flags(parser)
     parser.add_argument("--folds", type=int, default=5)
     parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--max-iterations", type=int, default=1000)
+    parser.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS)
     add_hyper_flags(parser)
     return parser.parse_args()
 
@@ -46,7 +46,7 @@ def main():
           f"log_likelihood={format_float(report.final_bt_log_likelihood)} "
           f"({elapsed:.2f}s)")
 
-    recovered = recovery_report(world, state)
+    recovered = recovery_report(world, dataset, state)
     print(f"recovery: route_correlation={format_float(recovered.route_correlation)} "
           f"climber_correlation={format_float(recovered.climber_correlation)} "
           f"route_rmse={format_float(recovered.route_rmse)}")

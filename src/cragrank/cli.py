@@ -45,7 +45,7 @@ from .ingest import (
     write_raw_ascent_log,
 )
 from .model import Hyperparameters, bt_probability
-from .solver import FitReport, ModelState, fit
+from .solver import MAX_ITERATIONS, FitReport, ModelState, fit
 from .synthetic import generate_world, simulate_trials, write_truth_csv
 
 _HYPER_KEYS = tuple(f.name for f in fields(Hyperparameters))
@@ -59,9 +59,16 @@ class Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _input_file(value: str) -> Path:
+    """An input file option's ``type``: a directory, or the empty value, is a usage error."""
+    if Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} names a directory, not a file")
+    return Path(value)
+
+
 def add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("hyperparameters")
-    group.add_argument("--hyper-config", metavar="FILE",
+    group.add_argument("--hyper-config", metavar="FILE", type=_input_file,
                        help="JSON file of hyperparameter overrides (flags win)")
     group.add_argument("--sigma-c-sq", type=float, help="initial climber prior variance")
     group.add_argument("--sigma-r-sq", type=float, help="route prior variance")
@@ -71,8 +78,8 @@ def add_hyper_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-iterations", type=int, default=1000,
-                        help="outer iteration budget (default 1000)")
+    parser.add_argument("--max-iterations", type=int, default=MAX_ITERATIONS,
+                        help="outer iteration budget (default %(default)s)")
     parser.add_argument("--threads", type=int, default=1,
                         help="accepted for compatibility; has no effect")
 
@@ -94,13 +101,12 @@ def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
     """The config file's values overridden by the flags; Hyperparameters checks each value."""
     values: dict = {}
     if args.hyper_config is not None:
-        path = Path(args.hyper_config)
-        with open_input(path) as fh:
+        with open_input(args.hyper_config) as fh:
             try:
                 values = json.load(fh)
             except json.JSONDecodeError as exc:
                 lineno = len(re.split(r"\r\n|\r|\n", exc.doc[:exc.pos]))
-                raise ParseError(f"{path.name} line {lineno}: {exc.msg}") from None
+                raise ParseError(f"{args.hyper_config.name} line {lineno}: {exc.msg}") from None
         if not isinstance(values, dict):
             raise ValueError("hyperparameter config must be a JSON object")
         unknown = set(values) - set(_HYPER_KEYS)
@@ -117,14 +123,14 @@ def resolve_hyper(args: argparse.Namespace) -> Hyperparameters:
 # Ratings file round-trip
 
 
-def _write_ratings(state: ModelState, report: FitReport, out_dir: Path) -> None:
+def _write_ratings(dataset, state: ModelState, report: FitReport, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_csv(out_dir / "route_ratings.csv", ("route_idx", "route_id", "grade", "rating"),
-              (np.arange(len(state.route_ids)), state.route_ids, state.route_grades,
+              (np.arange(len(dataset.route_ids)), dataset.route_ids, dataset.route_grades,
                state.route_ratings))
     climber = state.period_owner
     write_csv(out_dir / "climber_ratings.csv", ("climber_idx", "climber_id", "week", "rating"),
-              (climber, state.climber_ids[climber], state.period_weeks, state.climber_ratings))
+              (climber, dataset.climber_ids[climber], state.period_weeks, state.climber_ratings))
     write_keyvalues(out_dir / "fit_report.txt", asdict(report))
 
 
@@ -178,16 +184,18 @@ def _write_evaluation(payload: dict, predictions, actuals, out_dir: Path) -> Non
 # Subcommands
 
 
-def _fit(dataset, hyper: Hyperparameters, args: argparse.Namespace):
-    """:func:`fit` within ``--max-iterations``, warning on stderr if it did not converge."""
-    state, report = fit(dataset, hyper, args.max_iterations)
+def _fit(args: argparse.Namespace):
+    """The dataset of ``args`` and its :func:`fit`, warning on stderr if it did not converge."""
+    dataset = read_clean_dataset(args.dataset_dir)
+    state, report = fit(dataset, resolve_hyper(args), args.max_iterations)
     if not report.converged:
         print(f"warning: not converged after {report.iterations} iterations", file=sys.stderr)
-    return state, report
+    return dataset, state, report
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    mapping = load_tick_mapping(args.tick_mapping) if args.tick_mapping else DEFAULT_TICK_MAPPING
+    mapping = (DEFAULT_TICK_MAPPING if args.tick_mapping is None
+               else load_tick_mapping(args.tick_mapping))
     dataset = preprocess(parse_ascent_log(args.raw_csv), mapping)
     write_clean_dataset(dataset, args.out)
     kept = dataset.provenance["rows_kept"]
@@ -198,8 +206,8 @@ def _cmd_preprocess(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit(args: argparse.Namespace) -> int:
-    state, report = _fit(read_clean_dataset(args.dataset_dir), resolve_hyper(args), args)
-    _write_ratings(state, report, Path(args.out))
+    dataset, state, report = _fit(args)
+    _write_ratings(dataset, state, report, Path(args.out))
     print(f"fit finished: iterations={report.iterations} converged={report.converged} "
           f"log_likelihood={_fmt(report.final_bt_log_likelihood)}")
     return 0
@@ -229,16 +237,15 @@ def _cmd_predict(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    dataset = read_clean_dataset(args.dataset_dir)
-    state, _ = _fit(dataset, resolve_hyper(args), args)
+    dataset, state, _ = _fit(args)
     predictions = predict_probabilities(state, dataset.climber, dataset.route, dataset.week)
     report = compute_metrics(predictions, dataset.success)
     payload = asdict(report)
-    payload["ratings_grades_r_squared"] = linear_fit_r_squared(state.route_grades,
+    payload["ratings_grades_r_squared"] = linear_fit_r_squared(dataset.route_grades,
                                                                state.route_ratings)
     _write_evaluation(payload, predictions, dataset.success, Path(args.out))
     write_csv(Path(args.out) / "ratings_vs_grades.csv", ("grade", "prior_mean", "rating"),
-              (state.route_grades, state.route_prior_means, state.route_ratings))
+              (dataset.route_grades, state.route_prior_means, state.route_ratings))
     print(f"accuracy={_fmt(report.accuracy)} log_loss={_fmt(report.log_loss)} "
           f"baseline_log_loss={_fmt(report.baseline_log_loss)}")
     return 0
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("raw_csv", help="raw ascent log (climber_id,route_id,tick_type,"
                                    "date,grade_label,grade_system)")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--tick-mapping", help="custom tick_string,class mapping file")
+    p.add_argument("--tick-mapping", type=_input_file, help="custom tick_string,class mapping file")
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fit", help="fit ratings on a cleaned dataset")

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import EmptyDatasetError
 from .ingest import CleanDataset
 from .model import Hyperparameters, bt_probability
-from .solver import FitReport, ModelState, fit
+from .solver import MAX_ITERATIONS, FitReport, ModelState, fit
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def cross_validate_predictions(
     hyper: Hyperparameters,
     plan: np.ndarray,
     *,
-    max_iterations: int = 1000,
+    max_iterations: int = MAX_ITERATIONS,
 ) -> tuple[np.ndarray, np.ndarray, list[FitReport]]:
     """Held-out predictions for every (repeat, ascent) pair of a fold plan.
 

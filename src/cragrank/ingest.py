@@ -191,7 +191,7 @@ def open_input(path: Path):
             raise ParseError(f"{path.name} line {lineno}: not UTF-8 text") from None
 
 
-def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
+def load_tick_mapping(path: Path) -> dict[str, TickClass]:
     """Read a ``tick_string,class`` mapping file (class is a TickClass name).
 
     Each line is read as a CSV row, so a tick may be quoted; the fields
@@ -201,8 +201,7 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
     """
     mapping: dict[str, TickClass] = {}
     classes = {c.value: c for c in TickClass}
-    name = Path(path).name
-    with open_input(Path(path)) as fh:
+    with open_input(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -210,13 +209,13 @@ def load_tick_mapping(path: str | Path) -> dict[str, TickClass]:
             try:
                 *tick, cls = next(csv.reader([line]))
             except csv.Error as exc:
-                raise ParseError(f"{name} line {lineno}: {exc}") from None
+                raise ParseError(f"{path.name} line {lineno}: {exc}") from None
             if not tick:
-                raise ParseError(f"{name} line {lineno}: expected 'tick_string,class', "
+                raise ParseError(f"{path.name} line {lineno}: expected 'tick_string,class', "
                                  f"got {line!r}")
             cls = cls.strip().lower()
             if cls not in classes:
-                raise ParseError(f"{name} line {lineno}: unknown tick class {cls!r}")
+                raise ParseError(f"{path.name} line {lineno}: unknown tick class {cls!r}")
             mapping[",".join(tick).strip().lower()] = classes[cls]
     return mapping
 

@@ -39,8 +39,9 @@ from .model import Hyperparameters, route_prior_mean, win_probabilities
 MIN_WIENER_VARIANCE = 1e-12
 
 # Iterations over which the BT log-likelihood must stay within the
-# convergence span (see :func:`fit`).
+# convergence span (see :func:`fit`), and the least iteration budget.
 CONVERGENCE_WINDOW = 8
+MAX_ITERATIONS = 1000  # the default iteration budget of every fit
 
 
 @dataclass(frozen=True)
@@ -96,15 +97,16 @@ def tridiagonal_plan(off_diag) -> TridiagonalPlan:
 class ModelState:
     """All ratings and ascents as flat arrays, and what a fit never changes.
 
-    Period ``j`` of ``period_weeks`` and ``climber_ratings`` belongs to the
-    climber ``period_owner[j]``, which does not decrease with ``j``; each
-    climber's weeks are strictly increasing and each of its periods holds at
-    least one ascent.  A climber without ascents owns no periods.  Route
-    ``i`` has ``route_ids[i]``, ``route_grades[i]``, ``route_prior_means[i]``
-    and ``route_ratings[i]``.  The ascent arrays (``asc_*``) hold every
-    ascent once, in canonical (climber, week, route, outcome) order:
-    ``asc_flat_period`` indexes the climber's period, ``asc_route`` the
-    route.  A fit changes only the ratings and the history.
+    Its climber and route indexes are those of the :class:`CleanDataset` it
+    is built from, which keeps their ids and grades.  Period ``j`` of
+    ``period_weeks`` and ``climber_ratings`` belongs to the climber
+    ``period_owner[j]``, which does not decrease with ``j``; each climber's
+    weeks are strictly increasing and each of its periods holds at least one
+    ascent.  A climber without ascents owns no periods.  Route ``i`` has
+    ``route_prior_means[i]`` and ``route_ratings[i]``.  The ascent arrays
+    (``asc_*``) hold every ascent once, in canonical (climber, week, route,
+    outcome) order: ``asc_flat_period`` indexes the climber's period,
+    ``asc_route`` the route.  A fit changes only the ratings and the history.
 
     Construction makes ``period_owner`` read-only.  The fields after the
     history are read-only arrays that construction builds from the periods,
@@ -120,12 +122,9 @@ class ModelState:
     """
 
     hyper: Hyperparameters
-    climber_ids: np.ndarray
     period_owner: np.ndarray
     period_weeks: np.ndarray
     climber_ratings: np.ndarray
-    route_ids: np.ndarray
-    route_grades: np.ndarray
     route_prior_means: np.ndarray
     route_ratings: np.ndarray
     asc_flat_period: np.ndarray
@@ -249,19 +248,10 @@ def initialize_state(dataset: CleanDataset, hyper: Hyperparameters = Hyperparame
 
     prior_means = route_prior_mean(dataset.route_grades, hyper)
     return ModelState(
-        hyper=hyper,
-        climber_ids=dataset.climber_ids,
-        period_owner=period_climber,
-        period_weeks=period_weeks,
-        climber_ratings=np.zeros(len(period_weeks)),
-        route_ids=dataset.route_ids,
-        route_grades=dataset.route_grades,
-        route_prior_means=prior_means,
-        route_ratings=prior_means.copy(),
-        asc_flat_period=flat_period,
-        asc_route=route_idx,
-        asc_success=success,
-    )
+        hyper=hyper, period_owner=period_climber, period_weeks=period_weeks,
+        climber_ratings=np.zeros(len(period_weeks)), route_prior_means=prior_means,
+        route_ratings=prior_means.copy(), asc_flat_period=flat_period, asc_route=route_idx,
+        asc_success=success)
 
 
 def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -348,8 +338,8 @@ def _climber_log_posteriors(state: ModelState, r: np.ndarray, log_p: np.ndarray)
     terms = _sums(state.asc_flat_period, log_p, r.shape[0])
     terms[first] -= r[first] ** 2 / (2.0 * state.hyper.sigma_c_sq)
     terms[:-1] -= (r[1:] - r[:-1]) ** 2 * state.hess_off / 2.0
-    owner = state.period_owner
-    return _sums(owner, terms, len(state.climber_ids))[owner]
+    owner = state.period_owner  # does not decrease, so its last entry is its largest
+    return _sums(owner, terms, owner[-1] + 1)[owner]
 
 
 def _route_log_posteriors(state: ModelState, ratings: np.ndarray, log_p: np.ndarray
@@ -418,7 +408,7 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
 def fit(
     dataset: CleanDataset,
     hyper: Hyperparameters = Hyperparameters(),
-    max_iterations: int = 1000,
+    max_iterations: int = MAX_ITERATIONS,
     *,
     convergence_span: float = 1.0,
 ) -> tuple[ModelState, FitReport]:
@@ -443,8 +433,9 @@ def fit(
     Returns the final state and a report (iterations run, convergence flag,
     final likelihood).
     """
-    if max_iterations < 8:
-        raise ValueError(f"max_iterations must be at least 8, got {max_iterations}")
+    if max_iterations < CONVERGENCE_WINDOW:
+        raise ValueError(f"max_iterations must be at least {CONVERGENCE_WINDOW}, "
+                         f"got {max_iterations}")
 
     state = initialize_state(dataset, hyper)
     outcome_p = outcome_probabilities(state)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CodedColumn, RawAscentLog, week_start_date, write_csv
+from .ingest import CleanDataset, CodedColumn, RawAscentLog, week_start_date, write_csv
 from .model import Hyperparameters, route_prior_mean, win_probabilities
 from .solver import ModelState
 
@@ -126,22 +126,23 @@ def simulate_trials(
     )
 
 
-def recovery_report(world: SyntheticWorld, fitted: ModelState) -> RecoveryReport:
-    """Compare fitted ratings against the true ones, joined by entity id.
+def recovery_report(world: SyntheticWorld, dataset: CleanDataset,
+                    fitted: ModelState) -> RecoveryReport:
+    """Compare ratings fitted to ``dataset`` against the true ones, joined by its entity ids.
 
     Climber ratings are compared at every (climber, week) the fit produced.
     Requires at least two comparable routes and two comparable climber
     rating points.
     """
     route_row = {rid: i for i, rid in enumerate(world.route_ids)}
-    route_rows = np.array([route_row.get(rid, -1) for rid in fitted.route_ids], dtype=np.int64)
+    route_rows = np.array([route_row.get(rid, -1) for rid in dataset.route_ids], dtype=np.int64)
     fitted_r = fitted.route_ratings[route_rows >= 0]
     actual_r = world.route_ratings[route_rows[route_rows >= 0]]
     if fitted_r.shape[0] < 2:
         raise ValueError("fewer than two routes to compare")
 
     climber_row = {cid: i for i, cid in enumerate(world.climber_ids)}
-    rows = np.array([climber_row.get(cid, -1) for cid in fitted.climber_ids], dtype=np.int64)
+    rows = np.array([climber_row.get(cid, -1) for cid in dataset.climber_ids], dtype=np.int64)
     period_rows = rows[fitted.period_owner]
     known = period_rows >= 0
     positions = np.searchsorted(world.weeks, fitted.period_weeks[known])

@@ -419,7 +419,7 @@ def recovery_fit():
 def test_criterion_06_synthetic_recovery(recovery_fit):
     world, dataset, state, _, fit_seconds = recovery_fit
     start = time.perf_counter()
-    correlation = recovery_report(world, state).route_correlation
+    correlation = recovery_report(world, dataset, state).route_correlation
     plan = make_fold_plan(dataset, k=5, repeats=1, seed=0)
     held_out = compute_metrics(*cross_validate_predictions(dataset, Hyperparameters(), plan)[:2])
     gain = held_out.accuracy - held_out.baseline_accuracy

@@ -201,6 +201,20 @@ class TestPreprocess:
     def test_missing_input_exits_one(self, tmp_path):
         assert run(["preprocess", tmp_path / "no-such.csv", "--out", tmp_path / "d"]) == 1
 
+    def test_tick_mapping_that_names_no_file_exits_one(self, tmp_path, capsys, monkeypatch):
+        # the empty value names the current directory, as "." does
+        monkeypatch.chdir(tmp_path)
+        raw = write_log(tmp_path, BASIC_LOG)
+        usage_error = "cragrank preprocess: error: argument --tick-mapping: "
+        for value, last_line in (
+                ("", usage_error + "'' names a directory, not a file"),
+                (".", usage_error + "'.' names a directory, not a file"),
+                ("no-such.csv", "error: [Errno 2] No such file or directory: 'no-such.csv'")):
+            assert run(["preprocess", raw, "--out", tmp_path / "d", "--tick-mapping", value]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()[-1] == last_line
+            assert not (tmp_path / "d").exists()
+
     @pytest.mark.parametrize("log, ticks, problem", [
         (HEADER + "\nalice,r1,redpoint,2020-13-01,21,ewbank\n", None,
          "raw.csv line 2: invalid date '2020-13-01'"),
@@ -425,12 +439,26 @@ class TestFit:
         assert read_tree(tmp_path / "config") == read_tree(tmp_path / "flag")
 
     def test_empty_hyper_config_exits_one(self, tmp_path, capsys):
-        # an empty path names no readable file, as any other such path
+        # an empty path names the current directory, which is no config file
         dataset_dir = preprocess_fixture(tmp_path)
         capsys.readouterr()
         assert run(["fit", dataset_dir, "--out", tmp_path / "f", "--hyper-config", ""]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        out, err = capsys.readouterr()
+        assert out == "" and err.endswith(
+            "cragrank fit: error: argument --hyper-config: '' names a directory, not a file\n")
         assert not (tmp_path / "f").exists()
+
+    def test_hyper_config_that_names_no_file_exits_one(self, tmp_path, capsys):
+        dataset_dir, missing = preprocess_fixture(tmp_path), str(tmp_path / "no.json")
+        capsys.readouterr()
+        for value, last_line in (
+                (tmp_path, "cragrank fit: error: argument --hyper-config: "
+                           f"{str(tmp_path)!r} names a directory, not a file"),
+                (missing, f"error: [Errno 2] No such file or directory: {missing!r}")):
+            assert run(["fit", dataset_dir, "--out", tmp_path / "f", "--hyper-config", value]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.splitlines()[-1] == last_line
+            assert not (tmp_path / "f").exists()
 
     def test_unknown_hyper_config_key_exits_one(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)
@@ -683,14 +711,15 @@ class TestIdsThatNeedQuoting:
         dataset_dir, ratings = tmp_path / "dataset", tmp_path / "ratings"
         assert run(["preprocess", raw, "--out", dataset_dir]) == 0
         assert run(["fit", dataset_dir, "--out", ratings]) == 0
-        state, _ = fit(read_clean_dataset(dataset_dir))
-        assert sorted(state.climber_ids.tolist()) == sorted(self.CLIMBERS)
-        assert sorted(state.route_ids.tolist()) == sorted(self.ROUTES)
+        dataset = read_clean_dataset(dataset_dir)
+        state, _ = fit(dataset)
+        assert sorted(dataset.climber_ids.tolist()) == sorted(self.CLIMBERS)
+        assert sorted(dataset.route_ids.tolist()) == sorted(self.ROUTES)
         assert ([r["route_id"] for r in self.read_csv(ratings / "route_ratings.csv")]
-                == state.route_ids.tolist())
+                == dataset.route_ids.tolist())
         periods = self.read_csv(ratings / "climber_ratings.csv")
         assert ([r["climber_id"] for r in periods]
-                == state.climber_ids[state.period_owner].tolist())
+                == dataset.climber_ids[state.period_owner].tolist())
 
         weeks = quantize_week(self.DAYS).tolist()
         queries = [(c, r, w) for c in self.CLIMBERS for r in self.ROUTES for w in weeks]
@@ -700,8 +729,8 @@ class TestIdsThatNeedQuoting:
         rows = self.read_csv(tmp_path / "p.csv")
         assert [(r["climber_id"], r["route_id"], int(r["week"])) for r in rows] == queries
         assert {r["fallback"] for r in rows} == {"none"}
-        climber_index = {c: i for i, c in enumerate(state.climber_ids.tolist())}
-        route_index = {r: i for i, r in enumerate(state.route_ids.tolist())}
+        climber_index = {c: i for i, c in enumerate(dataset.climber_ids.tolist())}
+        route_index = {r: i for i, r in enumerate(dataset.route_ids.tolist())}
         expected = predict_probabilities(state, [climber_index[c] for c, _, _ in queries],
                                          [route_index[r] for _, r, _ in queries],
                                          [w for _, _, w in queries])

@@ -21,7 +21,9 @@ raised in the package, so that no handler waits for an error that never
 comes.  Only ``cli.py`` subclasses or constructs argparse's ``ArgumentParser``,
 once, and only its ``add_hyper_flags`` adds a hyperparameter flag, so that the
 commands and ``scripts`` share one definition of each option and of the usage
-error's exit code.
+error's exit code.  No package module or script tests an ``args`` attribute
+for truth, so an option given as the empty string is never taken for one
+not given.
 """
 
 import ast
@@ -349,6 +351,38 @@ def test_finds_a_parser_definition():
 def test_only_cli_defines_a_parser_and_hyperparameter_flags(path):
     found = [f.partition(": ")[2] for f in parser_definitions(path.read_text(encoding="utf-8"))]
     assert found == (["ArgumentParser"] if path.name == "cli.py" else [])
+
+
+def truth_tested_options(source: str) -> list[str]:
+    """Each ``args.<name>`` that a source tests for truth: the test of an
+    ``if``, a conditional expression, a ``while`` or an ``assert``, an
+    operand of ``and``, ``or`` or ``not``."""
+    tested = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.BoolOp):
+            tested += node.values
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+    return sorted(ast.unparse(node) for node in tested if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id == "args")
+
+
+def test_finds_an_option_tested_for_truth():
+    source = ("if args.a:\n    pass\nx = load(args.b) if args.b else None\n"
+              "while not args.c:\n    pass\nassert args.d\ny = args.e or 1\n"
+              "if args.f is not None and args.g:\n    pass\n"
+              "if args.h == 0 or other.i:\n    pass\nz = args.j\nif parsed.k:\n    pass\n")
+    assert truth_tested_options(source) == ["args.a", "args.b", "args.c", "args.d", "args.e",
+                                            "args.g"]
+
+
+def test_no_option_is_tested_for_truth():
+    found = [f"{path.name}: {name}"
+             for path in PACKAGE + sorted((ROOT / "scripts").glob("*.py"))
+             for name in truth_tested_options(path.read_text(encoding="utf-8"))]
+    assert found == []
 
 
 def unraised_exceptions(sources: dict[str, str]) -> list[str]:

@@ -78,12 +78,9 @@ def one_climber_state(weeks, ratings, route_ratings, ascents, hyper=Hyperparamet
     period, route, outcome = zip(*ascents)
     return ModelState(
         hyper=hyper,
-        climber_ids=["c0"],
         period_owner=np.zeros(len(weeks), dtype=np.int64),
         period_weeks=np.array(weeks, dtype=np.int64),
         climber_ratings=np.array(ratings, dtype=float),
-        route_ids=[f"r{i}" for i in range(n_routes)],
-        route_grades=np.full(n_routes, hyper.g0),
         route_prior_means=(np.zeros(n_routes) if prior_means is None
                            else np.array(prior_means, dtype=float)),
         route_ratings=np.array(route_ratings, dtype=float),

@@ -116,14 +116,15 @@ def per_block_thomas(diag, off, rhs):
     return x
 
 
-def climber_blocks(state):
-    """(lo, hi) bounds of every climber's slice of the flat period arrays."""
-    bounds = np.searchsorted(state.period_owner, np.arange(len(state.climber_ids) + 1))
-    return [(int(bounds[c]), int(bounds[c + 1])) for c in range(len(state.climber_ids))]
+def climber_blocks(ds, state):
+    """(lo, hi) bounds of each of ``ds``'s climbers' slices of the flat period arrays."""
+    bounds = np.searchsorted(state.period_owner, np.arange(len(ds.climber_ids) + 1))
+    return [(int(bounds[c]), int(bounds[c + 1])) for c in range(len(ds.climber_ids))]
 
 
-def log_posterior_gradient(state):
-    """Per-coordinate gradient of log f, written out from the model formulas.
+def log_posterior_gradient(ds, state):
+    """Per-coordinate gradient of log f at ``state``, built from ``ds``, written
+    out from the model formulas.
 
     Returns (flat climber gradient array, per-route gradient array).
     """
@@ -131,14 +132,14 @@ def log_posterior_gradient(state):
     r = state.climber_ratings
     route_r = state.route_ratings
     climber_grad = np.zeros(r.shape[0])
-    prior_means = hyper.b * (state.route_grades - hyper.g0)
+    prior_means = hyper.b * (ds.route_grades - hyper.g0)
     route_grad = -(route_r - prior_means) / hyper.sigma_r_sq
     for period, route, success in zip(state.asc_flat_period, state.asc_route, state.asc_success):
         p = 1.0 / (1.0 + math.exp(-(r[period] - route_r[route])))
         climber_grad[period] += (1.0 if success else 0.0) - p
         route_grad[route] += (0.0 if success else 1.0) - (1.0 - p)
     weeks = state.period_weeks
-    for lo, hi in climber_blocks(state):
+    for lo, hi in climber_blocks(ds, state):
         if lo == hi:
             continue
         climber_grad[lo] -= r[lo] / hyper.sigma_c_sq
@@ -149,17 +150,18 @@ def log_posterior_gradient(state):
     return climber_grad, route_grad
 
 
-def log_posterior(state):
-    """The log posterior at the state's ratings, written out from the model formulas."""
+def log_posterior(ds, state):
+    """The log posterior at the ratings of ``state``, built from ``ds``, written
+    out from the model formulas."""
     hyper = state.hyper
     r = state.climber_ratings
     route_r = state.route_ratings
     margin = r[state.asc_flat_period] - route_r[state.asc_route]
     total = -np.logaddexp(0.0, np.where(state.asc_success, -margin, margin)).sum()
-    prior_means = hyper.b * (state.route_grades - hyper.g0)
+    prior_means = hyper.b * (ds.route_grades - hyper.g0)
     total -= ((route_r - prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq)
     weeks = state.period_weeks
-    for lo, hi in climber_blocks(state):
+    for lo, hi in climber_blocks(ds, state):
         if lo == hi:
             continue
         total -= r[lo] ** 2 / (2.0 * hyper.sigma_c_sq)
@@ -191,7 +193,7 @@ def random_clean_log(seed):
         return ds, hyper
 
 
-def dense_climber_step(state):
+def dense_climber_step(ds, state):
     """Newton step of every climber history from a dense Hessian.
 
     The gradient and the Hessian over all flat periods are assembled term by
@@ -209,7 +211,7 @@ def dense_climber_step(state):
         grad[period] += (1.0 if success else 0.0) - p
         hess[period, period] += -p * (1.0 - p)
     weeks = state.period_weeks
-    for lo, hi in climber_blocks(state):
+    for lo, hi in climber_blocks(ds, state):
         if lo == hi:
             continue
         grad[lo] += -r[lo] / hyper.sigma_c_sq
@@ -372,13 +374,14 @@ class TestInitializeState:
         assert got == expected
 
     def test_climber_history_invariants(self):
-        state = initialize_state(random_dataset(np.random.default_rng(1)))
+        ds = random_dataset(np.random.default_rng(1))
+        state = initialize_state(ds)
         owner = state.period_owner
         assert (np.diff(owner) >= 0).all()
-        assert owner.min() >= 0 and owner.max() < len(state.climber_ids)
+        assert owner.min() >= 0 and owner.max() < len(ds.climber_ids)
         assert owner.shape == state.period_weeks.shape
         assert state.climber_ratings.shape == state.period_weeks.shape
-        for lo, hi in climber_blocks(state):
+        for lo, hi in climber_blocks(ds, state):
             assert (np.diff(state.period_weeks[lo:hi]) > 0).all()
         # every period has at least one ascent
         counts = np.bincount(state.asc_flat_period, minlength=owner.shape[0])
@@ -570,7 +573,7 @@ class TestUpdateClimber:
         ds = random_dataset(rng, n_climbers=3, n_routes=4, max_periods=6)
         state = initialize_state(ds)
         randomize_ratings(state, rng)
-        expected = dense_climber_step(state)
+        expected = dense_climber_step(ds, state)
         got, *_ = climber_pass(state, *evaluated(state))
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -585,10 +588,11 @@ class TestUpdateClimber:
                 for _ in range(int(rng.integers(1, 4))):
                     ascents.append((climber, int(rng.integers(0, 3)), week,
                                                 S if rng.random() < 0.5 else F))
-        state = initialize_state(make_dataset(ascents, n_routes=3, n_climbers=4))
+        ds = make_dataset(ascents, n_routes=3, n_climbers=4)
+        state = initialize_state(ds)
         assert np.bincount(state.period_owner, minlength=4).tolist() == [1, 2, 0, 6]
         randomize_ratings(state, rng)
-        expected = dense_climber_step(state)
+        expected = dense_climber_step(ds, state)
         got, *_ = climber_pass(state, *evaluated(state))
         assert np.max(np.abs(got - expected)) < 1e-10
 
@@ -608,12 +612,9 @@ class TestBtMarginalLogLikelihood:
     def test_empty_state(self):
         state = ModelState(
             hyper=Hyperparameters(),
-            climber_ids=[],
             period_owner=np.zeros(0, dtype=np.int64),
             period_weeks=np.zeros(0, dtype=np.int64),
             climber_ratings=np.zeros(0),
-            route_ids=[],
-            route_grades=np.zeros(0, dtype=np.int64),
             route_prior_means=np.zeros(0),
             route_ratings=np.zeros(0),
             asc_flat_period=np.zeros(0, dtype=np.int64),
@@ -627,12 +628,9 @@ class TestBtMarginalLogLikelihood:
         hyper = Hyperparameters()
         state = ModelState(
             hyper=hyper,
-            climber_ids=np.zeros(0, dtype=object),
             period_owner=np.zeros(0, dtype=np.int64),
             period_weeks=np.zeros(0, dtype=np.int64),
             climber_ratings=np.zeros(0),
-            route_ids=np.array(["r0"], dtype=object),
-            route_grades=np.array([25]),
             route_prior_means=np.array([1.2]),
             route_ratings=np.array([0.2]),
             asc_flat_period=np.zeros(0, dtype=np.int64),
@@ -713,7 +711,7 @@ class TestFit:
         # instances this small; tighten the span to drive the gradient down
         state, report = fit(ds, max_iterations=3000, convergence_span=1e-10)
         assert report.converged
-        climber_grad, route_grad = log_posterior_gradient(state)
+        climber_grad, route_grad = log_posterior_gradient(ds, state)
         worst = max(np.max(np.abs(climber_grad)), np.max(np.abs(route_grad)))
         assert worst <= 1e-4
         assert report.final_bt_log_likelihood >= initial_ll
@@ -741,10 +739,10 @@ class TestFit:
             for _ in range(report.iterations):
                 for name, step in (("climber_ratings", climber_pass),
                                    ("route_ratings", route_pass)):
-                    before = log_posterior(state)
+                    before = log_posterior(ds, state)
                     ratings, outcome_p, log_p = step(state, outcome_p, log_p)
                     setattr(state, name, ratings)
-                    assert log_posterior(state) >= before - 1e-9 * (1.0 + abs(before)), seed
+                    assert log_posterior(ds, state) >= before - 1e-9 * (1.0 + abs(before)), seed
             assert (state.route_ratings == fitted.route_ratings).all()
 
     def test_non_convergence_reported(self):
@@ -774,7 +772,7 @@ class TestFit:
         )
         state, _ = fit(ds, Hyperparameters(w_sq=0.0),
                        max_iterations=3000, convergence_span=1e-10)
-        lo, hi = climber_blocks(state)[0]
+        lo, hi = climber_blocks(ds, state)[0]
         assert hi - lo == 3
         assert np.ptp(state.climber_ratings[lo:hi]) < 1e-6
 
@@ -827,12 +825,9 @@ def margin_state(margins, won):
     n = len(margins)
     return ModelState(
         hyper=Hyperparameters(),
-        climber_ids=np.array([f"c{i}" for i in range(n)], dtype=object),
         period_owner=np.arange(n),
         period_weeks=np.zeros(n, dtype=np.int64),
         climber_ratings=np.array(margins, dtype=float),
-        route_ids=np.array(["r0"], dtype=object),
-        route_grades=np.array([22]),
         route_prior_means=np.zeros(1),
         route_ratings=np.zeros(1),
         asc_flat_period=np.arange(n),

@@ -202,9 +202,9 @@ class TestRecoveryReport:
     def fitted_state_with_true_ratings(self, world, dataset):
         state = initialize_state(dataset, Hyperparameters())  # as the worlds here are drawn
         true_route = dict(zip(world.route_ids, world.route_ratings))
-        state.route_ratings = np.array([true_route[rid] for rid in state.route_ids])
+        state.route_ratings = np.array([true_route[rid] for rid in dataset.route_ids])
         row_of = {cid: i for i, cid in enumerate(world.climber_ids)}
-        for c, climber_id in enumerate(state.climber_ids):
+        for c, climber_id in enumerate(dataset.climber_ids):
             own = state.period_owner == c
             positions = np.searchsorted(world.weeks, state.period_weeks[own])
             state.climber_ratings[own] = world.climber_ratings[row_of[climber_id], positions]
@@ -214,7 +214,7 @@ class TestRecoveryReport:
         world = generate_world(6, 10, 3, (18, 26), seed=1)
         dataset = simulate_ascents(world, 8, seed=2)
         state = self.fitted_state_with_true_ratings(world, dataset)
-        report = recovery_report(world, state)
+        report = recovery_report(world, dataset, state)
         assert report.route_correlation == pytest.approx(1.0, abs=1e-12)
         assert report.climber_correlation == pytest.approx(1.0, abs=1e-12)
         assert report.route_rmse == pytest.approx(0.0, abs=1e-12)
@@ -224,7 +224,7 @@ class TestRecoveryReport:
         dataset = simulate_ascents(world, 8, seed=2)
         state = self.fitted_state_with_true_ratings(world, dataset)
         state.route_ratings += 3.0
-        report = recovery_report(world, state)
+        report = recovery_report(world, dataset, state)
         assert report.route_correlation == pytest.approx(1.0, abs=1e-12)
         assert report.route_rmse == pytest.approx(3.0, abs=1e-12)
 
@@ -245,7 +245,7 @@ class TestRecoveryReport:
             climber_ratings=world.climber_ratings[:climbers],
         )
         with pytest.raises(ValueError, match=f"^{problem} to compare$"):
-            recovery_report(lonely, state)
+            recovery_report(lonely, dataset, state)
 
 
 class TestWriteTruthCsv:
