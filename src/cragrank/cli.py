@@ -60,7 +60,7 @@ class Parser(argparse.ArgumentParser):
 
 
 def _input_file(value: str) -> Path:
-    """An input file option's ``type``: a directory, or the empty value, is a usage error."""
+    """An input file argument's ``type``: a directory, or the empty value, is a usage error."""
     if Path(value).is_dir():
         raise argparse.ArgumentTypeError(f"{value!r} names a directory, not a file")
     return Path(value)
@@ -216,7 +216,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 def _cmd_predict(args: argparse.Namespace) -> int:
     route_ids, routes, climber_ids, period_owner, weeks, ratings = _read_ratings(
         Path(args.ratings_dir))
-    queries = CsvTable(Path(args.query_csv), ("climber_id", "route_id", "week"))
+    queries = CsvTable(args.query_csv, ("climber_id", "route_id", "week"))
     week = queries.integers("week")
     queries.raise_first()
 
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess", help="clean a raw ascent log",
                        description="Clean a raw ascent-log CSV into a dataset directory.")
-    p.add_argument("raw_csv", help="raw ascent log (climber_id,route_id,tick_type,"
-                                   "date,grade_label,grade_system)")
+    p.add_argument("raw_csv", type=_input_file, help="raw ascent log (climber_id,route_id,"
+                                                     "tick_type,date,grade_label,grade_system)")
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--tick-mapping", type=_input_file, help="custom tick_string,class mapping file")
     p.set_defaults(func=_cmd_preprocess)
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="predict success probabilities")
     p.add_argument("ratings_dir", help="directory from `cragrank fit`")
-    p.add_argument("query_csv", help="queries (climber_id,route_id,week)")
+    p.add_argument("query_csv", type=_input_file, help="queries (climber_id,route_id,week)")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=_cmd_predict)
 

@@ -493,9 +493,9 @@ def parse_ascent_log(path: str | Path) -> RawAscentLog:
 
 
 def assemble_clean_dataset(
-    climber_ids: Sequence[str],
-    route_ids: Sequence[str],
-    route_grades,
+    climber_ids: np.ndarray,
+    route_ids: np.ndarray,
+    route_grades: np.ndarray,
     climber: np.ndarray,
     route: np.ndarray,
     week: np.ndarray,
@@ -505,18 +505,18 @@ def assemble_clean_dataset(
     """Run the minimum-activity filters and index the survivors.
 
     Row ``i`` is an ascent of climber ``climber_ids[climber[i]]`` on route
-    ``route_ids[route[i]]`` in week ``week[i]``; both id tables are sorted
-    and ``route_grades`` is parallel to ``route_ids``.  Routes with fewer
-    than two ascents and climbers with no failed ascent are dropped
-    alternately until neither rule removes anything; dropping a route can
-    strip a climber's last failure and vice versa, hence the fixpoint loop.
-    Surviving entities are indexed in sorted-id order, and the surviving
-    rows keep their order.  The drop and keep tallies are added to
-    ``provenance``, which the dataset keeps.
+    ``route_ids[route[i]]`` in week ``week[i]``; the id tables are sorted
+    object arrays and ``route_grades`` an int64 array parallel to ``route_ids``.
+    Routes with fewer than two ascents and climbers with no failed ascent
+    are dropped alternately until neither rule removes anything; dropping a
+    route can strip a climber's last failure and vice versa, hence the
+    fixpoint loop.  Surviving entities are indexed in sorted-id order, and
+    the surviving rows keep their order.  ``provenance`` gains the two drop
+    counts, ``dropped_route_few_ascents`` and ``dropped_climber_no_failure``,
+    each started at 0, and ``rows_kept``; the dataset keeps it.
     """
     n = climber.shape[0]
-    for key in _DROP_KEYS:
-        provenance.setdefault(key, 0)
+    provenance["dropped_route_few_ascents"] = provenance["dropped_climber_no_failure"] = 0
 
     keep = np.ones(n, dtype=bool)
     kept = n
@@ -544,9 +544,9 @@ def assemble_clean_dataset(
         route=route_index,
         week=week[keep],
         success=success[keep],
-        climber_ids=np.asarray(climber_ids, dtype=object)[climbers_used],
-        route_ids=np.asarray(route_ids, dtype=object)[routes_used],
-        route_grades=np.asarray(route_grades, dtype=np.int64)[routes_used],
+        climber_ids=climber_ids[climbers_used],
+        route_ids=route_ids[routes_used],
+        route_grades=route_grades[routes_used],
         provenance=provenance,
     )
 

@@ -87,6 +87,25 @@ def generate_world(
     )
 
 
+def raw_ascent_log(climber_ids, route_ids, route_grades, climber: np.ndarray,
+                   route: np.ndarray, week: np.ndarray, success: np.ndarray) -> RawAscentLog:
+    """Indexed ascents as a raw ascent log: row ``i`` is climber
+    ``climber_ids[climber[i]]`` on route ``route_ids[route[i]]``, graded
+    ``route_grades[route[i]]`` (Ewbank), ticked ``redpoint`` for a success and
+    ``attempt`` for a failure, on the first day of week ``week[i]``."""
+    grades, grade_code = np.unique(route_grades, return_inverse=True)
+    return RawAscentLog(
+        climber_id=CodedColumn(np.asarray(climber_ids, dtype=object), climber),
+        route_id=CodedColumn(np.asarray(route_ids, dtype=object), route),
+        tick_type=CodedColumn(np.array(["attempt", "redpoint"], dtype=object),
+                              success.astype(np.int64)),
+        day=week_start_date(week),
+        grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[route]),
+        grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
+                                 np.zeros(len(climber), dtype=np.int64)),
+    )
+
+
 def simulate_trials(
     world: SyntheticWorld, ascents_per_climber_period: int, seed: int = 0
 ) -> RawAscentLog:
@@ -94,8 +113,7 @@ def simulate_trials(
 
     Every climber attempts ``ascents_per_climber_period`` uniformly chosen
     routes in every period; each attempt succeeds with the model probability
-    of the true ratings.  The world's climber and route indexes are the codes
-    of the id columns, and a success is ticked ``redpoint``, a failure ``attempt``.
+    of the true ratings.  :func:`raw_ascent_log` spells the log.
     """
     if ascents_per_climber_period < 1:
         raise ValueError("ascents_per_climber_period must be at least 1")
@@ -113,17 +131,8 @@ def simulate_trials(
         world.climber_ratings[climber_idx, period_idx], world.route_ratings[route_idx]
     )
     success = rng.random(total) < p
-    grades, grade_code = np.unique(world.route_grades, return_inverse=True)
-    return RawAscentLog(
-        climber_id=CodedColumn(np.array(world.climber_ids, dtype=object), climber_idx),
-        route_id=CodedColumn(np.array(world.route_ids, dtype=object), route_idx),
-        tick_type=CodedColumn(np.array(["attempt", "redpoint"], dtype=object),
-                              success.astype(np.int64)),
-        day=week_start_date(world.weeks[period_idx]),
-        grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[route_idx]),
-        grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
-                                 np.zeros(total, dtype=np.int64)),
-    )
+    return raw_ascent_log(world.climber_ids, world.route_ids, world.route_grades,
+                          climber_idx, route_idx, world.weeks[period_idx], success)
 
 
 def recovery_report(world: SyntheticWorld, dataset: CleanDataset,

@@ -8,17 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from cragrank.ingest import (
-    CleanDataset,
-    CodedColumn,
-    RawAscentLog,
-    assemble_clean_dataset,
-    parse_ascent_log,
-    preprocess,
-    week_start_date,
-)
+from cragrank.ingest import CleanDataset, parse_ascent_log, preprocess
 from cragrank.model import Hyperparameters, win_probabilities
-from cragrank.synthetic import generate_world, simulate_trials
+from cragrank.synthetic import generate_world, raw_ascent_log, simulate_trials
 
 S = True
 F = False
@@ -39,6 +31,26 @@ def make_dataset(ascents, n_routes, n_climbers, grades=None):
         route_grades=np.array(grades, dtype=np.int64),
         provenance={"rows_read": len(ascents), "rows_kept": len(ascents)},
     )
+
+
+def random_dataset(rng, n_climbers=4, n_routes=4, max_periods=3, weeks=range(0, 50, 3)):
+    """A small dataset drawn with ``rng``: each climber climbs in 1 to
+    ``max_periods`` of ``weeks``, 1 to 3 ascents each, and every route is
+    climbed at least once."""
+    ascents = []
+    for c in range(n_climbers):
+        n_periods = int(rng.integers(1, max_periods + 1))
+        chosen = np.sort(rng.choice(weeks, size=n_periods, replace=False))
+        for w in chosen:
+            for _ in range(int(rng.integers(1, 4))):
+                ascents.append(
+                    (c, int(rng.integers(0, n_routes)), int(w), S if rng.random() < 0.55 else F)
+                )
+    for r in range(n_routes):
+        if not any(a[1] == r for a in ascents):
+            ascents.append((0, r, int(ascents[0][2]), F))
+    grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
+    return make_dataset(ascents, n_routes, n_climbers, grades)
 
 
 def check_invariants(dataset):
@@ -65,22 +77,9 @@ def parse_text(text):
 
 
 def dataset_to_raw_log(dataset):
-    """The cleaned ascents as a raw log that preprocesses back to the same dataset.
-
-    The id tables are the distinct strings of the id columns, and the
-    dataset's indexes their codes.
-    """
-    grades, grade_code = np.unique(dataset.route_grades, return_inverse=True)
-    return RawAscentLog(
-        climber_id=CodedColumn(dataset.climber_ids, dataset.climber),
-        route_id=CodedColumn(dataset.route_ids, dataset.route),
-        tick_type=CodedColumn(np.array(["attempt", "redpoint"], dtype=object),
-                              dataset.success.astype(np.int64)),
-        day=week_start_date(dataset.week),
-        grade_label=CodedColumn(grades.astype(str).astype(object), grade_code[dataset.route]),
-        grade_system=CodedColumn(np.array(["ewbank"], dtype=object),
-                                 np.zeros(len(dataset), dtype=np.int64)),
-    )
+    """The cleaned ascents as a raw log that preprocesses back to the same dataset."""
+    return raw_ascent_log(dataset.climber_ids, dataset.route_ids, dataset.route_grades,
+                          dataset.climber, dataset.route, dataset.week, dataset.success)
 
 
 def simulate_ascents(world, per_period, seed):
@@ -109,7 +108,7 @@ def level_matched_dataset(
     standard deviation 2, mirroring how real logbooks cluster around each
     climber's working grade.  Matched difficulty keeps outcomes informative
     for every entity, which is what lets a log of this size fit to
-    convergence.  The result has passed the ingest activity filters.
+    convergence.  The log is cleaned by :func:`preprocess`.
     """
     world = generate_world(n_climbers, n_routes, n_periods, (18, 28),
                            hyper=Hyperparameters(sigma_r_sq=1.0), seed=world_seed)
@@ -130,9 +129,8 @@ def level_matched_dataset(
     route_idx = order[np.where(nearer_left, left, pos)]
     success = rng.random(total) < win_probabilities(ability, world.route_ratings[route_idx])
 
-    return assemble_clean_dataset(world.climber_ids, world.route_ids, world.route_grades,
-                                  climber_idx, route_idx, world.weeks[period_idx], success,
-                                  {"rows_read": total})
+    return preprocess(raw_ascent_log(world.climber_ids, world.route_ids, world.route_grades,
+                                     climber_idx, route_idx, world.weeks[period_idx], success))
 
 
 def central_difference(f, x, h=FD_STEP):

@@ -52,6 +52,7 @@ from helpers import (
     level_matched_dataset,
     make_dataset,
     parse_text,
+    random_dataset,
     relative_error,
     simulate_ascents,
 )
@@ -152,23 +153,8 @@ def _log_density_machine(dataset, hyper):
 
 def _random_small_instance(seed):
     rng = np.random.default_rng(seed)
-    n_climbers = int(rng.integers(1, 4))
-    n_routes = int(rng.integers(1, 4))
-    ascents = []
-    for c in range(n_climbers):
-        n_periods = int(rng.integers(1, 4))
-        weeks = np.sort(rng.choice(np.arange(0, 40, 3), size=n_periods, replace=False))
-        for w in weeks:
-            for _ in range(int(rng.integers(1, 4))):
-                ascents.append(
-                    (c, int(rng.integers(0, n_routes)), int(w),
-                                 S if rng.random() < 0.55 else F)
-                )
-    for r in range(n_routes):
-        if not any(a[1] == r for a in ascents):
-            ascents.append((0, r, int(ascents[0][2]), F))
-    grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
-    return make_dataset(ascents, n_routes, n_climbers, grades)
+    return random_dataset(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
+                          weeks=range(0, 40, 3))
 
 
 # ---------------------------------------------------------------------------

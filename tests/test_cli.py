@@ -102,6 +102,26 @@ def test_empty_input_file_exits_one_and_names_it(tmp_path, capsys, command, empt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argument", [("preprocess", "raw_csv"),
+                                               ("predict", "query_csv")], ids=["raw-log", "query"])
+@pytest.mark.parametrize("value, last_line", [
+    # the empty value names the current directory, as "." does
+    ("", "cragrank {}: error: argument {}: '' names a directory, not a file"),
+    (".", "cragrank {}: error: argument {}: '.' names a directory, not a file"),
+    ("no-such.csv", "error: [Errno 2] No such file or directory: 'no-such.csv'"),
+], ids=["empty", "dot", "missing"])
+def test_input_that_names_no_file_exits_one(tmp_path, capsys, monkeypatch, command, argument,
+                                            value, last_line):
+    inputs = command_inputs(tmp_path, command)[:-1] + [value]
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", out]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.splitlines()[-1] == last_line.format(command, argument)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, edited, line", [
     ("preprocess", "raw.csv", 3),
     ("preprocess", "ticks.csv", 2),
@@ -197,9 +217,6 @@ class TestPreprocess:
         raw = write_log(tmp_path, HEADER + "\nalice,r1,redpoint,2020-13-40,21,ewbank\n")
         assert run(["preprocess", raw, "--out", tmp_path / "d"]) == 1
         assert "line 2" in capsys.readouterr().err
-
-    def test_missing_input_exits_one(self, tmp_path):
-        assert run(["preprocess", tmp_path / "no-such.csv", "--out", tmp_path / "d"]) == 1
 
     def test_tick_mapping_that_names_no_file_exits_one(self, tmp_path, capsys, monkeypatch):
         # the empty value names the current directory, as "." does

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from cragrank import solver
 from cragrank.errors import EmptyDatasetError
-from cragrank.ingest import CleanDataset, assemble_clean_dataset
+from cragrank.ingest import CleanDataset, preprocess
 from cragrank.model import Hyperparameters, win_probabilities
 from cragrank.solver import (
     ModelState,
@@ -33,8 +33,8 @@ from cragrank.solver import (
     solve_tridiagonal,
     tridiagonal_plan,
 )
-from cragrank.synthetic import generate_world
-from helpers import F, S, make_dataset, simulate_ascents
+from cragrank.synthetic import generate_world, raw_ascent_log
+from helpers import F, S, make_dataset, random_dataset, simulate_ascents
 
 
 def evaluated(state):
@@ -47,26 +47,6 @@ def one_one_fixture():
     """One climber, one route, one period: 3 successes, 2 failures."""
     ascents = [(0, 0, 0, S)] * 3 + [(0, 0, 0, F)] * 2
     return make_dataset(ascents, n_routes=1, n_climbers=1)
-
-
-def random_dataset(rng, n_climbers=4, n_routes=4, max_periods=3):
-    ascents = []
-    for c in range(n_climbers):
-        n_periods = int(rng.integers(1, max_periods + 1))
-        weeks = np.sort(rng.choice(np.arange(0, 50, 3), size=n_periods, replace=False))
-        for w in weeks:
-            for _ in range(int(rng.integers(1, 4))):
-                ascents.append(
-                    (
-                        c, int(rng.integers(0, n_routes)), int(w),
-                        S if rng.random() < 0.55 else F,
-                    )
-                )
-    for r in range(n_routes):  # every route climbed at least once
-        if not any(a[1] == r for a in ascents):
-            ascents.append((0, r, int(ascents[0][2]), F))
-    grades = [int(g) for g in rng.integers(18, 28, size=n_routes)]
-    return make_dataset(ascents, n_routes, n_climbers, grades)
 
 
 @st.composite
@@ -171,7 +151,7 @@ def log_posterior(ds, state):
 
 
 def random_clean_log(seed):
-    """A small cleaned log with random hyperparameters, through the cleaning filters."""
+    """A small log with random hyperparameters, cleaned by :func:`preprocess`."""
     rng = np.random.default_rng(seed)
     while True:
         n_climbers, n_routes = int(rng.integers(1, 8)), int(rng.integers(1, 8))
@@ -182,12 +162,12 @@ def random_clean_log(seed):
             b=float(rng.uniform(0.1, 0.8)),
         )
         try:
-            ds = assemble_clean_dataset(
+            ds = preprocess(raw_ascent_log(
                 [f"c{i}" for i in range(n_climbers)], [f"r{i}" for i in range(n_routes)],
                 rng.integers(10, 37, size=n_routes), rng.integers(0, n_climbers, size=n),
                 rng.integers(0, n_routes, size=n), rng.integers(0, 20, size=n),
-                rng.random(n) < rng.uniform(0.3, 0.97), {"rows_read": n},
-            )
+                rng.random(n) < rng.uniform(0.3, 0.97),
+            ))
         except EmptyDatasetError:
             continue
         return ds, hyper
