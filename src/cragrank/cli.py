@@ -66,6 +66,14 @@ def _input_file(value: str) -> Path:
     return Path(value)
 
 
+def _input_dir(value: str) -> Path:
+    """An input directory argument's ``type``: anything but a directory, the empty
+    value included, is a usage error."""
+    if not value or not Path(value).is_dir():
+        raise argparse.ArgumentTypeError(f"{value!r} names no directory")
+    return Path(value)
+
+
 def add_hyper_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("hyperparameters")
     group.add_argument("--hyper-config", metavar="FILE", type=_input_file,
@@ -215,7 +223,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     route_ids, routes, climber_ids, period_owner, weeks, ratings = _read_ratings(
-        Path(args.ratings_dir))
+        args.ratings_dir)
     queries = CsvTable(args.query_csv, ("climber_id", "route_id", "week"))
     week = queries.integers("week")
     queries.raise_first()
@@ -303,27 +311,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("fit", help="fit ratings on a cleaned dataset")
-    p.add_argument("dataset_dir", help="directory from `cragrank preprocess`")
+    p.add_argument("dataset_dir", type=_input_dir, help="directory from `cragrank preprocess`")
     p.add_argument("--out", required=True, help="output directory for rating files")
     _add_fit_flags(p)
     add_hyper_flags(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("predict", help="predict success probabilities")
-    p.add_argument("ratings_dir", help="directory from `cragrank fit`")
+    p.add_argument("ratings_dir", type=_input_dir, help="directory from `cragrank fit`")
     p.add_argument("query_csv", type=_input_file, help="queries (climber_id,route_id,week)")
     p.add_argument("--out", required=True, help="output predictions CSV")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("evaluate", help="fit and score on the same dataset")
-    p.add_argument("dataset_dir")
+    p.add_argument("dataset_dir", type=_input_dir)
     p.add_argument("--out", required=True, help="output directory for reports")
     _add_fit_flags(p)
     add_hyper_flags(p)
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("crossval", help="repeated stratified k-fold evaluation")
-    p.add_argument("dataset_dir")
+    p.add_argument("dataset_dir", type=_input_dir)
     p.add_argument("--out", required=True, help="output directory for reports")
     p.add_argument("-k", "--folds", type=int, default=10, help="folds (default 10)")
     p.add_argument("--repeats", type=int, default=3, help="repeats (default 3)")

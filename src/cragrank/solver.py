@@ -1,26 +1,28 @@
-"""Coordinate Newton optimizer for the dynamic paired-comparison model.
+"""Newton optimizer for the MAP ratings of the dynamic paired-comparison model.
 
-Each outer iteration takes one Newton step for every climber (over the
-climber's whole rating history, using the tridiagonal Hessian induced by the
-random-walk coupling between consecutive periods) and then one scalar Newton
-step for every route.  Climber blocks never read other climbers and route
-updates never read other routes, so each pass is computed at once over flat
-arrays: the climber Hessians form one block-tridiagonal system, solved in a
-single sweep, and the route steps are elementwise.  The gradient and Hessian
-of the log posterior come from :func:`climber_derivatives` and
-:func:`route_derivatives`; the random-walk terms act on whole slices through
-the Hessian off-diagonal, which is 0 between climbers.  Each entity's Newton
-step is halved until that entity's own log posterior does not fall, so no
-pass lowers the posterior.
+A fit starts with a few coordinate passes.  A climber pass takes one Newton
+step for every climber, over the climber's whole rating history, using the
+tridiagonal Hessian induced by the random-walk coupling between consecutive
+periods; a route pass takes one scalar Newton step for every route.  Climber
+blocks never read other climbers and route updates never read other routes,
+so each pass is computed at once over flat arrays: the climber Hessians
+form one block-tridiagonal system, solved in a single sweep, and the route
+steps are elementwise.  The gradient and Hessian of the log posterior come
+from :func:`climber_derivatives` and :func:`route_derivatives`; the
+random-walk terms act on whole slices through the Hessian off-diagonal,
+which is 0 between climbers.  Each entity's Newton step is halved until
+that entity's own log posterior does not fall, so no pass lowers the
+posterior.
+
+The passes converge slowly where climbers and routes pull on each other, so
+the fit then takes Newton steps on all ratings at once: conjugate gradients
+on the whole Hessian, preconditioned by the passes' own block solves, and an
+Armijo line search.  It stops at the MAP, once no rating's block-Jacobi step
+exceeds ``STEP_TOLERANCE`` (see :func:`fit`).
 
 What does not change during a fit is built once, when
 :func:`initialize_state` sorts the ascents and constructs the
-:class:`ModelState`, as its read-only fields; :func:`fit` states what a
-trial point then costs.
-
-The Bradley-Terry marginal log-likelihood is recorded after every outer
-iteration; the fit stops once the last nine recorded values span at most one
-unit (or at ``max_iterations``).
+:class:`ModelState`, as its read-only fields.
 """
 
 from __future__ import annotations
@@ -38,10 +40,28 @@ from .model import Hyperparameters, route_prior_mean, win_probabilities
 # coupling then pins the climber's periods to a common value.
 MIN_WIENER_VARIANCE = 1e-12
 
-# Iterations over which the BT log-likelihood must stay within the
-# convergence span (see :func:`fit`), and the least iteration budget.
+# A converged fit's last CONVERGENCE_WINDOW + 1 recorded BT log-likelihoods
+# span less than its convergence span (see :func:`fit`); this is also the
+# least iteration budget.
 CONVERGENCE_WINDOW = 8
 MAX_ITERATIONS = 1000  # the default iteration budget of every fit
+# Coordinate pass pairs before the Newton-CG steps.  In-process fits on the
+# benchmark's cleaned logs (medians of 7 runs, alternating K, on a 2-core VM)
+# took 204/207/206 ms at K = 4/2/3 on the 157k-ascent level-matched log,
+# where the span-only fit of 26 pass pairs took 344 ms, and 17-20 ms at each
+# K from 2 to 5 on the 20k-ascent uniform log.
+K_COORDINATE_PASSES = 4
+# A fit stops when no rating's block-Jacobi step is larger than this.  The
+# step is scale-free, unlike the gradient: at w_sq == 0 the random-walk
+# precision of 1e12 turns rounding in a rating difference into about 1e-4
+# of gradient, but not into step.  There the ratings were up to 1.5 times
+# the step from the MAP, so the tolerance is well below the 1e-8 to which
+# the tests check them.
+STEP_TOLERANCE = 1e-9
+ARMIJO_C = 1e-4  # the sufficient-increase constant of the line search
+# The log posterior's terms are all at most 0, so its rounding is within
+# this many ulps of its magnitude; the line search forgives that much.
+ROUNDING_ULPS = 16.0
 
 
 @dataclass(frozen=True)
@@ -405,6 +425,67 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
                    _route_log_posteriors)
 
 
+def _log_posterior(state: ModelState, climber_r: np.ndarray, route_r: np.ndarray,
+                   log_p: np.ndarray) -> float:
+    """The log posterior at the ratings ``climber_r`` and ``route_r``, from the
+    log of the :func:`outcome_probabilities` there.  No term is positive."""
+    first, hyper = state.first_periods, state.hyper
+    return float(log_p.sum() - (climber_r[first] ** 2).sum() / (2.0 * hyper.sigma_c_sq)
+                 - ((climber_r[1:] - climber_r[:-1]) ** 2 * state.hess_off).sum() / 2.0
+                 - ((route_r - state.route_prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq))
+
+
+def _newton_cg(state: ModelState, outcome_p: np.ndarray, hess: np.ndarray, d2: np.ndarray,
+               gradient: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """An inexact Newton step on all ratings: preconditioned CG on ``-H d = gradient``.
+
+    ``gradient`` is the climber gradient followed by the route gradient, ``hess``
+    and ``d2`` the Hessian diagonals of :func:`climber_derivatives` and
+    :func:`route_derivatives`.  The preconditioner is the block-Jacobi solve,
+    each climber's tridiagonal block by :func:`solve_tridiagonal` and each
+    route by its own curvature, and CG starts from ``start``, that solve of the
+    gradient.  It stops once the residual is at most ``min(0.5,
+    sqrt(max|gradient|))`` times the gradient in norm, or after one iteration
+    per rating.  In ``-H``, each ascent
+    couples its climber period and its route by ``-p * (1 - p)``, and the
+    random walk couples consecutive periods by ``-hess_off``.
+    """
+    n = hess.shape[0]
+    period, route, off = state.asc_flat_period, state.asc_route, state.hess_off
+    w = outcome_p * (1.0 - outcome_p)
+    diagonal = -np.concatenate((hess, d2))
+
+    def coupling(v):  # minus the product of -H's climber-route blocks with v
+        return np.concatenate((_sums(period, w * v[n:][route], n),
+                               _sums(route, w * v[:n][period], d2.shape[0])))
+
+    def product(v):
+        out = diagonal * v - coupling(v)
+        out[:n - 1] -= off * v[1:n]
+        out[1:n] -= off * v[:n - 1]
+        return out
+
+    def precondition(r):
+        return np.concatenate((-solve_tridiagonal(hess, r[:n], state.climber_plan), -r[n:] / d2))
+
+    step = start
+    # start solves the block-diagonal part exactly, so the residual is the coupling's
+    residual = coupling(start)
+    bound = min(0.5, np.sqrt(np.abs(gradient).max())) * np.linalg.norm(gradient)
+    direction, rho = np.zeros_like(step), 1.0
+    for _ in range(step.shape[0]):  # exact CG would end within this many
+        if np.linalg.norm(residual) <= bound:
+            break
+        z = precondition(residual)
+        rho, previous = residual @ z, rho
+        direction = z + (rho / previous) * direction
+        q = product(direction)
+        alpha = rho / (direction @ q)
+        step = step + alpha * direction
+        residual = residual - alpha * q
+    return step
+
+
 def fit(
     dataset: CleanDataset,
     hyper: Hyperparameters = Hyperparameters(),
@@ -412,23 +493,39 @@ def fit(
     *,
     convergence_span: float = 1.0,
 ) -> tuple[ModelState, FitReport]:
-    """Fit climber and route ratings by coordinate Newton ascent.
+    """Fit climber and route ratings to the MAP: coordinate passes, then Newton-CG.
 
-    Every outer iteration runs :func:`climber_pass` (against the route
-    ratings from the previous iteration), then :func:`route_pass` (against
-    the just-updated climber ratings), then records the Bradley-Terry
-    marginal log-likelihood.  The model is evaluated once per point: the
-    :func:`outcome_probabilities` and their log that each pass returns are
-    carried to the next pass, and the route pass's log gives the recorded
-    likelihood.  The state's read-only fields are built once, by
-    :func:`initialize_state`, so a trial point costs one gather of the side
-    that moved, one :func:`win_probabilities` call, one ``np.log`` and the
-    per-entity sums; an iteration without halving calls :func:`win_probabilities` twice and
-    :func:`solve_tridiagonal` once.  No pass lowers the log posterior.  The
-    fit is converged once the last ``CONVERGENCE_WINDOW + 1`` recorded
-    likelihoods span at most ``convergence_span``; otherwise it stops at
-    ``max_iterations``.  Entities that have no ascents (possible in
-    cross-validation subsets) are left at their prior means.
+    The first ``K_COORDINATE_PASSES`` iterations each run
+    :func:`climber_pass` (against the route ratings of the previous
+    iteration), then :func:`route_pass` (against the just-updated climber
+    ratings).  Every later iteration starts by measuring the block-Jacobi
+    step: each climber's whole-history Newton step and each route's scalar
+    Newton step, all from one point.  While a rating's step is larger than
+    ``STEP_TOLERANCE``, the iteration takes an inexact Newton step on all
+    ratings at once: preconditioned CG (:func:`_newton_cg`) from the
+    block-Jacobi step, then an Armijo search that halves the step until the
+    log posterior rises by ``ARMIJO_C`` of its predicted rise, less its
+    rounding.  A search whose predicted rise falls within the rounding ends
+    with a zero step.  Once no step is larger than ``STEP_TOLERANCE`` the
+    ratings are the MAP to within it, and the fit is converged if the last
+    ``CONVERGENCE_WINDOW + 1`` recorded likelihoods also span less than
+    ``convergence_span`` (so a span of 0.0 runs every fit to
+    ``max_iterations``); until they do, each iteration takes the
+    block-Jacobi step as it is.  Every iteration records the Bradley-Terry
+    marginal log-likelihood of the point it reaches.  The fit stops
+    unconverged at ``max_iterations``.
+
+    The model is evaluated once per point: the
+    :func:`outcome_probabilities` and their log at each point reached are
+    carried to the next iteration, and their log gives the recorded
+    likelihood.  A fit whose passes do not halve calls
+    :func:`win_probabilities` once, twice per pass pair, once per line-search
+    trial and once per small step; it calls :func:`solve_tridiagonal` once
+    per pass pair, once per block-Jacobi step measured and once per CG
+    iteration.  No pass or accepted Newton step lowers the log posterior by
+    more than its rounding; a small step at the MAP may.  Entities that have
+    no ascents (possible in cross-validation subsets) are left at their
+    prior means.
 
     Returns the final state and a report (iterations run, convergence flag,
     final likelihood).
@@ -441,14 +538,48 @@ def fit(
     outcome_p = outcome_probabilities(state)
     log_p = np.log(outcome_p)
     history = state.bt_log_likelihood_history
-    converged = False
-    for iterations in range(1, max_iterations + 1):
+    for _ in range(K_COORDINATE_PASSES):
         state.climber_ratings, outcome_p, log_p = climber_pass(state, outcome_p, log_p)
         state.route_ratings, outcome_p, log_p = route_pass(state, outcome_p, log_p)
         history.append(float(log_p.sum()))
-        if len(history) > CONVERGENCE_WINDOW:
+
+    n = state.climber_ratings.shape[0]
+
+    def evaluated(ratings):  # the outcome probabilities at the ratings, and their log
+        trial_p = _observed(state, ratings[:n][state.asc_flat_period]
+                            - ratings[n:][state.asc_route])
+        return trial_p, np.log(trial_p)
+
+    converged = False
+    while len(history) < max_iterations:
+        grad, hess = climber_derivatives(state, outcome_p)
+        d1, d2 = route_derivatives(state, outcome_p)
+        step = np.concatenate((-solve_tridiagonal(hess, grad, state.climber_plan), -d1 / d2))
+        ratings = np.concatenate((state.climber_ratings, state.route_ratings))
+        if np.abs(step).max() > STEP_TOLERANCE:
+            gradient = np.concatenate((grad, d1))
+            step = _newton_cg(state, outcome_p, hess, d2, gradient, step)
+            before = _log_posterior(state, state.climber_ratings, state.route_ratings, log_p)
+            noise = ROUNDING_ULPS * np.finfo(float).eps * abs(before)
+            slope, scale = gradient @ step, 1.0
+            while True:
+                trial = ratings + scale * step
+                trial_p, trial_log_p = evaluated(trial)
+                gain = _log_posterior(state, trial[:n], trial[n:], trial_log_p) - before
+                if gain >= ARMIJO_C * scale * slope - noise:
+                    break
+                scale /= 2.0
+                if scale * slope <= noise:
+                    trial, trial_p, trial_log_p = ratings, outcome_p, log_p
+                    break
+        else:
             recent = history[-(CONVERGENCE_WINDOW + 1):]
-            if max(recent) - min(recent) <= convergence_span:
+            if len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < convergence_span:
                 converged = True
                 break
-    return state, FitReport(iterations, converged, history[-1])
+            trial = ratings + step
+            trial_p, trial_log_p = evaluated(trial)
+        state.climber_ratings, state.route_ratings = trial[:n], trial[n:]
+        outcome_p, log_p = trial_p, trial_log_p
+        history.append(float(log_p.sum()))
+    return state, FitReport(len(history), converged, history[-1])

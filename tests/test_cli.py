@@ -122,6 +122,27 @@ def test_input_that_names_no_file_exits_one(tmp_path, capsys, monkeypatch, comma
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, argument", [("fit", "dataset_dir"), ("evaluate", "dataset_dir"),
+                                               ("crossval", "dataset_dir"),
+                                               ("predict", "ratings_dir")])
+@pytest.mark.parametrize("value", ["raw.csv", "", "no-such-dir"], ids=["file", "empty", "missing"])
+def test_input_that_names_no_directory_exits_one(tmp_path, capsys, monkeypatch, command,
+                                                 argument, value):
+    # the operating system's message named a file inside the value, such as
+    # "Not a directory: 'raw.csv/routes.csv'", or, for '', "routes.csv" alone
+    inputs = command_inputs(tmp_path, command)
+    inputs[0] = value
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run([command, *inputs, "--out", out]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("usage: cragrank")
+    assert err.splitlines()[-1] == (
+        f"cragrank {command}: error: argument {argument}: {value!r} names no directory")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, edited, line", [
     ("preprocess", "raw.csv", 3),
     ("preprocess", "ticks.csv", 2),
@@ -369,8 +390,8 @@ class TestFit:
             (route,) = list(csv.DictReader(fh))
         with open(out / "climber_ratings.csv", newline="") as fh:
             (climber,) = list(csv.DictReader(fh))
-        assert float(climber["rating"]) == pytest.approx(0.0698447795498201, abs=1e-9)
-        assert float(route["rating"]) == pytest.approx(-0.2780176089830987, abs=1e-9)
+        assert float(climber["rating"]) == pytest.approx(0.06956284286665816, abs=1e-9)
+        assert float(route["rating"]) == pytest.approx(-0.27825137146663265, abs=1e-9)
 
     def test_non_convergence_warns_but_exits_zero(self, tmp_path, capsys):
         dataset_dir = preprocess_fixture(tmp_path)

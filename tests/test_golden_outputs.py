@@ -34,7 +34,7 @@ PINNED = {
     "preprocess.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "fit.stdout":
-        "749e0eabfecde70e8a02e5e44338ca5c5681cdad17cad86f1ee41e2068a169ef",
+        "a6d8eed6bb7e8018bf045af739db37df30c0d294e8b486e5342784a465cf0a74",
     "fit.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "predict.stdout":
@@ -42,19 +42,19 @@ PINNED = {
     "predict.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "evaluate.stdout":
-        "51c76d4b8bdc887e70d1b2d0ac9e26231e4dd742ebf91af642995ac101e5019e",
+        "5091be9a66885dc148fb20060de9ecdce5d2e4d288309f412b969654494aab6f",
     "evaluate.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "crossval.stdout":
-        "a34812f32ddb27a7920c1bcabe81c7aa0e8df49973143d2aa33bec0d457c1613",
+        "4f636d974ce6b6a1772d840c8ef42621484a38935e49582b85de90a1676cca3b",
     "crossval.stderr":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "cv/pr_curve.csv":
-        "fa40c95ee2e5c36397f4ab17112aaa5b4663e3fb73d9a81c999274ef71eaec67",
+        "638c47a156ff28e6a246e96273d555dc3d9581168f6dfd224e74c07b42f8bc0e",
     "cv/report.json":
-        "2317426497ba63b4218a64a0373b5bb9a884bf32cfd339f9c4324d9995484a92",
+        "9f9c66dd9ae8d560ffcf1f1a92a097ac20bf990adbe5244ce9bc1d60cd5dc1ac",
     "cv/report.txt":
-        "7a3c5983855dc9a8167b05bf48888ffde14ae97b58f0703a4ce96eff2ce11bcc",
+        "f55ac2e7e8d4d6523ea52c3148764709544e7b57bc72922062afadeae83d09cf",
     "dataset/ascents.csv":
         "71eef06503191d924f1732551bcdf18b01e7d0035b89b07519f06bffd62c9b6a",
     "dataset/climbers.csv":
@@ -64,21 +64,21 @@ PINNED = {
     "dataset/routes.csv":
         "37bfd7dd95c1372ec85d253e70220f5b8b9a2da887d60d977ded6876e5ca4ed5",
     "eval/pr_curve.csv":
-        "a87e6c53bb14adad2ac23263c7aa1aaaad4242915ec8d0841a62c302dbff76a6",
+        "bc27278a2f003c00c9fa24fc31101a3f98d1ada2cc91446479ee30315e2c6872",
     "eval/ratings_vs_grades.csv":
-        "b705f9bd324e56a40f19e0e663b75dec8f752e2f6adac2d46ddc9eb394949a1f",
+        "e1a48acf426d0375ba8694c5fd0ab0415d04b39f5a02f9e2ff252a9bfff0b863",
     "eval/report.json":
-        "6858d52deee994970fbcb9cf78105fff544bd6671a043c7a48ae4dca6abf9a36",
+        "0f829267863c46012e4308c816c59bc78ead5f1f86fd2006e4bcb22455f8d4fa",
     "eval/report.txt":
-        "ca18a9261d703152ed13cff7972bcb1147628e642ac48a19464be4e7adaf748e",
+        "27a5f4fda2070d6d7088f4280ca1ccdc99774c0faca99e877f4065c8f52377e0",
     "predictions.csv":
-        "44ca06aa7fa86736c20051d1d6ee0aa2dc37fe0d62e28a7a9f55f3b84ba7ec31",
+        "a8c4fa1d9db738d15c84c8029192b7928b59923ec79d512d89239f64a366d694",
     "ratings/climber_ratings.csv":
-        "c7509d884ac48ce1831bda04d4016732bb7581d80b6e6caeef84a54aba7caaea",
+        "965e9dba6bf0def18cd65092076f8680f8d41e672d19983a3c82c256e303418b",
     "ratings/fit_report.txt":
-        "b9c4ee765e078f1e214771340251772e6faf0150cc67bbcb444a9c2a050606f3",
+        "878d1b332be9681f085d26a9134d95b27b81c95e368293f992f61a68fd28d1b3",
     "ratings/route_ratings.csv":
-        "d54b956338cf18b1df420cdb6ac41819f689a513a4b03d659b534b9051d9086f",
+        "d38718c95f2f448557fb8dd6c02c1e301b2ef02238d1981540695396168f4d73",
     "synth/raw_ascents.csv":
         "199997e271961ada14e9a143d490d2afb074f83c20cd0e3c55d73080224ce6c2",
     "synth/truth.csv":
