@@ -95,6 +95,19 @@ def bt_probability(climber_rating, route_rating):
 win_probabilities = bt_probability
 
 
+def clamp_shortfall(margin):
+    """``min(margin + RATING_DIFF_CLAMP, 0)`` at each log-odds margin, in place.
+
+    Below ``-RATING_DIFF_CLAMP`` the clamped :func:`win_probabilities` stops
+    falling, but the logistic's log keeps falling by one per unit of margin.
+    Added to the log of the clamped probability, this gives the logistic's
+    own log, so a fit maximizes the unclamped posterior and the clamp bounds
+    only probabilities.  Returns ``margin``, overwritten.
+    """
+    margin += RATING_DIFF_CLAMP
+    return np.minimum(margin, 0.0, out=margin)
+
+
 def route_prior_mean(grade, hyper: Hyperparameters):
     """Prior mean rating of a grade or of each of an array of grades: ``b * (grade - g0)``.
 

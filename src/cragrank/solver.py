@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError
 from .ingest import CleanDataset
-from .model import Hyperparameters, route_prior_mean, win_probabilities
+from .model import Hyperparameters, clamp_shortfall, route_prior_mean, win_probabilities
 
 # Floor on the drift variance between adjacent periods.  Only reachable with
 # w_sq == 0 (weeks within a climber are strictly increasing); the near-rigid
@@ -41,9 +41,10 @@ from .model import Hyperparameters, route_prior_mean, win_probabilities
 MIN_WIENER_VARIANCE = 1e-12
 
 # A converged fit's last CONVERGENCE_WINDOW + 1 recorded BT log-likelihoods
-# span less than its convergence span (see :func:`fit`); this is also the
+# span less than WINDOW_SPAN units (see :func:`fit`); the window is also the
 # least iteration budget.
 CONVERGENCE_WINDOW = 8
+WINDOW_SPAN = 1.0
 MAX_ITERATIONS = 1000  # the default iteration budget of every fit
 # Coordinate pass pairs before the Newton-CG steps.  In-process fits on the
 # benchmark's cleaned logs (medians of 7 runs, alternating K, on a 2-core VM)
@@ -282,21 +283,27 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
-def _observed(state: ModelState, margin: np.ndarray) -> np.ndarray:
+def _observed(state: ModelState, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each ascent's winner's :func:`win_probabilities`, from the climber's
-    ``margin`` over the route.  Multiplying by the outcome sign is exact."""
-    return win_probabilities(margin * state.sign, 0.0)
+    ``margin`` over the route, and its log.  Multiplying by the outcome sign
+    is exact, and :func:`clamp_shortfall` makes the log exact beyond the clamp."""
+    margin = margin * state.sign
+    outcome_p = win_probabilities(margin, 0.0)
+    log_p = np.log(outcome_p)
+    log_p += clamp_shortfall(margin)
+    return outcome_p, log_p
 
 
-def outcome_probabilities(state: ModelState) -> np.ndarray:
+def outcome_probabilities(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Each ascent's winner's :func:`win_probabilities`, by its rating margin over
-    its loser: the probability of the observed outcome, strictly inside (0, 1)."""
+    its loser: the probability of the observed outcome, strictly inside (0, 1),
+    and the log-likelihood of that outcome (see :func:`_observed`)."""
     return _observed(state, state.climber_ratings[state.asc_flat_period]
                      - state.route_ratings[state.asc_route])
 
 
 def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
-    """Each ascent's climber's win probability, from :func:`outcome_probabilities`.
+    """Each ascent's climber's win probability, from the outcome probabilities.
 
     ``lost + sign * p`` is ``p`` or ``1.0 - p`` exactly, without a branch.
     """
@@ -307,9 +314,9 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian diagonal of the log posterior in every climber rating.
 
-    ``outcome_p`` is :func:`outcome_probabilities` at the state.  Returns
-    ``(grad, hess_diag)`` over the flat rating periods.  The Hessian is
-    tridiagonal, and its off-diagonal is the state's read-only
+    ``outcome_p`` is the first of :func:`outcome_probabilities` at the
+    state.  Returns ``(grad, hess_diag)`` over the flat rating periods.  The
+    Hessian is tridiagonal, and its off-diagonal is the state's read-only
     :attr:`ModelState.hess_off`, which no rating changes.  Each period holds
     its ascents' Bradley-Terry terms, each climber's first period the
     initial-rating prior, and consecutive periods of one climber the
@@ -337,9 +344,9 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
 def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and (diagonal) Hessian of the log posterior in every route rating.
 
-    ``outcome_p`` is :func:`outcome_probabilities` at the state.  A route
-    "wins" each ascent its climber fails.  Only the prior acts on a route
-    with no ascents.
+    ``outcome_p`` is the first of :func:`outcome_probabilities` at the
+    state.  A route "wins" each ascent its climber fails.  Only the prior
+    acts on a route with no ascents.
     """
     route = state.asc_route
     ratings = state.route_ratings
@@ -372,19 +379,18 @@ def _route_log_posteriors(state: ModelState, ratings: np.ndarray, log_p: np.ndar
 
 def _ascend(state: ModelState, ratings: np.ndarray, step: np.ndarray, log_p: np.ndarray,
             observed, log_posteriors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``ratings`` moved by ``step``, with :func:`outcome_probabilities` there and their log.
+    """``ratings`` moved by ``step``, with the :func:`outcome_probabilities` there.
 
-    ``observed(trial)`` gives the outcome probabilities at trial ratings, and
-    ``log_posteriors(state, ratings, log_p)`` each entity's log posterior;
-    ``log_p`` is at ``ratings``.  Each entity's step is halved until its log
-    posterior, which depends on its own ratings only, does not fall; a step
-    that rounds to nothing passes.
+    ``observed(trial)`` gives the outcome probabilities at trial ratings and
+    their log, and ``log_posteriors(state, ratings, log_p)`` each entity's
+    log posterior; ``log_p`` is at ``ratings``.  Each entity's step is
+    halved until its log posterior, which depends on its own ratings only,
+    does not fall; a step that rounds to nothing passes.
     """
     before = log_posteriors(state, ratings, log_p)
     while True:
         trial = ratings + step
-        trial_p = observed(trial)
-        trial_log_p = np.log(trial_p)
+        trial_p, trial_log_p = observed(trial)
         fell = log_posteriors(state, trial, trial_log_p) < before
         if not fell.any():
             return trial, trial_p, trial_log_p
@@ -428,7 +434,7 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
 def _log_posterior(state: ModelState, climber_r: np.ndarray, route_r: np.ndarray,
                    log_p: np.ndarray) -> float:
     """The log posterior at the ratings ``climber_r`` and ``route_r``, from the
-    log of the :func:`outcome_probabilities` there.  No term is positive."""
+    log-likelihoods of :func:`outcome_probabilities` there.  No term is positive."""
     first, hyper = state.first_periods, state.hyper
     return float(log_p.sum() - (climber_r[first] ** 2).sum() / (2.0 * hyper.sigma_c_sq)
                  - ((climber_r[1:] - climber_r[:-1]) ** 2 * state.hess_off).sum() / 2.0
@@ -490,8 +496,6 @@ def fit(
     dataset: CleanDataset,
     hyper: Hyperparameters = Hyperparameters(),
     max_iterations: int = MAX_ITERATIONS,
-    *,
-    convergence_span: float = 1.0,
 ) -> tuple[ModelState, FitReport]:
     """Fit climber and route ratings to the MAP: coordinate passes, then Newton-CG.
 
@@ -509,8 +513,7 @@ def fit(
     with a zero step.  Once no step is larger than ``STEP_TOLERANCE`` the
     ratings are the MAP to within it, and the fit is converged if the last
     ``CONVERGENCE_WINDOW + 1`` recorded likelihoods also span less than
-    ``convergence_span`` (so a span of 0.0 runs every fit to
-    ``max_iterations``); until they do, each iteration takes the
+    ``WINDOW_SPAN``; until they do, each iteration takes the
     block-Jacobi step as it is.  Every iteration records the Bradley-Terry
     marginal log-likelihood of the point it reaches.  The fit stops
     unconverged at ``max_iterations``.
@@ -535,8 +538,7 @@ def fit(
                          f"got {max_iterations}")
 
     state = initialize_state(dataset, hyper)
-    outcome_p = outcome_probabilities(state)
-    log_p = np.log(outcome_p)
+    outcome_p, log_p = outcome_probabilities(state)
     history = state.bt_log_likelihood_history
     for _ in range(K_COORDINATE_PASSES):
         state.climber_ratings, outcome_p, log_p = climber_pass(state, outcome_p, log_p)
@@ -546,9 +548,7 @@ def fit(
     n = state.climber_ratings.shape[0]
 
     def evaluated(ratings):  # the outcome probabilities at the ratings, and their log
-        trial_p = _observed(state, ratings[:n][state.asc_flat_period]
-                            - ratings[n:][state.asc_route])
-        return trial_p, np.log(trial_p)
+        return _observed(state, ratings[:n][state.asc_flat_period] - ratings[n:][state.asc_route])
 
     converged = False
     while len(history) < max_iterations:
@@ -574,7 +574,7 @@ def fit(
                     break
         else:
             recent = history[-(CONVERGENCE_WINDOW + 1):]
-            if len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < convergence_span:
+            if len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < WINDOW_SPAN:
                 converged = True
                 break
             trial = ratings + step

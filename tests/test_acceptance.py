@@ -228,7 +228,7 @@ def _check_derivatives_config(seed, rng):
         return central_difference(lambda t: f(np.where(unit, t, x)), x[i])
 
     errors = []
-    grad, hess_diag = climber_derivatives(state, outcome_probabilities(state))
+    grad, hess_diag = climber_derivatives(state, outcome_probabilities(state)[0])
     hess_off = state.hess_off
     k = int(rng.integers(0, len(period_coord)))
     i = period_coord[k]
@@ -240,7 +240,7 @@ def _check_derivatives_config(seed, rng):
     if k + 1 < len(period_coord):
         errors.append(relative_error(hess_off[k], column[period_coord[k + 1]]))
 
-    grad, hess = route_derivatives(state, outcome_probabilities(state))
+    grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
     j = int(rng.integers(0, len(dataset.route_ids)))
     errors.append(relative_error(grad[j], partial(log_f, route_base + j)))
     column = partial(gradient, route_base + j)
@@ -297,7 +297,7 @@ def _coordinate_grid_map(log_f, n_coords):
 
 
 def _max_fit_vs_oracle_gap(dataset, oracle, coord_of, route_base):
-    state, _ = fit(dataset, Hyperparameters(), 3000, convergence_span=1e-10)
+    state, _ = fit(dataset, Hyperparameters(), 3000)
     gap = 0.0
     for k, ci in enumerate(state.period_owner.tolist()):
         coord = coord_of[(ci, int(state.period_weeks[k]))]
@@ -331,7 +331,7 @@ def test_criterion_04_map_matches_grid_search():
         n_routes=1,
         n_climbers=1,
     )
-    state, _ = fit(fixture, Hyperparameters(), 3000, convergence_span=1e-10)
+    state, _ = fit(fixture, Hyperparameters(), 3000)
     fixture_gap = max(
         abs(float(state.climber_ratings[0]) - best_climber),
         abs(float(state.route_ratings[0]) - best_route),
@@ -547,7 +547,7 @@ def test_criterion_10_scale_and_memory():
         small = level_matched_dataset(n_climbers, n_routes, 20, 4,
                                        world_seed=0, log_seed=1)
         tracemalloc.start()
-        fit(small, Hyperparameters(), 12, convergence_span=0.0)
+        fit(small, Hyperparameters(), 12)
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         peaks.append((len(small), peak))

@@ -978,7 +978,7 @@ class TestSynth:
         report = (tmp_path / "ratings" / "fit_report.txt").read_text().splitlines()
         assert "converged=true" in report
         state, _ = fit(read_clean_dataset(tmp_path / "dataset"))
-        outcome_p = outcome_probabilities(state)
+        outcome_p, _ = outcome_probabilities(state)
         climber_grad = climber_derivatives(state, outcome_p)[0]
         route_grad = route_derivatives(state, outcome_p)[0]
         assert max(np.abs(climber_grad).max(), np.abs(route_grad).max()) <= 0.25

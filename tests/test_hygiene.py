@@ -16,7 +16,9 @@ enter it through ``cli.main`` alone.  Every function, class and method that the
 package defines is named by the package, ``scripts`` or ``benchmark``, so
 that code only the tests call, test oracles among it, lives in the tests; the
 one exception is a method that overrides a base class's, which that class's
-own code calls.  And every exception class that the package defines is
+own code calls.  Every keyword-only parameter of a package function is
+passed by name somewhere in the package or ``scripts``, so that no option
+exists for the tests alone.  And every exception class that the package defines is
 raised in the package, so that no handler waits for an error that never
 comes.  Only ``cli.py`` subclasses or constructs argparse's ``ArgumentParser``,
 once, and only its ``add_hyper_flags`` adds a hyperparameter flag, so that the
@@ -298,6 +300,42 @@ def test_no_definition_only_the_tests_use():
              for folder in ("scripts", "benchmark") for p in sorted((ROOT / folder).glob("*.py"))}
     found = unused_definitions(library, users)
     assert [d for d in found if not overrides_a_base(d)] == []
+
+
+def unset_keyword_options(library: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Each keyword-only parameter of a function or method of the ``library``
+    modules (module name to text) that no call in ``callers`` passes by name
+    to a function of that name, as ``"module.function: parameter"``."""
+    passed = set()
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func).rpartition(".")[2]
+                passed |= {(name, k.arg) for k in node.keywords if k.arg}
+    return sorted(f"{module.removesuffix('.py')}.{qualified}: {a.arg}"
+                  for module, source in library.items()
+                  for qualified, node in definitions(ast.parse(source))
+                  if not isinstance(node, ast.ClassDef)
+                  for a in node.args.kwonlyargs if (node.name, a.arg) not in passed)
+
+
+def test_finds_an_unset_keyword_option():
+    library = {
+        "a.py": ("def f(x, *, opt=1, used=2):\n    return x\n\n"
+                 "class C:\n    def m(self, *, flag=False):\n        pass\n\n"
+                 "def g(*args, key=None, **rest):\n    pass\n"),
+        "b.py": "from .a import f\n\ndef h(y=0, **kwargs):\n    return f(y, used=3)\n",
+    }
+    callers = {**library, "run.py": "import a\na.C().m(flag=True)\nother(key=1)\ng(opt=2)\n"}
+    assert unset_keyword_options(library, callers) == ["a.f: opt", "a.g: key"]
+
+
+def test_every_keyword_option_is_set_outside_the_tests():
+    # an option that only tests set is one the package never needs
+    library = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE}
+    callers = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
+               for p in PACKAGE + sorted((ROOT / "scripts").glob("*.py"))}
+    assert unset_keyword_options(library, callers) == []
 
 
 HYPER_FLAGS = {"--hyper-config"} | {"--" + f.name.replace("_", "-")

@@ -119,11 +119,11 @@ def bt_terms(own, opponents, outcomes, side):
     if side == "climber":
         state = one_climber_state([0], [own], opponents,
                                   [(0, k, o) for k, o in enumerate(outcomes)])
-        grad, hess = climber_derivatives(state, outcome_probabilities(state))
+        grad, hess = climber_derivatives(state, outcome_probabilities(state)[0])
         return grad[0] + own / hyper.sigma_c_sq, hess[0] + 1.0 / hyper.sigma_c_sq
     state = one_climber_state(list(range(n)), opponents, [own],
                               [(k, 0, o) for k, o in enumerate(outcomes)], prior_means=[own])
-    grad, hess = route_derivatives(state, outcome_probabilities(state))
+    grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
     return grad[0], hess[0] + 1.0 / hyper.sigma_r_sq
 
 
@@ -229,19 +229,19 @@ class TestNormalPriorDerivatives:
     # A route without ascents carries only its prior term.
     def test_at_mean_wide(self):
         state = lone_route_state(0.0)
-        grad, hess = route_derivatives(state, outcome_probabilities(state))
+        grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
         assert (grad[0], hess[0]) == (0.0, -0.25)
 
     def test_off_mean_unit(self):
         hyper = Hyperparameters(sigma_r_sq=1.0)
         state = lone_route_state(2.0, hyper=hyper)
-        grad, hess = route_derivatives(state, outcome_probabilities(state))
+        grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
         assert (grad[0], hess[0]) == (-2.0, -1.0)
 
     def test_at_negative_mean(self):
         mean = route_prior_mean(10, Hyperparameters())
         state = lone_route_state(mean, mean)
-        grad, hess = route_derivatives(state, outcome_probabilities(state))
+        grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
         assert (grad[0], hess[0]) == (0.0, -0.25)
 
     @pytest.mark.parametrize("variance", [0.0, -1.0])
@@ -258,7 +258,7 @@ class TestNormalPriorDerivatives:
             return -((x - mean) ** 2) / (2.0 * variance)
 
         state = lone_route_state(r, mean, hyper=Hyperparameters(sigma_r_sq=variance))
-        grad, hess = route_derivatives(state, outcome_probabilities(state))
+        grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
         assert relative_error(grad[0], central_difference(log_density, r)) < 1e-5
         # analytic gradient of the same density, differentiated once more
         d2_fd = central_difference(lambda x: -(x - mean) / variance, r)
@@ -279,7 +279,7 @@ class TestWienerVariance:
 
     def test_zero_drift_is_floored(self):
         state = coupled_state([3, 5], [0.0, 1.0], hyper=Hyperparameters(w_sq=0.0))
-        grad, _ = climber_derivatives(state, outcome_probabilities(state))
+        grad, _ = climber_derivatives(state, outcome_probabilities(state)[0])
         assert state.hess_off[0] == 1.0 / MIN_WIENER_VARIANCE
         assert grad[1] == -1.0 / MIN_WIENER_VARIANCE
 
@@ -294,7 +294,7 @@ class TestWienerVariance:
     def test_symmetric_and_nonnegative(self, a, gap, x0, x1):
         hyper = Hyperparameters()
         state = coupled_state([a, a + gap], [x0, x1])
-        grad, hess = climber_derivatives(state, outcome_probabilities(state))
+        grad, hess = climber_derivatives(state, outcome_probabilities(state)[0])
         off = state.hess_off
         precision = 1.0 / (gap * hyper.w_sq)
         assert off[0] > 0.0
@@ -358,7 +358,7 @@ class TestBtDerivatives:
     def test_empty(self):
         # a route without ascents has no ascent terms, only its prior's
         state = lone_route_state(1.5, 1.5)
-        grad, hess = route_derivatives(state, outcome_probabilities(state))
+        grad, hess = route_derivatives(state, outcome_probabilities(state)[0])
         assert (grad[0], hess[0]) == (0.0, -1.0 / Hyperparameters().sigma_r_sq)
 
     def test_balanced_outcomes(self):
