@@ -10,15 +10,19 @@ form one block-tridiagonal system, solved in a single sweep, and the route
 steps are elementwise.  The gradient and Hessian of the log posterior come
 from :func:`climber_derivatives` and :func:`route_derivatives`; the
 random-walk terms act on whole slices through the Hessian off-diagonal,
-which is 0 between climbers.  Each entity's Newton step is halved until
-that entity's own log posterior does not fall, so no pass lowers the
-posterior.
+which is 0 between climbers.
 
 The passes converge slowly where climbers and routes pull on each other, so
 the fit then takes Newton steps on all ratings at once: conjugate gradients
-on the whole Hessian, preconditioned by the passes' own block solves, and an
-Armijo line search.  It stops at the MAP, once no rating's block-Jacobi step
-exceeds ``STEP_TOLERANCE`` (see :func:`fit`).
+on the whole Hessian, preconditioned by the passes' own block solves.  It
+stops at the MAP, once no rating's block-Jacobi step exceeds
+``STEP_TOLERANCE`` (see :func:`fit`).
+
+Every step of a fit is accepted by one rule, :func:`_ascend`: each entity's
+step is halved until that entity's own log posterior falls by no more than
+its rounding.  In a pass the entities are the climbers or the routes; a
+step on all ratings at once is one entity.  So no step lowers the log
+posterior by more than its rounding.
 
 What does not change during a fit is built once, when
 :func:`initialize_state` sorts the ascents and constructs the
@@ -59,9 +63,8 @@ K_COORDINATE_PASSES = 4
 # the step from the MAP, so the tolerance is well below the 1e-8 to which
 # the tests check them.
 STEP_TOLERANCE = 1e-9
-ARMIJO_C = 1e-4  # the sufficient-increase constant of the line search
 # The log posterior's terms are all at most 0, so its rounding is within
-# this many ulps of its magnitude; the line search forgives that much.
+# this many ulps of its magnitude; :func:`_ascend` forgives that much.
 ROUNDING_ULPS = 16.0
 
 
@@ -283,11 +286,13 @@ def _sums(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
     return np.bincount(index, weights, minlength=n).astype(float, copy=False)
 
 
-def _observed(state: ModelState, margin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each ascent's winner's :func:`win_probabilities`, from the climber's
-    ``margin`` over the route, and its log.  Multiplying by the outcome sign
-    is exact, and :func:`clamp_shortfall` makes the log exact beyond the clamp."""
-    margin = margin * state.sign
+def _observed(state: ModelState, climber_r: np.ndarray, route_r: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Each ascent's winner's :func:`win_probabilities` at the climber ratings
+    ``climber_r`` and route ratings ``route_r``, and its log.  Multiplying the
+    climber's margin by the outcome sign is exact, and :func:`clamp_shortfall`
+    makes the log exact beyond the clamp."""
+    margin = (climber_r[state.asc_flat_period] - route_r[state.asc_route]) * state.sign
     outcome_p = win_probabilities(margin, 0.0)
     log_p = np.log(outcome_p)
     log_p += clamp_shortfall(margin)
@@ -298,8 +303,7 @@ def outcome_probabilities(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     """Each ascent's winner's :func:`win_probabilities`, by its rating margin over
     its loser: the probability of the observed outcome, strictly inside (0, 1),
     and the log-likelihood of that outcome (see :func:`_observed`)."""
-    return _observed(state, state.climber_ratings[state.asc_flat_period]
-                     - state.route_ratings[state.asc_route])
+    return _observed(state, state.climber_ratings, state.route_ratings)
 
 
 def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
@@ -383,15 +387,18 @@ def _ascend(state: ModelState, ratings: np.ndarray, step: np.ndarray, log_p: np.
 
     ``observed(trial)`` gives the outcome probabilities at trial ratings and
     their log, and ``log_posteriors(state, ratings, log_p)`` each entity's
-    log posterior; ``log_p`` is at ``ratings``.  Each entity's step is
-    halved until its log posterior, which depends on its own ratings only,
-    does not fall; a step that rounds to nothing passes.
+    log posterior, or the whole log posterior as one entity; ``log_p`` is at
+    ``ratings``.  Each entity's step is halved until its log posterior,
+    which depends on its own ratings only, falls by no more than
+    ``ROUNDING_ULPS`` ulps of its magnitude.  The model is evaluated once
+    per trial, and a step that halves to nothing passes.
     """
     before = log_posteriors(state, ratings, log_p)
+    floor = before - ROUNDING_ULPS * np.finfo(float).eps * np.abs(before)
     while True:
         trial = ratings + step
         trial_p, trial_log_p = observed(trial)
-        fell = log_posteriors(state, trial, trial_log_p) < before
+        fell = log_posteriors(state, trial, trial_log_p) < floor
         if not fell.any():
             return trial, trial_p, trial_log_p
         step = np.where(fell, step / 2.0, step)
@@ -408,10 +415,9 @@ def climber_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
     their log; the state is not mutated.
     """
     grad, hess = climber_derivatives(state, outcome_p)
-    opponents = state.route_ratings[state.asc_route]
     step = -solve_tridiagonal(hess, grad, state.climber_plan)
     return _ascend(state, state.climber_ratings, step, log_p,
-                   lambda trial: _observed(state, trial[state.asc_flat_period] - opponents),
+                   lambda trial: _observed(state, trial, state.route_ratings),
                    _climber_log_posteriors)
 
 
@@ -425,20 +431,20 @@ def route_pass(state: ModelState, outcome_p: np.ndarray, log_p: np.ndarray
     steps to its prior mean.
     """
     d1, d2 = route_derivatives(state, outcome_p)
-    opponents = state.climber_ratings[state.asc_flat_period]
     return _ascend(state, state.route_ratings, -d1 / d2, log_p,
-                   lambda trial: _observed(state, opponents - trial[state.asc_route]),
+                   lambda trial: _observed(state, state.climber_ratings, trial),
                    _route_log_posteriors)
 
 
-def _log_posterior(state: ModelState, climber_r: np.ndarray, route_r: np.ndarray,
-                   log_p: np.ndarray) -> float:
-    """The log posterior at the ratings ``climber_r`` and ``route_r``, from the
-    log-likelihoods of :func:`outcome_probabilities` there.  No term is positive."""
+def _log_posterior(state: ModelState, ratings: np.ndarray, log_p: np.ndarray) -> np.float64:
+    """The log posterior at ``ratings``, the climber ratings followed by the
+    route ratings, from the log-likelihoods of :func:`outcome_probabilities`
+    there.  No term is positive."""
     first, hyper = state.first_periods, state.hyper
-    return float(log_p.sum() - (climber_r[first] ** 2).sum() / (2.0 * hyper.sigma_c_sq)
-                 - ((climber_r[1:] - climber_r[:-1]) ** 2 * state.hess_off).sum() / 2.0
-                 - ((route_r - state.route_prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq))
+    climber_r, route_r = np.split(ratings, [state.period_owner.shape[0]])
+    return (log_p.sum() - (climber_r[first] ** 2).sum() / (2.0 * hyper.sigma_c_sq)
+            - ((climber_r[1:] - climber_r[:-1]) ** 2 * state.hess_off).sum() / 2.0
+            - ((route_r - state.route_prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq))
 
 
 def _newton_cg(state: ModelState, outcome_p: np.ndarray, hess: np.ndarray, d2: np.ndarray,
@@ -505,30 +511,28 @@ def fit(
     ratings).  Every later iteration starts by measuring the block-Jacobi
     step: each climber's whole-history Newton step and each route's scalar
     Newton step, all from one point.  While a rating's step is larger than
-    ``STEP_TOLERANCE``, the iteration takes an inexact Newton step on all
-    ratings at once: preconditioned CG (:func:`_newton_cg`) from the
-    block-Jacobi step, then an Armijo search that halves the step until the
-    log posterior rises by ``ARMIJO_C`` of its predicted rise, less its
-    rounding.  A search whose predicted rise falls within the rounding ends
-    with a zero step.  Once no step is larger than ``STEP_TOLERANCE`` the
+    ``STEP_TOLERANCE``, the iteration replaces it by an inexact Newton step
+    on all ratings at once: preconditioned CG (:func:`_newton_cg`) from the
+    block-Jacobi step.  Once no step is larger than ``STEP_TOLERANCE`` the
     ratings are the MAP to within it, and the fit is converged if the last
     ``CONVERGENCE_WINDOW + 1`` recorded likelihoods also span less than
-    ``WINDOW_SPAN``; until they do, each iteration takes the
-    block-Jacobi step as it is.  Every iteration records the Bradley-Terry
+    ``WINDOW_SPAN``; until they do, each iteration takes the block-Jacobi
+    step as it is.  Either step goes through :func:`_ascend` with all
+    ratings as one entity, so it is halved until the log posterior falls by
+    no more than its rounding.  Every iteration records the Bradley-Terry
     marginal log-likelihood of the point it reaches.  The fit stops
     unconverged at ``max_iterations``.
 
     The model is evaluated once per point: the
     :func:`outcome_probabilities` and their log at each point reached are
     carried to the next iteration, and their log gives the recorded
-    likelihood.  A fit whose passes do not halve calls
-    :func:`win_probabilities` once, twice per pass pair, once per line-search
-    trial and once per small step; it calls :func:`solve_tridiagonal` once
+    likelihood.  A fit calls :func:`win_probabilities` once, then once per
+    trial of a step, which is twice per pass pair and once per later
+    iteration if no step halves; it calls :func:`solve_tridiagonal` once
     per pass pair, once per block-Jacobi step measured and once per CG
-    iteration.  No pass or accepted Newton step lowers the log posterior by
-    more than its rounding; a small step at the MAP may.  Entities that have
-    no ascents (possible in cross-validation subsets) are left at their
-    prior means.
+    iteration.  No step lowers the log posterior by more than its rounding.
+    Entities that have no ascents (possible in cross-validation subsets)
+    are left at their prior means.
 
     Returns the final state and a report (iterations run, convergence flag,
     final likelihood).
@@ -546,40 +550,20 @@ def fit(
         history.append(float(log_p.sum()))
 
     n = state.climber_ratings.shape[0]
-
-    def evaluated(ratings):  # the outcome probabilities at the ratings, and their log
-        return _observed(state, ratings[:n][state.asc_flat_period] - ratings[n:][state.asc_route])
-
     converged = False
     while len(history) < max_iterations:
         grad, hess = climber_derivatives(state, outcome_p)
         d1, d2 = route_derivatives(state, outcome_p)
         step = np.concatenate((-solve_tridiagonal(hess, grad, state.climber_plan), -d1 / d2))
-        ratings = np.concatenate((state.climber_ratings, state.route_ratings))
+        recent = history[-(CONVERGENCE_WINDOW + 1):]
         if np.abs(step).max() > STEP_TOLERANCE:
-            gradient = np.concatenate((grad, d1))
-            step = _newton_cg(state, outcome_p, hess, d2, gradient, step)
-            before = _log_posterior(state, state.climber_ratings, state.route_ratings, log_p)
-            noise = ROUNDING_ULPS * np.finfo(float).eps * abs(before)
-            slope, scale = gradient @ step, 1.0
-            while True:
-                trial = ratings + scale * step
-                trial_p, trial_log_p = evaluated(trial)
-                gain = _log_posterior(state, trial[:n], trial[n:], trial_log_p) - before
-                if gain >= ARMIJO_C * scale * slope - noise:
-                    break
-                scale /= 2.0
-                if scale * slope <= noise:
-                    trial, trial_p, trial_log_p = ratings, outcome_p, log_p
-                    break
-        else:
-            recent = history[-(CONVERGENCE_WINDOW + 1):]
-            if len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < WINDOW_SPAN:
-                converged = True
-                break
-            trial = ratings + step
-            trial_p, trial_log_p = evaluated(trial)
-        state.climber_ratings, state.route_ratings = trial[:n], trial[n:]
-        outcome_p, log_p = trial_p, trial_log_p
+            step = _newton_cg(state, outcome_p, hess, d2, np.concatenate((grad, d1)), step)
+        elif len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < WINDOW_SPAN:
+            converged = True
+            break
+        ratings, outcome_p, log_p = _ascend(
+            state, np.concatenate((state.climber_ratings, state.route_ratings)), step, log_p,
+            lambda trial: _observed(state, trial[:n], trial[n:]), _log_posterior)
+        state.climber_ratings, state.route_ratings = ratings[:n], ratings[n:]
         history.append(float(log_p.sum()))
     return state, FitReport(len(history), converged, history[-1])

@@ -12,11 +12,12 @@ that the dataset file format lives in one module.  No other package module,
 and no script, opens a file to read it, so that every input file is decoded,
 and fails to decode, by ``ingest.open_input`` alone.  Only ``__main__.py`` runs
 the package as a script, so ``python -m cragrank`` and the console script
-enter it through ``cli.main`` alone.  Every function, class and method that the
-package defines is named by the package, ``scripts`` or ``benchmark``, so
-that code only the tests call, test oracles among it, lives in the tests; the
-one exception is a method that overrides a base class's, which that class's
-own code calls.  Every keyword-only parameter of a package function is
+enter it through ``cli.main`` alone.  Every function, class, method and
+upper-case module constant that the package defines is named by the package,
+``scripts`` or ``benchmark``, so that code only the tests call, test oracles
+among it, lives in the tests, and no constant outlives its last use; the one
+exception is a method that overrides a base class's, which that class's own
+code calls.  Every keyword-only parameter of a package function is
 passed by name somewhere in the package or ``scripts``, so that no option
 exists for the tests alone.  And every exception class that the package defines is
 raised in the package, so that no handler waits for an error that never
@@ -247,17 +248,30 @@ def named(node: ast.AST, skip: ast.AST | None = None) -> set[str]:
     return found
 
 
+def constants(tree: ast.Module):
+    """Each upper-case name that a module binds by a top-level assignment, as
+    ``(name, assignment)``."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if (isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store)
+                            and name.id.isupper()):
+                        yield name.id, node
+
+
 def unused_definitions(library: dict[str, str], users: dict[str, str]) -> list[str]:
-    """Each definition of the ``library`` modules (module name to text) that
-    no library module names outside the definition itself, and no module of
-    ``users`` names, as ``"module: name"``.  Special methods are called by
-    Python, so they count as named."""
+    """Each definition and upper-case constant of the ``library`` modules
+    (module name to text) that no library module names outside the
+    definition or assignment itself, and no module of ``users`` names, as
+    ``"module: name"``.  Special methods are called by Python, so they count
+    as named."""
     trees = {module: ast.parse(source) for module, source in library.items()}
     used_by_users = set().union(*(named(ast.parse(source)) for source in users.values()))
     found = []
     for module, tree in trees.items():
-        for qualified, node in definitions(tree):
-            name = node.name
+        for qualified, node in (*definitions(tree), *constants(tree)):
+            name = qualified.rpartition(".")[2]
             if name.startswith("__") and name.endswith("__") or name in used_by_users:
                 continue
             if not any(name in named(other, skip=node) for other in trees.values()):
@@ -275,6 +289,16 @@ def test_finds_an_unused_definition():
     }
     users = {"run.py": "import b\nb.by_script()\n"}
     assert unused_definitions(library, users) == ["a.py: C.lonely", "a.py: recursive"]
+
+
+def test_finds_an_unused_constant():
+    library = {
+        "a.py": ("LIMIT = 3\nSPAN: float = 1.0\nLEFT, RIGHT = 0, 1\nUNUSED = LIMIT\n"
+                 "lower = 2\nTABLE = {}\nTABLE[KEY] = 1\n\ndef f(x=SPAN):\n    return x\n"),
+        "b.py": "from .a import f, LEFT\n\nf()\n",
+    }
+    users = {"run.py": "import a\nprint(a.UNUSED, a.TABLE)\n"}
+    assert unused_definitions(library, users) == ["a.py: RIGHT"]
 
 
 def overrides_a_base(definition: str) -> bool:

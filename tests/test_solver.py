@@ -702,28 +702,21 @@ class TestFit:
         assert not shorter.converged and shorter.iterations == report.iterations - 1
 
     def test_no_pass_lowers_the_posterior_on_random_logs(self, monkeypatch):
-        # Neither a coordinate pass nor an accepted Newton step lowers the log
-        # posterior.  The small steps taken at the MAP until the window fills
-        # may, by rounding, so they are not checked.  (A Newton step clamped
-        # to +/-10 instead of halved left 10 of these 200 logs unconverged.)
-        points, newton_at = [], []
+        # No step of a fit lowers the log posterior: not a coordinate pass, a
+        # Newton step, or a small step at the MAP while the window fills.
+        # (A Newton step clamped to +/-10 instead of halved left 10 of these
+        # 200 logs unconverged.)
+        points = []
         climber_derivatives_of = solver.climber_derivatives
-        newton_cg = solver._newton_cg
 
         def recorded(state, outcome_p):
             points.append((state.climber_ratings.copy(), state.route_ratings.copy()))
             return climber_derivatives_of(state, outcome_p)
 
-        def newton(*args):
-            newton_at.append(len(points) - 1)
-            return newton_cg(*args)
-
         monkeypatch.setattr(solver, "climber_derivatives", recorded)
-        monkeypatch.setattr(solver, "_newton_cg", newton)
         for seed in range(200):
             ds, hyper = random_clean_log(seed)
             points.clear()
-            newton_at.clear()
             fitted, report = fit(ds, hyper, max_iterations=300)
             assert report.converged, seed
             points.append((fitted.climber_ratings, fitted.route_ratings))
@@ -733,6 +726,9 @@ class TestFit:
                 state.climber_ratings, state.route_ratings = point
                 return log_posterior(ds, state)
 
+            for point, after in zip(points, points[1:]):
+                before = log_f(point)
+                assert log_f(after) >= before - 1e-9 * (1.0 + abs(before)), seed
             # the K climber passes record the point before each climber step
             state = initialize_state(ds, hyper)
             outcome_p, log_p = outcome_probabilities(state)
@@ -744,9 +740,35 @@ class TestFit:
                     setattr(state, name, ratings)
                     assert log_posterior(ds, state) >= before - 1e-9 * (1.0 + abs(before)), seed
             assert (state.route_ratings == points[solver.K_COORDINATE_PASSES][1]).all()
-            for i in newton_at:
-                before = log_f(points[i])
-                assert log_f(points[i + 1]) >= before - 1e-9 * (1.0 + abs(before)), seed
+
+    def test_halves_a_newton_step(self, monkeypatch):
+        # Route 0 graded 150 and wide priors: some Newton steps overshoot and
+        # are halved.  (Undamped Newton diverges on this log, so it is not
+        # checked against dense_map.)
+        ds = random_dataset(np.random.default_rng(304), n_climbers=4, n_routes=5,
+                            max_periods=4)
+        grades = ds.route_grades.copy()
+        grades[0] = 150
+        typo = CleanDataset(ds.climber, ds.route, ds.week, ds.success, ds.climber_ids,
+                            ds.route_ids, grades, ds.provenance)
+        trials = []  # the win_probabilities calls after each Newton step's CG
+        win_probabilities_of, newton_cg = solver.win_probabilities, solver._newton_cg
+
+        def counted(*args):
+            if trials:
+                trials[-1] += 1
+            return win_probabilities_of(*args)
+
+        monkeypatch.setattr(solver, "win_probabilities", counted)
+        monkeypatch.setattr(solver, "_newton_cg",
+                            lambda *args: trials.append(0) or newton_cg(*args))
+        state, report = fit(typo, Hyperparameters(sigma_r_sq=100.0, sigma_c_sq=50.0))
+        assert report.converged
+        climber_grad, route_grad = log_posterior_gradient(typo, state)
+        assert max(np.abs(climber_grad).max(), np.abs(route_grad).max()) <= 1e-6
+        assert largest_block_jacobi_step(state) <= solver.STEP_TOLERANCE
+        # the last count also holds the small steps at the MAP
+        assert max(trials[:-1]) > 1
 
     def test_non_convergence_reported(self):
         _, report = fit(one_one_fixture(), max_iterations=8)
@@ -938,10 +960,9 @@ class TestCostContract:
         k = solver.K_COORDINATE_PASSES
         for fits in (1, 2):
             _, report = solver.fit(ds)
-            # On this log no pass halves and every line search accepts its
-            # first trial: 4 pass pairs, 4 Newton steps that run 16 CG
-            # iterations between them, then 1 small step at the MAP before
-            # the window holds, and the last block-Jacobi step measured.
+            # On this log no step halves: 4 pass pairs, 4 Newton steps that
+            # run 16 CG iterations between them, then 1 small step at the MAP
+            # before the window holds, and the last block-Jacobi step measured.
             assert (k, report.iterations, len(newton_steps)) == (4, 9, 4 * fits)
             newton, small = 4, report.iterations - k - 4
             assert calls["win_probabilities"] == fits * (1 + 2 * k + newton + small) == fits * 14
