@@ -186,6 +186,15 @@ def random_clean_log(seed):
         return ds, hyper
 
 
+def route_0_graded_150(ds):
+    """``ds`` with route 0 graded 150, a typo that preprocess keeps: its prior
+    mean of 51.2 puts its margins beyond the clamp."""
+    grades = ds.route_grades.copy()
+    grades[0] = 150
+    return CleanDataset(ds.climber, ds.route, ds.week, ds.success, ds.climber_ids,
+                        ds.route_ids, grades, ds.provenance)
+
+
 def dense_climber_step(ds, state):
     """Newton step of every climber history, by ``np.linalg.solve`` on the
     climber block of :func:`dense_derivatives`."""
@@ -745,12 +754,8 @@ class TestFit:
         # Route 0 graded 150 and wide priors: some Newton steps overshoot and
         # are halved.  (Undamped Newton diverges on this log, so it is not
         # checked against dense_map.)
-        ds = random_dataset(np.random.default_rng(304), n_climbers=4, n_routes=5,
-                            max_periods=4)
-        grades = ds.route_grades.copy()
-        grades[0] = 150
-        typo = CleanDataset(ds.climber, ds.route, ds.week, ds.success, ds.climber_ids,
-                            ds.route_ids, grades, ds.provenance)
+        typo = route_0_graded_150(random_dataset(np.random.default_rng(304), n_climbers=4,
+                                                 n_routes=5, max_periods=4))
         trials = []  # the win_probabilities calls after each Newton step's CG
         win_probabilities_of, newton_cg = solver.win_probabilities, solver._newton_cg
 
@@ -883,14 +888,8 @@ class TestExactMap:
     def test_matches_dense_newton_map(self, seed, w_sq):
         ds = random_dataset(np.random.default_rng(300 + seed), n_climbers=4, n_routes=5,
                             max_periods=4)
-        # the same log with route 0 graded 150, a typo that preprocess keeps:
-        # its prior mean of 51.2 puts its margins beyond the clamp
-        grades = ds.route_grades.copy()
-        grades[0] = 150
-        typo = CleanDataset(ds.climber, ds.route, ds.week, ds.success, ds.climber_ids,
-                            ds.route_ids, grades, ds.provenance)
         hyper = Hyperparameters(w_sq=w_sq)
-        for log in (ds, typo):
+        for log in (ds, route_0_graded_150(ds)):
             state, report = fit(log, hyper)
             assert report.converged
             climber_r, route_r = dense_map(log, hyper)
