@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from dataclasses import asdict, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +30,9 @@ from .evaluation import (
 )
 from .ingest import (
     DEFAULT_TICK_MAPPING,
-    CodedColumn,
     CsvTable,
     format_float as _fmt,
+    index_of,
     load_tick_mapping,
     open_input,
     parse_ascent_log,
@@ -142,14 +141,6 @@ def _write_ratings(dataset, state: ModelState, report: FitReport, out_dir: Path)
     write_keyvalues(out_dir / "fit_report.txt", asdict(report))
 
 
-def _index_of(ids: CodedColumn, table: np.ndarray) -> np.ndarray:
-    """The index in ``table`` of each row's id, or ``len(table)``, looked up
-    once per distinct id; ``table`` holds each id once."""
-    index = dict(zip(table.tolist(), range(len(table))))
-    return np.fromiter(map(index.get, ids.distinct, repeat(len(table))), dtype=np.int64,
-                       count=ids.distinct.shape[0])[ids.code]
-
-
 def _read_ratings(ratings_dir: Path):
     """Route ids and ratings, climber ids, and every climber's periods as flat arrays.
 
@@ -227,20 +218,20 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     queries = CsvTable(args.query_csv, ("climber_id", "route_id", "week"))
     week = queries.integers("week")
     queries.raise_first()
+    climber, route = queries.text["climber_id"], queries.text["route_id"]
 
-    # An unknown climber's index, len(climber_ids), owns no period, so it gets
-    # the prior mean of 0, and an unknown route the rating 0 appended to the
-    # route ratings.
-    owner = _index_of(queries.text["climber_id"], climber_ids)
+    # Each distinct query id is looked up once.  An unknown climber's index,
+    # len(climber_ids), owns no period, so it gets the prior mean of 0, and an
+    # unknown route the rating 0 appended to the route ratings.
+    owner = index_of(climber.distinct, climber_ids)[climber.code]
     climber_rating = rating_at_nearest_week(period_owner, weeks, ratings, owner, week)
-    route = _index_of(queries.text["route_id"], route_ids)
-    route_rating = np.append(routes, 0.0)[route]
+    route_row = index_of(route.distinct, route_ids)[route.code]
+    route_rating = np.append(routes, 0.0)[route_row]
     p = bt_probability(climber_rating, route_rating)
     labels = np.array(["none", "climber", "route", "climber+route"], dtype=object)
-    fallback = labels[(owner == len(climber_ids)) + 2 * (route == len(route_ids))]
+    fallback = labels[(owner == len(climber_ids)) + 2 * (route_row == len(route_ids))]
     write_csv(args.out, ("climber_id", "route_id", "week", "probability", "fallback"),
-              (queries.text["climber_id"].strings(), queries.text["route_id"].strings(), week, p,
-               fallback))
+              (climber.strings(), route.strings(), week, p, fallback))
     return 0
 
 

@@ -35,14 +35,8 @@ ASCENT_COLUMNS = ("climber_idx", "route_idx", "week", "outcome")
 # The first line of an ascents.csv as write_csv writes it.
 _ASCENTS_HEADER = ",".join(ASCENT_COLUMNS).encode() + b"\r\n"
 
-# Per-row drop counters, in reporting order.  rows_read = rows_kept + drops.
-_DROP_KEYS = (
-    "dropped_ambiguous_tick",
-    "dropped_non_ewbank",
-    "dropped_invalid_grade",
-    "dropped_route_few_ascents",
-    "dropped_climber_no_failure",
-)
+# Today's hardest Ewbank grades are in the mid-30s: a label above this is a typo.
+MAX_EWBANK_GRADE = 40
 
 
 class TickClass(Enum):
@@ -119,6 +113,13 @@ class CodedColumn:
         return self.distinct[order], rank[code]
 
 
+def index_of(ids, table) -> np.ndarray:
+    """The index in ``table`` of each of ``ids``, or ``len(table)`` for an id
+    that ``table`` lacks; ``table`` holds each id once."""
+    index = dict(zip(table, range(len(table))))
+    return np.fromiter(map(index.get, ids, repeat(len(table))), dtype=np.int64, count=len(ids))
+
+
 @dataclass
 class RawAscentLog:
     """A raw ascent log as parallel columns, one entry per data row.
@@ -146,8 +147,8 @@ class CleanDataset:
     ``week[i]``, successful iff ``success[i]``.  Climber index ``c`` has the
     external id ``climber_ids[c]``, and route index ``r`` the id
     ``route_ids[r]`` and the grade ``route_grades[r]``; both id arrays are
-    object arrays sorted by id.  ``provenance`` counts rows read, kept, and
-    dropped per filter rule.
+    object arrays sorted by id.  ``provenance`` holds the row counts taken
+    as the dataset was built, in report order: read, dropped per rule, kept.
     """
 
     climber: np.ndarray
@@ -558,8 +559,8 @@ def preprocess(
     """Clean a raw ascent log into a CleanDataset.
 
     Stages: map each tick to its class and drop ambiguous ones; keep only
-    Ewbank-graded rows whose grade label is a positive integer of ASCII
-    digits that fits a 64-bit integer; compute each route's median grade;
+    Ewbank-graded rows whose grade label is an integer of ASCII digits from
+    1 to ``MAX_EWBANK_GRADE``; compute each route's median grade;
     quantize dates to weeks; then apply the minimum-activity fixpoint
     filters.  Each distinct string of a column is classified, converted or
     sorted once, and reaches its rows through their codes.
@@ -573,7 +574,8 @@ def preprocess(
 
     ambiguous = tick == TickClass.AMBIGUOUS
     foreign = ~ambiguous & ~ewbank
-    invalid = ~ambiguous & ewbank & (grade <= 0)
+    invalid = ~ambiguous & ewbank & ((grade <= 0) | (grade > MAX_EWBANK_GRADE))
+    # Insertion order is report order; assemble_clean_dataset adds the other keys.
     prov = {"rows_read": len(log),
             "dropped_ambiguous_tick": int(np.count_nonzero(ambiguous)),
             "dropped_non_ewbank": int(np.count_nonzero(foreign)),
@@ -600,7 +602,7 @@ def preprocess(
 
 
 def write_clean_dataset(dataset: CleanDataset, out_dir: str | Path) -> None:
-    """Write ascents.csv, routes.csv, climbers.csv and provenance.txt."""
+    """Write ascents.csv, routes.csv, climbers.csv and, as recorded, provenance.txt."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "ascents.csv", ASCENT_COLUMNS,
@@ -609,8 +611,7 @@ def write_clean_dataset(dataset: CleanDataset, out_dir: str | Path) -> None:
               (np.arange(len(dataset.route_ids)), dataset.route_ids, dataset.route_grades))
     write_csv(out / "climbers.csv", ("climber_idx", "climber_id"),
               (np.arange(len(dataset.climber_ids)), dataset.climber_ids))
-    write_keyvalues(out / "provenance.txt", {key: dataset.provenance.get(key, 0)
-                                             for key in ("rows_read", *_DROP_KEYS, "rows_kept")})
+    write_keyvalues(out / "provenance.txt", dataset.provenance)
 
 
 def _read_written_ascents(path: Path, n_climbers: int, n_routes: int) -> tuple | None:

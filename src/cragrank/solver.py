@@ -520,8 +520,8 @@ def fit(
     step as it is.  Either step goes through :func:`_ascend` with all
     ratings as one entity, so it is halved until the log posterior falls by
     no more than its rounding.  Every iteration records the Bradley-Terry
-    marginal log-likelihood of the point it reaches.  The fit stops
-    unconverged at ``max_iterations``.
+    marginal log-likelihood of the point it reaches.  A fit that fails the
+    stop test at its ``max_iterations``-th point stops unconverged.
 
     The model is evaluated once per point: the
     :func:`outcome_probabilities` and their log at each point reached are
@@ -550,17 +550,18 @@ def fit(
         history.append(float(log_p.sum()))
 
     n = state.climber_ratings.shape[0]
-    converged = False
-    while len(history) < max_iterations:
+    while True:
         grad, hess = climber_derivatives(state, outcome_p)
         d1, d2 = route_derivatives(state, outcome_p)
         step = np.concatenate((-solve_tridiagonal(hess, grad, state.climber_plan), -d1 / d2))
         recent = history[-(CONVERGENCE_WINDOW + 1):]
-        if np.abs(step).max() > STEP_TOLERANCE:
-            step = _newton_cg(state, outcome_p, hess, d2, np.concatenate((grad, d1)), step)
-        elif len(recent) > CONVERGENCE_WINDOW and max(recent) - min(recent) < WINDOW_SPAN:
-            converged = True
+        large = np.abs(step).max() > STEP_TOLERANCE
+        converged = (not large and len(recent) > CONVERGENCE_WINDOW
+                     and max(recent) - min(recent) < WINDOW_SPAN)
+        if converged or len(history) >= max_iterations:
             break
+        if large:
+            step = _newton_cg(state, outcome_p, hess, d2, np.concatenate((grad, d1)), step)
         ratings, outcome_p, log_p = _ascend(
             state, np.concatenate((state.climber_ratings, state.route_ratings)), step, log_p,
             lambda trial: _observed(state, trial[:n], trial[n:]), _log_posterior)

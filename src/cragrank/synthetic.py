@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ingest import CleanDataset, CodedColumn, RawAscentLog, week_start_date, write_csv
+from .ingest import CleanDataset, CodedColumn, RawAscentLog, index_of, week_start_date, write_csv
 from .model import Hyperparameters, route_prior_mean, win_probabilities
 from .solver import ModelState
 
@@ -21,7 +21,7 @@ from .solver import ModelState
 class SyntheticWorld:
     """True ratings for a simulated population of climbers and routes.
 
-    ``climber_ratings[i, k]`` is climber ``i``'s true rating at ``weeks[k]``;
+    ``climber_ratings[i, k]`` is climber ``i``'s true rating in week ``k``;
     ``route_ratings`` are static.  The world keeps no hyperparameters or seed.
     """
 
@@ -29,7 +29,6 @@ class SyntheticWorld:
     route_grades: np.ndarray
     route_ratings: np.ndarray
     climber_ids: list[str]
-    weeks: np.ndarray
     climber_ratings: np.ndarray
 
 
@@ -55,7 +54,7 @@ def generate_world(
     Routes get uniform grades from ``grade_range`` (inclusive) and ratings
     from the grade-anchored normal prior.  Climbers start from the
     initial-rating prior and drift by independent normal increments with
-    variance ``w_sq`` per week across ``n_periods`` consecutive weeks.
+    variance ``w_sq`` per week through weeks 0 to ``n_periods - 1``.
     """
     if n_climbers < 1 or n_routes < 1 or n_periods < 1:
         raise ValueError("n_climbers, n_routes and n_periods must all be at least 1")
@@ -67,7 +66,6 @@ def generate_world(
     grades = rng.integers(lo, hi + 1, size=n_routes)
     route_ratings = rng.normal(route_prior_mean(grades, hyper), np.sqrt(hyper.sigma_r_sq))
     initial = rng.normal(0.0, np.sqrt(hyper.sigma_c_sq), size=n_climbers)
-    weeks = np.arange(n_periods, dtype=np.int64)
     trajectories = np.empty((n_climbers, n_periods))
     trajectories[:, 0] = initial
     if n_periods > 1:
@@ -82,7 +80,6 @@ def generate_world(
         route_grades=grades,
         route_ratings=route_ratings,
         climber_ids=[f"c{i:0{width}d}" for i in range(n_climbers)],
-        weeks=weeks,
         climber_ratings=trajectories,
     )
 
@@ -118,7 +115,7 @@ def simulate_trials(
     if ascents_per_climber_period < 1:
         raise ValueError("ascents_per_climber_period must be at least 1")
     n_climbers = len(world.climber_ids)
-    n_periods = world.weeks.shape[0]
+    n_periods = world.climber_ratings.shape[1]
     total = n_climbers * n_periods * ascents_per_climber_period
 
     rng = np.random.default_rng(seed)
@@ -132,7 +129,7 @@ def simulate_trials(
     )
     success = rng.random(total) < p
     return raw_ascent_log(world.climber_ids, world.route_ids, world.route_grades,
-                          climber_idx, route_idx, world.weeks[period_idx], success)
+                          climber_idx, route_idx, period_idx, success)
 
 
 def recovery_report(world: SyntheticWorld, dataset: CleanDataset,
@@ -143,20 +140,16 @@ def recovery_report(world: SyntheticWorld, dataset: CleanDataset,
     Requires at least two comparable routes and two comparable climber
     rating points.
     """
-    route_row = {rid: i for i, rid in enumerate(world.route_ids)}
-    route_rows = np.array([route_row.get(rid, -1) for rid in dataset.route_ids], dtype=np.int64)
-    fitted_r = fitted.route_ratings[route_rows >= 0]
-    actual_r = world.route_ratings[route_rows[route_rows >= 0]]
+    route_rows = index_of(dataset.route_ids, world.route_ids)
+    known = route_rows < len(world.route_ids)
+    fitted_r, actual_r = fitted.route_ratings[known], world.route_ratings[route_rows[known]]
     if fitted_r.shape[0] < 2:
         raise ValueError("fewer than two routes to compare")
 
-    climber_row = {cid: i for i, cid in enumerate(world.climber_ids)}
-    rows = np.array([climber_row.get(cid, -1) for cid in dataset.climber_ids], dtype=np.int64)
-    period_rows = rows[fitted.period_owner]
-    known = period_rows >= 0
-    positions = np.searchsorted(world.weeks, fitted.period_weeks[known])
+    period_rows = index_of(dataset.climber_ids, world.climber_ids)[fitted.period_owner]
+    known = period_rows < len(world.climber_ids)
     fitted_c = fitted.climber_ratings[known]
-    actual_c = world.climber_ratings[period_rows[known], positions]
+    actual_c = world.climber_ratings[period_rows[known], fitted.period_weeks[known]]
     if fitted_c.shape[0] < 2:
         raise ValueError("fewer than two climber rating points to compare")
 
@@ -173,6 +166,6 @@ def write_truth_csv(world: SyntheticWorld, path) -> None:
     write_csv(path, ("entity_type", "entity_idx", "week", "true_rating"), (
         np.repeat(["route", "climber"], (n_routes, n_climbers * n_weeks)),
         np.concatenate((np.arange(n_routes), np.repeat(np.arange(n_climbers), n_weeks))),
-        np.concatenate((np.full(n_routes, ""), np.tile(world.weeks, n_climbers).astype(str))),
+        np.concatenate((np.full(n_routes, ""), np.tile(np.arange(n_weeks), n_climbers).astype(str))),
         np.concatenate((world.route_ratings, world.climber_ratings.reshape(-1))),
     ))

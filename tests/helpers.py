@@ -130,7 +130,7 @@ def level_matched_dataset(
     success = rng.random(total) < win_probabilities(ability, world.route_ratings[route_idx])
 
     return preprocess(raw_ascent_log(world.climber_ids, world.route_ids, world.route_grades,
-                                     climber_idx, route_idx, world.weeks[period_idx], success))
+                                     climber_idx, route_idx, period_idx, success))
 
 
 def central_difference(f, x, h=FD_STEP):

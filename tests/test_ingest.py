@@ -35,7 +35,7 @@ from cragrank.ingest import (
     write_csv,
     write_raw_ascent_log,
 )
-from helpers import check_invariants, dataset_to_raw_log, parse_text
+from helpers import F, S, check_invariants, dataset_to_raw_log, make_dataset, parse_text
 
 HEADER = "climber_id,route_id,tick_type,date,grade_label,grade_system"
 
@@ -167,6 +167,17 @@ class TestMedianGrade:
         assert route_grades({"r": [big, "21", "22"]}) == {"r": 21}
         rows = [row(route="r", tick="attempt", grade=g) for g in (big, "21", "22")]
         ds = preprocess(raw_log(rows))
+        assert ds.provenance["dropped_invalid_grade"] == 1
+
+    def test_label_beyond_the_scale_is_invalid(self):
+        assert route_grades({"r": ["150", "21", "22"]}) == {"r": 21}
+        rows = [row(route="r", tick="attempt", grade=g) for g in ("150", "21", "22")]
+        assert preprocess(raw_log(rows)).provenance["dropped_invalid_grade"] == 1
+
+    def test_scale_ends_at_40(self):
+        rows = [row(route="r", tick="attempt", grade=g) for g in ("40", "40", "41")]
+        ds = preprocess(raw_log(rows + [row(route="s", tick="attempt")] * 2))
+        assert ds.route_grades.tolist() == [40, 21]
         assert ds.provenance["dropped_invalid_grade"] == 1
 
     def test_singleton(self):
@@ -624,6 +635,19 @@ class TestSerialization:
         assert ascents(back) == ascents(ds)
         assert tables(back) == tables(ds)
         assert back.provenance == {"rows_read": len(ds), "rows_kept": len(ds)}
+
+    def test_provenance_written_as_recorded(self, tmp_path):
+        ds = make_dataset([(0, 0, 0, F), (0, 1, 0, S)], n_routes=2, n_climbers=1)
+        write_clean_dataset(ds, tmp_path)
+        assert (tmp_path / "provenance.txt").read_text() == "rows_read=2\nrows_kept=2\n"
+
+    def test_preprocess_provenance_in_report_order(self, tmp_path):
+        write_clean_dataset(self._dataset(), tmp_path)
+        keys = [line.split("=")[0]
+                for line in (tmp_path / "provenance.txt").read_text().splitlines()]
+        assert keys == ["rows_read", "dropped_ambiguous_tick", "dropped_non_ewbank",
+                        "dropped_invalid_grade", "dropped_route_few_ascents",
+                        "dropped_climber_no_failure", "rows_kept"]
 
     def test_missing_provenance_tolerated(self, tmp_path):
         ds = self._dataset()

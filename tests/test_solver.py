@@ -187,8 +187,9 @@ def random_clean_log(seed):
 
 
 def route_0_graded_150(ds):
-    """``ds`` with route 0 graded 150, a typo that preprocess keeps: its prior
-    mean of 51.2 puts its margins beyond the clamp."""
+    """``ds`` with route 0 graded 150, a typo that preprocess drops but a
+    hand-written dataset can hold: its prior mean of 51.2 puts its margins
+    beyond the clamp."""
     grades = ds.route_grades.copy()
     grades[0] = 150
     return CleanDataset(ds.climber, ds.route, ds.week, ds.success, ds.climber_ids,
@@ -774,6 +775,14 @@ class TestFit:
         assert largest_block_jacobi_step(state) <= solver.STEP_TOLERANCE
         # the last count also holds the small steps at the MAP
         assert max(trials[:-1]) > 1
+
+    def test_budget_ending_at_the_stop_converges(self):
+        # the default fit stops at its 9th point, so a budget of 9 converges too
+        ds = random_dataset(np.random.default_rng(0))
+        _, free = fit(ds)
+        assert free.converged and free.iterations == 9
+        _, report = fit(ds, max_iterations=9)
+        assert report == free
 
     def test_non_convergence_reported(self):
         _, report = fit(one_one_fixture(), max_iterations=8)

@@ -31,7 +31,6 @@ def flat_world(n_climbers, n_routes, n_periods, climber_level=0.0, route_level=0
         route_grades=np.full(n_routes, 22, dtype=np.int64),
         route_ratings=np.full(n_routes, route_level),
         climber_ids=[f"c{i:05d}" for i in range(n_climbers)],
-        weeks=np.arange(n_periods, dtype=np.int64),
         climber_ratings=np.full((n_climbers, n_periods), climber_level),
     )
 
@@ -90,15 +89,14 @@ class TestGenerateWorld:
     def test_standardized_increments_have_unit_variance(self):
         hyper = Hyperparameters()
         world = generate_world(100, 2, 11, (22, 22), hyper=hyper, seed=6)
-        # each step's rating increment over its prior standard deviation
-        sd = np.sqrt(np.diff(world.weeks) * hyper.w_sq)
-        z = np.diff(world.climber_ratings, axis=1) / sd
+        # each week's rating increment over its prior standard deviation
+        z = np.diff(world.climber_ratings, axis=1) / np.sqrt(hyper.w_sq)
         assert z.size == 1000
         assert 0.8 <= float(z.var()) <= 1.2
 
-    def test_weeks_are_consecutive(self):
+    def test_one_column_per_week(self):
         world = generate_world(2, 2, 7, (22, 22), seed=0)
-        assert np.array_equal(world.weeks, np.arange(7))
+        assert world.climber_ratings.shape == (2, 7)
 
     def test_bad_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -136,7 +134,7 @@ class TestSimulateTrials:
         # Every climber attempts exactly 4 routes in every period.
         for c in range(5):
             for k in range(3):
-                assert int(np.count_nonzero((climber == c) & (week == world.weeks[k]))) == 4
+                assert int(np.count_nonzero((climber == c) & (week == k))) == 4
         assert route.min() >= 0 and route.max() < 10
 
     def test_rows_mirror_the_world(self):
@@ -146,7 +144,7 @@ class TestSimulateTrials:
             assert log.climber_id.strings()[i] == world.climber_ids[c]
             assert log.route_id.strings()[i] == world.route_ids[r]
             assert log.tick_type.strings()[i] in ("redpoint", "attempt")
-            assert quantize_week(log.day[i]) in world.weeks
+            assert quantize_week(log.day[i]) in (0, 1)
             assert log.grade_label.strings()[i] == str(int(world.route_grades[r]))
             assert log.grade_system.strings()[i] == "ewbank"
 
@@ -206,8 +204,8 @@ class TestRecoveryReport:
         row_of = {cid: i for i, cid in enumerate(world.climber_ids)}
         for c, climber_id in enumerate(dataset.climber_ids):
             own = state.period_owner == c
-            positions = np.searchsorted(world.weeks, state.period_weeks[own])
-            state.climber_ratings[own] = world.climber_ratings[row_of[climber_id], positions]
+            state.climber_ratings[own] = world.climber_ratings[row_of[climber_id],
+                                                               state.period_weeks[own]]
         return state
 
     def test_injected_truth_scores_perfectly(self):
@@ -241,7 +239,6 @@ class TestRecoveryReport:
             route_grades=world.route_grades[:routes],
             route_ratings=world.route_ratings[:routes],
             climber_ids=world.climber_ids[:climbers],
-            weeks=world.weeks,
             climber_ratings=world.climber_ratings[:climbers],
         )
         with pytest.raises(ValueError, match=f"^{problem} to compare$"):
