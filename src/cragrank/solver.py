@@ -45,8 +45,8 @@ from .model import Hyperparameters, clamp_shortfall, route_prior_mean, win_proba
 MIN_WIENER_VARIANCE = 1e-12
 
 # A converged fit's last CONVERGENCE_WINDOW + 1 recorded BT log-likelihoods
-# span less than WINDOW_SPAN units (see :func:`fit`); the window is also the
-# least iteration budget.
+# span less than WINDOW_SPAN units (see :func:`fit`).  The window is also the
+# least iteration budget, which never converges: that takes one more.
 CONVERGENCE_WINDOW = 8
 WINDOW_SPAN = 1.0
 MAX_ITERATIONS = 1000  # the default iteration budget of every fit
@@ -140,9 +140,7 @@ class ModelState:
     ``j + 1`` belongs to the same climber, the random-walk precision between
     them, and 0 elsewhere.  ``climber_plan`` is the :func:`tridiagonal_plan`
     of ``hess_off``, by which every climber pass solves its system.
-    ``sign`` is 1.0 at each ascent the climber won and -1.0 at each it lost,
-    ``lost`` 0.0 and 1.0; ``period_wins`` counts each period's successes and
-    ``route_losses`` each route's failures.
+    ``sign`` is 1.0 at each ascent the climber won and -1.0 at each it lost.
     """
 
     hyper: Hyperparameters
@@ -159,9 +157,6 @@ class ModelState:
     hess_off: np.ndarray = field(init=False)
     climber_plan: TridiagonalPlan = field(init=False)
     sign: np.ndarray = field(init=False)
-    lost: np.ndarray = field(init=False)
-    period_wins: np.ndarray = field(init=False)
-    route_losses: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         owner = self.period_owner
@@ -171,16 +166,11 @@ class ModelState:
         hess_off = np.zeros(max(len(owner) - 1, 0))
         hess_off[j] = 1.0 / np.maximum(gap * self.hyper.w_sq, MIN_WIENER_VARIANCE)
         self.climber_plan = tridiagonal_plan(hess_off)
-        won = self.asc_success
-        lost = (~won).astype(float)
         derived = dict(
             period_owner=owner,
             first_periods=np.flatnonzero(np.diff(owner, prepend=-1)),
             hess_off=hess_off,
-            sign=1.0 - 2.0 * lost,
-            lost=lost,
-            period_wins=_sums(self.asc_flat_period, won.astype(float), len(owner)),
-            route_losses=_sums(self.asc_route, lost, len(self.route_ratings)),
+            sign=2.0 * self.asc_success - 1.0,
         )
         for name, array in derived.items():
             array.flags.writeable = False
@@ -306,12 +296,13 @@ def outcome_probabilities(state: ModelState) -> tuple[np.ndarray, np.ndarray]:
     return _observed(state, state.climber_ratings, state.route_ratings)
 
 
-def _climber_win_probabilities(state: ModelState, outcome_p: np.ndarray) -> np.ndarray:
-    """Each ascent's climber's win probability, from the outcome probabilities.
-
-    ``lost + sign * p`` is ``p`` or ``1.0 - p`` exactly, without a branch.
-    """
-    return state.lost + state.sign * outcome_p
+def _ascent_terms(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each ascent's log-likelihood slope ``sign * (1 - p)`` and curvature ``p * (1 - p)``
+    in its climber's rating, from ``outcome_p``, the probability p of its observed
+    outcome.  In its route's rating it has the opposite slope and the same
+    curvature, whichever side won, so no outcome is selected."""
+    rest = 1.0 - outcome_p
+    return state.sign * rest, outcome_p * rest
 
 
 def climber_derivatives(state: ModelState, outcome_p: np.ndarray
@@ -329,9 +320,9 @@ def climber_derivatives(state: ModelState, outcome_p: np.ndarray
     r = state.climber_ratings
     n = r.shape[0]
     idx = state.asc_flat_period
-    p = _climber_win_probabilities(state, outcome_p)
-    grad = state.period_wins - _sums(idx, p, n)
-    hess = -_sums(idx, p * (1.0 - p), n)
+    slope, curvature = _ascent_terms(state, outcome_p)
+    grad = _sums(idx, slope, n)
+    hess = -_sums(idx, curvature, n)
 
     first, off = state.first_periods, state.hess_off
     grad[first] -= r[first] / state.hyper.sigma_c_sq
@@ -355,10 +346,9 @@ def route_derivatives(state: ModelState, outcome_p: np.ndarray) -> tuple[np.ndar
     route = state.asc_route
     ratings = state.route_ratings
     n = ratings.shape[0]
-    q = 1.0 - _climber_win_probabilities(state, outcome_p)
-    d1 = (state.route_losses - _sums(route, q, n)
-          - (ratings - state.route_prior_means) / state.hyper.sigma_r_sq)
-    d2 = -_sums(route, q * (1.0 - q), n) - 1.0 / state.hyper.sigma_r_sq
+    slope, curvature = _ascent_terms(state, outcome_p)
+    d1 = -_sums(route, slope, n) - (ratings - state.route_prior_means) / state.hyper.sigma_r_sq
+    d2 = -_sums(route, curvature, n) - 1.0 / state.hyper.sigma_r_sq
     return d1, d2
 
 
@@ -447,24 +437,31 @@ def _log_posterior(state: ModelState, ratings: np.ndarray, log_p: np.ndarray) ->
             - ((route_r - state.route_prior_means) ** 2).sum() / (2.0 * hyper.sigma_r_sq))
 
 
+def _block_jacobi(state: ModelState, hess: np.ndarray, d2: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The block-Jacobi solve of ``-H x = r``, ``r`` over the climber then the route
+    ratings: each climber's block by :func:`solve_tridiagonal` on its Hessian
+    diagonal ``hess``, and each route by its curvature ``d2``."""
+    n = hess.shape[0]
+    return np.concatenate((-solve_tridiagonal(hess, r[:n], state.climber_plan), -r[n:] / d2))
+
+
 def _newton_cg(state: ModelState, outcome_p: np.ndarray, hess: np.ndarray, d2: np.ndarray,
                gradient: np.ndarray, start: np.ndarray) -> np.ndarray:
     """An inexact Newton step on all ratings: preconditioned CG on ``-H d = gradient``.
 
     ``gradient`` is the climber gradient followed by the route gradient, ``hess``
     and ``d2`` the Hessian diagonals of :func:`climber_derivatives` and
-    :func:`route_derivatives`.  The preconditioner is the block-Jacobi solve,
-    each climber's tridiagonal block by :func:`solve_tridiagonal` and each
-    route by its own curvature, and CG starts from ``start``, that solve of the
-    gradient.  It stops once the residual is at most ``min(0.5,
-    sqrt(max|gradient|))`` times the gradient in norm, or after one iteration
-    per rating.  In ``-H``, each ascent
-    couples its climber period and its route by ``-p * (1 - p)``, and the
-    random walk couples consecutive periods by ``-hess_off``.
+    :func:`route_derivatives`.  The preconditioner is :func:`_block_jacobi`,
+    and CG starts from ``start``, that solve of the gradient.  It stops once
+    the residual is at most ``min(0.5, sqrt(max|gradient|))`` times the
+    gradient in norm, or after one iteration per rating.  In ``-H``, each
+    ascent couples its climber period and its route by minus its curvature
+    (see :func:`_ascent_terms`), and the random walk couples consecutive
+    periods by ``-hess_off``.
     """
     n = hess.shape[0]
     period, route, off = state.asc_flat_period, state.asc_route, state.hess_off
-    w = outcome_p * (1.0 - outcome_p)
+    _, w = _ascent_terms(state, outcome_p)
     diagonal = -np.concatenate((hess, d2))
 
     def coupling(v):  # minus the product of -H's climber-route blocks with v
@@ -477,9 +474,6 @@ def _newton_cg(state: ModelState, outcome_p: np.ndarray, hess: np.ndarray, d2: n
         out[1:n] -= off * v[:n - 1]
         return out
 
-    def precondition(r):
-        return np.concatenate((-solve_tridiagonal(hess, r[:n], state.climber_plan), -r[n:] / d2))
-
     step = start
     # start solves the block-diagonal part exactly, so the residual is the coupling's
     residual = coupling(start)
@@ -488,7 +482,7 @@ def _newton_cg(state: ModelState, outcome_p: np.ndarray, hess: np.ndarray, d2: n
     for _ in range(step.shape[0]):  # exact CG would end within this many
         if np.linalg.norm(residual) <= bound:
             break
-        z = precondition(residual)
+        z = _block_jacobi(state, hess, d2, residual)
         rho, previous = residual @ z, rho
         direction = z + (rho / previous) * direction
         q = product(direction)
@@ -553,7 +547,8 @@ def fit(
     while True:
         grad, hess = climber_derivatives(state, outcome_p)
         d1, d2 = route_derivatives(state, outcome_p)
-        step = np.concatenate((-solve_tridiagonal(hess, grad, state.climber_plan), -d1 / d2))
+        gradient = np.concatenate((grad, d1))
+        step = _block_jacobi(state, hess, d2, gradient)
         recent = history[-(CONVERGENCE_WINDOW + 1):]
         large = np.abs(step).max() > STEP_TOLERANCE
         converged = (not large and len(recent) > CONVERGENCE_WINDOW
@@ -561,7 +556,7 @@ def fit(
         if converged or len(history) >= max_iterations:
             break
         if large:
-            step = _newton_cg(state, outcome_p, hess, d2, np.concatenate((grad, d1)), step)
+            step = _newton_cg(state, outcome_p, hess, d2, gradient, step)
         ratings, outcome_p, log_p = _ascend(
             state, np.concatenate((state.climber_ratings, state.route_ratings)), step, log_p,
             lambda trial: _observed(state, trial[:n], trial[n:]), _log_posterior)

@@ -68,7 +68,7 @@ PINNED = {
     "eval/ratings_vs_grades.csv":
         "e1a48acf426d0375ba8694c5fd0ab0415d04b39f5a02f9e2ff252a9bfff0b863",
     "eval/report.json":
-        "0f829267863c46012e4308c816c59bc78ead5f1f86fd2006e4bcb22455f8d4fa",
+        "ac3fc70e0beafb9a1c0618f5c866e85c6b24b0bc75dde721abd1264fd796c8c0",
     "eval/report.txt":
         "27a5f4fda2070d6d7088f4280ca1ccdc99774c0faca99e877f4065c8f52377e0",
     "predictions.csv":

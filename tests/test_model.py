@@ -310,11 +310,9 @@ class TestStateInvariants:
     """The read-only fields a state builds from its periods, ascents and
     hyperparameters, against values worked out by hand."""
 
-    # (period, route, outcome) at weeks [0, 2, 5]: route 0 is failed once,
-    # route 1 twice; periods 0 and 2 hold one success each.
+    # (period, route, outcome), at weeks [0, 2, 5]
     ASCENTS = [(0, 0, True), (0, 1, False), (1, 0, False), (2, 1, True), (2, 1, False)]
-    DERIVED = ("period_owner", "first_periods", "hess_off", "sign", "lost", "period_wins",
-               "route_losses")
+    DERIVED = ("period_owner", "first_periods", "hess_off", "sign")
 
     def state(self, w_sq):
         return one_climber_state([0, 2, 5], [0.3, -0.2, 0.1], [0.5, -0.5], self.ASCENTS,
@@ -332,9 +330,6 @@ class TestStateInvariants:
         assert state.climber_plan.order.tolist() == [0, 1, 2]
         assert state.climber_plan.coupling.tolist() == [0.0, 1.0, 1.0 / 1.5]
         assert state.sign.tolist() == [1.0, -1.0, -1.0, 1.0, -1.0]
-        assert state.lost.tolist() == [0.0, 1.0, 1.0, 0.0, 1.0]
-        assert state.period_wins.tolist() == [1.0, 0.0, 1.0]
-        assert state.route_losses.tolist() == [1.0, 2.0]
 
     def test_zero_drift_is_floored(self):
         state = self.state(0.0)

@@ -906,19 +906,20 @@ class TestExactMap:
             assert np.abs(state.route_ratings - route_r).max() <= 1e-8
 
 
-def margin_state(margins, won):
-    """One climber per ascent, each with one period at its ``margins`` entry,
-    against one route rated 0.0: each ascent's margin is exactly its entry."""
+def margin_state(margins, won, hyper=Hyperparameters()):
+    """One climber and one route per ascent, the climber with one period at
+    its ``margins`` entry and the route rated 0.0: each ascent's margin is
+    exactly its entry."""
     n = len(margins)
     return ModelState(
-        hyper=Hyperparameters(),
+        hyper=hyper,
         period_owner=np.arange(n),
         period_weeks=np.zeros(n, dtype=np.int64),
         climber_ratings=np.array(margins, dtype=float),
-        route_prior_means=np.zeros(1),
-        route_ratings=np.zeros(1),
+        route_prior_means=np.zeros(n),
+        route_ratings=np.zeros(n),
         asc_flat_period=np.arange(n),
-        asc_route=np.zeros(n, dtype=np.int64),
+        asc_route=np.arange(n),
         asc_success=np.array(won, dtype=bool),
     )
 
@@ -928,12 +929,11 @@ EDGE_MARGINS = [0.0, -0.0, 36.0, -36.0, 36.000000000000014, -36.5, 1e308, -1e308
 
 
 class TestBranchFreeSelects:
-    """The sign and ``lost`` arrays select outcomes with the same bits as ``np.where``."""
+    """The sign array selects outcomes with the same bits as ``np.where``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.booleans()), max_size=30),
-           st.lists(st.floats(0.0, 1.0), min_size=len(EDGE_MARGINS), max_size=len(EDGE_MARGINS)))
-    def test_selects_are_bit_identical(self, drawn, probabilities):
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.booleans()), max_size=30))
+    def test_selects_are_bit_identical(self, drawn):
         margins = np.array(EDGE_MARGINS * 2 + [m for m, _ in drawn])
         won = np.array([True] * len(EDGE_MARGINS) + [False] * len(EDGE_MARGINS)
                        + [w for _, w in drawn])
@@ -945,9 +945,24 @@ class TestBranchFreeSelects:
         expected = win_probabilities(np.where(won, margins, -margins), 0.0)
         assert outcome_p.tobytes() == expected.tobytes()
 
-        for p in (outcome_p, np.resize(np.array(probabilities), len(won))):
-            got = solver._climber_win_probabilities(state, p)
-            assert got.tobytes() == np.where(won, p, 1.0 - p).tobytes()
+
+class TestAscentTerms:
+    """An ascent adds the same curvature to its climber and its route."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.booleans()), max_size=30))
+    @example([(-2.2, True)])
+    def test_hessian_diagonals_are_bit_identical(self, drawn):
+        # with equal prior variances and no random walk, a climber period
+        # and a route that share their one ascent have one Hessian entry
+        margins = EDGE_MARGINS * 2 + [m for m, _ in drawn]
+        won = [True] * len(EDGE_MARGINS) + [False] * len(EDGE_MARGINS) + [w for _, w in drawn]
+        state = margin_state(margins, won, Hyperparameters(sigma_c_sq=2.0, sigma_r_sq=2.0))
+        outcome_p, _ = outcome_probabilities(state)
+        with np.errstate(over="ignore", invalid="ignore"):  # gradients of the +/-1e308 ratings
+            _, hess = climber_derivatives(state, outcome_p)
+        _, d2 = route_derivatives(state, outcome_p)
+        assert hess.tobytes() == d2.tobytes()
 
 
 class TestCostContract:
